@@ -13,14 +13,14 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .core import DomainError, c_rel, norm_ppf
-from .expansion import SabrParams, price_sa2_rel, sigma_d
-from .hagan import sigma_h
+from .expansion import SabrParams
+from .models import price_fn_for_model, vol_fn_for_model
 
 __all__ = [
     "OBJECTIVES",
@@ -38,20 +38,24 @@ __all__ = [
     "calibrate_panel",
     "read_quotes_csv",
     "write_quotes_csv",
+    "result_rows",
     "write_results_csv",
 ]
 
-OBJECTIVES = (
-    "sigma_d",
-    "sigma_h",
-    "price_d",
-    "price_h",
-    "price_sa2",
-    "log_price_d",
-    "log_price_h",
-    "log_price_sa2",
-    "price_kappa",
-)
+# objective -> the models.py model it compares; sigma_* objectives compare
+# implied vols, the others relative prices (log_* their logarithms)
+_OBJECTIVE_MODEL = {
+    "sigma_d": "d",
+    "sigma_h": "h",
+    "price_d": "d",
+    "price_h": "h",
+    "price_sa2": "sa2",
+    "log_price_d": "d",
+    "log_price_h": "h",
+    "log_price_sa2": "sa2",
+    "price_kappa": "sa2",  # the sa2 price with the fit's kappa0 and theta
+}
+OBJECTIVES = tuple(_OBJECTIVE_MODEL)
 
 PANEL_EXPIRY_MONTHS = (1, 2, 3, 4, 5, 6, 9, 12, 18, 24)
 PANEL_DELTAS = tuple(0.20 + 0.05 * i for i in range(13))
@@ -138,72 +142,67 @@ def _resolve_moneyness(day: QuoteDay, sigma_prev: float | None) -> np.ndarray:
     return ys
 
 
-def _model_fn(objective: str) -> Callable[[float, float, SabrParams], float]:
-    # returns the model quantity compared against the quote
-    if objective == "sigma_d":
-        return lambda y, t, p: sigma_d(y, t, p).value
-    if objective == "sigma_h":
-        return lambda y, t, p: sigma_h(y, t, p)
-    if objective in ("price_d", "log_price_d"):
-        return lambda y, t, p: c_rel(y, sigma_d(y, t, p).value, t)
-    if objective in ("price_h", "log_price_h"):
-        return lambda y, t, p: c_rel(y, sigma_h(y, t, p), t)
-    if objective in ("price_sa2", "log_price_sa2", "price_kappa"):
-        return price_sa2_rel
-    raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+@dataclass(frozen=True)
+class _QuoteArrays:
+    """A day's quotes as arrays, with the log-moneyness resolved."""
+
+    y: np.ndarray
+    t: np.ndarray
+    vol: np.ndarray
 
 
-def _market_fn(objective: str) -> Callable[[float, float, float], float]:
-    if objective.startswith("sigma"):
-        return lambda y, t, vol: vol
-    return lambda y, t, vol: c_rel(y, vol, t)
+def _quote_arrays(day: QuoteDay, sigma_prev: float | None) -> _QuoteArrays:
+    return _QuoteArrays(
+        y=_resolve_moneyness(day, sigma_prev),
+        t=np.array([q.expiry for q in day.quotes]),
+        vol=np.array([q.implied_vol for q in day.quotes]),
+    )
 
 
 def _objective_details(
-    day: QuoteDay,
-    params: SabrParams,
-    objective: str,
-    sigma_prev: float | None = None,
+    quotes: _QuoteArrays, params: SabrParams, objective: str
 ) -> tuple[float, int]:
-    model = _model_fn(objective)
-    market = _market_fn(objective)
-    take_log = objective.startswith("log_")
-    ys = _resolve_moneyness(day, sigma_prev)
-    sq_sum = 0.0
-    used = 0
-    skipped = 0
-    for y, q in zip(ys, day.quotes):
-        m = model(y, q.expiry, params)
-        target = market(y, q.expiry, q.implied_vol)
-        if take_log:
-            if m <= 0.0 or target <= 0.0:
-                skipped += 1
-                continue
-            diff = math.log(m) - math.log(target)
-        else:
-            diff = m - target
-        if not math.isfinite(diff):
-            skipped += 1
-            continue
-        sq_sum += diff * diff
-        used += 1
-    if used == 0:
+    model_name = _OBJECTIVE_MODEL.get(objective)
+    if model_name is None:
+        raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    y, t = quotes.y, quotes.t
+    if objective.startswith("sigma"):
+        model = vol_fn_for_model(model_name, params)(y, t)
+        target = quotes.vol
+    else:
+        model = price_fn_for_model(model_name, params)(y, params.sigma0, t)
+        target = c_rel(y, quotes.vol, t)
+    if objective.startswith("log_"):
+        # a nonpositive value gives a non-finite log, which is skipped below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = np.log(model) - np.log(target)
+    else:
+        diff = model - target
+    used = np.isfinite(diff)
+    n_used = int(used.sum())
+    skipped = diff.size - n_used
+    if n_used == 0:
         return float("inf"), skipped
-    return sq_sum / used, skipped
+    diff = diff[used]
+    return float(np.dot(diff, diff)) / n_used, skipped
 
 
 def objective_value(
-    day: QuoteDay,
+    day: QuoteDay | _QuoteArrays,
     params: SabrParams,
     objective: str,
     sigma_prev: float | None = None,
 ) -> float:
     """Averaged squared l2 discrepancy between model and market quotes.
 
+    All quotes are evaluated in one array call. day may also be the quote
+    arrays fit_day resolves once per fit, which skips the delta conversion.
     Non-finite model values are skipped (and counted toward the fit flag
     in fit_day) so optimizers always see a finite objective.
     """
-    value, _ = _objective_details(day, params, objective, sigma_prev)
+    if isinstance(day, QuoteDay):
+        day = _quote_arrays(day, sigma_prev)
+    value, _ = _objective_details(day, params, objective)
     return value
 
 
@@ -234,13 +233,14 @@ def fit_day(
     """
     box = [bounds.nu, bounds.sigma, bounds.rho]
     x0 = np.clip(np.asarray(init, dtype=float), [b[0] for b in box], [b[1] for b in box])
+    quotes = _quote_arrays(day, sigma_prev)
 
     def loss(x: np.ndarray) -> float:
         try:
             params = _make_params(x, objective, kappa0, theta)
         except DomainError:
             return float("inf")
-        return objective_value(day, params, objective, sigma_prev)
+        return objective_value(quotes, params, objective)
 
     converged = True
     x = x0
@@ -260,7 +260,7 @@ def fit_day(
         x = res.x
         converged = bool(res.success)
     best = _make_params(x, objective, kappa0, theta)
-    value, skipped = _objective_details(day, best, objective, sigma_prev)
+    value, skipped = _objective_details(quotes, best, objective)
     return CalibrationResult(
         day=day.day,
         objective=objective,
@@ -283,6 +283,9 @@ def out_of_sample(
     return math.sqrt(objective_value(day, prev_params, objective, sigma_prev))
 
 
+_GENERATOR_MODEL = {"sigma_d": "d", "sigma_h": "h"}
+
+
 def synth_panel(
     generator_params: SabrParams,
     n_days: int,
@@ -296,34 +299,34 @@ def synth_panel(
     noise. quote_with selects whether quotes carry moneyness or delta."""
     if noise_level < 0.0:
         raise DomainError(f"noise_level must be nonnegative, got {noise_level}")
-    if model == "sigma_d":
-        vol_fn = lambda y, t: sigma_d(y, t, generator_params).value
-    elif model == "sigma_h":
-        vol_fn = lambda y, t: sigma_h(y, t, generator_params)
-    else:
+    if model not in _GENERATOR_MODEL:
         raise DomainError(f"unknown generator model {model!r}")
+    vol_fn = vol_fn_for_model(_GENERATOR_MODEL[model], generator_params)
+    # (expiry, delta, log-moneyness, model vol) per quote point; the same every day
+    points = []
+    for months in PANEL_EXPIRY_MONTHS:
+        t = months / 12.0
+        for delta in PANEL_DELTAS:
+            y = delta_to_moneyness(delta, generator_params.sigma0, t)
+            points.append((t, delta, y, vol_fn(y, t)))
     rng = np.random.default_rng(seed)
     days = []
     for day in range(1, n_days + 1):
         quotes = []
-        for months in PANEL_EXPIRY_MONTHS:
-            t = months / 12.0
-            for delta in PANEL_DELTAS:
-                y = delta_to_moneyness(delta, generator_params.sigma0, t)
-                vol = vol_fn(y, t)
-                for opt_type in ("C", "P"):
-                    noisy = vol + noise_level * rng.standard_normal()
-                    quote_kwargs = (
-                        {"moneyness": y} if quote_with == "moneyness" else {"delta": delta}
+        for t, delta, y, vol in points:
+            for opt_type in ("C", "P"):
+                noisy = vol + noise_level * rng.standard_normal()
+                quote_kwargs = (
+                    {"moneyness": y} if quote_with == "moneyness" else {"delta": delta}
+                )
+                quotes.append(
+                    MarketQuote(
+                        option_type=opt_type,
+                        expiry=t,
+                        implied_vol=max(noisy, 1e-4),
+                        **quote_kwargs,
                     )
-                    quotes.append(
-                        MarketQuote(
-                            option_type=opt_type,
-                            expiry=t,
-                            implied_vol=max(noisy, 1e-4),
-                            **quote_kwargs,
-                        )
-                    )
+                )
         days.append(QuoteDay(day=day, quotes=tuple(quotes)))
     return days
 
@@ -399,20 +402,25 @@ def write_quotes_csv(path: str, days: Iterable[QuoteDay]) -> None:
                 )
 
 
+def result_rows(results: Iterable[CalibrationResult]) -> list[list[str]]:
+    """Result-table rows under RESULT_HEADER, values formatted to 10 digits."""
+    return [
+        [
+            str(r.day),
+            r.objective,
+            f"{r.nu:.10g}",
+            f"{r.sigma:.10g}",
+            f"{r.rho:.10g}",
+            f"{r.ise:.10g}",
+            f"{r.ose:.10g}",
+            "ok" if r.converged and r.n_skipped == 0 else "flagged",
+        ]
+        for r in results
+    ]
+
+
 def write_results_csv(path: str, results: Iterable[CalibrationResult]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_HEADER)
-        for r in results:
-            writer.writerow(
-                [
-                    r.day,
-                    r.objective,
-                    f"{r.nu:.10g}",
-                    f"{r.sigma:.10g}",
-                    f"{r.rho:.10g}",
-                    f"{r.ise:.10g}",
-                    f"{r.ose:.10g}",
-                    "ok" if r.converged and r.n_skipped == 0 else "flagged",
-                ]
-            )
+        writer.writerows(result_rows(results))

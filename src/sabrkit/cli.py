@@ -173,17 +173,21 @@ def cmd_price(args) -> int:
     header = ["y", "t"]
     for m in models:
         header += [f"price_{m}", f"vol_{m}"]
+    try:
+        fns = [(price_fn_for_model(m, params), vol_fn_for_model(m, params)) for m in models]
+    except DomainError as exc:
+        raise CliError(str(exc), EXIT_DOMAIN) from exc
     rows = []
     for t in ts:
         for y in ys:
             row: list = [y, t]
-            for m in models:
+            for price_fn, vol_fn in fns:
                 try:
-                    price = price_fn_for_model(m, params)(y, params.sigma0, t)
+                    price = price_fn(y, params.sigma0, t)
                 except DomainError as exc:
                     raise CliError(str(exc), EXIT_DOMAIN) from exc
                 try:
-                    vol = vol_fn_for_model(m, params)(y, t)
+                    vol = vol_fn(y, t)
                 except DomainError:
                     vol = float("nan")
                 row += [price, vol]
@@ -262,11 +266,10 @@ def cmd_fd(args) -> int:
         except DomainError as exc:
             raise CliError(str(exc), EXIT_DOMAIN) from exc
         ratio = ratios[k - 2] if k >= 2 else float("nan")
-        est = sol.est_error if sol.est_error is not None else float("nan")
         rows.append([
             k, 100 * rep_h.l2, 100 * rep_h.linf, 100 * rep_h.log_l2,
             100 * rep_sa2.l2, 100 * rep_sa2.linf, 100 * rep_sa2.log_l2,
-            100 * rep_bs.l2, ratio, est,
+            100 * rep_bs.l2, ratio, sol.est_error,
         ])
     if args.cutoff:
         sens = cutoff_sensitivity(params, t, config)
@@ -330,7 +333,7 @@ def cmd_calibrate(args) -> int:
     if args.out:
         cal.write_results_csv(args.out, results)
     else:
-        cal.write_results_csv("/dev/stdout", results)
+        _emit(cal.result_rows(results), cal.RESULT_HEADER, args)
     nus = [r.nu for r in results]
     sigmas = [r.sigma for r in results]
     rhos = [r.rho for r in results]

@@ -2,7 +2,13 @@
 Black-Scholes pricing, and the Gaussian heat kernel the expansion terms
 are built from.
 
-All functions are pure and operate on plain floats; everything downstream
+The closed-form kernels (`norm_cdf`, `norm_pdf`, `d_minus`, `hermite`,
+`h_tilde`, `phi_t`, `c_rel`) broadcast over numpy arrays: an array call
+evaluates every point in one pass and raises DomainError when any element
+is outside the domain. A call with plain floats returns a float computed
+with the math module; it agrees with the same point of an array call to a
+few units in the last place. `OptionQuery`, `d_pair`, `bs_call`,
+`norm_ppf` and `bs_implied_vol` stay scalar. Everything downstream
 (expansion terms, FD boundary data, calibration objectives) is assembled
 from these.
 """
@@ -12,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
+import numpy as np
+from scipy.special import erfc
 
 __all__ = [
     "DomainError",
@@ -85,14 +94,68 @@ class DPair(NamedTuple):
     d_minus: float
 
 
-def norm_cdf(x: float) -> float:
+class _Ops(NamedTuple):
+    """The elementary operations a kernel formula is written in: the math
+    module for float calls, numpy for array calls."""
+
+    exp: Callable
+    sqrt: Callable
+    log: Callable
+    erfc: Callable
+    where: Callable
+    maximum: Callable
+    ones_like: Callable
+
+
+_MATH = _Ops(
+    math.exp, math.sqrt, math.log, math.erfc,
+    lambda cond, a, b: a if cond else b, max, lambda x: 1.0,
+)
+_NUMPY = _Ops(np.exp, np.sqrt, np.log, erfc, np.where, np.maximum, np.ones_like)
+
+
+def _args(*xs) -> tuple[_Ops, list]:
+    """The operations and arguments of one kernel call.
+
+    All-scalar arguments become floats evaluated with the math module, in
+    the same arithmetic as a plain-float implementation; callers such as
+    bs_implied_vol at deep in-the-money points depend on those last digits.
+    Otherwise every argument becomes a float array, broadcast to the common
+    shape, and numpy evaluates the same formula element-wise.
+    """
+    for x in xs:
+        if not isinstance(x, (float, int)) and np.ndim(x) != 0:
+            return _NUMPY, np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in xs))
+    return _MATH, [float(x) for x in xs]
+
+
+def _all(ok) -> bool:
+    # ok is a bool from a float call or a bool array from an array call
+    return ok if isinstance(ok, bool) else bool(ok.all())
+
+
+def _any(ok) -> bool:
+    return ok if isinstance(ok, bool) else bool(ok.any())
+
+
+def _require(ok, what: str, values) -> None:
+    """DomainError naming the first offending value unless ok holds
+    everywhere."""
+    if not _all(ok):
+        bad = values if isinstance(ok, bool) else values[~ok].flat[0]
+        raise DomainError(f"{what}, got {bad}")
+
+
+def norm_cdf(x):
     """Standard normal CDF via erfc; absolute error below 1e-15."""
-    return 0.5 * math.erfc(-x / _SQRT2)
+    m, (x,) = _args(x)
+    return 0.5 * m.erfc(-x / _SQRT2)
 
 
-def norm_pdf(x: float) -> float:
+def norm_pdf(x):
     """Standard normal density e^{-x^2/2} / sqrt(2 pi)."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    m, (x,) = _args(x)
+    return _INV_SQRT_2PI * m.exp(-0.5 * x * x)
 
 
 def norm_ppf(p: float) -> float:
@@ -102,59 +165,56 @@ def norm_ppf(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
-def hermite(n: int, x: float) -> float:
+def hermite(n: int, x):
     """Probabilist's Hermite polynomial H_n(x) for 0 <= n <= 5.
 
     Uses the recurrence H_{n+1}(x) = x H_n(x) - n H_{n-1}(x).
     """
     if not isinstance(n, int) or n < 0 or n > 5:
         raise DomainError(f"hermite order must be an integer in 0..5, got {n}")
-    h_prev, h = 1.0, x
+    m, (x,) = _args(x)
     if n == 0:
-        return 1.0
+        return m.ones_like(x)
+    h_prev, h = 1.0, x
     for k in range(1, n):
         h_prev, h = h, x * h - k * h_prev
     return h
 
 
-def h_tilde(n: int, u: float, sigma: float, t: float) -> float:
+def _scaled_d_minus(m: _Ops, y, sigma, t):
+    # (sigma sqrt(t), d_-) after the sigma > 0 and t > 0 checks
+    _require(sigma > 0.0, "sigma must be positive", sigma)
+    _require(t > 0.0, "t must be positive", t)
+    v = sigma * m.sqrt(t)
+    return v, y / v - 0.5 * v
+
+
+def h_tilde(n: int, u, sigma, t):
     """Scaled Hermite factor (-1/(sigma sqrt(t)))^n H_n(l(u)).
 
     Here l(u) = u/(sigma sqrt(t)) - sigma sqrt(t)/2, so that the n-th
     u-derivative of the Gaussian kernel phi_t equals h_tilde(n) * phi_t.
     """
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not (t > 0.0):
-        raise DomainError(f"t must be positive, got {t}")
-    v = sigma * math.sqrt(t)
-    ell = u / v - 0.5 * v
+    m, (u, sigma, t) = _args(u, sigma, t)
+    v, ell = _scaled_d_minus(m, u, sigma, t)
     return (-1.0 / v) ** n * hermite(n, ell)
 
 
-def phi_t(u: float, sigma: float, t: float) -> float:
+def phi_t(u, sigma, t):
     """Heat kernel of the forward Black-Scholes generator.
 
     phi_t(u, sigma) = exp(-l(u)^2/2) / (sigma sqrt(2 pi t)); integrates
     to 1 in u and satisfies d^n/du^n phi_t = h_tilde(n) phi_t.
     """
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not (t > 0.0):
-        raise DomainError(f"t must be positive, got {t}")
-    v = sigma * math.sqrt(t)
-    ell = u / v - 0.5 * v
-    return math.exp(-0.5 * ell * ell) / (sigma * math.sqrt(2.0 * math.pi * t))
+    m, (u, sigma, t) = _args(u, sigma, t)
+    _, ell = _scaled_d_minus(m, u, sigma, t)
+    return m.exp(-0.5 * ell * ell) / (sigma * m.sqrt(2.0 * math.pi * t))
 
 
-def d_minus(y: float, sigma: float, t: float) -> float:
+def d_minus(y, sigma, t):
     """d_- = y/(sigma sqrt(t)) - sigma sqrt(t)/2 from log-moneyness."""
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not (t > 0.0):
-        raise DomainError(f"t must be positive, got {t}")
-    v = sigma * math.sqrt(t)
-    return y / v - 0.5 * v
+    m, (y, sigma, t) = _args(y, sigma, t)
+    return _scaled_d_minus(m, y, sigma, t)[1]
 
 
 def d_pair(query: OptionQuery, sigma: float) -> DPair:
@@ -183,20 +243,23 @@ def bs_call(query: OptionQuery, sigma: float) -> float:
     return query.spot * norm_cdf(dp) - disc_k * norm_cdf(dm)
 
 
-def c_rel(y: float, sigma: float, t: float) -> float:
+def c_rel(y, sigma, t):
     """Strike-normalized forward call price e^y N(d_+) - N(d_-).
 
     Equals K^{-1} e^{rt} bs_call for any (S, K, r) with ln(S e^{rt}/K) = y.
+    Points with sigma sqrt(t) = 0 take the intrinsic value (e^y - 1)^+.
     """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    if t == 0.0 or sigma == 0.0:
-        return max(math.exp(y) - 1.0, 0.0)
-    dm = d_minus(y, sigma, t)
-    dp = dm + sigma * math.sqrt(t)
-    return math.exp(y) * norm_cdf(dp) - norm_cdf(dm)
+    m, (y, sigma, t) = _args(y, sigma, t)
+    _require(sigma >= 0.0, "sigma must be nonnegative", sigma)
+    _require(t >= 0.0, "t must be nonnegative", t)
+    flat = sigma * m.sqrt(t) == 0.0  # also where the product underflows
+    if _any(flat):
+        # evaluate the formula at a harmless point, then take the payoff
+        payoff = m.maximum(m.exp(y) - 1.0, 0.0)
+        live = c_rel(y, m.where(flat, 1.0, sigma), m.where(flat, 1.0, t))
+        return m.where(flat, payoff, live)
+    v, dm = _scaled_d_minus(m, y, sigma, t)
+    return m.exp(y) * norm_cdf(dm + v) - norm_cdf(dm)
 
 
 def _c_rel_vega(y: float, sigma: float, t: float) -> float:

@@ -9,6 +9,12 @@ The forward price is approximated as
 where F1 and F2 are Gaussian-kernel expressions of the form
 K * sum_i a_i * h_tilde(i, y) * phi_t(y, sigma). The implied volatility
 carries the matching expansion sigma + nu*e1 + nu^2*e2.
+
+`price_sa2_rel`, `implied_e1`, `implied_e2`, `sigma_d` and `price_d`
+broadcast over numpy arrays of (y, t, sigma) like the kernels in `core`;
+the `sigma` keyword replaces params.sigma0, point by point when it is an
+array. The OptionQuery forms (`price_sa2`, `f1_term`, `f2_term`,
+`delta_sa2`) stay scalar.
 """
 
 from __future__ import annotations
@@ -17,9 +23,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .core import (
+    _MATH,
     DomainError,
     OptionQuery,
+    _all,
+    _args,
     c_rel,
     d_minus,
     d_pair,
@@ -86,10 +97,16 @@ class ExpansionPrice(NamedTuple):
 
 
 class VolQuote(NamedTuple):
-    """Expansion implied vol with a flag marking the nonpositive-value clamp."""
+    """Expansion implied vol with a flag marking the nonpositive-value clamp
+    (arrays of both for an array call)."""
 
-    value: float
-    clamped: bool
+    value: float | np.ndarray
+    clamped: bool | np.ndarray
+
+
+def _require_sigma_t(sigma, t, what: str) -> None:
+    if not (_all(sigma > 0.0) and _all(t > 0.0)):
+        raise DomainError(f"{what} requires sigma > 0 and t > 0")
 
 
 def _require_no_mean_reversion(params: SabrParams, what: str) -> None:
@@ -104,6 +121,11 @@ def f1_coeffs(
     a10 = 0.5 * t * t * sigma * kappa0 * (theta - sigma)
     a11 = 0.5 * t * t * rho * sigma**3
     return a10, a11
+
+
+def _f1_rel(m, dm, sigma, t, rho: float, kappa0: float, theta: float):
+    # F1 / K from d_-, with the float or array operations m
+    return 0.5 * t * (kappa0 * (theta - sigma) * m.sqrt(t) - rho * sigma * dm) * norm_pdf(dm)
 
 
 def f1_term(
@@ -121,13 +143,7 @@ def f1_term(
     if not (t > 0.0):
         raise DomainError("f1_term requires t > 0")
     dm = d_pair(query, sigma).d_minus
-    return (
-        0.5
-        * query.strike
-        * t
-        * (kappa0 * (theta - sigma) * math.sqrt(t) - rho * sigma * dm)
-        * norm_pdf(dm)
-    )
+    return query.strike * _f1_rel(_MATH, dm, sigma, t, rho, kappa0, theta)
 
 
 def f2_coeffs(
@@ -152,6 +168,13 @@ def f2_coeffs(
     return a20, a21, a22, a23, a24
 
 
+def _f2_rel(y, sigma, t, rho: float, kappa0: float, theta: float):
+    # F2 / K: sum_i a2i h_tilde(i, y) phi_t(y)
+    coeffs = f2_coeffs(sigma, t, rho, kappa0, theta)
+    kernel = phi_t(y, sigma, t)
+    return kernel * sum(a * h_tilde(i, y, sigma, t) for i, a in enumerate(coeffs))
+
+
 def f2_term(
     query: OptionQuery,
     sigma: float,
@@ -166,12 +189,7 @@ def f2_term(
     t = query.expiry
     if not (t > 0.0):
         raise DomainError("f2_term requires t > 0")
-    y = query.log_moneyness
-    coeffs = f2_coeffs(sigma, t, rho, kappa0, theta)
-    kernel = phi_t(y, sigma, t)
-    return query.strike * kernel * sum(
-        a * h_tilde(i, y, sigma, t) for i, a in enumerate(coeffs)
-    )
+    return query.strike * _f2_rel(query.log_moneyness, sigma, t, rho, kappa0, theta)
 
 
 def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
@@ -192,23 +210,30 @@ def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
     return ExpansionPrice(f_bs, f1, f2, f_bs + params.nu * f1 + params.nu**2 * f2)
 
 
-def price_sa2_rel(y: float, t: float, params: SabrParams) -> float:
-    """Strike-normalized second-order forward price (K = 1, r = 0)."""
-    query = OptionQuery(spot=math.exp(y), strike=1.0, rate=0.0, expiry=t)
-    return price_sa2(query, params).total
+def price_sa2_rel(y, t, params: SabrParams, *, sigma=None):
+    """Strike-normalized second-order forward price (K = 1, r = 0), from
+    the log-moneyness y directly; at t = 0 the payoff (e^y - 1)^+."""
+    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    f_bs = c_rel(y, sigma, t)
+    live = t > 0.0
+    t = m.where(live, t, 1.0)
+    dm = d_minus(y, sigma, t)
+    f1 = _f1_rel(m, dm, sigma, t, params.rho, params.kappa0, params.theta)
+    f2 = _f2_rel(y, sigma, t, params.rho, params.kappa0, params.theta)
+    return m.where(live, f_bs + params.nu * f1 + params.nu**2 * f2, f_bs)
 
 
-def implied_e1(y: float, sigma: float, rho: float, t: float) -> float:
+def implied_e1(y, sigma, rho: float, t):
     """First-order implied-vol coefficient e1 = -rho sigma sqrt(t) d_- / 2."""
-    if not (sigma > 0.0 and t > 0.0):
-        raise DomainError("implied_e1 requires sigma > 0 and t > 0")
-    return -0.5 * rho * sigma * math.sqrt(t) * d_minus(y, sigma, t)
+    m, (y, sigma, t) = _args(y, sigma, t)
+    _require_sigma_t(sigma, t, "implied_e1")
+    return -0.5 * rho * sigma * m.sqrt(t) * d_minus(y, sigma, t)
 
 
-def implied_e2(y: float, sigma: float, rho: float, t: float) -> float:
+def implied_e2(y, sigma, rho: float, t):
     """Second-order implied-vol coefficient (seven-term polynomial form)."""
-    if not (sigma > 0.0 and t > 0.0):
-        raise DomainError("implied_e2 requires sigma > 0 and t > 0")
+    m, (y, sigma, t) = _args(y, sigma, t)
+    _require_sigma_t(sigma, t, "implied_e2")
     r2 = rho * rho
     return (
         sigma * t / 12
@@ -221,14 +246,15 @@ def implied_e2(y: float, sigma: float, rho: float, t: float) -> float:
     )
 
 
-def sigma_d(y: float, t: float, params: SabrParams) -> VolQuote:
+def sigma_d(y, t, params: SabrParams, *, sigma=None) -> VolQuote:
     """Expansion implied vol sigma + nu e1 + nu^2 e2.
 
     Nonpositive raw values (possible for extreme parameters probed by
     optimizers) are clamped to a small positive floor and flagged.
     """
     _require_no_mean_reversion(params, "sigma_d")
-    sigma, nu, rho = params.sigma0, params.nu, params.rho
+    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    nu, rho = params.nu, params.rho
     raw = sigma
     if nu != 0.0:
         raw = (
@@ -236,14 +262,13 @@ def sigma_d(y: float, t: float, params: SabrParams) -> VolQuote:
             + nu * implied_e1(y, sigma, rho, t)
             + nu * nu * implied_e2(y, sigma, rho, t)
         )
-    if raw <= 0.0:
-        return VolQuote(SIGMA_FLOOR, True)
-    return VolQuote(raw, False)
+    clamped = raw <= 0.0
+    return VolQuote(m.where(clamped, SIGMA_FLOOR, raw), clamped)
 
 
-def price_d(y: float, t: float, params: SabrParams) -> float:
+def price_d(y, t, params: SabrParams, *, sigma=None):
     """Relative price through the implied-vol expansion: c_rel(y, sigma_d, t)."""
-    return c_rel(y, sigma_d(y, t, params).value, t)
+    return c_rel(y, sigma_d(y, t, params, sigma=sigma).value, t)
 
 
 def _dx_correction(

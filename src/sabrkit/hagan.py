@@ -1,12 +1,13 @@
 """Hagan-Kumar-Lesniewski-Woodward implied volatility for beta = 1,
 with a series regularization of the z/xi(z) backbone near z = 0.
+
+Every function broadcasts over numpy arrays of (y, t, sigma) like the
+kernels in `core`; the `sigma` keyword replaces params.sigma0.
 """
 
 from __future__ import annotations
 
-import math
-
-from .core import DomainError, c_rel
+from .core import DomainError, _args, _require, c_rel
 from .expansion import SabrParams
 
 __all__ = ["xi", "z_over_xi", "sigma_h", "price_h", "Z_SWITCH"]
@@ -14,31 +15,37 @@ __all__ = ["xi", "z_over_xi", "sigma_h", "price_h", "Z_SWITCH"]
 Z_SWITCH = 1e-4
 
 
-def xi(z: float, rho: float) -> float:
-    """xi(z) = ln[(sqrt(1 - 2 rho z + z^2) + z - rho) / (1 - rho)]."""
+def _check_rho(rho: float) -> None:
     if not (-1.0 < rho < 1.0):
         raise DomainError(f"rho must lie strictly in (-1, 1), got {rho}")
-    return math.log((math.sqrt(1.0 - 2.0 * rho * z + z * z) + z - rho) / (1.0 - rho))
 
 
-def z_over_xi(z: float, rho: float, z_switch: float = Z_SWITCH) -> float:
+def xi(z, rho: float):
+    """xi(z) = ln[(sqrt(1 - 2 rho z + z^2) + z - rho) / (1 - rho)]."""
+    _check_rho(rho)
+    m, (z,) = _args(z)
+    return m.log((m.sqrt(1.0 - 2.0 * rho * z + z * z) + z - rho) / (1.0 - rho))
+
+
+def z_over_xi(z, rho: float, z_switch: float = Z_SWITCH):
     """The backbone quotient z / xi(z), regularized near z = 0.
 
     For |z| < z_switch the cubic Taylor expansion of the quotient is used:
     1 - rho z/2 + (1/6 - rho^2/4) z^2 + (5 rho/24 - rho^3/4) z^3, which
     meets the exact quotient to O(z_switch^4) at the switch point.
     """
-    if abs(z) >= z_switch:
-        return z / xi(z, rho)
-    if not (-1.0 < rho < 1.0):
-        raise DomainError(f"rho must lie strictly in (-1, 1), got {rho}")
-    return 1.0 + z * (
+    _check_rho(rho)
+    m, (z,) = _args(z)
+    near = abs(z) < z_switch
+    far_z = m.where(near, 1.0, z)  # keeps 0/0 out of the unused branch
+    series = 1.0 + z * (
         -0.5 * rho
         + z * ((1.0 / 6.0 - 0.25 * rho * rho) + z * (5.0 * rho / 24.0 - 0.25 * rho**3))
     )
+    return m.where(near, series, far_z / xi(far_z, rho))
 
 
-def sigma_h(y: float, t: float, params: SabrParams, regularized: bool = True) -> float:
+def sigma_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
     """Hagan implied volatility
 
         sigma * (z / xi(z)) * [1 + (rho nu sigma / 4 + (2 - 3 rho^2) nu^2 / 24) t]
@@ -48,9 +55,9 @@ def sigma_h(y: float, t: float, params: SabrParams, regularized: bool = True) ->
     """
     if params.kappa0 != 0.0:
         raise DomainError("sigma_h is only available for kappa0 = 0")
-    if not (t >= 0.0):
-        raise DomainError(f"t must be nonnegative, got {t}")
-    sigma, nu, rho = params.sigma0, params.nu, params.rho
+    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    _require(t >= 0.0, "t must be nonnegative", t)
+    nu, rho = params.nu, params.rho
     z = nu * y / sigma
     if regularized:
         backbone = z_over_xi(z, rho)
@@ -60,6 +67,6 @@ def sigma_h(y: float, t: float, params: SabrParams, regularized: bool = True) ->
     return sigma * backbone * bracket
 
 
-def price_h(y: float, t: float, params: SabrParams, regularized: bool = True) -> float:
+def price_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
     """Relative call price through the Hagan vol: c_rel(y, sigma_h, t)."""
-    return c_rel(y, sigma_h(y, t, params, regularized=regularized), t)
+    return c_rel(y, sigma_h(y, t, params, regularized=regularized, sigma=sigma), t)

@@ -8,6 +8,7 @@ reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,8 @@ from .expansion import SabrParams
 __all__ = ["McConfig", "simulate_price"]
 
 _BLOCK = 4096
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,8 @@ def _max_workers() -> int:
     try:
         n = int(raw)
     except ValueError:
+        if raw:
+            log.warning("SABR_THREADS=%r is not an integer; using 1 thread", raw)
         return 1
     return max(1, n)
 

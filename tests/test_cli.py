@@ -194,6 +194,24 @@ class TestCalibrate:
             rows = list(csv.DictReader(fh))
         assert abs(float(rows[0]["nu"]) - 1.3) <= 1e-2
 
+    def test_results_to_stdout_follow_format(self, capsys):
+        code, out, _ = run(
+            ["calibrate", "--synth-days", "1", "--nu", "1.3", "--sigma", "0.19",
+             "--rho=-0.55", "--init", "1.0,0.25,-0.3", "--format", "tsv"],
+            capsys,
+        )
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        lines = out.splitlines()
+        # the result table, then the summary table, both tab-separated
+        assert lines[0].split("\t") == [
+            "day", "objective", "nu", "sigma", "rho", "ise", "ose", "flag"
+        ]
+        result = lines[1].split("\t")
+        assert result[:2] == ["1", "sigma_d"]
+        assert abs(float(result[2]) - 1.3) <= 1e-2
+        assert lines[2].split("\t")[0] == "ise"
+        assert len(lines) == 4
+
     def test_bad_init(self, capsys):
         code, _, err = run(
             ["calibrate", "--synth-days", "1", "--init", "1.0,0.25"], capsys

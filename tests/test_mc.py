@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from sabrkit import (
     price_sa2,
     simulate_price,
 )
+from sabrkit.mc import _max_workers
 
 
 class TestConfig:
@@ -87,3 +89,24 @@ class TestSimulate:
         q = OptionQuery(spot=1.0, strike=1.0, expiry=0.0)
         with pytest.raises(DomainError):
             simulate_price(q, SabrParams(sigma0=0.2, nu=0.5, rho=0.0), cfg)
+
+
+class TestThreads:
+    def test_thread_count_from_env(self, monkeypatch):
+        monkeypatch.setenv("SABR_THREADS", "3")
+        assert _max_workers() == 3
+        monkeypatch.setenv("SABR_THREADS", "0")
+        assert _max_workers() == 1
+
+    def test_unset_is_one_thread_without_warning(self, monkeypatch, caplog):
+        monkeypatch.delenv("SABR_THREADS", raising=False)
+        with caplog.at_level(logging.WARNING, logger="sabrkit.mc"):
+            assert _max_workers() == 1
+        assert caplog.records == []
+
+    def test_invalid_value_warns_and_uses_one_thread(self, monkeypatch, caplog):
+        monkeypatch.setenv("SABR_THREADS", "two")
+        with caplog.at_level(logging.WARNING, logger="sabrkit.mc"):
+            assert _max_workers() == 1
+        assert len(caplog.records) == 1
+        assert "SABR_THREADS='two'" in caplog.records[0].getMessage()
