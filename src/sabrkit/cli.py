@@ -19,7 +19,7 @@ import numpy as np
 
 from . import calibration as cal
 from .core import DomainError, OptionQuery
-from .expansion import SabrParams, price_d, price_sa2
+from .expansion import SabrParams
 from .fd import (
     FdConfig,
     FdInstabilityError,
@@ -30,8 +30,7 @@ from .fd import (
     richardson_ratios,
     solve_sequence,
 )
-from .hagan import price_h
-from .mc import McConfig, simulate_price
+from .mc import McConfig, simulate_prices
 from .models import MODEL_NAMES, price_fn_for_model, vol_fn_for_model
 
 __all__ = ["main"]
@@ -292,20 +291,29 @@ def cmd_mc(args) -> int:
         spot, sigma, nu, rho, t = args.spot, args.sigma, args.nu, args.rho, args.expiry
     params = SabrParams(sigma0=sigma, nu=nu, rho=rho)
     strikes = _parse_values(args.strikes, "strikes") if args.strikes else [spot]
+    if not strikes:
+        raise CliError("--strikes: at least one strike required", EXIT_USAGE)
     config = McConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
-    rows = []
-    for strike in strikes:
-        try:
-            query = OptionQuery(spot=spot, strike=strike, rate=args.rate, expiry=t)
-            c_mc, se = simulate_price(query, params, config)
-            y = query.log_moneyness
-            disc = math.exp(-args.rate * t)
-            c_h = disc * strike * price_h(y, t, params)
-            c_d = disc * strike * price_d(y, t, params)
-            c_sa2 = disc * price_sa2(query, params).total
-        except DomainError as exc:
-            raise CliError(str(exc), EXIT_DOMAIN) from exc
-        rows.append([strike, y, c_mc, se, c_h, c_d, c_sa2, c_h - c_mc, c_d - c_mc])
+    try:
+        queries = [
+            OptionQuery(spot=spot, strike=k, rate=args.rate, expiry=t) for k in strikes
+        ]
+        mc_prices = simulate_prices(queries, params, config)
+        ys = np.array([q.log_moneyness for q in queries])
+        # closed forms are relative prices: scale by the discounted strike
+        scale = math.exp(-args.rate * t) * np.array(strikes)
+        closed = [
+            (scale * price_fn_for_model(m, params)(ys, sigma, t)).tolist()
+            for m in ("h", "d", "sa2")
+        ]
+    except DomainError as exc:
+        raise CliError(str(exc), EXIT_DOMAIN) from exc
+    rows = [
+        [strike, y, c_mc, se, c_h, c_d, c_sa2, c_h - c_mc, c_d - c_mc]
+        for strike, y, (c_mc, se), c_h, c_d, c_sa2 in zip(
+            strikes, ys.tolist(), mc_prices, *closed
+        )
+    ]
     header = ["strike", "y", "c_mc", "std_error", "c_h", "c_d", "c_sa2", "e_h", "e_d"]
     _emit(rows, header, args)
     return EXIT_OK

@@ -15,6 +15,7 @@ from these.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -43,6 +44,9 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _STD_NORMAL = NormalDist()
+_IV_MAX_ITER = 200
+
+log = logging.getLogger(__name__)
 
 
 class DomainError(ValueError):
@@ -278,7 +282,8 @@ def bs_implied_vol(
     """Invert c_rel in sigma by bracketed Newton with bisection fallback.
 
     Raises DomainError if the price lies outside the no-arbitrage band
-    (intrinsic, e^y) or outside the bracket [lo, hi].
+    (intrinsic, e^y) or outside the bracket [lo, hi]. Logs a warning and
+    returns the last iterate when the iteration limit is reached first.
     """
     if not (t > 0.0):
         raise DomainError("implied vol requires t > 0")
@@ -293,7 +298,7 @@ def bs_implied_vol(
     if f_lo > 0.0 or f_hi < 0.0:
         raise DomainError(f"price {price} not bracketed by sigma in [{lo}, {hi}]")
     sigma = 0.5 * (lo + hi)
-    for _ in range(200):
+    for _ in range(_IV_MAX_ITER):
         f = c_rel(y, sigma, t) - price
         if abs(f) <= tol:
             return sigma
@@ -307,4 +312,8 @@ def bs_implied_vol(
             candidate = sigma - f / vega
             step_ok = lo < candidate < hi
         sigma = candidate if step_ok else 0.5 * (lo + hi)
+    log.warning(
+        "bs_implied_vol: no convergence to tol=%g in %d iterations at y=%r, t=%r; "
+        "returning sigma=%r", tol, _IV_MAX_ITER, y, t, sigma,
+    )
     return sigma

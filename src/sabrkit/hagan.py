@@ -51,7 +51,8 @@ def sigma_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
         sigma * (z / xi(z)) * [1 + (rho nu sigma / 4 + (2 - 3 rho^2) nu^2 / 24) t]
 
     with z = (nu / sigma) y. The regularized quotient is the default; pass
-    regularized=False to evaluate the raw quotient (undefined at z = 0).
+    regularized=False to evaluate the raw quotient, which raises DomainError
+    wherever z = 0 (at y = 0, or everywhere when nu = 0).
     """
     if params.kappa0 != 0.0:
         raise DomainError("sigma_h is only available for kappa0 = 0")
@@ -62,6 +63,7 @@ def sigma_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
     if regularized:
         backbone = z_over_xi(z, rho)
     else:
+        _require(z != 0.0, "the raw quotient z/xi(z) needs z = nu y / sigma != 0", z)
         backbone = z / xi(z, rho)
     bracket = 1.0 + (0.25 * rho * nu * sigma + (2.0 - 3.0 * rho * rho) * nu * nu / 24.0) * t
     return sigma * backbone * bracket

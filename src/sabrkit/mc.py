@@ -3,7 +3,9 @@
 The volatility path is sampled exactly as a geometric Brownian motion at
 the grid times; the log-forward uses a log-Euler step with correlated
 increments. The generator is counter-based (Philox), so path blocks are
-reproducible regardless of scheduling.
+reproducible regardless of scheduling. One path set serves every strike of
+an expiry: the paths are stepped once and each strike's payoff is taken
+from the same terminal log-forwards.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import DomainError, OptionQuery
 from .expansion import SabrParams
 
-__all__ = ["McConfig", "simulate_price"]
+__all__ = ["McConfig", "simulate_price", "simulate_prices"]
 
 _BLOCK = 4096
 
@@ -38,6 +41,16 @@ class McConfig:
             raise DomainError(f"n_paths must be positive, got {self.n_paths}")
         if not (self.dt > 0.0):
             raise DomainError(f"dt must be positive, got {self.dt}")
+        if self.n_samples < 2:
+            raise DomainError(
+                f"n_paths={self.n_paths} gives {self.n_samples} sample(s); the "
+                "standard error needs at least 2 (antithetic pairs count once)"
+            )
+
+    @property
+    def n_samples(self) -> int:
+        """Independent samples: one per antithetic pair, else one per path."""
+        return self.n_paths // 2 if self.antithetic else self.n_paths
 
 
 def _max_workers() -> int:
@@ -54,17 +67,22 @@ def _max_workers() -> int:
 def _block_payoffs(
     seed_seq: np.random.SeedSequence,
     n: int,
-    query: OptionQuery,
+    forward: float,
+    strikes: np.ndarray,
     params: SabrParams,
     n_steps: int,
     dt: float,
     antithetic: bool,
-) -> np.ndarray:
+    out: np.ndarray,
+) -> None:
+    """Writes the (n_strikes, n) payoffs of one block of n samples into out,
+    pair-averaged under antithetics; the paths are stepped once for all
+    strikes."""
     rng = np.random.Generator(np.random.Philox(seed_seq))
     nu, rho = params.nu, params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
     sqdt = math.sqrt(dt)
-    x = np.full(2 * n if antithetic else n, math.log(query.forward))
+    x = np.full(2 * n if antithetic else n, math.log(forward))
     sigma = np.full_like(x, params.sigma0)
     log_sigma_drift = -0.5 * nu * nu * dt
     for _ in range(n_steps):
@@ -76,49 +94,78 @@ def _block_payoffs(
         dw1 = sqdt * (rho * z2 + rho_c * z1)
         x += -0.5 * sigma * sigma * dt + sigma * dw1
         sigma *= np.exp(nu * sqdt * z2 + log_sigma_drift)
-    payoff = np.maximum(np.exp(x) - query.strike, 0.0)
+    payoff = np.empty((strikes.size, 2 * n)) if antithetic else out
+    np.subtract(np.exp(x), strikes[:, None], out=payoff)
+    np.maximum(payoff, 0.0, out=payoff)
     if antithetic:
-        return 0.5 * (payoff[:n] + payoff[n:])
-    return payoff
+        np.add(payoff[:, :n], payoff[:, n:], out=out)
+        out *= 0.5
 
 
-def simulate_price(
-    query: OptionQuery, params: SabrParams, config: McConfig
-) -> tuple[float, float]:
-    """Discounted mean call payoff and its standard error.
+def simulate_prices(
+    queries: Sequence[OptionQuery], params: SabrParams, config: McConfig
+) -> list[tuple[float, float]]:
+    """Discounted mean call payoff and its standard error for each query,
+    all priced from one path set.
 
-    Deterministic for a fixed seed. With antithetic variates each mirrored
-    pair contributes one averaged sample to the error estimate.
+    The queries must share spot, rate and expiry; only the strikes differ.
+    Each result equals what a simulation of that query alone would give,
+    bit for bit. Deterministic for a fixed seed. With antithetic variates
+    each mirrored pair contributes one averaged sample to the error estimate.
     """
+    if not queries:
+        raise DomainError("simulate_prices needs at least one query")
+    q0 = queries[0]
+    for q in queries[1:]:
+        if (q.spot, q.rate, q.expiry) != (q0.spot, q0.rate, q0.expiry):
+            raise DomainError(
+                "simulate_prices queries must share spot, rate and expiry; got "
+                f"{(q0.spot, q0.rate, q0.expiry)} and {(q.spot, q.rate, q.expiry)}"
+            )
     if params.kappa0 != 0.0:
         raise DomainError("Monte Carlo benchmark is only available for kappa0 = 0")
-    t = query.expiry
+    t = q0.expiry
     if not (t > 0.0):
-        raise DomainError("simulate_price requires t > 0")
+        raise DomainError("Monte Carlo requires expiry > 0")
     n_steps = max(1, round(t / config.dt))
     dt = t / n_steps  # adjusted so the grid lands exactly on t
-    n_samples = config.n_paths // 2 if config.antithetic else config.n_paths
-    n_samples = max(1, n_samples)
+    n_samples = config.n_samples
+    strikes = np.array([q.strike for q in queries])
 
     seeds = np.random.SeedSequence(config.seed).spawn(
         (n_samples + _BLOCK - 1) // _BLOCK
     )
     sizes = [min(_BLOCK, n_samples - i * _BLOCK) for i in range(len(seeds))]
 
-    def run(args):
-        seed_seq, n = args
-        return _block_payoffs(
-            seed_seq, n, query, params, n_steps, dt, config.antithetic
+    # each block writes its own columns; every row stays contiguous, so it
+    # reduces exactly as a one-strike simulation's 1-D samples would
+    samples = np.empty((len(queries), n_samples))
+
+    def run(i):
+        start = i * _BLOCK
+        _block_payoffs(
+            seeds[i], sizes[i], q0.forward, strikes, params, n_steps, dt,
+            config.antithetic, samples[:, start : start + sizes[i]],
         )
 
     workers = _max_workers()
     if workers > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, zip(seeds, sizes)))
+            list(pool.map(run, range(len(seeds))))
     else:
-        blocks = [run(a) for a in zip(seeds, sizes)]
-    samples = np.concatenate(blocks)
-    disc = math.exp(-query.rate * t)
-    price = disc * float(samples.mean())
-    std_error = disc * float(samples.std(ddof=1)) / math.sqrt(samples.size)
-    return price, std_error
+        for i in range(len(seeds)):
+            run(i)
+    disc = math.exp(-q0.rate * t)
+    root_n = math.sqrt(n_samples)
+    return [
+        (disc * float(row.mean()), disc * float(row.std(ddof=1)) / root_n)
+        for row in samples
+    ]
+
+
+def simulate_price(
+    query: OptionQuery, params: SabrParams, config: McConfig
+) -> tuple[float, float]:
+    """Discounted mean call payoff and its standard error for one query;
+    see simulate_prices."""
+    return simulate_prices([query], params, config)[0]

@@ -4,7 +4,16 @@ import math
 
 import pytest
 
-from sabrkit import SabrParams, c_rel, price_sa2_rel, sigma_d
+from sabrkit import (
+    OptionQuery,
+    SabrParams,
+    c_rel,
+    price_d,
+    price_h,
+    price_sa2,
+    price_sa2_rel,
+    sigma_d,
+)
 from sabrkit.cli import EXIT_DOMAIN, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -65,6 +74,12 @@ class TestPrice:
         code, _, err = run(["price", "--sigma=-0.2"], capsys)
         assert code == EXIT_DOMAIN
         assert "error" in err
+
+    def test_raw_hagan_at_the_money_is_domain_error(self, capsys):
+        code, out, err = run(["price", "--model", "h_raw", "--y", "0"], capsys)
+        assert code == EXIT_DOMAIN
+        assert "z/xi" in err
+        assert out == ""
 
 
 class TestResidual:
@@ -154,6 +169,38 @@ class TestMc:
         assert code == EXIT_OK
         rows = parse_csv(out)
         assert [float(r[0]) for r in rows[1:]] == [8.0, 10.0, 12.0]
+
+    def test_closed_forms_match_per_strike_pricing(self, capsys):
+        spot, rate, t = 10.0, 0.04, 1.5
+        code, out, _ = run(
+            ["mc", "--spot", "10", "--rate", "0.04", "--expiry", "1.5",
+             "--sigma", "0.25", "--nu", "0.4", "--rho", "-0.5", "--paths", "200",
+             "--dt", "0.1", "--strikes", "7,10,14", "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        params = SabrParams(sigma0=0.25, nu=0.4, rho=-0.5)
+        disc = math.exp(-rate * t)
+        for row in parse_csv(out)[1:]:
+            strike, y, c_mc, _, c_h, c_d, c_sa2, e_h, e_d = map(float, row)
+            q = OptionQuery(spot=spot, strike=strike, rate=rate, expiry=t)
+            assert y == q.log_moneyness
+            assert c_h == pytest.approx(disc * strike * price_h(y, t, params), rel=1e-12)
+            assert c_d == pytest.approx(disc * strike * price_d(y, t, params), rel=1e-12)
+            assert c_sa2 == pytest.approx(disc * price_sa2(q, params).total, rel=1e-12)
+            assert (e_h, e_d) == (c_h - c_mc, c_d - c_mc)
+
+    @pytest.mark.parametrize("paths", ["1", "3"])
+    def test_too_few_paths_is_domain_error(self, capsys, paths):
+        code, out, err = run(["mc", "--preset", "mc-paper", "--paths", paths], capsys)
+        assert code == EXIT_DOMAIN
+        assert "at least 2" in err
+        assert out == ""
+
+    def test_empty_strike_list_is_usage_error(self, capsys):
+        code, _, err = run(["mc", "--preset", "mc-paper", "--strikes", ","], capsys)
+        assert code == EXIT_USAGE
+        assert "--strikes" in err
 
 
 class TestCalibrate:

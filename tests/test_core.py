@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -236,6 +237,20 @@ class TestImpliedVol:
                 # is not recoverable at this precision
                 continue
             assert abs(bs_implied_vol(price, y, t) - s) <= 1e-9
+
+    def test_iteration_limit_warns(self, caplog):
+        # no float sigma prices 0.08 exactly, so no iterate meets a
+        # tolerance this tiny and the loop runs out
+        with caplog.at_level(logging.WARNING, logger="sabrkit.core"):
+            vol = bs_implied_vol(0.08, 0.0, 1.0, tol=1e-300)
+        assert abs(vol - 0.2008674410229397) <= 1e-12
+        assert len(caplog.records) == 1
+        assert "no convergence" in caplog.records[0].getMessage()
+
+    def test_convergence_is_silent(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="sabrkit.core"):
+            bs_implied_vol(c_rel(0.3, 0.35, 0.5), 0.3, 0.5)
+        assert caplog.records == []
 
 
 class TestOptionQuery:

@@ -105,3 +105,25 @@ class TestPriceH:
         reg = price_h(y, 1.0, p)
         raw = price_h(y, 1.0, p, regularized=False)
         assert abs(reg - raw) <= 1e-8
+
+
+class TestRawQuotient:
+    P = SabrParams(sigma0=0.2, nu=0.5, rho=-0.4)
+
+    def test_float_at_the_money_raises(self):
+        with pytest.raises(DomainError, match="z/xi"):
+            sigma_h(0.0, 1.0, self.P, regularized=False)
+
+    def test_array_with_one_zero_raises(self):
+        with pytest.raises(DomainError, match="z/xi"):
+            price_h(np.array([-0.1, 0.0, 0.1]), 1.0, self.P, regularized=False)
+
+    def test_nu_zero_raises_everywhere(self):
+        p = SabrParams(sigma0=0.2, nu=0.0, rho=-0.4)
+        with pytest.raises(DomainError):
+            sigma_h(0.1, 1.0, p, regularized=False)
+
+    def test_regularized_unchanged_at_zero(self):
+        bracket = 1.0 + (0.25 * -0.4 * 0.5 * 0.2 + (2.0 - 3.0 * 0.16) * 0.25 / 24.0)
+        assert sigma_h(0.0, 1.0, self.P) == pytest.approx(0.2 * bracket, rel=1e-15)
+        assert np.isfinite(sigma_h(np.array([-0.1, 0.0, 0.1]), 1.0, self.P)).all()

@@ -11,8 +11,10 @@ from sabrkit import (
     bs_call,
     price_sa2,
     simulate_price,
+    simulate_prices,
 )
-from sabrkit.mc import _max_workers
+from sabrkit import mc
+from sabrkit.mc import _BLOCK, _max_workers
 
 
 class TestConfig:
@@ -27,6 +29,18 @@ class TestConfig:
             McConfig(n_paths=0)
         with pytest.raises(DomainError):
             McConfig(dt=0.0)
+
+    @pytest.mark.parametrize(
+        "n_paths, antithetic", [(1, False), (1, True), (2, True), (3, True)]
+    )
+    def test_fewer_than_two_samples_rejected(self, n_paths, antithetic):
+        # one sample has no standard error: std(ddof=1) would be NaN
+        with pytest.raises(DomainError, match="at least 2"):
+            McConfig(n_paths=n_paths, antithetic=antithetic)
+
+    def test_two_samples_accepted(self):
+        assert McConfig(n_paths=4).n_samples == 2
+        assert McConfig(n_paths=2, antithetic=False).n_samples == 2
 
 
 class TestSimulate:
@@ -110,3 +124,80 @@ class TestThreads:
             assert _max_workers() == 1
         assert len(caplog.records) == 1
         assert "SABR_THREADS='two'" in caplog.records[0].getMessage()
+
+
+class TestSimulatePrices:
+    PARAMS = SabrParams(sigma0=0.2, nu=0.5, rho=-0.3)
+    STRIKES = (0.7, 0.9, 1.0, 1.15, 1.6)
+
+    @classmethod
+    def queries(cls, rate=0.02, expiry=0.5):
+        return [
+            OptionQuery(spot=1.0, strike=k, rate=rate, expiry=expiry)
+            for k in cls.STRIKES
+        ]
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("n_paths", [2 * _BLOCK + 2, 3 * _BLOCK + 17])
+    def test_bit_identical_to_one_query_at_a_time(
+        self, monkeypatch, threads, antithetic, n_paths
+    ):
+        if threads is None:
+            monkeypatch.delenv("SABR_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SABR_THREADS", threads)
+        cfg = McConfig(n_paths=n_paths, dt=0.05, seed=4, antithetic=antithetic)
+        queries = self.queries()
+        loop = [simulate_price(q, self.PARAMS, cfg) for q in queries]
+        assert simulate_prices(queries, self.PARAMS, cfg) == loop
+
+    @pytest.mark.parametrize(
+        "antithetic, n_paths, seed, strike, want",
+        [
+            (True, 9001, 3, 10.0, (0.9440779261886565, 0.010493926817152704)),
+            (False, 8193, 1, 9.5, (1.2366529632030447, 0.017010851135408823)),
+        ],
+    )
+    def test_recorded_values(self, antithetic, n_paths, seed, strike, want):
+        # recorded with the one-strike-per-simulation code this replaced; the
+        # tolerance allows only for a platform's exp differing in the last bit
+        params = SabrParams(sigma0=0.2, nu=0.2, rho=-0.3)
+        queries = [
+            OptionQuery(spot=10.0, strike=k, rate=0.03, expiry=1.0)
+            for k in (8.0, strike, 12.0)
+        ]
+        cfg = McConfig(n_paths=n_paths, dt=1e-2, seed=seed, antithetic=antithetic)
+        got = simulate_prices(queries, params, cfg)[1]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_one_block_call_per_block_for_any_strike_count(self, monkeypatch):
+        monkeypatch.delenv("SABR_THREADS", raising=False)
+        calls = []
+        block_payoffs = mc._block_payoffs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return block_payoffs(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_block_payoffs", counted)
+        cfg = McConfig(n_paths=2 * (2 * _BLOCK + 1), dt=0.1, seed=1)  # 3 blocks
+        for n_strikes in (1, len(self.STRIKES)):
+            calls.clear()
+            simulate_prices(self.queries()[:n_strikes], self.PARAMS, cfg)
+            assert len(calls) == 3
+
+    def test_rejects_empty_list(self):
+        with pytest.raises(DomainError, match="at least one query"):
+            simulate_prices([], self.PARAMS, McConfig(n_paths=100, dt=0.1))
+
+    @pytest.mark.parametrize(
+        "field, value", [("expiry", 1.0), ("spot", 1.1), ("rate", 0.0)]
+    )
+    def test_rejects_mixed_contracts(self, field, value):
+        fields = dict(spot=1.0, strike=1.2, rate=0.02, expiry=0.5)
+        odd = OptionQuery(**{**fields, field: value})
+        with pytest.raises(DomainError, match="must share spot, rate and expiry"):
+            simulate_prices(
+                [*self.queries(), odd], self.PARAMS, McConfig(n_paths=100, dt=0.1)
+            )
