@@ -97,7 +97,7 @@ class CliError(Exception):
 
 
 def _parse_values(raw: str, name: str) -> list[float]:
-    """Float list flag: '0.1', '0.1,0.2', or linspace 'a:b:n'."""
+    """Finite float list flag: '0.1', '0.1,0.2', or linspace 'a:b:n'."""
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
@@ -109,11 +109,23 @@ def _parse_values(raw: str, name: str) -> list[float]:
             raise CliError(f"--{name}: {exc}", EXIT_USAGE) from exc
         if n < 1:
             raise CliError(f"--{name}: count must be >= 1", EXIT_USAGE)
-        return [float(v) for v in np.linspace(a, b, n)]
-    try:
-        return [float(v) for v in raw.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"--{name}: {exc}", EXIT_USAGE) from exc
+        _require_finite([a, b], name)
+        # finite ends can still overflow the step, e.g. -1e308:1e308:3
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [float(v) for v in np.linspace(a, b, n)]
+    else:
+        try:
+            values = [float(v) for v in raw.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise CliError(f"--{name}: {exc}", EXIT_USAGE) from exc
+    _require_finite(values, name)
+    return values
+
+
+def _require_finite(values: list[float], name: str) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise CliError(f"--{name}: values must be finite, got {v}", EXIT_USAGE)
 
 
 def _params_from_args(args) -> SabrParams:

@@ -8,9 +8,11 @@ evaluates every point in one pass and raises DomainError when any element
 is outside the domain. A call with plain floats returns a float computed
 with the math module; it agrees with the same point of an array call to a
 few units in the last place. `OptionQuery`, `d_pair`, `bs_call`,
-`norm_ppf` and `bs_implied_vol` stay scalar. Everything downstream
-(expansion terms, FD boundary data, calibration objectives) is assembled
-from these.
+`norm_ppf` and `bs_implied_vol` stay scalar.
+
+`c_rel` is the package's only Black-Scholes evaluator: `bs_call`, the
+deterministic-vol price in `meanrev`, the leading term of the series
+price in `expansion` and the FD boundary data in `fd` all call it.
 """
 
 from __future__ import annotations
@@ -129,7 +131,10 @@ def _args(*xs) -> tuple[_Ops, list]:
     """
     for x in xs:
         if not isinstance(x, (float, int)) and np.ndim(x) != 0:
-            return _NUMPY, np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in xs))
+            arrays = [np.asarray(a, dtype=float) for a in xs]
+            # np.broadcast_arrays, without its per-call overhead
+            shape = np.broadcast(*arrays).shape
+            return _NUMPY, [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
     return _MATH, [float(x) for x in xs]
 
 
@@ -185,12 +190,21 @@ def hermite(n: int, x):
     return h
 
 
+def _d_minus_of(m: _Ops, y, v):
+    # d_- from y and v = sigma sqrt(t) > 0
+    if m is _MATH:
+        return y / v - 0.5 * v
+    # a subnormal v overflows y / v to +-inf, the correct limit of d_-
+    with np.errstate(over="ignore"):
+        return y / v - 0.5 * v
+
+
 def _scaled_d_minus(m: _Ops, y, sigma, t):
     # (sigma sqrt(t), d_-) after the sigma > 0 and t > 0 checks
     _require(sigma > 0.0, "sigma must be positive", sigma)
     _require(t > 0.0, "t must be positive", t)
     v = sigma * m.sqrt(t)
-    return v, y / v - 0.5 * v
+    return v, _d_minus_of(m, y, v)
 
 
 def h_tilde(n: int, u, sigma, t):
@@ -230,21 +244,13 @@ def d_pair(query: OptionQuery, sigma: float) -> DPair:
 
 
 def bs_call(query: OptionQuery, sigma: float) -> float:
-    """Black-Scholes call price C = S N(d_+) - K e^{-rt} N(d_-).
+    """Black-Scholes call price C = K e^{-rt} c_rel(y, sigma, t).
 
-    At expiry (t = 0) the payoff max(S - K, 0) is returned directly;
-    sigma = 0 collapses to the discounted intrinsic value.
+    At expiry (t = 0) this is the payoff max(S - K, 0); sigma = 0 gives
+    the discounted intrinsic value max(S - K e^{-rt}, 0).
     """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
     t = query.expiry
-    if t == 0.0:
-        return max(query.spot - query.strike, 0.0)
-    disc_k = query.strike * math.exp(-query.rate * t)
-    if sigma == 0.0:
-        return max(query.spot - disc_k, 0.0)
-    dp, dm = d_pair(query, sigma)
-    return query.spot * norm_cdf(dp) - disc_k * norm_cdf(dm)
+    return query.strike * math.exp(-query.rate * t) * c_rel(query.log_moneyness, sigma, t)
 
 
 def c_rel(y, sigma, t):
@@ -256,13 +262,14 @@ def c_rel(y, sigma, t):
     m, (y, sigma, t) = _args(y, sigma, t)
     _require(sigma >= 0.0, "sigma must be nonnegative", sigma)
     _require(t >= 0.0, "t must be nonnegative", t)
-    flat = sigma * m.sqrt(t) == 0.0  # also where the product underflows
+    v = sigma * m.sqrt(t)
+    flat = v == 0.0  # also where the product underflows
     if _any(flat):
         # evaluate the formula at a harmless point, then take the payoff
         payoff = m.maximum(m.exp(y) - 1.0, 0.0)
         live = c_rel(y, m.where(flat, 1.0, sigma), m.where(flat, 1.0, t))
         return m.where(flat, payoff, live)
-    v, dm = _scaled_d_minus(m, y, sigma, t)
+    dm = _d_minus_of(m, y, v)
     return m.exp(y) * norm_cdf(dm + v) - norm_cdf(dm)
 
 

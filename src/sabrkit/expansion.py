@@ -14,7 +14,13 @@ carries the matching expansion sigma + nu*e1 + nu^2*e2.
 broadcast over numpy arrays of (y, t, sigma) like the kernels in `core`;
 the `sigma` keyword replaces params.sigma0, point by point when it is an
 array. The OptionQuery forms (`price_sa2`, `f1_term`, `f2_term`,
-`delta_sa2`) stay scalar.
+`delta_sa2`) stay scalar. `price_sa2` and `price_sa2_rel` share one
+strike-normalized evaluation whose leading term F_BS / K is `core.c_rel`.
+
+F1 keeps two forms on purpose: the closed form in `f1_term` and the
+kernel coefficients in `f1_coeffs`, which the hedge ratio differentiates.
+The acceptance gate checks one against the other; computing F1 from
+`f1_coeffs` would compare `f1_coeffs` with itself.
 """
 
 from __future__ import annotations
@@ -192,21 +198,32 @@ def f2_term(
     return query.strike * _f2_rel(query.log_moneyness, sigma, t, rho, kappa0, theta)
 
 
+def _sa2_rel(m, y, t, sigma, params: SabrParams):
+    # (live, F_BS / K, F1 / K, F2 / K) with live = t > 0; where t = 0 the
+    # corrections are evaluated at t = 1 and the callers keep F_BS alone,
+    # which c_rel makes the payoff there
+    f_bs = c_rel(y, sigma, t)
+    live = t > 0.0
+    t = m.where(live, t, 1.0)
+    dm = d_minus(y, sigma, t)
+    f1 = _f1_rel(m, dm, sigma, t, params.rho, params.kappa0, params.theta)
+    f2 = _f2_rel(y, sigma, t, params.rho, params.kappa0, params.theta)
+    return live, f_bs, f1, f2
+
+
 def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
     """Second-order forward price F_BS + nu F1 + nu^2 F2.
 
-    The discounted (actual) price is e^{-rt} * total. At expiry the
-    payoff is returned and both correction terms vanish.
+    The discounted (actual) price is e^{-rt} * total. At expiry F_BS is
+    the payoff and both correction terms vanish.
     """
-    t = query.expiry
-    if t == 0.0:
-        payoff = max(query.forward - query.strike, 0.0)
-        return ExpansionPrice(payoff, 0.0, 0.0, payoff)
-    sigma = params.sigma0
-    dp, dm = d_pair(query, sigma)
-    f_bs = query.forward * norm_cdf(dp) - query.strike * norm_cdf(dm)
-    f1 = f1_term(query, sigma, params.rho, params.kappa0, params.theta)
-    f2 = f2_term(query, sigma, params.rho, params.kappa0, params.theta)
+    live, f_bs, f1, f2 = _sa2_rel(
+        _MATH, query.log_moneyness, query.expiry, params.sigma0, params
+    )
+    if not live:  # at expiry both corrections vanish
+        f1 = f2 = 0.0
+    k = query.strike
+    f_bs, f1, f2 = k * f_bs, k * f1, k * f2
     return ExpansionPrice(f_bs, f1, f2, f_bs + params.nu * f1 + params.nu**2 * f2)
 
 
@@ -214,12 +231,7 @@ def price_sa2_rel(y, t, params: SabrParams, *, sigma=None):
     """Strike-normalized second-order forward price (K = 1, r = 0), from
     the log-moneyness y directly; at t = 0 the payoff (e^y - 1)^+."""
     m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
-    f_bs = c_rel(y, sigma, t)
-    live = t > 0.0
-    t = m.where(live, t, 1.0)
-    dm = d_minus(y, sigma, t)
-    f1 = _f1_rel(m, dm, sigma, t, params.rho, params.kappa0, params.theta)
-    f2 = _f2_rel(y, sigma, t, params.rho, params.kappa0, params.theta)
+    live, f_bs, f1, f2 = _sa2_rel(m, y, t, sigma, params)
     return m.where(live, f_bs + params.nu * f1 + params.nu**2 * f2, f_bs)
 
 

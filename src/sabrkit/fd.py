@@ -7,6 +7,9 @@ on a rectangle with a uniform x-grid and a geometric-progression
 sigma-grid, Black-Scholes boundary data, a refinement sequence with
 Richardson error estimation, and a PDE-residual diagnostic for the
 closed-form approximations. Strike is normalized to K = 1, r = 0.
+
+The boundary data is the nu = 0 solution, `core.c_rel`, written on all
+four edges of the rectangle by one array call per time step.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .core import DomainError
+from .core import DomainError, c_rel
 from .expansion import SabrParams
 
 __all__ = [
@@ -29,7 +31,6 @@ __all__ = [
     "FdInstabilityError",
     "ResidualRegion",
     "build_grid",
-    "boundary_value",
     "solve",
     "solve_sequence",
     "compare",
@@ -55,7 +56,6 @@ class FdConfig:
     nsigma0: int = 19
     nt0: int | None = None
     level: int = 0
-    boundary_mode: str = "black_scholes"
     c_safety: float = 0.9
     window_x: tuple[float, float] = (-1.0, 1.0)
 
@@ -78,7 +78,6 @@ class FdSolution:
     values: np.ndarray  # shape (nx, nsigma)
     params: SabrParams
     time: float
-    boundary_mode: str = "black_scholes"
     window_x_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     window_s_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     est_error: float = float("nan")
@@ -103,7 +102,6 @@ def build_grid(
     sigma_max: float = 1.6803,
     nx0: int = 13,
     nsigma0: int = 19,
-    T: float = 1.0,
     nt0: int | None = None,
     level: int = 0,
 ) -> FdGrid:
@@ -127,35 +125,17 @@ def build_grid(
     return FdGrid(x_nodes=x, sigma_nodes=s, level=level, n_time_steps=nt)
 
 
-def _bs_forward(x: np.ndarray, s: np.ndarray, t: float) -> np.ndarray:
-    # forward Black-Scholes value with K = 1; payoff at t = 0
-    if t == 0.0:
-        return np.maximum(np.exp(x) - 1.0, 0.0)
-    v = s * math.sqrt(t)
-    dm = x / v - 0.5 * v
-    return np.exp(x) * ndtr(dm + v) - ndtr(dm)
+def _sigma_ratio(config: FdConfig) -> float:
+    # ratio of neighbouring sigma nodes on the level-0 grid
+    sigma_min = config.sigma_center**2 / config.sigma_max
+    return (config.sigma_max / sigma_min) ** (1.0 / (config.nsigma0 - 1))
 
 
-def boundary_value(x: float, sigma: float, t: float, mode: str = "black_scholes") -> float:
-    """Boundary data on the cut-off rectangle: Black-Scholes forward value
-    (the nu = 0 solution) or zero."""
-    if mode == "zero":
-        return 0.0
-    if mode == "black_scholes":
-        return float(_bs_forward(np.asarray(x, dtype=float), np.asarray(sigma, dtype=float), t))
-    raise DomainError(f"unknown boundary mode {mode!r}")
-
-
-def _impose_boundary(w: np.ndarray, grid: FdGrid, t: float, mode: str) -> None:
-    x, s = grid.x_nodes, grid.sigma_nodes
-    if mode == "zero":
-        w[0, :] = w[-1, :] = 0.0
-        w[:, 0] = w[:, -1] = 0.0
-        return
-    w[0, :] = _bs_forward(np.full_like(s, x[0]), s, t)
-    w[-1, :] = _bs_forward(np.full_like(s, x[-1]), s, t)
-    w[:, 0] = _bs_forward(x, np.full_like(x, s[0]), t)
-    w[:, -1] = _bs_forward(x, np.full_like(x, s[-1]), t)
+def _edge_nodes(grid: FdGrid) -> tuple[np.ndarray, np.ndarray]:
+    # row and column indices of the nodes on the rectangle's four edges
+    ring = np.ones((grid.x_nodes.size, grid.sigma_nodes.size), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    return np.nonzero(ring)
 
 
 class _Stencil:
@@ -218,19 +198,24 @@ def stable_time_steps(
     return max(1, math.ceil(T / dt_max))
 
 
-def _check_stability(w: np.ndarray, grid: FdGrid, t: float) -> None:
-    if np.all(np.isfinite(w)):
-        return
-    bad = np.argwhere(~np.isfinite(w))[0]
-    raise FdInstabilityError(
-        f"non-finite value at x={grid.x_nodes[bad[0]]:.4g}, "
+def _instability(w: np.ndarray, grid: FdGrid, t: float) -> FdInstabilityError:
+    # the error for a step that left a non-finite or exploding node
+    finite = np.isfinite(w)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        return FdInstabilityError(
+            f"non-finite value at x={grid.x_nodes[bad[0]]:.4g}, "
+            f"sigma={grid.sigma_nodes[bad[1]]:.4g}, t={t:.4g}"
+        )
+    bad = np.unravel_index(np.abs(w).argmax(), w.shape)
+    return FdInstabilityError(
+        f"exploding value {w[bad]:.4g} at x={grid.x_nodes[bad[0]]:.4g}, "
         f"sigma={grid.sigma_nodes[bad[1]]:.4g}, t={t:.4g}"
     )
 
 
 def _window_indices(grid: FdGrid, config: FdConfig) -> tuple[np.ndarray, np.ndarray]:
-    sigma_min = config.sigma_center**2 / config.sigma_max
-    r0 = (config.sigma_max / sigma_min) ** (1.0 / (config.nsigma0 - 1))
+    r0 = _sigma_ratio(config)
     lo = config.sigma_center / r0
     hi = config.sigma_center * r0
     x = grid.x_nodes
@@ -257,7 +242,6 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
         config.sigma_max,
         config.nx0,
         config.nsigma0,
-        T,
         config.nt0,
         config.level,
     )
@@ -269,25 +253,23 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
         (1, grid.sigma_nodes.size)
     )
     bound = max(1.01 * float(w.max()), 1e3)
+    ex, es = _edge_nodes(grid)
+    x_edge, s_edge = grid.x_nodes[ex], grid.sigma_nodes[es]
     for k in range(nt):
         t_next = (k + 1) * dt
         w[1:-1, 1:-1] += dt * stencil.apply(w)
-        _impose_boundary(w, grid, t_next, config.boundary_mode)
-        if not np.all(np.isfinite(w)) or float(np.abs(w).max()) > bound:
-            _check_stability(w, grid, t_next)
-            bad = np.unravel_index(np.abs(w).argmax(), w.shape)
-            raise FdInstabilityError(
-                f"exploding value {w[bad]:.4g} at x={grid.x_nodes[bad[0]]:.4g}, "
-                f"sigma={grid.sigma_nodes[bad[1]]:.4g}, t={t_next:.4g}"
-            )
-        bound = max(bound, 1.01 * float(_boundary_sup(w)))
+        edge_values = c_rel(x_edge, s_edge, t_next)
+        w[ex, es] = edge_values
+        # NaN and inf fail the comparison too
+        if not float(np.abs(w).max()) <= bound:
+            raise _instability(w, grid, t_next)
+        bound = max(bound, 1.01 * float(np.abs(edge_values).max()))
     ix, js = _window_indices(grid, config)
     return FdSolution(
         grid=grid,
         values=w,
         params=params,
         time=T,
-        boundary_mode=config.boundary_mode,
         window_x_idx=ix,
         window_s_idx=js,
     )
@@ -305,21 +287,14 @@ def _cell_averaged_payoff(x: np.ndarray, h: float) -> np.ndarray:
     return np.where(b <= 0.0, 0.0, avg)
 
 
-def _boundary_sup(w: np.ndarray) -> float:
-    return max(
-        float(np.abs(w[0, :]).max()),
-        float(np.abs(w[-1, :]).max()),
-        float(np.abs(w[:, 0]).max()),
-        float(np.abs(w[:, -1]).max()),
-    )
-
-
 def solve_sequence(
     params: SabrParams, T: float, config: FdConfig, max_level: int | None = None
 ) -> list[FdSolution]:
     """Refinement sequence w_0 .. w_max_level with Richardson error
     estimates est_error = ||w_k - w_{k-1}||_2 / 3 on the interest window."""
     top = config.level if max_level is None else max_level
+    if top < 0:
+        raise DomainError(f"max_level must be nonnegative, got {top}")
     solutions: list[FdSolution] = []
     for level in range(top + 1):
         sol = solve(params, T, replace(config, level=level))
@@ -372,8 +347,7 @@ def cutoff_sensitivity(params: SabrParams, T: float, config: FdConfig) -> float:
     one mesh layer on every side (empirical cut-off error estimate)."""
     base = solve(params, T, config)
     dx = 2.0 * config.x_max / (config.nx0 - 1)
-    sigma_min = config.sigma_center**2 / config.sigma_max
-    r0 = (config.sigma_max / sigma_min) ** (1.0 / (config.nsigma0 - 1))
+    r0 = _sigma_ratio(config)
     bigger = replace(
         config,
         x_max=config.x_max + dx,

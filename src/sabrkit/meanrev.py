@@ -8,6 +8,7 @@ the time-averaged variance
         + ((z - theta)^2 / (2 kappa))(e^{2 kappa tau} - 1),
 
 where z parametrizes the terminal volatility and tau is time to expiry.
+`det_vol_price` is `core.bs_call` at the effective vol sqrt(V / tau).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, OptionQuery, norm_cdf
+from .core import DomainError, OptionQuery, bs_call
 
 __all__ = ["MeanRevState", "sigma_of_z", "total_variance", "det_vol_price"]
 
@@ -74,17 +75,9 @@ def total_variance(state: MeanRevState, tau: float) -> float:
 
 
 def det_vol_price(query: OptionQuery, state: MeanRevState) -> float:
-    """Discounted call price under the deterministic vol path: Gaussian
-    pricing with total variance V in place of sigma^2 t."""
+    """Discounted call price under the deterministic vol path: Black-Scholes
+    with total variance V in place of sigma^2 t."""
     tau = query.expiry
     if tau == 0.0:
-        return max(query.spot - query.strike, 0.0)
-    var = total_variance(state, tau)
-    disc = math.exp(-query.rate * tau)
-    if var <= 0.0:
-        return disc * max(query.forward - query.strike, 0.0)
-    sd = math.sqrt(var)
-    y = query.log_moneyness
-    dp = y / sd + 0.5 * sd
-    dm = dp - sd
-    return disc * (query.forward * norm_cdf(dp) - query.strike * norm_cdf(dm))
+        return bs_call(query, 0.0)
+    return bs_call(query, math.sqrt(max(total_variance(state, tau), 0.0) / tau))

@@ -128,6 +128,12 @@ class TestFd:
         assert math.isnan(float(rows[1][-1]))
         assert not math.isnan(float(rows[2][-1]))
 
+    def test_negative_levels_is_domain_error(self, capsys):
+        code, out, err = run(["fd", "--preset", "fd1-row7", "--levels=-1"], capsys)
+        assert code == EXIT_DOMAIN
+        assert "max_level" in err
+        assert out == ""
+
     def test_cutoff_row(self, capsys):
         code, out, _ = run(
             ["fd", "--expiry", "0.5", "--nu", "0.5", "--rho", "-0.2",
@@ -267,6 +273,30 @@ class TestCalibrate:
 
 
 class TestMisc:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["price", "--y", "nan"],
+            ["price", "--y", "0,inf"],
+            ["price", "--t=-inf"],
+            ["price", "--y", "0:nan:3"],
+            ["price", "--y", "0:inf:1"],
+            ["price", "--y=-1e308:1e308:3"],
+            ["residual", "--t", "0.1,inf"],
+            ["mc", "--preset", "mc-paper", "--strikes", "10,nan"],
+        ],
+    )
+    def test_non_finite_values_are_usage_errors(self, capsys, monkeypatch, argv):
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("priced a non-finite input")
+
+        monkeypatch.setattr("sabrkit.cli.price_fn_for_model", no_pricing)
+        monkeypatch.setattr("sabrkit.cli.simulate_prices", no_pricing)
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert "finite" in err
+        assert out == ""
+
     def test_print_config(self, capsys):
         code, out, _ = run(["price", "--print-config"], capsys)
         assert code == EXIT_OK

@@ -1,8 +1,11 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sabrkit import (
@@ -193,6 +196,32 @@ class TestBlackScholes:
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
         with pytest.raises(DomainError):
             bs_call(q, -0.1)
+        with pytest.raises(DomainError):
+            bs_call(q, math.nan)
+
+    @given(
+        st.floats(0.1, 10.0),
+        st.floats(0.1, 10.0),
+        st.floats(-0.05, 0.1),
+        st.sampled_from([0.0, 0.01, 0.5, 2.0, 10.0]),
+        st.sampled_from([0.0, 0.05, 0.2, 0.8]),
+    )
+    def test_is_discounted_relative_price(self, spot, strike, rate, t, sigma):
+        q = OptionQuery(spot=spot, strike=strike, rate=rate, expiry=t)
+        want = strike * math.exp(-rate * t) * c_rel(q.log_moneyness, sigma, t)
+        assert bs_call(q, sigma) == want
+        # the textbook form, with the limits taken by hand where
+        # sigma sqrt(t) = 0: the payoff at t = 0, the discounted
+        # intrinsic value at sigma = 0
+        disc_k = strike * math.exp(-rate * t)
+        if t == 0.0:
+            textbook = max(spot - strike, 0.0)
+        elif sigma == 0.0:
+            textbook = max(spot - disc_k, 0.0)
+        else:
+            dp, dm = d_pair(q, sigma)
+            textbook = spot * norm_cdf(dp) - disc_k * norm_cdf(dm)
+        assert bs_call(q, sigma) == pytest.approx(textbook, rel=1e-12, abs=1e-14 * spot)
 
 
 class TestCRel:
@@ -208,6 +237,18 @@ class TestCRel:
 
     def test_deep_otm_limit(self):
         assert c_rel(-30.0, 0.2, 1.0) <= 1e-15
+
+    def test_payoff_at_origin_time(self):
+        assert c_rel(0.4, 0.2, 0.0) == pytest.approx(math.exp(0.4) - 1.0)
+        assert c_rel(-0.4, 0.2, 0.0) == 0.0
+
+    def test_subnormal_scale_is_silent(self):
+        # sigma sqrt(t) is subnormal, not zero: y / (sigma sqrt(t))
+        # overflows to the +-inf limit of d_- without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = c_rel(np.array([0.1, -0.1]), 1e-310, 1.0)
+        np.testing.assert_allclose(got, [math.exp(0.1) - 1.0, 0.0], rtol=1e-15, atol=0.0)
 
 
 class TestImpliedVol:

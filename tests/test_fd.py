@@ -10,7 +10,6 @@ from sabrkit import (
     FdInstabilityError,
     ResidualRegion,
     SabrParams,
-    boundary_value,
     build_grid,
     c_rel,
     compare,
@@ -20,7 +19,7 @@ from sabrkit import (
     solve,
     solve_sequence,
 )
-from sabrkit.fd import _cell_averaged_payoff, stable_time_steps
+from sabrkit.fd import _cell_averaged_payoff, _instability, stable_time_steps
 from sabrkit.models import price_fn_for_model
 
 
@@ -54,21 +53,19 @@ class TestGrid:
 
 
 class TestBoundary:
-    def test_zero_mode(self):
-        assert boundary_value(0.5, 0.2, 1.0, mode="zero") == 0.0
-
-    def test_payoff_at_origin_time(self):
-        assert boundary_value(0.4, 0.2, 0.0) == pytest.approx(math.exp(0.4) - 1.0)
-        assert boundary_value(-0.4, 0.2, 0.0) == 0.0
-
-    def test_matches_relative_price(self):
-        assert boundary_value(0.15, 0.25, 0.8) == pytest.approx(
-            c_rel(0.15, 0.25, 0.8), abs=1e-14
-        )
-
-    def test_unknown_mode(self):
-        with pytest.raises(DomainError):
-            boundary_value(0.0, 0.2, 1.0, mode="dirichlet")
+    def test_edges_hold_black_scholes_at_expiry(self):
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        sol = solve(params, 0.5, FdConfig())
+        x, s = sol.grid.x_nodes, sol.grid.sigma_nodes
+        w = sol.values
+        for got, xs, ss in (
+            (w[0, :], x[0], s),
+            (w[-1, :], x[-1], s),
+            (w[:, 0], x, s[0]),
+            (w[:, -1], x, s[-1]),
+        ):
+            want = c_rel(xs, ss, 0.5)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 class TestInitialData:
@@ -136,6 +133,16 @@ class TestSolve:
             solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0, kappa0=1.0, theta=0.2), 1.0, FdConfig())
         with pytest.raises(DomainError):
             solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), 0.0, FdConfig())
+        with pytest.raises(DomainError):
+            solve_sequence(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), 1.0, FdConfig(), max_level=-1)
+
+    def test_instability_messages(self):
+        grid = build_grid()
+        w = np.zeros((grid.x_nodes.size, grid.sigma_nodes.size))
+        w[3, 4] = 1e9
+        assert str(_instability(w, grid, 0.25)).startswith("exploding value 1e+09 at x=")
+        w[5, 6] = np.nan
+        assert str(_instability(w, grid, 0.25)).startswith("non-finite value at x=")
 
 
 class TestResidual:

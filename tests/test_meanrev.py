@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sabrkit import (
@@ -12,6 +14,7 @@ from sabrkit import (
     sigma_of_z,
     total_variance,
 )
+from sabrkit.meanrev import KT_SWITCH
 
 
 class TestVolPath:
@@ -106,3 +109,20 @@ class TestDetVolPrice:
         assert det_vol_price(q, state) == pytest.approx(
             bs_call(q, math.sqrt(var)), abs=1e-15
         )
+
+    @given(
+        st.floats(0.5, 2.0),
+        st.floats(0.5, 2.0),
+        st.floats(-0.02, 0.08),
+        st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+        st.floats(0.05, 0.6),
+        st.one_of(st.floats(0.0, 0.5 * KT_SWITCH), st.floats(0.01, 3.0)),
+        st.floats(0.0, 0.6),
+    )
+    def test_is_black_scholes_at_effective_vol(self, spot, strike, rate, tau, z, kt, theta):
+        # kt = kappa tau, drawn on both sides of the series switch
+        kappa = kt / tau if tau > 0.0 else 0.0
+        q = OptionQuery(spot=spot, strike=strike, rate=rate, expiry=tau)
+        state = MeanRevState(z=z, kappa=kappa, theta=theta)
+        sigma = math.sqrt(total_variance(state, tau) / tau) if tau > 0.0 else 0.0
+        assert det_vol_price(q, state) == bs_call(q, sigma)
