@@ -64,6 +64,8 @@ class OptionQuery:
         strike: strike K > 0.
         rate: continuously compounded interest rate (per year).
         expiry: time to expiry in years, >= 0.
+
+    Every field must be finite.
     """
 
     spot: float
@@ -72,6 +74,10 @@ class OptionQuery:
     expiry: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("spot", "strike", "rate", "expiry"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not (self.spot > 0.0):
             raise DomainError(f"spot must be positive, got {self.spot}")
         if not (self.strike > 0.0):

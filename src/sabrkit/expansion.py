@@ -68,7 +68,7 @@ SIGMA_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class SabrParams:
-    """Model parameters. Mean-reversion speed is kappa = nu * kappa0."""
+    """Model parameters, all finite. Mean-reversion speed is kappa = nu * kappa0."""
 
     sigma0: float
     nu: float
@@ -77,6 +77,10 @@ class SabrParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("sigma0", "nu", "rho", "kappa0", "theta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not (self.sigma0 > 0.0):
             raise DomainError(f"sigma0 must be positive, got {self.sigma0}")
         if not (self.nu >= 0.0):

@@ -297,6 +297,29 @@ class TestMisc:
         assert "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fd", "--expiry", "inf"], "expiry T must be positive and finite, got inf"),
+            (["mc", "--expiry", "inf"], "expiry must be finite, got inf"),
+            (["fd", "--nu", "inf"], "nu must be finite, got inf"),
+            (["mc", "--rate", "nan"], "rate must be finite, got nan"),
+            (["mc", "--nu", "inf"], "nu must be finite, got inf"),
+            (["mc", "--spot", "inf"], "spot must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_model_inputs_are_domain_errors(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a non-finite input")
+
+        monkeypatch.setattr("sabrkit.cli.simulate_prices", no_simulation)
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_DOMAIN
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     def test_print_config(self, capsys):
         code, out, _ = run(["price", "--print-config"], capsys)
         assert code == EXIT_OK

@@ -199,6 +199,14 @@ class TestBlackScholes:
         with pytest.raises(DomainError):
             bs_call(q, math.nan)
 
+    @pytest.mark.parametrize("field", ["spot", "strike", "rate", "expiry"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_query_rejects_non_finite_fields(self, field, value):
+        fields = dict(spot=1.0, strike=1.0, rate=0.0, expiry=1.0)
+        fields[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must be finite, got"):
+            OptionQuery(**fields)
+
     @given(
         st.floats(0.1, 10.0),
         st.floats(0.1, 10.0),

@@ -51,6 +51,14 @@ class TestParams:
         with pytest.raises(DomainError):
             SabrParams(sigma0=0.2, nu=0.2, rho=0.0, kappa0=-1.0)
 
+    @pytest.mark.parametrize("field", ["sigma0", "nu", "rho", "kappa0", "theta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields(self, field, value):
+        fields = dict(sigma0=0.2, nu=0.2, rho=0.0, kappa0=0.5, theta=0.2)
+        fields[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must be finite, got"):
+            SabrParams(**fields)
+
     def test_kappa_product(self):
         p = SabrParams(sigma0=0.2, nu=0.4, rho=0.0, kappa0=0.5, theta=0.2)
         assert p.kappa == pytest.approx(0.2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sabrkit import (
@@ -19,8 +21,61 @@ from sabrkit import (
     solve,
     solve_sequence,
 )
-from sabrkit.fd import _cell_averaged_payoff, _instability, stable_time_steps
+from sabrkit import fd
+from sabrkit.cli import RESIDUAL_PRESETS
+from sabrkit.fd import (
+    _cell_averaged_payoff,
+    _instability,
+    _step_matrix,
+    stable_time_steps,
+)
 from sabrkit.models import price_fn_for_model
+
+
+def reference_operator(grid, params, w):
+    """L w on the interior nodes by array slices: the slice-based stencil
+    the CSR step matrix replaced, kept here as its independent reference."""
+    s = grid.sigma_nodes
+    dx, nu, rho = grid.dx, params.nu, params.rho
+    s2 = (s[1:-1] ** 2)[np.newaxis, :]
+    hm = (s[1:-1] - s[:-2])[np.newaxis, :]
+    hp = (s[2:] - s[1:-1])[np.newaxis, :]
+    denom = hm * hp * (hm + hp)
+    wc = w[1:-1, 1:-1]
+    w_xx = (w[2:, 1:-1] - 2.0 * wc + w[:-2, 1:-1]) / dx**2
+    w_x = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * dx)
+    w_ss = (
+        (2.0 * hp / denom) * w[1:-1, :-2]
+        + (-2.0 / (hm * hp)) * wc
+        + (2.0 * hm / denom) * w[1:-1, 2:]
+    )
+    lw = 0.5 * (w_xx - w_x) + 0.5 * nu * nu * w_ss
+    if nu != 0.0 and rho != 0.0:
+        wx_full = (w[2:, :] - w[:-2, :]) / (2.0 * dx)
+        w_xs = (
+            (-(hp**2) / denom) * wx_full[:, :-2]
+            + ((hp - hm) / (hm * hp)) * wx_full[:, 1:-1]
+            + ((hm**2) / denom) * wx_full[:, 2:]
+        )
+        lw += nu * rho * w_xs
+    return s2 * lw
+
+
+def reference_march(params, T, config):
+    """Explicit march with the reference operator and one c_rel call per
+    step for the whole boundary ring; returns the final grid values."""
+    grid = build_grid(level=config.level)
+    nt = stable_time_steps(grid, params, T, config.c_safety)
+    dt = T / nt
+    x, s = grid.x_nodes, grid.sigma_nodes
+    xs, ss = np.meshgrid(x, s, indexing="ij")
+    ring = np.ones(xs.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    w = _cell_averaged_payoff(x, grid.dx)[:, np.newaxis] * np.ones((1, s.size))
+    for k in range(nt):
+        w[1:-1, 1:-1] += dt * reference_operator(grid, params, w)
+        w[ring] = c_rel(xs[ring], ss[ring], (k + 1) * dt)
+    return w
 
 
 class TestGrid:
@@ -66,6 +121,42 @@ class TestBoundary:
         ):
             want = c_rel(xs, ss, 0.5)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+class TestStepMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nu=st.floats(0.0, 2.0),
+        rho=st.floats(-0.99, 0.99),
+        level=st.integers(0, 1),
+        dt_frac=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nu=0.0, rho=0.0, level=0, dt_frac=1.0, seed=0)
+    @example(nu=1.0, rho=0.0, level=1, dt_frac=0.5, seed=1)
+    @example(nu=0.0, rho=-0.5, level=1, dt_frac=0.5, seed=2)
+    def test_matches_reference_operator(self, nu, rho, level, dt_frac, seed):
+        params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
+        grid = build_grid(level=level)
+        dt = dt_frac / stable_time_steps(grid, params, 1.0)
+        w = np.random.default_rng(seed).standard_normal(
+            (grid.x_nodes.size, grid.sigma_nodes.size)
+        )
+        got = _step_matrix(grid, params, dt) @ w.ravel()
+        want = (w[1:-1, 1:-1] + dt * reference_operator(grid, params, w)).ravel()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_layout(self):
+        grid = build_grid(level=1)
+        ns = grid.sigma_nodes.size
+        step = _step_matrix(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
+        n_int = (grid.x_nodes.size - 2) * (ns - 2)
+        assert step.shape == (n_int, grid.x_nodes.size * ns)
+        assert step.indices.dtype == np.int32
+        np.testing.assert_array_equal(step.indptr, np.arange(0, 9 * n_int + 1, 9))
+        offsets = step.indices.reshape(n_int, 9) - step.indices[4::9, np.newaxis]
+        want = [-ns - 1, -ns, -ns + 1, -1, 0, 1, ns - 1, ns, ns + 1]
+        np.testing.assert_array_equal(offsets, np.broadcast_to(want, offsets.shape))
 
 
 class TestInitialData:
@@ -117,8 +208,19 @@ class TestSolve:
 
     def test_instability_detected(self):
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        with pytest.raises(FdInstabilityError):
+        # the failing step, node and value, as the slice-based stencil gave them
+        with pytest.raises(FdInstabilityError) as info:
             solve(params, 0.5, FdConfig(level=1, c_safety=10.0))
+        assert str(info.value) == "exploding value -2170 at x=0, sigma=1.484, t=0.4286"
+
+    def test_march_matches_reference(self):
+        # preset fd1-row7 at level 2
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        config = FdConfig(level=2)
+        sol = solve(params, 0.5, config)
+        want = reference_march(params, 0.5, config)
+        window = np.ix_(sol.window_x_idx, sol.window_s_idx)
+        np.testing.assert_allclose(sol.restriction, want[window], rtol=1e-12, atol=0.0)
 
     def test_cutoff_insensitive(self):
         params = SabrParams(sigma0=0.18, nu=0.5, rho=-0.2)
@@ -131,8 +233,9 @@ class TestSolve:
     def test_rejections(self):
         with pytest.raises(DomainError):
             solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0, kappa0=1.0, theta=0.2), 1.0, FdConfig())
-        with pytest.raises(DomainError):
-            solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), 0.0, FdConfig())
+        for T in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), T, FdConfig())
         with pytest.raises(DomainError):
             solve_sequence(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), 1.0, FdConfig(), max_level=-1)
 
@@ -159,6 +262,28 @@ class TestResidual:
         r_bs = residual_norm(price_fn_for_model("bs", params), params, self.SMALL)
         r_sa2 = residual_norm(price_fn_for_model("sa2", params), params, self.SMALL)
         assert r_sa2 < r_bs / 10
+
+    @pytest.mark.parametrize("model", ["h", "sa2"])
+    def test_table4_converges_in_rel_step(self, monkeypatch, model):
+        # criterion 4's residuals are not a finite-difference artefact: they
+        # settle to 0.5% as the central-difference step shrinks, and R_h stays
+        # below the third of the 0.489 target that the criterion allows
+        preset = RESIDUAL_PRESETS["table4"]
+        region = ResidualRegion(
+            t_range=preset["t_range"],
+            sigma_range=preset["sigma_range"],
+            y_range=preset["y_range"],
+        )
+        params = SabrParams(sigma0=0.2, nu=preset["nu"], rho=preset["rho"])
+        fn = price_fn_for_model(model, params)
+        scaled = []
+        for step in (1e-3, 5e-4, 2.5e-4):
+            monkeypatch.setattr(fd, "REL_STEP", step)
+            scaled.append(preset["scale"] * residual_norm(fn, params, region))
+        assert len(set(scaled)) == 3  # the step took effect
+        assert max(scaled) - min(scaled) < 0.005 * min(scaled)
+        if model == "h":
+            assert max(scaled) < 0.489 / 3.0
 
     def test_short_expiry_rejected(self):
         region = ResidualRegion(t_range=(0.01, 1.0))
