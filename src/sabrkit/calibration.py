@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import DomainError, c_rel, norm_ppf
 from .expansion import SabrParams
@@ -231,6 +230,10 @@ def fit_day(
     init is (nu, sigma, rho); ISE is the RMS of the fitted objective.
     Non-convergence returns the best incumbent with converged=False.
     """
+    # imported here, its only caller: scipy.optimize costs every other
+    # subcommand about 0.25 s and 20 MB at start-up
+    from scipy.optimize import minimize
+
     box = [bounds.nu, bounds.sigma, bounds.rho]
     x0 = np.clip(np.asarray(init, dtype=float), [b[0] for b in box], [b[1] for b in box])
     quotes = _quote_arrays(day, sigma_prev)

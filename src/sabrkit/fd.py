@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .core import DomainError, c_rel
 from .expansion import SabrParams
@@ -45,6 +44,12 @@ __all__ = [
 
 # (y, sigma, t) -> relative price, broadcasting over numpy arrays
 PriceFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+# the most node-steps (grid nodes x time steps) one solve may march: level 4
+# of every FD preset fits (at most 4.0e9, fd1-row1's cut-off grid), and at
+# about 12 ns a node-step the limit is about a minute of marching
+_MAX_NODE_STEPS = 5_000_000_000
 
 
 class FdInstabilityError(RuntimeError):
@@ -120,9 +125,15 @@ def build_grid(
         raise DomainError("need at least 3 nodes per direction")
     if level < 0:
         raise DomainError(f"level must be nonnegative, got {level}")
+    # past 64 levels the grid is only larger; the min spares building 2**level
+    nx = (nx0 - 1) * 2 ** min(level, 64) + 1
+    ns = (nsigma0 - 1) * 2 ** min(level, 64) + 1
+    if nx * ns > _MAX_NODE_STEPS:
+        raise DomainError(
+            f"level {level} grid has more nodes than the limit of "
+            f"{_MAX_NODE_STEPS} node-steps (nodes x time steps) of one solve"
+        )
     sigma_min = sigma_center**2 / sigma_max
-    nx = (nx0 - 1) * 2**level + 1
-    ns = (nsigma0 - 1) * 2**level + 1
     x = np.linspace(-x_max, x_max, nx)
     s = np.geomspace(sigma_min, sigma_max, ns)
     nt = nt0 * 4**level if nt0 is not None else 0
@@ -155,6 +166,10 @@ def _step_matrix(grid: FdGrid, params: SabrParams, dt: float) -> sparse.csr_matr
     of the central x-derivative. Each row stores its 9 entries in column
     order, so the CSR arrays are written directly: a COO build's full-grid
     index arrays and duplicate summing raise the solver's peak memory."""
+    # imported here, its only caller, so that subcommands without an FD
+    # solve do not load scipy.sparse
+    from scipy import sparse
+
     x, s = grid.x_nodes, grid.sigma_nodes
     nx, ns = x.size, s.size
     dx = grid.dx
@@ -208,13 +223,50 @@ def stable_time_steps(
     ds_local = np.minimum.reduce(
         [np.r_[s[1] - s[0], s[1:] - s[:-1]], np.r_[s[1:] - s[:-1], s[-1] - s[-2]]]
     )
-    rate = s**2 * (
-        1.0 / dx**2
-        + params.nu**2 / ds_local**2
-        + abs(params.nu * params.rho) / (dx * ds_local)
+    try:
+        with np.errstate(over="ignore"):
+            rate = s**2 * (
+                1.0 / dx**2
+                + params.nu**2 / ds_local**2
+                + abs(params.nu * params.rho) / (dx * ds_local)
+            )
+        steps = T / (c_safety / float(rate.max()))
+    except (OverflowError, ZeroDivisionError):  # nu**2 or the rate overflows
+        steps = math.inf
+    if not math.isfinite(steps):
+        raise DomainError(
+            f"explicit stability bound needs a non-finite number of time steps "
+            f"(nu={params.nu}, T={T})"
+        )
+    return max(1, math.ceil(steps))
+
+
+def _level_grid(params: SabrParams, T: float, config: FdConfig) -> FdGrid:
+    """The config's grid with its time-step count, after checking the
+    inputs. Raises DomainError before any array of the grid's size exists
+    when the march would take more than _MAX_NODE_STEPS node-steps."""
+    if params.kappa0 != 0.0:
+        raise DomainError("FD benchmark is only available for kappa0 = 0")
+    if not (0.0 < T < math.inf):
+        raise DomainError(f"expiry T must be positive and finite, got {T}")
+    grid = build_grid(
+        config.x_max,
+        config.sigma_center,
+        config.sigma_max,
+        config.nx0,
+        config.nsigma0,
+        config.nt0,
+        config.level,
     )
-    dt_max = c_safety / float(rate.max())
-    return max(1, math.ceil(T / dt_max))
+    nt = max(grid.n_time_steps, stable_time_steps(grid, params, T, config.c_safety))
+    nodes = grid.x_nodes.size * grid.sigma_nodes.size
+    if nodes * nt > _MAX_NODE_STEPS:
+        raise DomainError(
+            f"FD level {config.level} needs {nodes} nodes x {nt:.4g} time steps = "
+            f"{float(nodes) * nt:.4g} node-steps, more than the limit of "
+            f"{_MAX_NODE_STEPS} node-steps"
+        )
+    return replace(grid, n_time_steps=nt)
 
 
 def _instability(w: np.ndarray, grid: FdGrid, t: float) -> FdInstabilityError:
@@ -251,21 +303,8 @@ def _window_indices(grid: FdGrid, config: FdConfig) -> tuple[np.ndarray, np.ndar
 
 def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
     """Time-march the cut-off PDE to T on the level given by the config."""
-    if params.kappa0 != 0.0:
-        raise DomainError("FD benchmark is only available for kappa0 = 0")
-    if not (0.0 < T < math.inf):
-        raise DomainError(f"expiry T must be positive and finite, got {T}")
-    grid = build_grid(
-        config.x_max,
-        config.sigma_center,
-        config.sigma_max,
-        config.nx0,
-        config.nsigma0,
-        config.nt0,
-        config.level,
-    )
-    nt = max(grid.n_time_steps, stable_time_steps(grid, params, T, config.c_safety))
-    grid = replace(grid, n_time_steps=nt)
+    grid = _level_grid(params, T, config)
+    nt = grid.n_time_steps
     dt = T / nt
     step = _step_matrix(grid, params, dt)
     w = _cell_averaged_payoff(grid.x_nodes, grid.dx)[:, np.newaxis] * np.ones(
@@ -273,6 +312,8 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
     )
     flat = w.reshape(-1)
     interior = w[1:-1, 1:-1]
+    # fixed, since no edge value can exceed it: c_rel(y) <= e^y <= e^x_max,
+    # which is below 1e3 or else below 1.01 (e^x_max - 1) <= 1.01 max payoff
     bound = max(1.01 * float(w.max()), 1e3)
     ex, es = _edge_nodes(grid)
     edge = np.ravel_multi_index((ex, es), w.shape)
@@ -280,15 +321,13 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
     for k0 in range(0, nt, _EDGE_BLOCK):
         ks = np.arange(k0 + 1, min(k0 + _EDGE_BLOCK, nt) + 1)
         edge_block = c_rel(x_edge, s_edge, (ks * dt)[:, np.newaxis])
-        edge_peaks = np.abs(edge_block).max(axis=1)
-        for k, edge_values, edge_peak in zip(ks, edge_block, edge_peaks):
+        for k, edge_values in zip(ks, edge_block):
             t_next = k * dt
             interior[...] = (step @ flat).reshape(interior.shape)
             flat[edge] = edge_values
             # NaN and inf fail the comparison too
             if not float(np.abs(w).max()) <= bound:
                 raise _instability(w, grid, t_next)
-            bound = max(bound, 1.01 * float(edge_peak))
     ix, js = _window_indices(grid, config)
     return FdSolution(
         grid=grid,
@@ -320,6 +359,8 @@ def solve_sequence(
     top = config.level if max_level is None else max_level
     if top < 0:
         raise DomainError(f"max_level must be nonnegative, got {top}")
+    # the finest level is the longest march: fail before solving the others
+    _level_grid(params, T, replace(config, level=top))
     solutions: list[FdSolution] = []
     for level in range(top + 1):
         sol = solve(params, T, replace(config, level=level))
@@ -371,18 +412,21 @@ def cutoff_sensitivity(params: SabrParams, T: float, config: FdConfig) -> float:
     """Change of the windowed solution when the cut-off rectangle grows by
     one mesh layer on every side (empirical cut-off error estimate)."""
     base = solve(params, T, config)
+    big = solve(params, T, _cutoff_config(config))
+    delta = big.restriction - base.restriction
+    return float(np.sqrt(np.mean(delta**2)))
+
+
+def _cutoff_config(config: FdConfig) -> FdConfig:
+    # the rectangle grown by one level-0 mesh layer on every side
     dx = 2.0 * config.x_max / (config.nx0 - 1)
-    r0 = _sigma_ratio(config)
-    bigger = replace(
+    return replace(
         config,
         x_max=config.x_max + dx,
-        sigma_max=config.sigma_max * r0,
+        sigma_max=config.sigma_max * _sigma_ratio(config),
         nx0=config.nx0 + 2,
         nsigma0=config.nsigma0 + 2,
     )
-    big = solve(params, T, bigger)
-    delta = big.restriction - base.restriction
-    return float(np.sqrt(np.mean(delta**2)))
 
 
 @dataclass(frozen=True)

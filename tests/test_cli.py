@@ -134,6 +134,25 @@ class TestFd:
         assert "max_level" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--nu", "1e200"], "non-finite number of time steps"),
+            (["--nu", "1e6"], "FD level 1 needs 925 nodes x 4.079e+13 time steps"),
+            (["--levels", "12"], "FD level 12 needs 3624001537 nodes"),
+            (["--levels", "100"], "level 100 grid has more nodes than the limit"),
+        ],
+    )
+    def test_overlong_march_is_domain_error(self, capsys, monkeypatch, argv, message):
+        def no_march(*args, **kwargs):
+            raise AssertionError("started a march")
+
+        monkeypatch.setattr("sabrkit.fd._step_matrix", no_march)
+        code, out, err = run(["fd", *argv], capsys)
+        assert code == EXIT_DOMAIN
+        assert message in err
+        assert out == ""
+
     def test_cutoff_row(self, capsys):
         code, out, _ = run(
             ["fd", "--expiry", "0.5", "--nu", "0.5", "--rho", "-0.2",

@@ -22,10 +22,13 @@ from sabrkit import (
     solve_sequence,
 )
 from sabrkit import fd
-from sabrkit.cli import RESIDUAL_PRESETS
+from sabrkit.cli import FD_PRESETS, RESIDUAL_PRESETS
 from sabrkit.fd import (
+    _MAX_NODE_STEPS,
     _cell_averaged_payoff,
+    _cutoff_config,
     _instability,
+    _level_grid,
     _step_matrix,
     stable_time_steps,
 )
@@ -239,6 +242,24 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve_sequence(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), 1.0, FdConfig(), max_level=-1)
 
+    def test_wide_grid_runs_clean(self):
+        # x_max = 8 puts e^x_max (2981) above the 1e3 floor of the
+        # instability bound, so the bound comes from the payoff; the window
+        # was recorded when the bound still grew with the edge values
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        sol = solve(params, 0.5, FdConfig(x_max=8.0, window_x=(-4.0, 4.0)))
+        want = [
+            [7.20832519796302e-09, 1.5664511067605546e-08, 2.8982613133115815e-08],
+            [-1.4525963326091343e-06, -2.7287967706975833e-06, -5.071306160602337e-06],
+            [0.00021570756120601456, 0.0003709783540740714, 0.0006069061463382697],
+            [0.21129574308765003, 0.21384020079197819, 0.2163915037138973],
+            [3.0753619883019705, 3.074927081458415, 3.071992424051305],
+            [14.457407737663319, 14.453706518456217, 14.439103319669718],
+            [57.64022645280955, 57.62612381896358, 57.57058557095551],
+        ]
+        assert sol.grid.n_time_steps == 14
+        np.testing.assert_allclose(sol.restriction, want, rtol=1e-12, atol=1e-20)
+
     def test_instability_messages(self):
         grid = build_grid()
         w = np.zeros((grid.x_nodes.size, grid.sigma_nodes.size))
@@ -305,3 +326,53 @@ class TestTimeStepBound:
         loose = stable_time_steps(g, params, 1.0, c_safety=0.9)
         tight = stable_time_steps(g, params, 1.0, c_safety=0.45)
         assert tight >= 1.98 * loose
+
+
+class TestMarchLimit:
+    # none of these tests starts a march: _step_matrix is made to fail
+
+    @pytest.fixture(autouse=True)
+    def no_march(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("started a march")
+
+        monkeypatch.setattr(fd, "_step_matrix", fail)
+
+    def test_non_finite_stability_rate(self):
+        params = SabrParams(sigma0=0.18, nu=1e200, rho=-0.2)
+        with pytest.raises(DomainError, match="non-finite number of time steps"):
+            stable_time_steps(build_grid(), params, 0.5)
+        with pytest.raises(DomainError, match="non-finite number of time steps"):
+            solve(params, 0.5, FdConfig())
+
+    def test_too_many_node_steps(self):
+        params = SabrParams(sigma0=0.18, nu=1e6, rho=-0.2)
+        with pytest.raises(DomainError) as info:
+            solve(params, 0.5, FdConfig(level=1))
+        assert str(info.value) == (
+            "FD level 1 needs 925 nodes x 4.079e+13 time steps = 3.773e+16 "
+            f"node-steps, more than the limit of {_MAX_NODE_STEPS} node-steps"
+        )
+
+    def test_sequence_checks_finest_level_first(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("solved a level")
+
+        monkeypatch.setattr(fd, "solve", fail)
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        with pytest.raises(DomainError, match="FD level 12 needs 3624001537 nodes"):
+            solve_sequence(params, 0.5, FdConfig(), max_level=12)
+
+    def test_huge_level_rejected_before_building_nodes(self):
+        with pytest.raises(DomainError, match="level 1000000000 grid has more nodes"):
+            build_grid(level=10**9)
+
+    @pytest.mark.parametrize("preset", sorted(FD_PRESETS))
+    def test_level_4_of_every_preset_fits(self, preset):
+        p = FD_PRESETS[preset]
+        params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
+        config = FdConfig(level=4)
+        for cfg in (config, _cutoff_config(config)):
+            grid = _level_grid(params, p["t"], cfg)
+            nodes = grid.x_nodes.size * grid.sigma_nodes.size
+            assert nodes * grid.n_time_steps <= _MAX_NODE_STEPS
