@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DomainError, c_rel, norm_ppf
-from .expansion import SabrParams
+from .core import _NUMPY, DomainError, c_rel, norm_ppf
+from .expansion import SabrParams, _monomials, _sigma_d_quote
 from .models import price_fn_for_model, vol_fn_for_model
 
 __all__ = [
@@ -104,6 +104,7 @@ class CalibrationResult:
     ose: float = float("nan")
     converged: bool = True
     n_skipped: int = 0
+    nfev: int = 0  # objective evaluations of the fit, over all restarts
 
     @property
     def params(self) -> tuple[float, float, float]:
@@ -143,18 +144,23 @@ def _resolve_moneyness(day: QuoteDay, sigma_prev: float | None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _QuoteArrays:
-    """A day's quotes as arrays, with the log-moneyness resolved."""
+    """A day's quotes as arrays, with the log-moneyness resolved and the
+    (y, t) monomials the sigma_d objective evaluates its coefficients on."""
 
     y: np.ndarray
     t: np.ndarray
     vol: np.ndarray
+    monomials: tuple[np.ndarray, ...]
 
 
 def _quote_arrays(day: QuoteDay, sigma_prev: float | None) -> _QuoteArrays:
+    y = _resolve_moneyness(day, sigma_prev)
+    t = np.array([q.expiry for q in day.quotes])
     return _QuoteArrays(
-        y=_resolve_moneyness(day, sigma_prev),
-        t=np.array([q.expiry for q in day.quotes]),
+        y=y,
+        t=t,
         vol=np.array([q.implied_vol for q in day.quotes]),
+        monomials=_monomials(y, t),
     )
 
 
@@ -165,7 +171,11 @@ def _objective_details(
     if model_name is None:
         raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     y, t = quotes.y, quotes.t
-    if objective.startswith("sigma"):
+    if objective == "sigma_d":
+        # sigma_d(y, t, params).value from the day's monomials
+        model = _sigma_d_quote(_NUMPY, quotes.monomials, params.sigma0, params).value
+        target = quotes.vol
+    elif objective.startswith("sigma"):
         model = vol_fn_for_model(model_name, params)(y, t)
         target = quotes.vol
     else:
@@ -178,11 +188,12 @@ def _objective_details(
     else:
         diff = model - target
     used = np.isfinite(diff)
-    n_used = int(used.sum())
+    n_used = int(np.count_nonzero(used))
     skipped = diff.size - n_used
     if n_used == 0:
         return float("inf"), skipped
-    diff = diff[used]
+    if skipped:
+        diff = diff[used]
     return float(np.dot(diff, diff)) / n_used, skipped
 
 
@@ -246,6 +257,7 @@ def fit_day(
         return objective_value(quotes, params, objective)
 
     converged = True
+    nfev = 0
     x = x0
     for _ in range(max(1, n_restarts + 1)):
         res = minimize(
@@ -262,6 +274,7 @@ def fit_day(
         )
         x = res.x
         converged = bool(res.success)
+        nfev += int(res.nfev)
     best = _make_params(x, objective, kappa0, theta)
     value, skipped = _objective_details(quotes, best, objective)
     return CalibrationResult(
@@ -273,6 +286,7 @@ def fit_day(
         ise=math.sqrt(value),
         converged=converged,
         n_skipped=skipped,
+        nfev=nfev,
     )
 
 

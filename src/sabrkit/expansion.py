@@ -8,7 +8,18 @@ The forward price is approximated as
 
 where F1 and F2 are Gaussian-kernel expressions of the form
 K * sum_i a_i * h_tilde(i, y) * phi_t(y, sigma). The implied volatility
-carries the matching expansion sigma + nu*e1 + nu^2*e2.
+carries the matching expansion sigma + nu*e1 + nu^2*e2. For kappa0 = 0 it
+is a polynomial in (y, t) with coefficients in (sigma, rho):
+
+    e1 = -rho/2 * y + rho sigma^2/4 * t
+    e2 = sigma (1/12 - rho^2/8) * t + sigma^3 (rho^2/8 - 1/24) * t^2
+         - rho^2 sigma/8 * t y + (1/6 - rho^2/4)/sigma * y^2
+
+so sigma_d = sigma + sum_k c_k m_k over the monomials
+m = (y, t, t^2, t y, y^2), with c = nu e1 + nu^2 e2 folded onto them.
+`implied_e1`, `implied_e2` and `sigma_d` evaluate this one table; a
+calibration builds a day's monomials once and evaluates only the five
+coefficients per parameter set.
 
 `price_sa2_rel`, `implied_e1`, `implied_e2`, `sigma_d` and `price_d`
 broadcast over numpy arrays of (y, t, sigma) like the kernels in `core`;
@@ -239,27 +250,69 @@ def price_sa2_rel(y, t, params: SabrParams, *, sigma=None):
     return m.where(live, f_bs + params.nu * f1 + params.nu**2 * f2, f_bs)
 
 
+def _implied_coeffs(sigma, rho: float):
+    """e1 on the monomials (y, t) and e2 on (t, t^2, t y, y^2), for kappa0 = 0."""
+    r2 = rho * rho
+    s2 = sigma * sigma
+    e1 = (-0.5 * rho, 0.25 * rho * s2)
+    e2 = (
+        sigma * (1.0 / 12.0 - r2 / 8.0),
+        sigma * s2 * (r2 / 8.0 - 1.0 / 24.0),
+        -r2 * sigma / 8.0,
+        (1.0 / 6.0 - r2 / 4.0) / sigma,
+    )
+    return e1, e2
+
+
+def _monomials(y, t):
+    """(y, t, t^2, t y, y^2): the basis sigma_d is a polynomial on."""
+    return y, t, t * t, t * y, y * y
+
+
+def _poly(coeffs, mono):
+    # sum_k c_k mono_k, in order
+    total = coeffs[0] * mono[0]
+    for c, x in zip(coeffs[1:], mono[1:]):
+        total = total + c * x
+    return total
+
+
+def _sigma_d_quote(m, mono, sigma, params: SabrParams) -> VolQuote:
+    """sigma_d from the monomials of (y, t): sigma + sum_k c_k mono_k with
+    c = nu e1 + nu^2 e2 folded onto the five monomials, then the clamp.
+
+    sigma is a float or an array broadcast to the monomials' shape; at
+    nu = 0 the coefficients are zero and need no sigma > 0."""
+    _require_no_mean_reversion(params, "sigma_d")
+    nu = params.nu
+    if nu == 0.0:
+        coeffs = (0.0,) * 5
+    else:
+        (a_y, a_t), (b_t, b_tt, b_ty, b_yy) = _implied_coeffs(sigma, params.rho)
+        nu2 = nu * nu
+        coeffs = (nu * a_y, nu * a_t + nu2 * b_t, nu2 * b_tt, nu2 * b_ty, nu2 * b_yy)
+    raw = sigma + _poly(coeffs, mono)
+    clamped = raw <= 0.0
+    return VolQuote(m.where(clamped, SIGMA_FLOOR, raw), clamped)
+
+
 def implied_e1(y, sigma, rho: float, t):
-    """First-order implied-vol coefficient e1 = -rho sigma sqrt(t) d_- / 2."""
+    """First-order implied-vol coefficient e1 = -rho sigma sqrt(t) d_- / 2
+    = -rho y / 2 + rho sigma^2 t / 4."""
     m, (y, sigma, t) = _args(y, sigma, t)
     _require_sigma_t(sigma, t, "implied_e1")
-    return -0.5 * rho * sigma * m.sqrt(t) * d_minus(y, sigma, t)
+    return _poly(_implied_coeffs(sigma, rho)[0], _monomials(y, t)[:2])
 
 
 def implied_e2(y, sigma, rho: float, t):
-    """Second-order implied-vol coefficient (seven-term polynomial form)."""
+    """Second-order implied-vol coefficient on (t, t^2, t y, y^2):
+
+    e2 = sigma (1/12 - rho^2/8) t + sigma^3 (rho^2/8 - 1/24) t^2
+         - rho^2 sigma t y / 8 + (1/6 - rho^2/4) y^2 / sigma.
+    """
     m, (y, sigma, t) = _args(y, sigma, t)
     _require_sigma_t(sigma, t, "implied_e2")
-    r2 = rho * rho
-    return (
-        sigma * t / 12
-        - r2 * t * sigma / 8
-        - sigma**3 * t**2 / 24
-        - r2 * t * sigma * y / 8
-        + y**2 / (6 * sigma)
-        - r2 * y**2 / (4 * sigma)
-        + t**2 * r2 * sigma**3 / 8
-    )
+    return _poly(_implied_coeffs(sigma, rho)[1], _monomials(y, t)[1:])
 
 
 def sigma_d(y, t, params: SabrParams, *, sigma=None) -> VolQuote:
@@ -268,18 +321,15 @@ def sigma_d(y, t, params: SabrParams, *, sigma=None) -> VolQuote:
     Nonpositive raw values (possible for extreme parameters probed by
     optimizers) are clamped to a small positive floor and flagged.
     """
-    _require_no_mean_reversion(params, "sigma_d")
-    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
-    nu, rho = params.nu, params.rho
-    raw = sigma
-    if nu != 0.0:
-        raw = (
-            sigma
-            + nu * implied_e1(y, sigma, rho, t)
-            + nu * nu * implied_e2(y, sigma, rho, t)
-        )
-    clamped = raw <= 0.0
-    return VolQuote(m.where(clamped, SIGMA_FLOOR, raw), clamped)
+    sigma = params.sigma0 if sigma is None else sigma
+    if np.ndim(sigma) == 0:  # the coefficients stay floats
+        m, (y, t) = _args(y, t)
+        sigma = float(sigma)
+    else:
+        m, (y, t, sigma) = _args(y, t, sigma)
+    if params.nu != 0.0:
+        _require_sigma_t(sigma, t, "sigma_d")
+    return _sigma_d_quote(m, _monomials(y, t), sigma, params)
 
 
 def price_d(y, t, params: SabrParams, *, sigma=None):

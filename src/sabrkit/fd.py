@@ -249,6 +249,10 @@ def _level_grid(params: SabrParams, T: float, config: FdConfig) -> FdGrid:
         raise DomainError("FD benchmark is only available for kappa0 = 0")
     if not (0.0 < T < math.inf):
         raise DomainError(f"expiry T must be positive and finite, got {T}")
+    if not (0.0 < config.c_safety < math.inf):
+        raise DomainError(
+            f"c_safety must be positive and finite, got {config.c_safety}"
+        )
     grid = build_grid(
         config.x_max,
         config.sigma_center,

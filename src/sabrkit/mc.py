@@ -26,6 +26,12 @@ __all__ = ["McConfig", "simulate_price", "simulate_prices"]
 
 _BLOCK = 4096
 
+# the most path-steps (paths x time steps) one simulation may march, as
+# fd._MAX_NODE_STEPS for FD; mc-paper takes 3e7
+_MAX_PATH_STEPS = 5_000_000_000
+# the largest (strikes x samples) payoff matrix, in bytes
+_MAX_SAMPLE_BYTES = 1_000_000_000
+
 log = logging.getLogger(__name__)
 
 
@@ -127,9 +133,24 @@ def simulate_prices(
     t = q0.expiry
     if not (t > 0.0):
         raise DomainError("Monte Carlo requires expiry > 0")
-    n_steps = max(1, round(t / config.dt))
-    dt = t / n_steps  # adjusted so the grid lands exactly on t
+    # both limits are checked before any array exists
+    steps = t / config.dt  # inf when dt is tiny enough
+    n_steps = max(1, round(steps)) if math.isfinite(steps) else math.inf
+    if config.n_paths * n_steps > _MAX_PATH_STEPS:
+        raise DomainError(
+            f"Monte Carlo needs {config.n_paths} paths x {n_steps:.4g} time steps = "
+            f"{float(config.n_paths) * n_steps:.4g} path-steps, more than the "
+            f"limit of {_MAX_PATH_STEPS} path-steps"
+        )
     n_samples = config.n_samples
+    sample_bytes = len(queries) * n_samples * 8
+    if sample_bytes > _MAX_SAMPLE_BYTES:
+        raise DomainError(
+            f"Monte Carlo needs {len(queries)} strikes x {n_samples} samples = "
+            f"{sample_bytes} bytes of payoffs, more than the limit of "
+            f"{_MAX_SAMPLE_BYTES} bytes"
+        )
+    dt = t / n_steps  # adjusted so the grid lands exactly on t
     strikes = np.array([q.strike for q in queries])
 
     seeds = np.random.SeedSequence(config.seed).spawn(

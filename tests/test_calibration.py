@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sabrkit import (
     CalibrationResult,
@@ -19,7 +21,8 @@ from sabrkit import (
     write_quotes_csv,
     write_results_csv,
 )
-from sabrkit.calibration import PANEL_DELTAS, PANEL_EXPIRY_MONTHS
+from sabrkit import calibration
+from sabrkit.calibration import PANEL_DELTAS, PANEL_EXPIRY_MONTHS, _quote_arrays
 from sabrkit.core import norm_cdf
 from sabrkit.expansion import sigma_d
 
@@ -90,6 +93,48 @@ class TestObjective:
             objective_value(day, TRUE, "vega_weighted")
 
 
+class TestSigmaDObjective:
+    # the sigma_d objective evaluates the day's monomials; its model vols
+    # must be sigma_d's own values, bit for bit
+    DAY = synth_panel(TRUE, 1, noise_level=0.01, seed=3, quote_with="delta")[0]
+
+    def check(self, monkeypatch, params):
+        quotes = _quote_arrays(self.DAY, 0.19)
+        seen = []
+        quote_fn = calibration._sigma_d_quote
+
+        def recorded(*args):
+            seen.append(quote_fn(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(calibration, "_sigma_d_quote", recorded)
+        value = objective_value(quotes, params, "sigma_d")
+        want = sigma_d(quotes.y, quotes.t, params)
+        (got,) = seen
+        np.testing.assert_array_equal(got.value, want.value)
+        np.testing.assert_array_equal(got.clamped, want.clamped)
+        diff = want.value - quotes.vol
+        assert value == float(np.dot(diff, diff)) / diff.size
+        return want
+
+    @given(
+        nu=st.floats(0.0, 5.0),
+        sigma=st.floats(0.01, 2.0),
+        rho=st.floats(-0.99, 0.99),
+    )
+    def test_random_params(self, nu, sigma, rho):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(monkeypatch, SabrParams(sigma0=sigma, nu=nu, rho=rho))
+
+    def test_nu_zero(self, monkeypatch):
+        want = self.check(monkeypatch, SabrParams(sigma0=0.19, nu=0.0, rho=-0.55))
+        assert (want.value == 0.19).all()
+
+    def test_clamped_points(self, monkeypatch):
+        want = self.check(monkeypatch, SabrParams(sigma0=0.1, nu=3.0, rho=0.9))
+        assert 0 < want.clamped.sum() < want.clamped.size
+
+
 class TestSynthPanel:
     def test_shape(self):
         days = synth_panel(TRUE, 3)
@@ -133,11 +178,70 @@ class TestFitDay:
         assert 0.0 <= res.nu <= 5.0
         assert -0.99 <= res.rho <= 0.99
 
+    @pytest.mark.parametrize("n_restarts", [0, 1])
+    def test_nfev_counts_objective_evaluations(self, monkeypatch, n_restarts):
+        calls = []
+        details = calibration._objective_details
+
+        def counted(*args):
+            calls.append(1)
+            return details(*args)
+
+        monkeypatch.setattr(calibration, "_objective_details", counted)
+        day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
+        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d", n_restarts=n_restarts)
+        # every optimizer evaluation, plus the final one at the fitted point
+        assert res.nfev > 100
+        assert len(calls) == res.nfev + 1
+
     def test_out_of_sample_from_truth(self):
         days = synth_panel(TRUE, 2, noise_level=0.01, seed=6)
         ose = out_of_sample(days[1], TRUE, "sigma_d")
         # yesterday's truth explains today's quotes up to the noise level
         assert 0.005 <= ose <= 0.02
+
+
+# the calib benchmark's panel: 64 delta-quoted days, noise 0.01
+BENCH_PANEL = dict(noise_level=0.01, seed=20181224, quote_with="delta")
+
+# (day, start = the day before's fit as the result CSV prints it, and the
+# fitted nu, sigma, rho and ISE recorded with the per-point sigma_d objective
+# this one replaced)
+PINNED_FITS = [
+    (
+        2,
+        (1.275124122, 0.1909684389, -0.5568006213),
+        (1.311731301847395, 0.18880647711560047, -0.542705987178935, 0.00940434615569585),
+    ),
+    (
+        33,
+        (1.321965266, 0.1895707108, -0.5614953089),
+        (1.254405000585349, 0.19157620095593386, -0.564870643670938, 0.00950016511869016),
+    ),
+    (
+        64,
+        (1.265794436, 0.190673131, -0.5657924529),
+        (1.3007180826635496, 0.18983254679128336, -0.5423927495772274, 0.0099153086797447),
+    ),
+]
+
+
+class TestPinnedFits:
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return synth_panel(TRUE, 64, **BENCH_PANEL)
+
+    @pytest.mark.parametrize("day, start, want", PINNED_FITS)
+    def test_benchmark_panel_fit(self, panel, tmp_path, day, start, want):
+        # through the quote CSV, as `sabrkit calibrate --quotes` reads it
+        path = str(tmp_path / "quotes.csv")
+        write_quotes_csv(path, [panel[day - 1]])
+        (quotes,) = read_quotes_csv(path)
+        res = fit_day(quotes, start, "sigma_d", sigma_prev=start[1])
+        assert res.converged and res.n_skipped == 0
+        for got, pinned in zip(res.params, want[:3]):
+            assert abs(got - pinned) <= 1e-8
+        assert res.ise == pytest.approx(want[3], rel=1e-9)
 
 
 class TestPanel:

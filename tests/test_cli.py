@@ -222,6 +222,24 @@ class TestMc:
         assert "at least 2" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--paths", "1000000000000"], "1000000000000 paths x 1000 time steps"),
+            (["--dt", "1e-15"], "30000 paths x 1e+15 time steps"),
+        ],
+    )
+    def test_oversized_simulation_is_domain_error(self, capsys, monkeypatch, argv, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("started a simulation")
+
+        monkeypatch.setattr("numpy.random.SeedSequence", no_simulation)
+        monkeypatch.setattr("sabrkit.mc._block_payoffs", no_simulation)
+        code, out, err = run(["mc", "--preset", "mc-paper", *argv], capsys)
+        assert code == EXIT_DOMAIN
+        assert message in err
+        assert out == ""
+
     def test_empty_strike_list_is_usage_error(self, capsys):
         code, _, err = run(["mc", "--preset", "mc-paper", "--strikes", ","], capsys)
         assert code == EXIT_USAGE

@@ -363,6 +363,14 @@ class TestMarchLimit:
         with pytest.raises(DomainError, match="FD level 12 needs 3624001537 nodes"):
             solve_sequence(params, 0.5, FdConfig(), max_level=12)
 
+    @pytest.mark.parametrize("c_safety", [-1.0, 0.0, math.nan, math.inf])
+    def test_c_safety_must_be_positive_and_finite(self, c_safety):
+        # -1 used to march one step of dt = T, 0 to report a non-finite step count
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        message = f"^c_safety must be positive and finite, got {c_safety}$"
+        with pytest.raises(DomainError, match=message):
+            solve(params, 0.5, FdConfig(c_safety=c_safety))
+
     def test_huge_level_rejected_before_building_nodes(self):
         with pytest.raises(DomainError, match="level 1000000000 grid has more nodes"):
             build_grid(level=10**9)

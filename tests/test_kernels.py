@@ -17,6 +17,8 @@ from sabrkit import (
     c_rel,
     d_minus,
     h_tilde,
+    implied_e1,
+    implied_e2,
     objective_value,
     phi_t,
     price_d,
@@ -101,6 +103,42 @@ class TestArrayEqualsScalar:
                 rtol=RTOL,
                 atol=ATOL,
             )
+
+    @given(
+        lattices(y=(-3.0, 3.0), sigma=(0.01, 2.0), t=(0.01, 10.0), zeros=False),
+        floats(-0.99, 0.99),
+    )
+    def test_implied_coefficients(self, lat, rho):
+        ys, ss, ts = lat
+        e1 = implied_e1(ys, ss, rho, ts)
+        e2 = implied_e2(ys, ss, rho, ts)
+        # the coefficient table holds no math-module call, so the float
+        # and array calls are the same arithmetic
+        np.testing.assert_array_equal(
+            e1, pointwise(lambda y, s, t: implied_e1(y, s, rho, t), ys, ss, ts)
+        )
+        np.testing.assert_array_equal(
+            e2, pointwise(lambda y, s, t: implied_e2(y, s, rho, t), ys, ss, ts)
+        )
+        # the forms the coefficient table replaced, written out: e1 =
+        # -rho sigma sqrt(t) d_- / 2 and e2 as seven terms, compared relative
+        # to the sum of their terms' sizes
+        v = ss * np.sqrt(ts)
+        e1_d_form = -0.5 * rho * v * d_minus(ys, ss, ts)
+        e1_size = 0.5 * abs(rho) * (np.abs(ys) + 0.5 * v * v)
+        r2 = rho * rho
+        e2_terms = [
+            ss * ts / 12,
+            -r2 * ts * ss / 8,
+            -(ss**3) * ts**2 / 24,
+            -r2 * ts * ss * ys / 8,
+            ys**2 / (6 * ss),
+            -r2 * ys**2 / (4 * ss),
+            ts**2 * r2 * ss**3 / 8,
+        ]
+        e2_size = sum(np.abs(term) for term in e2_terms)
+        assert (np.abs(e1 - e1_d_form) <= 1e-13 * e1_size).all()
+        assert (np.abs(e2 - sum(e2_terms)) <= 1e-13 * e2_size).all()
 
     @given(st.data(), params_strategy())
     def test_sigma_d_with_clamp(self, data, params):

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from sabrkit import (
     simulate_prices,
 )
 from sabrkit import mc
-from sabrkit.mc import _BLOCK, _max_workers
+from sabrkit.mc import _BLOCK, _MAX_PATH_STEPS, _MAX_SAMPLE_BYTES, _max_workers
 
 
 class TestConfig:
@@ -201,3 +202,55 @@ class TestSimulatePrices:
             simulate_prices(
                 [*self.queries(), odd], self.PARAMS, McConfig(n_paths=100, dt=0.1)
             )
+
+
+class TestSizeLimits:
+    # none of these tests starts a simulation: seeding the path blocks and
+    # _block_payoffs are made to fail, so a missing check fails at once
+    # instead of spawning 1.2e8 block seeds
+    PARAMS = SabrParams(sigma0=0.2, nu=0.2, rho=-0.3)
+    QUERY = OptionQuery(spot=10.0, strike=10.0, expiry=1.0)
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("started a simulation")
+
+        monkeypatch.setattr(mc.np.random, "SeedSequence", fail)
+        monkeypatch.setattr(mc, "_block_payoffs", fail)
+
+    def test_too_many_paths(self):
+        with pytest.raises(DomainError) as info:
+            simulate_price(self.QUERY, self.PARAMS, McConfig(n_paths=10**12))
+        assert str(info.value) == (
+            "Monte Carlo needs 1000000000000 paths x 1000 time steps = 1e+15 "
+            f"path-steps, more than the limit of {_MAX_PATH_STEPS} path-steps"
+        )
+
+    @pytest.mark.parametrize("dt, steps", [(1e-15, "1e+15"), (5e-324, "inf")])
+    def test_too_many_time_steps(self, dt, steps):
+        with pytest.raises(DomainError, match=re.escape(f"30000 paths x {steps} time steps")):
+            simulate_price(self.QUERY, self.PARAMS, McConfig(dt=dt))
+
+    def test_sample_matrix_too_large(self):
+        # 1,000 strikes x 130,000 samples x 8 bytes = 1.04 GB in one step
+        queries = [
+            OptionQuery(spot=10.0, strike=5.0 + 0.01 * i, expiry=1.0)
+            for i in range(1000)
+        ]
+        cfg = McConfig(n_paths=260_000, dt=1.0)
+        with pytest.raises(DomainError) as info:
+            simulate_prices(queries, self.PARAMS, cfg)
+        assert str(info.value) == (
+            "Monte Carlo needs 1000 strikes x 130000 samples = 1040000000 bytes "
+            f"of payoffs, more than the limit of {_MAX_SAMPLE_BYTES} bytes"
+        )
+
+    def test_mc_paper_fits(self):
+        # mc-paper's 3e7 path-steps and 9 x 15,000 samples pass both checks
+        # and reach the simulation
+        queries = [
+            OptionQuery(spot=10.0, strike=8.0 + 0.5 * i, expiry=1.0) for i in range(9)
+        ]
+        with pytest.raises(AssertionError, match="started a simulation"):
+            simulate_prices(queries, self.PARAMS, McConfig(n_paths=30000, dt=1e-3))
