@@ -264,6 +264,46 @@ def _implied_coeffs(sigma, rho: float):
     return e1, e2
 
 
+def _implied_coeffs_grad(sigma: float, rho: float):
+    """d/dsigma and d/drho of `_implied_coeffs`' (e1, e2), in its layout."""
+    r2 = rho * rho
+    s2 = sigma * sigma
+    d_sigma = (
+        (0.0, 0.5 * rho * sigma),
+        (
+            1.0 / 12.0 - r2 / 8.0,
+            3.0 * s2 * (r2 / 8.0 - 1.0 / 24.0),
+            -r2 / 8.0,
+            -(1.0 / 6.0 - r2 / 4.0) / s2,
+        ),
+    )
+    d_rho = (
+        (-0.5, 0.25 * s2),
+        (-0.25 * rho * sigma, 0.25 * rho * sigma * s2, -0.25 * rho * sigma, -0.5 * rho / sigma),
+    )
+    return d_sigma, d_rho
+
+
+def _fold(e1, e2, w1, w2):
+    # w1 e1 + w2 e2 on the five monomials (y, t, t^2, t y, y^2)
+    (a_y, a_t), (b_t, b_tt, b_ty, b_yy) = e1, e2
+    return (w1 * a_y, w1 * a_t + w2 * b_t, w2 * b_tt, w2 * b_ty, w2 * b_yy)
+
+
+def _sigma_d_coeffs_jac(params: SabrParams) -> np.ndarray:
+    """5 x 3 Jacobian of sigma_d's coefficients c = nu e1 + nu^2 e2 on the
+    five monomials with respect to (nu, sigma0, rho), for kappa0 = 0;
+    d sigma_d / d(nu, sigma0, rho) is the monomials times this, plus 1 on
+    sigma0, where sigma_d is not clamped."""
+    nu, sigma, rho = params.nu, params.sigma0, params.rho
+    e1, e2 = _implied_coeffs(sigma, rho)
+    (s1, s2), (r1, r2) = _implied_coeffs_grad(sigma, rho)
+    nu2 = nu * nu
+    return np.array(
+        [_fold(e1, e2, 1.0, 2.0 * nu), _fold(s1, s2, nu, nu2), _fold(r1, r2, nu, nu2)]
+    ).T
+
+
 def _monomials(y, t):
     """(y, t, t^2, t y, y^2): the basis sigma_d is a polynomial on."""
     return y, t, t * t, t * y, y * y
@@ -288,9 +328,7 @@ def _sigma_d_quote(m, mono, sigma, params: SabrParams) -> VolQuote:
     if nu == 0.0:
         coeffs = (0.0,) * 5
     else:
-        (a_y, a_t), (b_t, b_tt, b_ty, b_yy) = _implied_coeffs(sigma, params.rho)
-        nu2 = nu * nu
-        coeffs = (nu * a_y, nu * a_t + nu2 * b_t, nu2 * b_tt, nu2 * b_ty, nu2 * b_yy)
+        coeffs = _fold(*_implied_coeffs(sigma, params.rho), nu, nu * nu)
     raw = sigma + _poly(coeffs, mono)
     clamped = raw <= 0.0
     return VolQuote(m.where(clamped, SIGMA_FLOOR, raw), clamped)

@@ -218,6 +218,8 @@ def stable_time_steps(
 
     dt <= c_safety / max over nodes of sigma^2 (1/dx^2 + nu^2/ds^2 + |nu rho|/(dx ds)).
     """
+    if not (0.0 < c_safety < math.inf):
+        raise DomainError(f"c_safety must be positive and finite, got {c_safety}")
     s = grid.sigma_nodes
     dx = grid.dx
     ds_local = np.minimum.reduce(
@@ -249,10 +251,6 @@ def _level_grid(params: SabrParams, T: float, config: FdConfig) -> FdGrid:
         raise DomainError("FD benchmark is only available for kappa0 = 0")
     if not (0.0 < T < math.inf):
         raise DomainError(f"expiry T must be positive and finite, got {T}")
-    if not (0.0 < config.c_safety < math.inf):
-        raise DomainError(
-            f"c_safety must be positive and finite, got {config.c_safety}"
-        )
     grid = build_grid(
         config.x_max,
         config.sigma_center,

@@ -22,9 +22,15 @@ from sabrkit import (
     write_results_csv,
 )
 from sabrkit import calibration
-from sabrkit.calibration import PANEL_DELTAS, PANEL_EXPIRY_MONTHS, _quote_arrays
-from sabrkit.core import norm_cdf
-from sabrkit.expansion import sigma_d
+from sabrkit.calibration import (
+    OBJECTIVES,
+    PANEL_DELTAS,
+    PANEL_EXPIRY_MONTHS,
+    _quote_arrays,
+    _sigma_d_jacobian,
+)
+from sabrkit.core import _NUMPY, norm_cdf
+from sabrkit.expansion import _sigma_d_quote, sigma_d
 
 TRUE = SabrParams(sigma0=0.19, nu=1.3, rho=-0.55)
 
@@ -135,6 +141,55 @@ class TestSigmaDObjective:
         assert 0 < want.clamped.sum() < want.clamped.size
 
 
+class TestSigmaDJacobian:
+    # the closed-form d sigma_d / d(nu, sigma, rho) the sigma_d fit uses,
+    # against central differences of sigma_d itself
+    MONO = _quote_arrays(TestSigmaDObjective.DAY, 0.19).monomials
+
+    def quote(self, nu, sigma, rho):
+        return _sigma_d_quote(_NUMPY, self.MONO, sigma, SabrParams(sigma, nu, rho))
+
+    def check(self, nu, sigma, rho):
+        base = self.quote(nu, sigma, rho)
+        jac = _sigma_d_jacobian(self.MONO, SabrParams(sigma, nu, rho), base.clamped)
+        assert jac.shape == (base.value.size, 3)
+        assert (jac[base.clamped] == 0.0).all()
+        x = np.array([nu, sigma, rho])
+        for j, h in enumerate((1e-5, 1e-5 * sigma, 1e-5)):
+            step = np.zeros(3)
+            step[j] = h
+            if j == 0 and nu < h:
+                # nu >= 0: a one-sided second-order difference
+                f0, f1, f2 = (self.quote(*(x + k * step)) for k in range(3))
+                probes = (f0, f1, f2)
+                fd = (-3.0 * f0.value + 4.0 * f1.value - f2.value) / (2.0 * h)
+            else:
+                lo, hi = self.quote(*(x - step)), self.quote(*(x + step))
+                probes = (lo, hi)
+                fd = (hi.value - lo.value) / (2.0 * h)
+            # rows whose clamp flag no probe changes; a clamped row is flat
+            same = np.logical_and.reduce([p.clamped == base.clamped for p in probes])
+            scale = max(1.0, float(np.abs(fd[same]).max()))
+            np.testing.assert_allclose(jac[same, j], fd[same], rtol=1e-6, atol=1e-7 * scale)
+        return base
+
+    @given(
+        nu=st.floats(0.0, 5.0),
+        sigma=st.floats(0.01, 2.0),
+        rho=st.floats(-0.99, 0.99),
+    )
+    def test_random_params(self, nu, sigma, rho):
+        self.check(nu, sigma, rho)
+
+    def test_nu_zero(self):
+        base = self.check(0.0, 0.19, -0.55)
+        assert not base.clamped.any()
+
+    def test_clamped_rows_are_zero(self):
+        base = self.check(3.0, 0.1, 0.9)
+        assert 0 < base.clamped.sum() < base.clamped.size
+
+
 class TestSynthPanel:
     def test_shape(self):
         days = synth_panel(TRUE, 3)
@@ -178,21 +233,72 @@ class TestFitDay:
         assert 0.0 <= res.nu <= 5.0
         assert -0.99 <= res.rho <= 0.99
 
-    @pytest.mark.parametrize("n_restarts", [0, 1])
-    def test_nfev_counts_objective_evaluations(self, monkeypatch, n_restarts):
+    @staticmethod
+    def check_nfev(monkeypatch, objective, n_restarts):
         calls = []
-        details = calibration._objective_details
+        residuals = calibration._residuals
 
         def counted(*args):
             calls.append(1)
-            return details(*args)
+            return residuals(*args)
 
-        monkeypatch.setattr(calibration, "_objective_details", counted)
+        monkeypatch.setattr(calibration, "_residuals", counted)
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
-        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d", n_restarts=n_restarts)
+        res = fit_day(day, (1.0, 0.25, -0.3), objective, n_restarts=n_restarts)
+        assert res.converged
         # every optimizer evaluation, plus the final one at the fitted point
-        assert res.nfev > 100
+        assert 0 < res.nfev < 100
         assert len(calls) == res.nfev + 1
+
+    @pytest.mark.parametrize("n_restarts", [0, 1])
+    def test_nfev_counts_objective_evaluations(self, monkeypatch, n_restarts):
+        self.check_nfev(monkeypatch, "sigma_d", n_restarts)
+
+    def test_nfev_counts_finite_difference_probes(self, monkeypatch):
+        # price_h has no closed-form Jacobian: its difference probes count
+        self.check_nfev(monkeypatch, "price_h", 1)
+
+    def test_max_iter_stop_is_not_converged(self):
+        day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
+        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d", max_iter=2)
+        assert not res.converged
+        assert all(math.isfinite(v) for v in (*res.params, res.ise))
+        assert res.n_skipped == 0
+
+    def test_start_the_model_rejects_is_not_converged(self):
+        # the Hagan vol is negative here, so c_rel raises DomainError
+        day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
+        start = (5.0, 0.05, 0.99)
+        with pytest.raises(DomainError, match="sigma must be nonnegative"):
+            objective_value(day, SabrParams(0.05, 5.0, 0.99), "price_h")
+        res = fit_day(day, start, "price_h")
+        assert not res.converged
+        assert res.params == start
+        assert res.ise == math.inf and res.n_skipped == len(day.quotes)
+        assert res.nfev == 1
+
+    def test_start_with_no_usable_quote_is_not_converged(self):
+        # sigma_d is clamped to its floor at the start, so the out-of-the-
+        # money price is 0 and its log is not finite
+        quote = MarketQuote(option_type="C", expiry=2.0, implied_vol=0.2, moneyness=-0.2)
+        day = QuoteDay(day=1, quotes=(quote,))
+        start = (5.0, 0.01, -0.99)
+        params = SabrParams(sigma0=0.01, nu=5.0, rho=-0.99)
+        assert objective_value(day, params, "log_price_d") == math.inf
+        res = fit_day(day, start, "log_price_d")
+        assert not res.converged
+        assert res.params == start
+        assert res.ise == math.inf and res.n_skipped == 1
+        assert res.nfev == 1
+
+    def test_unknown_objective_is_an_error(self):
+        day = synth_panel(TRUE, 1)[0]
+        with pytest.raises(DomainError, match="unknown objective"):
+            fit_day(day, (1.0, 0.25, -0.3), "vega_weighted")
+
+    def test_bounds_validated(self):
+        with pytest.raises(DomainError, match="nu bounds"):
+            calibration.FitBounds(nu=(1.0, 1.0))
 
     def test_out_of_sample_from_truth(self):
         days = synth_panel(TRUE, 2, noise_level=0.01, seed=6)
@@ -224,6 +330,39 @@ PINNED_FITS = [
         (1.3007180826635496, 0.18983254679128336, -0.5423927495772274, 0.0099153086797447),
     ),
 ]
+
+
+# one noisy day fitted from (1.0, 0.25, -0.3) with every objective:
+# (nu, sigma, rho, ISE) recorded with the Nelder-Mead search that least
+# squares replaced; price_kappa with kappa0 = 1, theta = 0.2
+NELDER_MEAD_FITS = {
+    "sigma_d": (1.303908960316044, 0.18854318027432038, -0.5336217924485057, 0.00961738561855491),
+    "sigma_h": (1.2840399386206358, 0.1904779361903875, -0.5825602451038457, 0.010397733659868976),
+    "price_d": (1.313532194067487, 0.1885260719332345, -0.5356620486051904, 0.002942270962355797),
+    "price_h": (1.3066925431319816, 0.1917387690063732, -0.5840769170356397, 0.0032485912541911554),
+    "price_sa2": (1.3156376047689315, 0.19109336788925668, -0.5706240370520106, 0.0031238680113840913),
+    "log_price_d": (1.2593939129552474, 0.18851849745813037, -0.5347410726048583, 0.08297114054498539),
+    "log_price_h": (1.0964078180461918, 0.19006261957477288, -0.5815513315759042, 0.08890221124324259),
+    "log_price_sa2": (1.0990553465184747, 0.189541432854503, -0.5584520511466902, 0.08869999326461019),
+    "price_kappa": (0.8792496495621507, 0.20670945392811196, -0.7191762189511901, 0.006636058654634641),
+}
+
+
+class TestEveryObjective:
+    DAY = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
+
+    def test_pins_cover_every_objective(self):
+        assert set(NELDER_MEAD_FITS) == set(OBJECTIVES)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_matches_nelder_mead(self, objective):
+        kwargs = dict(kappa0=1.0, theta=0.2) if objective == "price_kappa" else {}
+        res = fit_day(self.DAY, (1.0, 0.25, -0.3), objective, **kwargs)
+        assert res.converged and res.n_skipped == 0
+        want = NELDER_MEAD_FITS[objective]
+        for got, pinned in zip(res.params, want[:3]):
+            assert abs(got - pinned) <= 1e-6
+        assert res.ise <= want[3] * (1.0 + 1e-9)
 
 
 class TestPinnedFits:

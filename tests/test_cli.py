@@ -308,6 +308,19 @@ class TestCalibrate:
         )
         assert code == EXIT_USAGE
 
+    def test_start_the_model_rejects_exits_no_convergence(self, capsys, tmp_path):
+        # the Hagan vol is negative at this start: a failed fit, not a crash
+        out_path = str(tmp_path / "results.csv")
+        code, _, err = run(
+            ["calibrate", "--synth-days", "1", "--objective", "price_h",
+             "--init=5,0.05,0.99", "--out", out_path],
+            capsys,
+        )
+        assert code == EXIT_NO_CONVERGENCE and err == ""
+        with open(out_path) as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["nu"], row["ise"], row["flag"]) == ("5", "inf", "flagged")
+
 
 class TestMisc:
     @pytest.mark.parametrize(

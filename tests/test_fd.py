@@ -370,6 +370,8 @@ class TestMarchLimit:
         message = f"^c_safety must be positive and finite, got {c_safety}$"
         with pytest.raises(DomainError, match=message):
             solve(params, 0.5, FdConfig(c_safety=c_safety))
+        with pytest.raises(DomainError, match=message):
+            stable_time_steps(build_grid(), params, 0.5, c_safety=c_safety)
 
     def test_huge_level_rejected_before_building_nodes(self):
         with pytest.raises(DomainError, match="level 1000000000 grid has more nodes"):

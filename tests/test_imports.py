@@ -1,6 +1,7 @@
 """Start-up cost: `import sabrkit.cli` loads neither scipy.optimize (only
 calibration fits call it) nor scipy.sparse (only FD solves call it), and
-each subcommand loads only the one it runs.
+each subcommand loads only the one it runs (scipy.optimize brings
+scipy.sparse with it).
 
 The checks run in a fresh interpreter, since pytest's own process has
 imported scipy modules of its own by now."""
@@ -59,3 +60,10 @@ def test_closed_form_and_mc_runs_load_neither():
 def test_fd_run_loads_only_sparse():
     seen = loaded_after([("fd", ["fd", "--levels", "0"])])
     assert seen == {"import": [], "fd": ["scipy.sparse"]}
+
+
+def test_calibrate_run_loads_optimize():
+    # least_squares is imported inside fit_day; scipy.optimize brings
+    # scipy.sparse with it
+    seen = loaded_after([("calibrate", ["calibrate", "--synth-days", "1"])])
+    assert seen == {"import": [], "calibrate": ["scipy.optimize", "scipy.sparse"]}
