@@ -117,13 +117,16 @@ class _Ops(NamedTuple):
     where: Callable
     maximum: Callable
     ones_like: Callable
+    isfinite: Callable
 
 
 _MATH = _Ops(
     math.exp, math.sqrt, math.log, math.erfc,
-    lambda cond, a, b: a if cond else b, max, lambda x: 1.0,
+    lambda cond, a, b: a if cond else b, max, lambda x: 1.0, math.isfinite,
 )
-_NUMPY = _Ops(np.exp, np.sqrt, np.log, erfc, np.where, np.maximum, np.ones_like)
+_NUMPY = _Ops(
+    np.exp, np.sqrt, np.log, erfc, np.where, np.maximum, np.ones_like, np.isfinite
+)
 
 
 def _args(*xs) -> tuple[_Ops, list]:
@@ -159,6 +162,17 @@ def _require(ok, what: str, values) -> None:
     if not _all(ok):
         bad = values if isinstance(ok, bool) else values[~ok].flat[0]
         raise DomainError(f"{what}, got {bad}")
+
+
+def _require_at(ok, what: str, **inputs) -> None:
+    """DomainError naming every input's value at the first point where ok
+    fails, unless ok holds everywhere; array inputs share ok's shape."""
+    if not _all(ok):
+        if not isinstance(ok, bool):
+            i = int(np.flatnonzero(~ok)[0])
+            inputs = {k: v.flat[i] if np.ndim(v) else v for k, v in inputs.items()}
+        point = ", ".join(f"{k} = {v}" for k, v in inputs.items())
+        raise DomainError(f"{what} at {point}")
 
 
 def norm_cdf(x):

@@ -7,7 +7,17 @@ The forward price is approximated as
     F = F_BS + nu * F1 + nu^2 * F2 + O(nu^3),
 
 where F1 and F2 are Gaussian-kernel expressions of the form
-K * sum_i a_i * h_tilde(i, y) * phi_t(y, sigma). The implied volatility
+K * sum_i a_i * h_tilde(i, y) * phi_t(y, sigma). With v = sigma sqrt(t),
+h_tilde(i) = (-1/v)^i H_i(d_-) and phi_t = N'(d_-) / v, so
+
+    F2 / K = N'(d_-) / v * sum_i a2i (-1/v)^i H_i(d_-).
+
+`_kernel_sum` evaluates this sum as one ladder: the Hermite polynomials
+from the recurrence H_{i+1} = d_- H_i - i H_{i-1} and the powers of -1/v
+from repeated products. The price computes v, d_- and N'(d_-) once for
+both corrections, and the hedge ratio takes the x-derivatives from the
+same ladder shifted up one index; `h_tilde` and `phi_t` remain the
+per-term forms in `core`. The implied volatility
 carries the matching expansion sigma + nu*e1 + nu^2*e2. For kappa0 = 0 it
 is a polynomial in (y, t) with coefficients in (sigma, rho):
 
@@ -48,13 +58,11 @@ from .core import (
     OptionQuery,
     _all,
     _args,
+    _scaled_d_minus,
     c_rel,
-    d_minus,
     d_pair,
-    h_tilde,
     norm_cdf,
     norm_pdf,
-    phi_t,
 )
 
 __all__ = [
@@ -135,6 +143,14 @@ def _require_no_mean_reversion(params: SabrParams, what: str) -> None:
         raise DomainError(f"{what} is only available for kappa0 = 0")
 
 
+def _nu_squared(nu: float) -> float:
+    """nu^2, with a DomainError naming nu where it overflows a float."""
+    nu2 = nu * nu
+    if nu2 == math.inf:
+        raise DomainError(f"nu**2 overflows a float, got nu = {nu}")
+    return nu2
+
+
 def f1_coeffs(
     sigma: float, t: float, rho: float, kappa0: float, theta: float
 ) -> tuple[float, float]:
@@ -144,9 +160,13 @@ def f1_coeffs(
     return a10, a11
 
 
-def _f1_rel(m, dm, sigma, t, rho: float, kappa0: float, theta: float):
-    # F1 / K from d_-, with the float or array operations m
-    return 0.5 * t * (kappa0 * (theta - sigma) * m.sqrt(t) - rho * sigma * dm) * norm_pdf(dm)
+def _f1_rel(m, dm, pdf, sigma, t, rho: float, kappa0: float, theta: float):
+    # F1 / K from d_- and pdf = N'(d_-), with the float or array operations
+    # m; the mean-reversion term is zero at kappa0 = 0 and skipped there
+    drift = -rho * sigma * dm
+    if kappa0 != 0.0:
+        drift = kappa0 * (theta - sigma) * m.sqrt(t) + drift
+    return 0.5 * t * drift * pdf
 
 
 def f1_term(
@@ -164,36 +184,60 @@ def f1_term(
     if not (t > 0.0):
         raise DomainError("f1_term requires t > 0")
     dm = d_pair(query, sigma).d_minus
-    return query.strike * _f1_rel(_MATH, dm, sigma, t, rho, kappa0, theta)
+    return query.strike * _f1_rel(_MATH, dm, norm_pdf(dm), sigma, t, rho, kappa0, theta)
 
 
 def f2_coeffs(
     sigma: float, t: float, rho: float, kappa0: float, theta: float
 ) -> tuple[float, float, float, float, float]:
     """Kernel coefficients (a20..a24) of the second-order correction."""
-    dev = theta - sigma
-    a20 = t**2 * sigma**2 / 4 + t**3 * kappa0**2 / 6 * dev * (theta - 2 * sigma)
-    a21 = (
-        -(t**3) * sigma**4 / 6
-        + t**3 * kappa0 * rho * sigma**2 / 6 * (4 * theta - 5 * sigma)
-        - t**4 * kappa0**2 * sigma**2 / 8 * dev**2
-    )
-    a22 = (
-        t**3 * sigma**4 / 6
-        + t**3 * rho**2 * sigma**4 / 2
-        + t**4 * kappa0**2 * sigma**2 / 8 * dev**2
-        - t**4 * kappa0 * rho * sigma**4 / 4 * dev
-    )
-    a23 = t**4 * kappa0 * rho * sigma**4 / 4 * dev - t**4 * rho**2 * sigma**6 / 8
-    a24 = t**4 * rho**2 * sigma**6 / 8
+    s2, r2 = sigma * sigma, rho * rho
+    u = t * s2  # t sigma^2
+    p = t * u  # t^2 sigma^2
+    ts = p * u  # t^3 sigma^4
+    rts = r2 * ts * u  # rho^2 t^4 sigma^6
+    a20 = p / 4
+    a21 = -ts / 6
+    a22 = ts / 6 + r2 * ts / 2
+    a23 = -rts / 8
+    a24 = rts / 8
+    if kappa0 != 0.0:  # the mean-reversion terms, zero at kappa0 = 0
+        dev = theta - sigma
+        k2 = kappa0 * kappa0
+        t3 = t * t * t
+        sq = t * t3 * k2 * s2 / 8 * dev * dev  # t^4 kappa0^2 sigma^2 dev^2 / 8
+        cross = t * t3 * kappa0 * rho * s2 * s2 / 4 * dev  # t^4 kappa0 rho sigma^4 dev / 4
+        a20 = a20 + t3 * k2 / 6 * dev * (theta - 2 * sigma)
+        a21 = a21 + t3 * kappa0 * rho * s2 / 6 * (4 * theta - 5 * sigma) - sq
+        a22 = a22 + sq - cross
+        a23 = a23 + cross
     return a20, a21, a22, a23, a24
 
 
-def _f2_rel(y, sigma, t, rho: float, kappa0: float, theta: float):
-    # F2 / K: sum_i a2i h_tilde(i, y) phi_t(y)
-    coeffs = f2_coeffs(sigma, t, rho, kappa0, theta)
-    kernel = phi_t(y, sigma, t)
-    return kernel * sum(a * h_tilde(i, y, sigma, t) for i, a in enumerate(coeffs))
+def _kernel_sum(dm, v, coeffs, shift: int = 0):
+    """sum_i a_i (-1/v)^n H_n(d_-) with n = i + shift, for shift 0 or 1.
+
+    With phi_t = N'(d_-) / v, phi_t times this sum is a correction term
+    sum_i a_i h_tilde(i) phi_t over K (shift 0) or its x-derivative (shift
+    1). H_n comes from one recurrence H_{n+1} = d_- H_n - n H_{n-1} and
+    (-1/v)^n from repeated products; the same code serves float and array
+    calls.
+    """
+    w = -1.0 / v
+    power, h_prev, h = w, 1.0, dm  # (-1/v)^1, H_0, H_1
+    total = coeffs[1 - shift] * (power * h)
+    if shift == 0:
+        total = coeffs[0] + total
+    for n in range(1, len(coeffs) + shift - 1):
+        h_prev, h = h, dm * h - n * h_prev
+        power = power * w
+        total += coeffs[n + 1 - shift] * (power * h)
+    return total
+
+
+def _f2_rel(dm, v, pdf, sigma, t, rho: float, kappa0: float, theta: float):
+    # F2 / K = phi_t sum_i a2i h_tilde(i), with phi_t = N'(d_-) / v
+    return _kernel_sum(dm, v, f2_coeffs(sigma, t, rho, kappa0, theta)) * (pdf / v)
 
 
 def f2_term(
@@ -210,19 +254,24 @@ def f2_term(
     t = query.expiry
     if not (t > 0.0):
         raise DomainError("f2_term requires t > 0")
-    return query.strike * _f2_rel(query.log_moneyness, sigma, t, rho, kappa0, theta)
+    v, dm = _scaled_d_minus(_MATH, query.log_moneyness, sigma, t)
+    return query.strike * _f2_rel(dm, v, norm_pdf(dm), sigma, t, rho, kappa0, theta)
 
 
 def _sa2_rel(m, y, t, sigma, params: SabrParams):
     # (live, F_BS / K, F1 / K, F2 / K) with live = t > 0; where t = 0 the
     # corrections are evaluated at t = 1 and the callers keep F_BS alone,
-    # which c_rel makes the payoff there
+    # which c_rel makes the payoff there. v = sigma sqrt(t), d_- and N'(d_-)
+    # are computed once and serve both corrections.
     f_bs = c_rel(y, sigma, t)
     live = t > 0.0
-    t = m.where(live, t, 1.0)
-    dm = d_minus(y, sigma, t)
-    f1 = _f1_rel(m, dm, sigma, t, params.rho, params.kappa0, params.theta)
-    f2 = _f2_rel(y, sigma, t, params.rho, params.kappa0, params.theta)
+    if not _all(live):
+        t = m.where(live, t, 1.0)
+    v, dm = _scaled_d_minus(m, y, sigma, t)
+    pdf = norm_pdf(dm)
+    rho, kappa0, theta = params.rho, params.kappa0, params.theta
+    f2 = _f2_rel(dm, v, pdf, sigma, t, rho, kappa0, theta)
+    f1 = _f1_rel(m, dm, pdf, sigma, t, rho, kappa0, theta)
     return live, f_bs, f1, f2
 
 
@@ -232,6 +281,7 @@ def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
     The discounted (actual) price is e^{-rt} * total. At expiry F_BS is
     the payoff and both correction terms vanish.
     """
+    nu2 = _nu_squared(params.nu)
     live, f_bs, f1, f2 = _sa2_rel(
         _MATH, query.log_moneyness, query.expiry, params.sigma0, params
     )
@@ -239,15 +289,16 @@ def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
         f1 = f2 = 0.0
     k = query.strike
     f_bs, f1, f2 = k * f_bs, k * f1, k * f2
-    return ExpansionPrice(f_bs, f1, f2, f_bs + params.nu * f1 + params.nu**2 * f2)
+    return ExpansionPrice(f_bs, f1, f2, f_bs + params.nu * f1 + nu2 * f2)
 
 
 def price_sa2_rel(y, t, params: SabrParams, *, sigma=None):
     """Strike-normalized second-order forward price (K = 1, r = 0), from
     the log-moneyness y directly; at t = 0 the payoff (e^y - 1)^+."""
+    nu2 = _nu_squared(params.nu)
     m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
     live, f_bs, f1, f2 = _sa2_rel(m, y, t, sigma, params)
-    return m.where(live, f_bs + params.nu * f1 + params.nu**2 * f2, f_bs)
+    return m.where(live, f_bs + params.nu * f1 + nu2 * f2, f_bs)
 
 
 def _implied_coeffs(sigma, rho: float):
@@ -328,7 +379,7 @@ def _sigma_d_quote(m, mono, sigma, params: SabrParams) -> VolQuote:
     if nu == 0.0:
         coeffs = (0.0,) * 5
     else:
-        coeffs = _fold(*_implied_coeffs(sigma, params.rho), nu, nu * nu)
+        coeffs = _fold(*_implied_coeffs(sigma, params.rho), nu, _nu_squared(nu))
     raw = sigma + _poly(coeffs, mono)
     clamped = raw <= 0.0
     return VolQuote(m.where(clamped, SIGMA_FLOOR, raw), clamped)
@@ -375,21 +426,11 @@ def price_d(y, t, params: SabrParams, *, sigma=None):
     return c_rel(y, sigma_d(y, t, params, sigma=sigma).value, t)
 
 
-def _dx_correction(
-    query: OptionQuery, sigma: float, rho: float, order: int
-) -> float:
-    # x-derivative of the order-1 or order-2 correction term, obtained by
-    # shifting each h_tilde index up by one (d/du phi-products).
-    t = query.expiry
-    y = query.log_moneyness
-    if order == 1:
-        coeffs = f1_coeffs(sigma, t, rho, 0.0, 0.0)
-    else:
-        coeffs = f2_coeffs(sigma, t, rho, 0.0, 0.0)
-    kernel = phi_t(y, sigma, t)
-    return query.strike * kernel * sum(
-        a * h_tilde(i + 1, y, sigma, t) for i, a in enumerate(coeffs)
-    )
+def _dx_correction(dm, v, coeffs):
+    # x-derivative over K of the correction term with kernel coefficients
+    # coeffs: d/du (h_tilde(i) phi_t) = h_tilde(i + 1) phi_t shifts each
+    # index up by one
+    return _kernel_sum(dm, v, coeffs, 1) * (norm_pdf(dm) / v)
 
 
 def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
@@ -403,10 +444,11 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
     if not (t > 0.0):
         raise DomainError("delta_sa2 requires t > 0")
     sigma, nu, rho = params.sigma0, params.nu, params.rho
-    dp = d_pair(query, sigma).d_plus
-    base = norm_cdf(dp)
+    v, dm = _scaled_d_minus(_MATH, query.log_moneyness, sigma, t)
+    base = norm_cdf(dm + v)  # N(d_+)
     if nu == 0.0:
         return base
-    dx_b1 = _dx_correction(query, sigma, rho, 1)
-    dx_b2 = _dx_correction(query, sigma, rho, 2)
-    return base + nu * math.exp(-query.log_price) * (dx_b1 + nu * dx_b2)
+    nu2 = _nu_squared(nu)
+    dx_b1 = query.strike * _dx_correction(dm, v, f1_coeffs(sigma, t, rho, 0.0, 0.0))
+    dx_b2 = query.strike * _dx_correction(dm, v, f2_coeffs(sigma, t, rho, 0.0, 0.0))
+    return base + math.exp(-query.log_price) * (nu * dx_b1 + nu2 * dx_b2)

@@ -450,6 +450,13 @@ class ResidualRegion:
 
 REL_STEP = 1e-3
 
+# the residual's 11 stencil points as (y, sigma, t) offsets in steps:
+# t +- ht, the centre, y +- hy, sigma +- hs and the four (y, sigma) corners
+_STENCIL = np.array([
+    (0, 0, 1), (0, 0, -1), (0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
+    (0, -1, 0), (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
+], dtype=float)
+
 
 def residual_norm(
     price_fn: PriceFn, params: SabrParams, region: ResidualRegion
@@ -458,31 +465,30 @@ def residual_norm(
     square over expiry slices of the per-slice l2 norm, with all
     derivatives by central differences with relative step 1e-3.
 
-    price_fn is called 11 times, once per stencil point, each time on the
-    whole (t, sigma, y) mesh."""
+    price_fn is called once, on (y, sigma, t) arrays that broadcast to
+    (11, n_t, n_sigma, n_y): the 11 stencil points of every lattice node."""
     if region.t_range[0] < 0.1:
         raise DomainError("residual lattice requires T >= 0.1")
+    top = max(abs(x) for x in region.sigma_range)
+    if top * top == math.inf:
+        raise DomainError(f"sigma**2 overflows a float, got sigma = {top}")
     nu, rho = params.nu, params.rho
-    t, s, y = np.meshgrid(*region.lattice(), indexing="ij")
+    # open mesh: (n_t, 1, 1), (1, n_sigma, 1) and (1, 1, n_y), so the
+    # stacked inputs broadcast to the lattice without being stored at its size
+    t, s, y = np.ix_(*region.lattice())
     ht = REL_STEP * t
     hs = REL_STEP * s
     hy = REL_STEP * np.maximum(1.0, np.abs(y))
+    dy, ds, dt = (c.reshape(-1, 1, 1, 1) for c in _STENCIL.T)
+    (c_tp, c_tm, c0, cyp, cym, csp, csm, c_pp, c_pm, c_mp, c_mm) = price_fn(
+        y + dy * hy, s + ds * hs, t + dt * ht
+    )
     s2 = s * s
-    c_t = (price_fn(y, s, t + ht) - price_fn(y, s, t - ht)) / (2 * ht)
-    c0 = price_fn(y, s, t)
-    cyp = price_fn(y + hy, s, t)
-    cym = price_fn(y - hy, s, t)
-    csp = price_fn(y, s + hs, t)
-    csm = price_fn(y, s - hs, t)
+    c_t = (c_tp - c_tm) / (2 * ht)
     c_y = (cyp - cym) / (2 * hy)
     c_yy = (cyp - 2 * c0 + cym) / hy**2
     c_ss = (csp - 2 * c0 + csm) / hs**2
-    c_ys = (
-        price_fn(y + hy, s + hs, t)
-        - price_fn(y + hy, s - hs, t)
-        - price_fn(y - hy, s + hs, t)
-        + price_fn(y - hy, s - hs, t)
-    ) / (4 * hy * hs)
+    c_ys = (c_pp - c_pm - c_mp + c_mm) / (4 * hy * hs)
     lc = s2 * (0.5 * (c_yy - c_y) + nu * rho * c_ys + 0.5 * nu * nu * c_ss)
     res = c_t - lc
     return math.sqrt(float(np.sum(res * res)) / t.shape[0])

@@ -7,8 +7,10 @@ kernels in `core`; the `sigma` keyword replaces params.sigma0.
 
 from __future__ import annotations
 
-from .core import DomainError, _args, _require, c_rel
-from .expansion import SabrParams
+import numpy as np
+
+from .core import DomainError, _args, _require, _require_at, c_rel
+from .expansion import SabrParams, _nu_squared
 
 __all__ = ["xi", "z_over_xi", "sigma_h", "price_h", "Z_SWITCH"]
 
@@ -58,15 +60,23 @@ def sigma_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
         raise DomainError("sigma_h is only available for kappa0 = 0")
     m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
     _require(t >= 0.0, "t must be nonnegative", t)
+    _require(sigma > 0.0, "sigma must be positive", sigma)
     nu, rho = params.nu, params.rho
-    z = nu * y / sigma
-    if regularized:
-        backbone = z_over_xi(z, rho)
-    else:
-        _require(z != 0.0, "the raw quotient z/xi(z) needs z = nu y / sigma != 0", z)
-        backbone = z / xi(z, rho)
-    bracket = 1.0 + (0.25 * rho * nu * sigma + (2.0 - 3.0 * rho * rho) * nu * nu / 24.0) * t
-    return sigma * backbone * bracket
+    nu2 = _nu_squared(nu)
+    # numpy's overflow warnings are silenced: the checks on z^2 and on the
+    # vol catch every non-finite result and name the inputs at its point
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = nu * y / sigma
+        _require_at(m.isfinite(z * z), "z = nu y / sigma overflows z**2", nu=nu, y=y, sigma=sigma)
+        if regularized:
+            backbone = z_over_xi(z, rho)
+        else:
+            _require(z != 0.0, "the raw quotient z/xi(z) needs z = nu y / sigma != 0", z)
+            backbone = z / xi(z, rho)
+        bracket = 1.0 + (0.25 * rho * nu * sigma + (2.0 - 3.0 * rho * rho) * nu2 / 24.0) * t
+        vol = sigma * backbone * bracket
+    _require_at(m.isfinite(vol), "sigma_h overflows a float", nu=nu, y=y, t=t, sigma=sigma)
+    return vol
 
 
 def price_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):

@@ -75,6 +75,19 @@ class TestPrice:
         assert code == EXIT_DOMAIN
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "model, extra", [("sa2", []), ("h", []), ("d", []), ("kappa", ["--kappa0", "0.5"])]
+    )
+    def test_nu_squared_overflow_is_domain_error(self, capsys, model, extra):
+        code, out, err = run(
+            ["price", "--model", model, "--sigma", "0.2", "--nu", "1e300", "--rho", "-0.2",
+             "--y=0", "--t", "1", *extra],
+            capsys,
+        )
+        assert code == EXIT_DOMAIN
+        assert err == "error: nu**2 overflows a float, got nu = 1e+300\n"
+        assert out == ""
+
     def test_raw_hagan_at_the_money_is_domain_error(self, capsys):
         code, out, err = run(["price", "--model", "h_raw", "--y", "0"], capsys)
         assert code == EXIT_DOMAIN
@@ -112,6 +125,21 @@ class TestResidual:
     def test_bad_range(self, capsys):
         code, _, err = run(["residual", "--t", "1,0.1"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--nu", "1e200", "--sigma-range", "0.1,0.3"], "nu**2 overflows a float, got nu = 1e+200"),
+            (["--nu", "0.4", "--sigma-range", "0.1,1e300"], "sigma**2 overflows a float, got sigma = 1e+300"),
+        ],
+    )
+    def test_overflow_names_the_input(self, capsys, argv, message):
+        code, out, err = run(
+            ["residual", "--rho", "-0.2", "--t", "0.1,1", "--y=-0.5,0.5", *argv], capsys
+        )
+        assert code == EXIT_DOMAIN
+        assert err == f"error: {message}\n"
+        assert out == ""
 
 
 class TestFd:

@@ -81,6 +81,34 @@ def reference_march(params, T, config):
     return w
 
 
+
+def reference_residual(price_fn, params, region):
+    """residual_norm with one price_fn call per stencil point, on the whole
+    (t, sigma, y) mesh each time: the loop the stacked call replaced."""
+    nu, rho = params.nu, params.rho
+    t, s, y = np.meshgrid(*region.lattice(), indexing="ij")
+    ht = fd.REL_STEP * t
+    hs = fd.REL_STEP * s
+    hy = fd.REL_STEP * np.maximum(1.0, np.abs(y))
+    c_t = (price_fn(y, s, t + ht) - price_fn(y, s, t - ht)) / (2 * ht)
+    c0 = price_fn(y, s, t)
+    cyp = price_fn(y + hy, s, t)
+    cym = price_fn(y - hy, s, t)
+    csp = price_fn(y, s + hs, t)
+    csm = price_fn(y, s - hs, t)
+    c_y = (cyp - cym) / (2 * hy)
+    c_yy = (cyp - 2 * c0 + cym) / hy**2
+    c_ss = (csp - 2 * c0 + csm) / hs**2
+    c_ys = (
+        price_fn(y + hy, s + hs, t)
+        - price_fn(y + hy, s - hs, t)
+        - price_fn(y - hy, s + hs, t)
+        + price_fn(y - hy, s - hs, t)
+    ) / (4 * hy * hs)
+    lc = s * s * (0.5 * (c_yy - c_y) + nu * rho * c_ys + 0.5 * nu * nu * c_ss)
+    res = c_t - lc
+    return math.sqrt(float(np.sum(res * res)) / t.shape[0])
+
 class TestGrid:
     def test_node_counts(self):
         for level in (0, 1, 2):
@@ -311,6 +339,39 @@ class TestResidual:
         params = SabrParams(sigma0=0.2, nu=1.0, rho=-0.4)
         with pytest.raises(DomainError):
             residual_norm(price_fn_for_model("bs", params), params, region)
+
+    @pytest.mark.parametrize("preset", sorted(RESIDUAL_PRESETS))
+    @pytest.mark.parametrize("model", ["h", "d", "sa2", "bs"])
+    def test_stacked_call_matches_one_call_per_point(self, preset, model):
+        p = RESIDUAL_PRESETS[preset]
+        region = ResidualRegion(
+            t_range=p["t_range"], sigma_range=p["sigma_range"], y_range=p["y_range"]
+        )
+        params = SabrParams(sigma0=p["sigma_range"][0], nu=p["nu"], rho=p["rho"])
+        fn = price_fn_for_model(model, params)
+        assert residual_norm(fn, params, region) == pytest.approx(
+            reference_residual(fn, params, region), rel=1e-12, abs=0.0
+        )
+
+    def test_one_price_call_per_residual(self):
+        params = SabrParams(sigma0=0.2, nu=0.3, rho=-0.4)
+        fn = price_fn_for_model("sa2", params)
+        shapes = []
+
+        def counting(y, s, t):
+            shapes.append(np.broadcast_shapes(np.shape(y), np.shape(s), np.shape(t)))
+            return fn(y, s, t)
+
+        r = residual_norm(counting, params, self.SMALL)
+        assert shapes == [(11, 3, 3, 5)]
+        assert r == pytest.approx(reference_residual(fn, params, self.SMALL), rel=1e-12)
+
+    def test_sigma_squared_overflow_names_sigma(self):
+        region = ResidualRegion(sigma_range=(0.1, 1e300))
+        params = SabrParams(sigma0=0.1, nu=0.4, rho=-0.2)
+        fn = price_fn_for_model("h", params)
+        with pytest.raises(DomainError, match=r"^sigma\*\*2 overflows a float, got sigma = 1e\+300$"):
+            residual_norm(fn, params, region)
 
 
 class TestTimeStepBound:

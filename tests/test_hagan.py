@@ -127,3 +127,36 @@ class TestRawQuotient:
         bracket = 1.0 + (0.25 * -0.4 * 0.5 * 0.2 + (2.0 - 3.0 * 0.16) * 0.25 / 24.0)
         assert sigma_h(0.0, 1.0, self.P) == pytest.approx(0.2 * bracket, rel=1e-15)
         assert np.isfinite(sigma_h(np.array([-0.1, 0.0, 0.1]), 1.0, self.P)).all()
+
+
+class TestOverflow:
+    # an overflow names the inputs behind it; without the checks the NaN it
+    # leaves surfaced as "sigma must be nonnegative, got nan" after numpy
+    # RuntimeWarnings, which the suite's warning filter turns into failures
+
+    def test_nu_squared(self):
+        p = SabrParams(sigma0=0.2, nu=1e300, rho=-0.2)
+        with pytest.raises(DomainError, match=r"^nu\*\*2 overflows a float, got nu = 1e\+300$"):
+            price_h(0.1, 1.0, p)
+        with pytest.raises(DomainError, match=r"^nu\*\*2 overflows"):
+            sigma_h(np.array([-0.1, 0.1]), 1.0, p)
+
+    @pytest.mark.parametrize("y", [0.5, np.array([0.0, 0.5])])
+    def test_z_squared(self, y):
+        p = SabrParams(sigma0=0.1, nu=1e154, rho=-0.2)
+        message = r"^z = nu y / sigma overflows z\*\*2 at nu = 1e\+154, y = 0.5, sigma = 0.1$"
+        with pytest.raises(DomainError, match=message):
+            sigma_h(y, 1.0, p)
+
+    def test_zero_sigma_is_not_an_overflow(self):
+        p = SabrParams(sigma0=0.2, nu=0.5, rho=-0.2)
+        with pytest.raises(DomainError, match="^sigma must be positive, got 0.0$"):
+            sigma_h(np.array([0.0, 0.1]), 1.0, p, sigma=np.array([0.0, 0.2]))
+
+    @pytest.mark.parametrize("t", [1.0, np.array([0.0, 1.0])])
+    def test_vol(self, t):
+        p = SabrParams(sigma0=0.1, nu=1e150, rho=-0.2)
+        message = r"^sigma_h overflows a float at nu = 1e\+150, y = 0.5, t = 1.0, sigma = 0.1$"
+        with pytest.raises(DomainError, match=message):
+            sigma_h(0.5, t, p)
+
