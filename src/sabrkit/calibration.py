@@ -56,7 +56,7 @@ _OBJECTIVE_MODEL = {
     "log_price_d": "d",
     "log_price_h": "h",
     "log_price_sa2": "sa2",
-    "price_kappa": "sa2",  # the sa2 price with the fit's kappa0 and theta
+    "price_kappa": "sa2",  # price_sa2, named for fits with kappa0 > 0
 }
 OBJECTIVES = tuple(_OBJECTIVE_MODEL)
 
@@ -245,13 +245,9 @@ def objective_value(
     return value
 
 
-def _make_params(
-    x: np.ndarray, objective: str, kappa0: float, theta: float
-) -> SabrParams:
+def _make_params(x: np.ndarray, kappa0: float, theta: float) -> SabrParams:
     nu, sigma, rho = float(x[0]), float(x[1]), float(x[2])
-    if objective == "price_kappa":
-        return SabrParams(sigma0=sigma, nu=nu, rho=rho, kappa0=kappa0, theta=theta)
-    return SabrParams(sigma0=sigma, nu=nu, rho=rho)
+    return SabrParams(sigma0=sigma, nu=nu, rho=rho, kappa0=kappa0, theta=theta)
 
 
 class _NoFiniteStart(Exception):
@@ -289,6 +285,10 @@ def fit_day(
     differences. Each restart starts where the previous run stopped.
 
     init is (nu, sigma, rho); ISE is the RMS of the fitted objective.
+    kappa0 and theta are fixed in the model of every objective; the d and h
+    models have no mean reversion, so a nonzero kappa0 with their
+    objectives raises DomainError before the fit starts, as does a
+    negative or non-finite kappa0 or theta.
     max_iter caps the residual evaluations of each run, finite-difference
     probes not counted. A run that hits the cap, or whose start point has
     no usable quote or parameters the model rejects, ends the fit with
@@ -298,7 +298,13 @@ def fit_day(
     # subcommand about 0.25 s and 20 MB at start-up
     from scipy.optimize import least_squares
 
-    _model_name(objective)  # an unknown objective is an error, not a failed fit
+    # an unknown objective, or a kappa0 or theta its model rejects, is an
+    # error, not a failed fit
+    if _model_name(objective) in ("d", "h") and kappa0 != 0.0:
+        raise DomainError(
+            f"objective {objective!r} is only available for kappa0 = 0, got kappa0 = {kappa0}"
+        )
+    SabrParams(sigma0=1.0, nu=0.0, rho=0.0, kappa0=kappa0, theta=theta)  # validates both
     if not (max_iter >= 1):
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     lower = np.array([bounds.nu[0], bounds.sigma[0], bounds.rho[0]])
@@ -314,7 +320,7 @@ def fit_day(
         nonlocal nfev, last
         nfev += 1
         try:
-            params = _make_params(x, objective, kappa0, theta)
+            params = _make_params(x, kappa0, theta)
             diff, clamped = _residuals(quotes, params, objective)
         except DomainError:
             diff = np.full(n_quotes, np.nan)
@@ -360,7 +366,7 @@ def fit_day(
         converged = bool(res.success)
     try:
         value, skipped = _objective_details(
-            quotes, _make_params(x, objective, kappa0, theta), objective
+            quotes, _make_params(x, kappa0, theta), objective
         )
     except DomainError:
         value, skipped = float("inf"), n_quotes
@@ -453,7 +459,6 @@ def calibrate_panel(
         if prev is not None:
             prev_params = _make_params(
                 np.array(prev.params),
-                objective,
                 fit_kwargs.get("kappa0", 0.0),
                 fit_kwargs.get("theta", 0.0),
             )

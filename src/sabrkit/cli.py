@@ -89,6 +89,23 @@ MC_PRESETS = {
     "mc-paper": dict(spot=10.0, sigma=0.2, nu=0.2, rho=-0.3, t=1.0),
 }
 
+_PRESETS = {"residual": RESIDUAL_PRESETS, "fd": FD_PRESETS, "mc": MC_PRESETS}
+# preset keys that set a flag of another name; residual's scale sets none
+_PRESET_FLAG = {"t": "expiry", "t_range": "t", "y_range": "y", "scale": None}
+# calibrate's synthetic-panel flags, which a --quotes run does not read
+_SYNTH_FLAGS = ("sigma", "nu", "rho", "seed", "synth_days", "noise")
+
+# the model and run flags as name -> (type, default, help); each subcommand
+# declares only the ones its command reads
+_FLAGS = {
+    "sigma": (float, 0.2, "initial volatility"),
+    "nu": (float, 0.125, "vol-of-vol"),
+    "rho": (float, -0.4, "correlation"),
+    "kappa0": (float, 0.0, "mean-reversion scale"),
+    "theta": (float, 0.0, "mean-reversion level"),
+    "seed": (int, 0, "random seed"),
+}
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -128,14 +145,48 @@ def _require_finite(values: list[float], name: str) -> None:
             raise CliError(f"--{name}: values must be finite, got {v}", EXIT_USAGE)
 
 
-def _params_from_args(args) -> SabrParams:
-    return SabrParams(
-        sigma0=args.sigma,
-        nu=args.nu,
-        rho=args.rho,
-        kappa0=args.kappa0,
-        theta=args.theta,
-    )
+class _Given(argparse.Action):
+    """The store action, which also records the flag's dest in args.given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
+def _resolve(args) -> set[str]:
+    """Write the run's preset into args; return the flags the run ignores.
+
+    A flag given on the command line that the resolved run does not read
+    is a usage error naming it: a value the preset sets, a synthetic-panel
+    flag with --quotes, or --sigma-prev without it."""
+    why = {}
+    presets = _PRESETS.get(args.subcommand)
+    if presets is not None and args.preset is not None:
+        if args.preset not in presets:
+            raise CliError(
+                f"--preset: unknown preset {args.preset!r}; choose from "
+                f"{', '.join(sorted(presets))}",
+                EXIT_USAGE,
+            )
+        for key, value in presets[args.preset].items():
+            dest = _PRESET_FLAG.get(key, key)
+            if dest is not None:
+                why[dest] = f"--preset {args.preset} sets it"
+                if isinstance(value, tuple):  # a range, written as its flag takes it
+                    value = ",".join(map(str, value))
+                setattr(args, dest, value)
+    ignored = set()
+    if args.subcommand == "calibrate":
+        ignored = set(_SYNTH_FLAGS) if args.quotes else {"sigma_prev"}
+        reason = "--quotes replaces the synthetic panel" if args.quotes else "it needs --quotes"
+        why.update(dict.fromkeys(ignored, reason))
+    clash = sorted(args.given & why.keys())
+    if clash:
+        raise CliError(
+            "; ".join(f"--{d.replace('_', '-')}: not read, {why[d]}" for d in clash),
+            EXIT_USAGE,
+        )
+    return ignored
 
 
 def _emit(rows: list[list], header: list[str], args) -> None:
@@ -178,25 +229,21 @@ def _model_list(raw: str) -> list[str]:
 
 def cmd_price(args) -> int:
     models = _model_list(args.model)
-    params = _params_from_args(args)
+    params = SabrParams(
+        sigma0=args.sigma, nu=args.nu, rho=args.rho, kappa0=args.kappa0, theta=args.theta
+    )
     ys = _parse_values(args.y, "y")
     ts = _parse_values(args.t, "t")
     header = ["y", "t"]
     for m in models:
         header += [f"price_{m}", f"vol_{m}"]
-    try:
-        fns = [(price_fn_for_model(m, params), vol_fn_for_model(m, params)) for m in models]
-    except DomainError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN) from exc
+    fns = [(price_fn_for_model(m, params), vol_fn_for_model(m, params)) for m in models]
     rows = []
     for t in ts:
         for y in ys:
             row: list = [y, t]
             for price_fn, vol_fn in fns:
-                try:
-                    price = price_fn(y, params.sigma0, t)
-                except DomainError as exc:
-                    raise CliError(str(exc), EXIT_DOMAIN) from exc
+                price = price_fn(y, params.sigma0, t)
                 try:
                     vol = vol_fn(y, t)
                 except DomainError:
@@ -208,60 +255,32 @@ def cmd_price(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    if args.preset:
-        if args.preset not in RESIDUAL_PRESETS:
-            raise CliError(
-                f"--preset: unknown preset {args.preset!r}; choose from "
-                f"{', '.join(sorted(RESIDUAL_PRESETS))}",
-                EXIT_USAGE,
-            )
-        p = RESIDUAL_PRESETS[args.preset]
-        nu, rho, scale = p["nu"], p["rho"], p["scale"]
-        t_range, sigma_range, y_range = p["t_range"], p["sigma_range"], p["y_range"]
-    else:
-        nu, rho, scale = args.nu, args.rho, 1e3
-        t_range = tuple(_parse_values(args.t, "t"))
-        sigma_range = tuple(_parse_values(args.sigma_range, "sigma-range"))
-        y_range = tuple(_parse_values(args.y, "y"))
-        for name, rng in (("t", t_range), ("sigma-range", sigma_range), ("y", y_range)):
-            if len(rng) != 2 or rng[0] >= rng[1]:
-                raise CliError(f"--{name}: need a nonempty range lo,hi", EXIT_USAGE)
+    scale = RESIDUAL_PRESETS[args.preset]["scale"] if args.preset else 1e3
+    t_range = tuple(_parse_values(args.t, "t"))
+    sigma_range = tuple(_parse_values(args.sigma_range, "sigma-range"))
+    y_range = tuple(_parse_values(args.y, "y"))
+    for name, rng in (("t", t_range), ("sigma-range", sigma_range), ("y", y_range)):
+        if len(rng) != 2 or rng[0] >= rng[1]:
+            raise CliError(f"--{name}: need a nonempty range lo,hi", EXIT_USAGE)
     region = ResidualRegion(t_range=t_range, sigma_range=sigma_range, y_range=y_range)
-    params = SabrParams(sigma0=sigma_range[0], nu=nu, rho=rho)
+    params = SabrParams(sigma0=sigma_range[0], nu=args.nu, rho=args.rho)
     label = f"{scale:.0e}R"
     rows = []
     for model in ("h", "d", "sa2", "bs"):
-        try:
-            fn = price_fn_for_model(model, params)
-            r = residual_norm(fn, params, region)
-        except DomainError as exc:
-            raise CliError(str(exc), EXIT_DOMAIN) from exc
+        r = residual_norm(price_fn_for_model(model, params), params, region)
         rows.append([model, scale * r])
     _emit(rows, ["model", label], args)
     return EXIT_OK
 
 
 def cmd_fd(args) -> int:
-    if args.preset:
-        if args.preset not in FD_PRESETS:
-            raise CliError(
-                f"--preset: unknown preset {args.preset!r}; choose from "
-                f"{', '.join(sorted(FD_PRESETS))}",
-                EXIT_USAGE,
-            )
-        p = FD_PRESETS[args.preset]
-        t, nu, rho = p["t"], p["nu"], p["rho"]
-    else:
-        t, nu, rho = args.expiry, args.nu, args.rho
-    params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
     config = FdConfig()
+    params = SabrParams(sigma0=config.sigma_center, nu=args.nu, rho=args.rho)
     try:
-        solutions = solve_sequence(params, t, config, max_level=args.levels)
+        solutions = solve_sequence(params, args.expiry, config, max_level=args.levels)
     except FdInstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except DomainError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN) from exc
     ratios = richardson_ratios(solutions)
     header = [
         "level", "100*l2_h", "100*linf_h", "100*log_l2_h",
@@ -270,12 +289,9 @@ def cmd_fd(args) -> int:
     ]
     rows = []
     for k, sol in enumerate(solutions):
-        try:
-            rep_h = compare(sol, price_fn_for_model("h", params))
-            rep_sa2 = compare(sol, price_fn_for_model("sa2", params))
-            rep_bs = compare(sol, price_fn_for_model("bs", params))
-        except DomainError as exc:
-            raise CliError(str(exc), EXIT_DOMAIN) from exc
+        rep_h = compare(sol, price_fn_for_model("h", params))
+        rep_sa2 = compare(sol, price_fn_for_model("sa2", params))
+        rep_bs = compare(sol, price_fn_for_model("bs", params))
         ratio = ratios[k - 2] if k >= 2 else float("nan")
         rows.append([
             k, 100 * rep_h.l2, 100 * rep_h.linf, 100 * rep_h.log_l2,
@@ -283,43 +299,28 @@ def cmd_fd(args) -> int:
             100 * rep_bs.l2, ratio, sol.est_error,
         ])
     if args.cutoff:
-        sens = cutoff_sensitivity(params, t, config)
+        sens = cutoff_sensitivity(params, args.expiry, config)
         rows.append(["cutoff", 100 * sens, *[float("nan")] * 8])
     _emit(rows, header, args)
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
-    if args.preset:
-        if args.preset not in MC_PRESETS:
-            raise CliError(
-                f"--preset: unknown preset {args.preset!r}; choose from "
-                f"{', '.join(sorted(MC_PRESETS))}",
-                EXIT_USAGE,
-            )
-        p = MC_PRESETS[args.preset]
-        spot, sigma, nu, rho, t = p["spot"], p["sigma"], p["nu"], p["rho"], p["t"]
-    else:
-        spot, sigma, nu, rho, t = args.spot, args.sigma, args.nu, args.rho, args.expiry
-    params = SabrParams(sigma0=sigma, nu=nu, rho=rho)
+    spot, sigma, t = args.spot, args.sigma, args.expiry
+    params = SabrParams(sigma0=sigma, nu=args.nu, rho=args.rho)
     strikes = _parse_values(args.strikes, "strikes") if args.strikes else [spot]
     if not strikes:
         raise CliError("--strikes: at least one strike required", EXIT_USAGE)
     config = McConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
-    try:
-        queries = [
-            OptionQuery(spot=spot, strike=k, rate=args.rate, expiry=t) for k in strikes
-        ]
-        mc_prices = simulate_prices(queries, params, config)
-        ys = np.array([q.log_moneyness for q in queries])
-        # closed forms are relative prices: scale by the discounted strike
-        scale = math.exp(-args.rate * t) * np.array(strikes)
-        closed = [
-            (scale * price_fn_for_model(m, params)(ys, sigma, t)).tolist()
-            for m in ("h", "d", "sa2")
-        ]
-    except DomainError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN) from exc
+    queries = [OptionQuery(spot=spot, strike=k, rate=args.rate, expiry=t) for k in strikes]
+    mc_prices = simulate_prices(queries, params, config)
+    ys = np.array([q.log_moneyness for q in queries])
+    # closed forms are relative prices: scale by the discounted strike
+    scale = math.exp(-args.rate * t) * np.array(strikes)
+    closed = [
+        (scale * price_fn_for_model(m, params)(ys, sigma, t)).tolist()
+        for m in ("h", "d", "sa2")
+    ]
     rows = [
         [strike, y, c_mc, se, c_h, c_d, c_sa2, c_h - c_mc, c_d - c_mc]
         for strike, y, (c_mc, se), c_h, c_d, c_sa2 in zip(
@@ -332,24 +333,20 @@ def cmd_mc(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        if args.quotes:
-            days = cal.read_quotes_csv(args.quotes)
-            sigma_prev0 = args.sigma_prev
-        else:
-            gen = SabrParams(sigma0=args.sigma, nu=args.nu, rho=args.rho)
-            days = cal.synth_panel(
-                gen, n_days=args.synth_days, noise_level=args.noise, seed=args.seed
-            )
-            sigma_prev0 = None
-        init = tuple(_parse_values(args.init, "init"))
-        if len(init) != 3:
-            raise CliError("--init: need nu,sigma,rho", EXIT_USAGE)
-        results = cal.calibrate_panel(
-            days, init, args.objective, sigma_prev0=sigma_prev0
+    if args.quotes:
+        days = cal.read_quotes_csv(args.quotes)
+    else:
+        gen = SabrParams(sigma0=args.sigma, nu=args.nu, rho=args.rho)
+        days = cal.synth_panel(
+            gen, n_days=args.synth_days, noise_level=args.noise, seed=args.seed
         )
-    except DomainError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN) from exc
+    init = tuple(_parse_values(args.init, "init"))
+    if len(init) != 3:
+        raise CliError("--init: need nu,sigma,rho", EXIT_USAGE)
+    results = cal.calibrate_panel(
+        days, init, args.objective, sigma_prev0=args.sigma_prev,
+        kappa0=args.kappa0, theta=args.theta,
+    )
     if args.out:
         cal.write_results_csv(args.out, results)
     else:
@@ -377,13 +374,14 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma", type=float, default=0.2, help="initial volatility")
-    p.add_argument("--nu", type=float, default=0.125, help="vol-of-vol")
-    p.add_argument("--rho", type=float, default=-0.4, help="correlation")
-    p.add_argument("--kappa0", type=float, default=0.0, help="mean-reversion scale")
-    p.add_argument("--theta", type=float, default=0.0, help="mean-reversion level")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+def _add_parser(sub, name: str, func, text: str, *flags: str) -> argparse.ArgumentParser:
+    """A subcommand with the given model and run flags and the output flags."""
+    # no abbreviations: residual's --sigma would otherwise be read as --sigma-range
+    p = sub.add_parser(name, help=text, allow_abbrev=False)
+    p.register("action", None, _Given)  # every store flag records that it was given
+    for flag in flags:
+        kind, default, help_text = _FLAGS[flag]
+        p.add_argument(f"--{flag}", type=kind, default=default, help=help_text)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument(
         "--format", choices=("csv", "tsv", "pretty"), default="pretty",
@@ -393,6 +391,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--print-config", action="store_true",
         help="print the resolved configuration and exit",
     )
+    p.set_defaults(func=func, given=frozenset())
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,35 +402,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("price", help="price table over a (y, t) lattice")
-    _add_common(p)
+    p = _add_parser(sub, "price", cmd_price, "price table over a (y, t) lattice",
+                    "sigma", "nu", "rho", "kappa0", "theta")
     p.add_argument("--model", default="sa2", help="comma list of models: "
                    + ", ".join(MODEL_NAMES))
     p.add_argument("--y", default="0", help="log-moneyness values (list or a:b:n)")
     p.add_argument("--t", default="1", help="expiries (list or a:b:n)")
-    p.set_defaults(func=cmd_price)
 
-    p = sub.add_parser("residual", help="PDE residual norms per model")
-    _add_common(p)
+    p = _add_parser(sub, "residual", cmd_residual, "PDE residual norms per model",
+                    "nu", "rho")
     p.add_argument("--preset", default=None, help="named region preset "
                    "(table4, table5-row1..6)")
     p.add_argument("--y", default="-0.5,0.5", help="log-moneyness range lo,hi")
     p.add_argument("--t", default="0.1,1", help="expiry range lo,hi")
     p.add_argument("--sigma-range", default="0.1,0.3", help="sigma range lo,hi")
-    p.set_defaults(func=cmd_residual)
 
-    p = sub.add_parser("fd", help="finite-difference benchmark vs closed forms")
-    _add_common(p)
+    p = _add_parser(sub, "fd", cmd_fd, "finite-difference benchmark vs closed forms",
+                    "nu", "rho")
     p.add_argument("--preset", default=None, help="named row preset "
                    "(fd1-row1..7, fd2-row1..3)")
     p.add_argument("--expiry", type=float, default=0.5, help="maturity T")
     p.add_argument("--levels", type=int, default=1, help="max refinement level")
     p.add_argument("--cutoff", action="store_true",
                    help="append a cut-off sensitivity row")
-    p.set_defaults(func=cmd_fd)
 
-    p = sub.add_parser("mc", help="Monte Carlo benchmark across strikes")
-    _add_common(p)
+    p = _add_parser(sub, "mc", cmd_mc, "Monte Carlo benchmark across strikes",
+                    "sigma", "nu", "rho", "seed")
     p.add_argument("--preset", default=None, help="named preset (mc-paper)")
     p.add_argument("--spot", type=float, default=10.0)
     p.add_argument("--rate", type=float, default=0.0)
@@ -438,35 +435,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strikes", default=None, help="strike values (list or a:b:n)")
     p.add_argument("--paths", type=int, default=30000)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("calibrate", help="fit (nu, sigma, rho) to a quote panel")
-    _add_common(p)
+    p = _add_parser(sub, "calibrate", cmd_calibrate, "fit (nu, sigma, rho) to a quote panel",
+                    *_FLAGS)
     p.add_argument("--quotes", default=None, help="quote CSV "
                    "(day,type,expiry_months,delta,implied_vol)")
     p.add_argument("--objective", default="sigma_d", choices=cal.OBJECTIVES)
     p.add_argument("--init", default="0.5,0.2,-0.3", help="start nu,sigma,rho")
     p.add_argument("--sigma-prev", type=float, default=None,
-                   help="day-0 sigma for delta-to-moneyness conversion")
+                   help="day-0 sigma for delta-to-moneyness conversion (needs --quotes)")
     p.add_argument("--synth-days", type=int, default=5,
                    help="synthetic panel length when no --quotes given")
     p.add_argument("--noise", type=float, default=0.0,
                    help="synthetic quote noise (vol points)")
-    p.set_defaults(func=cmd_calibrate)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.print_config:
-        skip = {"func", "print_config", "subcommand"}
-        for key in sorted(vars(args)):
-            if key not in skip:
-                print(f"{key}={getattr(args, key)}")
-        return EXIT_OK
+    args = build_parser().parse_args(argv)
     try:
+        ignored = _resolve(args)
+        if args.print_config:
+            skip = {"func", "given", "print_config", "subcommand", *ignored}
+            for key in sorted(vars(args).keys() - skip):
+                print(f"{key}={getattr(args, key)}")
+            return EXIT_OK
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

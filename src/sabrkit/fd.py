@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, c_rel
+from .core import DomainError, _require_at, c_rel
 from .expansion import SabrParams
 
 __all__ = [
@@ -63,7 +63,6 @@ class FdConfig:
     sigma_max: float = 1.6803
     nx0: int = 13
     nsigma0: int = 19
-    nt0: int | None = None
     level: int = 0
     c_safety: float = 0.9
     window_x: tuple[float, float] = (-1.0, 1.0)
@@ -111,12 +110,11 @@ def build_grid(
     sigma_max: float = 1.6803,
     nx0: int = 13,
     nsigma0: int = 19,
-    nt0: int | None = None,
     level: int = 0,
 ) -> FdGrid:
     """Level-k mesh: each refinement halves both mesh widths (arithmetic
-    midpoints in x, geometric midpoints in sigma) and multiplies the
-    number of time steps by 4."""
+    midpoints in x, geometric midpoints in sigma). Its n_time_steps is 0:
+    solve takes the step count from stable_time_steps."""
     if not (x_max > 0.0):
         raise DomainError(f"x_max must be positive, got {x_max}")
     if not (0.0 < sigma_center < sigma_max):
@@ -136,8 +134,7 @@ def build_grid(
     sigma_min = sigma_center**2 / sigma_max
     x = np.linspace(-x_max, x_max, nx)
     s = np.geomspace(sigma_min, sigma_max, ns)
-    nt = nt0 * 4**level if nt0 is not None else 0
-    return FdGrid(x_nodes=x, sigma_nodes=s, level=level, n_time_steps=nt)
+    return FdGrid(x_nodes=x, sigma_nodes=s, level=level, n_time_steps=0)
 
 
 def _sigma_ratio(config: FdConfig) -> float:
@@ -257,10 +254,9 @@ def _level_grid(params: SabrParams, T: float, config: FdConfig) -> FdGrid:
         config.sigma_max,
         config.nx0,
         config.nsigma0,
-        config.nt0,
         config.level,
     )
-    nt = max(grid.n_time_steps, stable_time_steps(grid, params, T, config.c_safety))
+    nt = stable_time_steps(grid, params, T, config.c_safety)
     nodes = grid.x_nodes.size * grid.sigma_nodes.size
     if nodes * nt > _MAX_NODE_STEPS:
         raise DomainError(
@@ -466,7 +462,9 @@ def residual_norm(
     derivatives by central differences with relative step 1e-3.
 
     price_fn is called once, on (y, sigma, t) arrays that broadcast to
-    (11, n_t, n_sigma, n_y): the 11 stencil points of every lattice node."""
+    (11, n_t, n_sigma, n_y): the 11 stencil points of every lattice node.
+    A model that overflows there gives a non-finite residual, which raises
+    DomainError naming the first lattice node it reaches."""
     if region.t_range[0] < 0.1:
         raise DomainError("residual lattice requires T >= 0.1")
     top = max(abs(x) for x in region.sigma_range)
@@ -480,15 +478,24 @@ def residual_norm(
     hs = REL_STEP * s
     hy = REL_STEP * np.maximum(1.0, np.abs(y))
     dy, ds, dt = (c.reshape(-1, 1, 1, 1) for c in _STENCIL.T)
-    (c_tp, c_tm, c0, cyp, cym, csp, csm, c_pp, c_pm, c_mp, c_mm) = price_fn(
-        y + dy * hy, s + ds * hs, t + dt * ht
-    )
-    s2 = s * s
-    c_t = (c_tp - c_tm) / (2 * ht)
-    c_y = (cyp - cym) / (2 * hy)
-    c_yy = (cyp - 2 * c0 + cym) / hy**2
-    c_ss = (csp - 2 * c0 + csm) / hs**2
-    c_ys = (c_pp - c_pm - c_mp + c_mm) / (4 * hy * hs)
-    lc = s2 * (0.5 * (c_yy - c_y) + nu * rho * c_ys + 0.5 * nu * nu * c_ss)
-    res = c_t - lc
-    return math.sqrt(float(np.sum(res * res)) / t.shape[0])
+    # numpy's overflow warnings are silenced: the finiteness check below
+    # catches every non-finite result and names its node
+    with np.errstate(all="ignore"):
+        (c_tp, c_tm, c0, cyp, cym, csp, csm, c_pp, c_pm, c_mp, c_mm) = price_fn(
+            y + dy * hy, s + ds * hs, t + dt * ht
+        )
+        s2 = s * s
+        c_t = (c_tp - c_tm) / (2 * ht)
+        c_y = (cyp - cym) / (2 * hy)
+        c_yy = (cyp - 2 * c0 + cym) / hy**2
+        c_ss = (csp - 2 * c0 + csm) / hs**2
+        c_ys = (c_pp - c_pm - c_mp + c_mm) / (4 * hy * hs)
+        lc = s2 * (0.5 * (c_yy - c_y) + nu * rho * c_ys + 0.5 * nu * nu * c_ss)
+        res = c_t - lc
+        square = res * res
+        total = float(np.sum(square))
+    node = {k: np.broadcast_to(v, square.shape) for k, v in (("y", y), ("sigma", s), ("t", t))}
+    _require_at(np.isfinite(square), "the PDE residual squared is not finite", **node)
+    if not math.isfinite(total):
+        raise DomainError("the PDE residual norm overflows a float")
+    return math.sqrt(total / t.shape[0])

@@ -80,5 +80,14 @@ def sigma_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
 
 
 def price_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
-    """Relative call price through the Hagan vol: c_rel(y, sigma_h, t)."""
-    return c_rel(y, sigma_h(y, t, params, regularized=regularized, sigma=sigma), t)
+    """Relative call price through the Hagan vol: c_rel(y, sigma_h, t).
+
+    The bracket of sigma_h turns negative at large rho nu sigma t; such a
+    vol is no Black-Scholes vol, and DomainError names it and its point."""
+    # broadcast, so that the error can name the point
+    _, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    vol = sigma_h(y, t, params, regularized=regularized, sigma=sigma)
+    _require_at(
+        vol >= 0.0, "the Hagan vol is negative", vol=vol, nu=params.nu, y=y, t=t, sigma=sigma
+    )
+    return c_rel(y, vol, t)

@@ -266,16 +266,57 @@ class TestFitDay:
         assert res.n_skipped == 0
 
     def test_start_the_model_rejects_is_not_converged(self):
-        # the Hagan vol is negative here, so c_rel raises DomainError
+        # the Hagan vol is negative here, so price_h raises DomainError
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
         start = (5.0, 0.05, 0.99)
-        with pytest.raises(DomainError, match="sigma must be nonnegative"):
+        with pytest.raises(DomainError, match="the Hagan vol is negative at vol = -"):
             objective_value(day, SabrParams(0.05, 5.0, 0.99), "price_h")
         res = fit_day(day, start, "price_h")
         assert not res.converged
         assert res.params == start
         assert res.ise == math.inf and res.n_skipped == len(day.quotes)
         assert res.nfev == 1
+
+    @pytest.mark.parametrize(
+        "objective", [o for o in OBJECTIVES if calibration._OBJECTIVE_MODEL[o] in ("d", "h")]
+    )
+    def test_kappa0_without_mean_reversion_raises_before_the_fit(self, monkeypatch, objective):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("started a fit")
+
+        monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
+        day = synth_panel(TRUE, 1)[0]
+        with pytest.raises(DomainError, match="only available for kappa0 = 0, got kappa0 = 0.5"):
+            fit_day(day, (1.0, 0.25, -0.3), objective, kappa0=0.5)
+        with pytest.raises(DomainError, match="only available for kappa0 = 0"):
+            calibrate_panel([day], (1.0, 0.25, -0.3), objective, kappa0=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(kappa0=-1.0), "kappa0 must be nonnegative, got -1.0"),
+            (dict(kappa0=1.0, theta=-0.1), "theta must be nonnegative, got -0.1"),
+            (dict(theta=math.nan), "theta must be finite, got nan"),
+        ],
+    )
+    def test_bad_kappa0_or_theta_raises_before_the_fit(self, monkeypatch, kwargs, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("started a fit")
+
+        monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
+        day = synth_panel(TRUE, 1)[0]
+        with pytest.raises(DomainError, match=message):
+            fit_day(day, (1.0, 0.25, -0.3), "price_kappa", **kwargs)
+
+    @pytest.mark.parametrize("objective", ["price_sa2", "log_price_sa2"])
+    def test_kappa0_and_theta_reach_every_sa2_objective(self, objective):
+        day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
+        start = (1.0, 0.25, -0.3)
+        res = fit_day(day, start, objective, kappa0=1.0, theta=0.2)
+        assert res.params != fit_day(day, start, objective).params
+        if objective == "price_sa2":
+            kappa = fit_day(day, start, "price_kappa", kappa0=1.0, theta=0.2)
+            assert (res.params, res.ise) == (kappa.params, kappa.ise)
 
     def test_start_with_no_usable_quote_is_not_converged(self):
         # sigma_d is clamped to its floor at the start, so the out-of-the-

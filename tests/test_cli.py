@@ -14,6 +14,7 @@ from sabrkit import (
     price_sa2_rel,
     sigma_d,
 )
+from sabrkit.calibration import calibrate_panel, result_rows, synth_panel
 from sabrkit.cli import EXIT_DOMAIN, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -125,6 +126,24 @@ class TestResidual:
     def test_bad_range(self, capsys):
         code, _, err = run(["residual", "--t", "1,0.1"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rho", "0.2", "--t", "0.1,1", "--sigma-range", "0.1,1e100"],
+             "the PDE residual squared is not finite at y = -0.5, sigma = 1.25e+99, t = 0.1"),
+            (["--rho", "0.2", "--t", "0.1,1e300", "--sigma-range", "0.1,0.3"],
+             "the PDE residual squared is not finite at y = -0.5, sigma = 0.1, t = 1.11111"),
+            (["--rho=-0.2", "--t", "0.1,1", "--sigma-range", "0.1,1e150"],
+             "the Hagan vol is negative at vol = -3.1281250000000004e+295, nu = 0.4, y = -0.5"),
+        ],
+    )
+    def test_non_finite_residual_is_domain_error(self, capsys, argv, message):
+        # pyproject turns warnings into errors, so a numpy overflow warning fails this
+        code, out, err = run(["residual", "--nu", "0.4", "--y=-0.5,0.5", *argv], capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith(f"error: {message}")
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -421,3 +440,143 @@ class TestMisc:
         )
         assert code == EXIT_OK
         assert "\t" in out.splitlines()[0]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every pricer, solver, simulator and fit fails, so a run that exits
+    with these patched in started no work."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("started work")
+
+    for target in (
+        "sabrkit.cli.price_fn_for_model",
+        "sabrkit.cli.solve_sequence",
+        "sabrkit.cli.simulate_prices",
+        "sabrkit.calibration.synth_panel",
+        "sabrkit.calibration.read_quotes_csv",
+        "sabrkit.calibration.fit_day",
+        "scipy.optimize.least_squares",
+    ):
+        monkeypatch.setattr(target, fail)
+
+
+class TestFlags:
+    # flags a subcommand's command never reads are not declared
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["price", "--seed", "1"],
+            *(["residual", flag, "1"] for flag in ("--sigma", "--kappa0", "--theta", "--seed")),
+            *(["fd", flag, "1"] for flag in ("--sigma", "--kappa0", "--theta", "--seed")),
+            *(["mc", flag, "1"] for flag in ("--kappa0", "--theta")),
+        ],
+    )
+    def test_undeclared_flag_is_usage_error(self, capsys, no_work, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {argv[1]} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["residual", "--preset", "table4", flag] for flag in (
+                "--nu=0.1", "--rho=-0.3", "--t=0.2,1", "--sigma-range=0.1,0.2", "--y=-0.1,0.1",
+            )),
+            *(["fd", "--preset", "fd1-row7", flag] for flag in (
+                "--expiry=1", "--nu=0.5", "--rho=-0.3", "--nu=1.0",  # the last is the preset's
+            )),
+            *(["mc", "--preset", "mc-paper", flag] for flag in (
+                "--spot=9", "--sigma=0.3", "--nu=0.5", "--rho=-0.1", "--expiry=2",
+            )),
+        ],
+    )
+    def test_flag_the_preset_sets_is_usage_error(self, capsys, no_work, argv):
+        code, out, err = run(argv, capsys)
+        flag = argv[-1].split("=")[0]
+        assert code == EXIT_USAGE
+        assert err == f"error: {flag}: not read, --preset {argv[2]} sets it\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--sigma=0.2", "--nu=1", "--rho=-0.5", "--seed=3", "--synth-days=2", "--noise=0.01"],
+    )
+    def test_synthetic_panel_flag_with_quotes_is_usage_error(self, capsys, no_work, flag):
+        code, out, err = run(["calibrate", "--quotes", "q.csv", flag], capsys)
+        assert code == EXIT_USAGE
+        name = flag.split("=")[0]
+        assert err == f"error: {name}: not read, --quotes replaces the synthetic panel\n"
+        assert out == ""
+
+    def test_sigma_prev_without_quotes_is_usage_error(self, capsys, no_work):
+        code, out, err = run(["calibrate", "--sigma-prev", "0.2"], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: --sigma-prev: not read, it needs --quotes\n"
+        assert out == ""
+
+    def test_print_config_shows_the_preset_values(self, capsys, no_work):
+        code, out, _ = run(["fd", "--preset", "fd1-row7", "--print-config"], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        for line in ("nu=1.0", "rho=-0.2", "expiry=0.5", "preset=fd1-row7"):
+            assert line in lines
+
+    def test_print_config_shows_the_preset_region(self, capsys, no_work):
+        code, out, _ = run(["residual", "--preset", "table5-row1", "--print-config"], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        for line in ("nu=0.1", "t=0.1,30.0", "sigma_range=0.1,0.3", "y=-0.3,0.3"):
+            assert line in lines
+
+    def test_print_config_omits_the_flags_quotes_replace(self, capsys, no_work):
+        code, out, _ = run(["calibrate", "--quotes", "q.csv", "--print-config"], capsys)
+        assert code == EXIT_OK
+        keys = {line.split("=")[0] for line in out.splitlines()}
+        assert "sigma_prev" in keys and "kappa0" in keys
+        assert not keys & {"sigma", "nu", "rho", "seed", "synth_days", "noise"}
+
+    def test_print_config_with_a_rejected_flag_is_usage_error(self, capsys, no_work):
+        code, out, err = run(["mc", "--preset", "mc-paper", "--nu", "1", "--print-config"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "--nu" in err
+
+
+class TestCalibrateKappa:
+    ARGV = ["calibrate", "--synth-days", "1", "--objective", "price_kappa", "--format", "csv"]
+
+    def test_kappa0_and_theta_reach_the_fit(self, capsys):
+        code, out, _ = run([*self.ARGV, "--kappa0", "1.5", "--theta", "0.3"], capsys)
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        days = synth_panel(SabrParams(sigma0=0.2, nu=0.125, rho=-0.4), 1)
+        want = calibrate_panel(days, (0.5, 0.2, -0.3), "price_kappa", kappa0=1.5, theta=0.3)
+        assert parse_csv(out)[1] == result_rows(want)[0]
+        _, plain, _ = run(self.ARGV, capsys)
+        assert parse_csv(plain)[1] != parse_csv(out)[1]
+
+    @pytest.mark.parametrize(
+        "objective, flags, message",
+        [
+            *(
+                (o, ["--kappa0=1"], f"objective {o!r} is only available for kappa0 = 0, "
+                 "got kappa0 = 1.0")
+                for o in ("sigma_d", "sigma_h", "price_d", "log_price_h")
+            ),
+            ("price_kappa", ["--kappa0=-1"], "kappa0 must be nonnegative, got -1.0"),
+            ("price_sa2", ["--kappa0=1", "--theta=-0.1"], "theta must be nonnegative, got -0.1"),
+        ],
+    )
+    def test_kappa0_the_model_rejects_is_domain_error(
+        self, capsys, monkeypatch, objective, flags, message
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("started a fit")
+
+        monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
+        code, out, err = run(
+            ["calibrate", "--synth-days", "1", "--objective", objective, *flags], capsys
+        )
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"error: {message}\n"

@@ -334,6 +334,29 @@ class TestResidual:
         if model == "h":
             assert max(scaled) < 0.489 / 3.0
 
+    # (t_range, sigma_range) of regions where a model's residual overflows
+    OVERFLOW = {"sigma": ((0.1, 1.0), (0.1, 1e100)), "t": ((0.1, 1e300), (0.1, 0.3))}
+
+    @pytest.mark.parametrize(
+        "model, large, node",
+        [
+            ("h", "sigma", "y = -0.5, sigma = 1.25e+99, t = 0.1"),
+            ("d", "sigma", "y = 0.0, sigma = 1.25e+99, t = 0.1"),
+            ("sa2", "sigma", "y = -0.5, sigma = 1.25e+99, t = 0.1"),
+            ("bs", "sigma", "y = -0.5, sigma = 1.25e+99, t = 0.1"),
+            ("h", "t", "y = -0.5, sigma = 0.1, t = 1.1111111111111112e+299"),
+            ("sa2", "t", "y = -0.5, sigma = 0.1, t = 1.1111111111111112e+299"),
+        ],
+    )
+    def test_non_finite_residual_names_its_node(self, model, large, node):
+        # pyproject turns warnings into errors, so a numpy overflow warning fails this
+        params = SabrParams(sigma0=0.1, nu=0.4, rho=0.2)
+        t_range, sigma_range = self.OVERFLOW[large]
+        region = ResidualRegion(t_range=t_range, sigma_range=sigma_range)
+        with pytest.raises(DomainError) as exc:
+            residual_norm(price_fn_for_model(model, params), params, region)
+        assert str(exc.value) == f"the PDE residual squared is not finite at {node}"
+
     def test_short_expiry_rejected(self):
         region = ResidualRegion(t_range=(0.01, 1.0))
         params = SabrParams(sigma0=0.2, nu=1.0, rho=-0.4)
@@ -437,6 +460,24 @@ class TestMarchLimit:
     def test_huge_level_rejected_before_building_nodes(self):
         with pytest.raises(DomainError, match="level 1000000000 grid has more nodes"):
             build_grid(level=10**9)
+
+    @pytest.mark.parametrize(
+        "preset, steps",
+        [
+            ("fd1-row1", [195, 723, 2787, 10947]),
+            ("fd1-row7", [20, 73, 279, 1095]),
+            ("fd2-row3", [23, 82, 316, 1242]),
+        ],
+    )
+    def test_step_counts_are_the_stability_bound(self, preset, steps):
+        # the counts recorded before FdConfig lost its nt0 floor
+        p = FD_PRESETS[preset]
+        params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
+        for level, want in enumerate(steps):
+            grid = _level_grid(params, p["t"], FdConfig(level=level))
+            assert build_grid(level=level).n_time_steps == 0
+            assert grid.n_time_steps == want
+            assert grid.n_time_steps == stable_time_steps(grid, params, p["t"])
 
     @pytest.mark.parametrize("preset", sorted(FD_PRESETS))
     def test_level_4_of_every_preset_fits(self, preset):

@@ -106,6 +106,22 @@ class TestPriceH:
         raw = price_h(y, 1.0, p, regularized=False)
         assert abs(reg - raw) <= 1e-8
 
+    def test_negative_vol_names_the_vol_and_its_point(self):
+        # the bracket 1 + (rho nu sigma / 4 + (2 - 3 rho^2) nu^2 / 24) t is
+        # negative here; sigma_h returns the raw vol, price_h rejects it
+        p = SabrParams(sigma0=1e3, nu=0.4, rho=-0.2)
+        assert sigma_h(0.1, 1.0, p) < 0.0
+        with pytest.raises(DomainError) as exc:
+            price_h(0.1, 1.0, p)
+        assert str(exc.value).startswith("the Hagan vol is negative at vol = -")
+        assert str(exc.value).endswith(", nu = 0.4, y = 0.1, t = 1.0, sigma = 1000.0")
+
+    def test_negative_vol_in_an_array_names_its_point(self):
+        p = SabrParams(sigma0=0.2, nu=0.4, rho=-0.2)
+        sigma = np.array([[0.2], [1e3]])
+        with pytest.raises(DomainError, match=r"y = -0.1, t = 1.0, sigma = 1000.0$"):
+            price_h(np.array([-0.1, 0.1]), 1.0, p, sigma=sigma)
+
 
 class TestRawQuotient:
     P = SabrParams(sigma0=0.2, nu=0.5, rho=-0.4)
