@@ -4,11 +4,11 @@ Quotes are (delta or log-moneyness, implied vol, expiry) observations;
 objectives compare model implied vols, relative prices, or log prices
 against the quoted ones (strike normalized to K = 1, r = 0). Fitting is
 trust-region reflective least squares (Branch, Coleman & Li 1999; scipy's
-`least_squares`, method "trf") on the per-quote residuals inside box
-bounds. The sigma_d objective supplies its closed-form Jacobian, which
-costs no more than its values; the others use forward differences. Days
-are fitted in a warm-start chain with in-sample / out-of-sample RMS error
-reporting.
+`least_squares`, method "trf") on the per-quote residuals inside the box
+nu in [0, 5], sigma in [0.01, 2], rho in [-0.99, 0.99]. The sigma_d
+objective supplies its closed-form Jacobian, which costs no more than its
+values; the others use forward differences. Days are fitted in a
+warm-start chain with in-sample / out-of-sample RMS error reporting.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "MarketQuote",
     "QuoteDay",
     "CalibrationResult",
-    "FitBounds",
     "delta_to_moneyness",
     "objective_value",
     "fit_day",
@@ -108,26 +107,13 @@ class CalibrationResult:
     ose: float = float("nan")
     converged: bool = True
     n_skipped: int = 0
-    # residual evaluations of the fit over all restarts, finite-difference
+    # residual evaluations of the fit over both runs, finite-difference
     # probes included
     nfev: int = 0
 
     @property
     def params(self) -> tuple[float, float, float]:
         return (self.nu, self.sigma, self.rho)
-
-
-@dataclass(frozen=True)
-class FitBounds:
-    nu: tuple[float, float] = (0.0, 5.0)
-    sigma: tuple[float, float] = (0.01, 2.0)
-    rho: tuple[float, float] = (-0.99, 0.99)
-
-    def __post_init__(self) -> None:
-        for name in ("nu", "sigma", "rho"):
-            lo, hi = getattr(self, name)
-            if not (lo < hi):
-                raise DomainError(f"{name} bounds need lower < upper, got {(lo, hi)}")
 
 
 def delta_to_moneyness(delta: float, sigma_prev: float, T: float) -> float:
@@ -227,22 +213,28 @@ def _objective_details(
 
 
 def objective_value(
-    day: QuoteDay | _QuoteArrays,
+    day: QuoteDay,
     params: SabrParams,
     objective: str,
     sigma_prev: float | None = None,
 ) -> float:
     """Averaged squared l2 discrepancy between model and market quotes.
 
-    All quotes are evaluated in one array call. day may also be the quote
-    arrays fit_day resolves once per fit, which skips the delta conversion.
-    Non-finite model values are skipped (and counted toward the fit flag
-    in fit_day) so optimizers always see a finite objective.
+    All quotes are evaluated in one array call. Non-finite model values are
+    skipped (and counted toward the fit flag in fit_day) so optimizers
+    always see a finite objective.
     """
-    if isinstance(day, QuoteDay):
-        day = _quote_arrays(day, sigma_prev)
-    value, _ = _objective_details(day, params, objective)
+    value, _ = _objective_details(_quote_arrays(day, sigma_prev), params, objective)
     return value
+
+
+# the (nu, sigma, rho) box of every fit
+_LOWER = (0.0, 0.01, -0.99)
+_UPPER = (5.0, 2.0, 0.99)
+# residual evaluations per least-squares run, difference probes not counted
+_MAX_NFEV = 2000
+# least-squares runs per fit, each starting where the previous one stopped
+_RUNS = 2
 
 
 def _make_params(x: np.ndarray, kappa0: float, theta: float) -> SabrParams:
@@ -270,11 +262,8 @@ def fit_day(
     init: tuple[float, float, float],
     objective: str,
     sigma_prev: float | None = None,
-    bounds: FitBounds = FitBounds(),
     kappa0: float = 0.0,
     theta: float = 0.0,
-    max_iter: int = 2000,
-    n_restarts: int = 1,
 ) -> CalibrationResult:
     """Least-squares fit of (nu, sigma, rho) for one day.
 
@@ -282,17 +271,17 @@ def fit_day(
     (model - target) / sqrt(n_used) of the quotes the objective uses, whose
     sum of squares is the objective; a skipped quote's residual is 0. The
     sigma_d objective has a closed-form Jacobian, the others use forward
-    differences. Each restart starts where the previous run stopped.
+    differences. Two runs search the box of the module docstring, the
+    second from where the first stopped, each capped at 2000 residual
+    evaluations with finite-difference probes not counted.
 
-    init is (nu, sigma, rho); ISE is the RMS of the fitted objective.
-    kappa0 and theta are fixed in the model of every objective; the d and h
-    models have no mean reversion, so a nonzero kappa0 with their
-    objectives raises DomainError before the fit starts, as does a
-    negative or non-finite kappa0 or theta.
-    max_iter caps the residual evaluations of each run, finite-difference
-    probes not counted. A run that hits the cap, or whose start point has
-    no usable quote or parameters the model rejects, ends the fit with
-    converged=False and the point it reached.
+    init is (nu, sigma, rho), clipped into the box; ISE is the RMS of the
+    fitted objective. kappa0 and theta are fixed in the model of every
+    objective; the d and h models have no mean reversion, so a nonzero
+    kappa0 with their objectives raises DomainError before the fit starts,
+    as does a negative or non-finite kappa0 or theta. A run that hits the
+    cap, or whose start point has no usable quote or parameters the model
+    rejects, ends the fit with converged=False and the point it reached.
     """
     # imported here, its only caller: scipy.optimize costs every other
     # subcommand about 0.25 s and 20 MB at start-up
@@ -305,11 +294,7 @@ def fit_day(
             f"objective {objective!r} is only available for kappa0 = 0, got kappa0 = {kappa0}"
         )
     SabrParams(sigma0=1.0, nu=0.0, rho=0.0, kappa0=kappa0, theta=theta)  # validates both
-    if not (max_iter >= 1):
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    lower = np.array([bounds.nu[0], bounds.sigma[0], bounds.rho[0]])
-    upper = np.array([bounds.nu[1], bounds.sigma[1], bounds.rho[1]])
-    x = np.clip(np.asarray(init, dtype=float), lower, upper)
+    x = np.clip(np.asarray(init, dtype=float), _LOWER, _UPPER)
     quotes = _quote_arrays(day, sigma_prev)
     n_quotes = quotes.y.size
     nfev = 0
@@ -343,21 +328,21 @@ def fit_day(
         return jac * scale
 
     converged = True
-    for _ in range(max(1, n_restarts + 1)):
+    for _ in range(_RUNS):
         last = None
         try:
             res = least_squares(
                 residuals,
                 x,
                 jac=sigma_d_jac if objective == "sigma_d" else "2-point",
-                bounds=(lower, upper),
+                bounds=(_LOWER, _UPPER),
                 method="trf",
                 # a run ends when its step falls below 1e-8 relative to x:
                 # fitted parameters agree with a 1e-15 stop to about 2e-9
                 xtol=1e-8,
                 ftol=1e-15,
                 gtol=1e-15,
-                max_nfev=max_iter,
+                max_nfev=_MAX_NFEV,
             )
         except _NoFiniteStart:
             converged = False
@@ -393,48 +378,42 @@ def out_of_sample(
     return math.sqrt(objective_value(day, prev_params, objective, sigma_prev))
 
 
-_GENERATOR_MODEL = {"sigma_d": "d", "sigma_h": "h"}
-
-
 def synth_panel(
     generator_params: SabrParams,
     n_days: int,
     noise_level: float = 0.0,
     seed: int = 0,
-    model: str = "sigma_d",
     quote_with: str = "moneyness",
 ) -> list[QuoteDay]:
     """Desk-shaped synthetic panel: 2 x 10 expiries x 13 deltas = 260
-    quotes per day, implied vols from sigma_d or sigma_h plus Gaussian
-    noise. quote_with selects whether quotes carry moneyness or delta."""
+    quotes per day, implied vols from sigma_d plus Gaussian noise.
+    quote_with selects whether quotes carry moneyness or delta."""
+    if not (n_days >= 1):
+        raise DomainError(f"a panel needs at least one day, got n_days = {n_days}")
     if noise_level < 0.0:
         raise DomainError(f"noise_level must be nonnegative, got {noise_level}")
-    if model not in _GENERATOR_MODEL:
-        raise DomainError(f"unknown generator model {model!r}")
-    vol_fn = vol_fn_for_model(_GENERATOR_MODEL[model], generator_params)
-    # (expiry, delta, log-moneyness, model vol) per quote point; the same every day
+    vol_fn = vol_fn_for_model("d", generator_params)
+    # (expiry, quoted coordinate, model vol) per quote point; the same every day
     points = []
     for months in PANEL_EXPIRY_MONTHS:
         t = months / 12.0
         for delta in PANEL_DELTAS:
             y = delta_to_moneyness(delta, generator_params.sigma0, t)
-            points.append((t, delta, y, vol_fn(y, t)))
+            coord = {"moneyness": y} if quote_with == "moneyness" else {"delta": delta}
+            points.append((t, coord, vol_fn(y, t)))
     rng = np.random.default_rng(seed)
     days = []
     for day in range(1, n_days + 1):
         quotes = []
-        for t, delta, y, vol in points:
+        for t, coord, vol in points:
             for opt_type in ("C", "P"):
                 noisy = vol + noise_level * rng.standard_normal()
-                quote_kwargs = (
-                    {"moneyness": y} if quote_with == "moneyness" else {"delta": delta}
-                )
                 quotes.append(
                     MarketQuote(
                         option_type=opt_type,
                         expiry=t,
                         implied_vol=max(noisy, 1e-4),
-                        **quote_kwargs,
+                        **coord,
                     )
                 )
         days.append(QuoteDay(day=day, quotes=tuple(quotes)))
@@ -446,22 +425,21 @@ def calibrate_panel(
     init: tuple[float, float, float],
     objective: str,
     sigma_prev0: float | None = None,
-    **fit_kwargs,
+    kappa0: float = 0.0,
+    theta: float = 0.0,
 ) -> list[CalibrationResult]:
     """Fit every day with a warm-start chain: day tau starts from day
     tau-1's parameters, and OSE evaluates day tau under them."""
+    if not days:
+        raise DomainError("a panel needs at least one quote day")
     results: list[CalibrationResult] = []
     prev: CalibrationResult | None = None
     sigma_prev = sigma_prev0
     for day in days:
         start = prev.params if prev is not None else init
-        res = fit_day(day, start, objective, sigma_prev=sigma_prev, **fit_kwargs)
+        res = fit_day(day, start, objective, sigma_prev, kappa0=kappa0, theta=theta)
         if prev is not None:
-            prev_params = _make_params(
-                np.array(prev.params),
-                fit_kwargs.get("kappa0", 0.0),
-                fit_kwargs.get("theta", 0.0),
-            )
+            prev_params = _make_params(np.array(prev.params), kappa0, theta)
             ose = out_of_sample(day, prev_params, objective, sigma_prev)
             res = dataclasses.replace(res, ose=ose)
         results.append(res)

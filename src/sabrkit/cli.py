@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric-domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
@@ -189,6 +190,15 @@ def _resolve(args) -> set[str]:
     return ignored
 
 
+@contextlib.contextmanager
+def _file_errors(path: str):
+    """An OSError reading or writing path becomes a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}", EXIT_USAGE) from exc
+
+
 def _emit(rows: list[list], header: list[str], args) -> None:
     if args.format in ("csv", "tsv"):
         buf = io.StringIO()
@@ -202,7 +212,7 @@ def _emit(rows: list[list], header: list[str], args) -> None:
         lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells]
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _file_errors(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -308,7 +318,7 @@ def cmd_fd(args) -> int:
 def cmd_mc(args) -> int:
     spot, sigma, t = args.spot, args.sigma, args.expiry
     params = SabrParams(sigma0=sigma, nu=args.nu, rho=args.rho)
-    strikes = _parse_values(args.strikes, "strikes") if args.strikes else [spot]
+    strikes = [spot] if args.strikes is None else _parse_values(args.strikes, "strikes")
     if not strikes:
         raise CliError("--strikes: at least one strike required", EXIT_USAGE)
     config = McConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
@@ -334,7 +344,8 @@ def cmd_mc(args) -> int:
 
 def cmd_calibrate(args) -> int:
     if args.quotes:
-        days = cal.read_quotes_csv(args.quotes)
+        with _file_errors(args.quotes):
+            days = cal.read_quotes_csv(args.quotes)
     else:
         gen = SabrParams(sigma0=args.sigma, nu=args.nu, rho=args.rho)
         days = cal.synth_panel(
@@ -348,7 +359,8 @@ def cmd_calibrate(args) -> int:
         kappa0=args.kappa0, theta=args.theta,
     )
     if args.out:
-        cal.write_results_csv(args.out, results)
+        with _file_errors(args.out):
+            cal.write_results_csv(args.out, results)
     else:
         _emit(cal.result_rows(results), cal.RESULT_HEADER, args)
     nus = [r.nu for r in results]

@@ -46,6 +46,10 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _STD_NORMAL = NormalDist()
+# bs_implied_vol's sigma bracket, price tolerance and iteration limit
+_IV_LO = 1e-6
+_IV_HI = 5.0
+_IV_TOL = 1e-12
 _IV_MAX_ITER = 200
 
 log = logging.getLogger(__name__)
@@ -298,19 +302,13 @@ def _c_rel_vega(y: float, sigma: float, t: float) -> float:
     return math.sqrt(t) * norm_pdf(d_minus(y, sigma, t))
 
 
-def bs_implied_vol(
-    price: float,
-    y: float,
-    t: float,
-    lo: float = 1e-6,
-    hi: float = 5.0,
-    tol: float = 1e-12,
-) -> float:
+def bs_implied_vol(price: float, y: float, t: float) -> float:
     """Invert c_rel in sigma by bracketed Newton with bisection fallback.
 
     Raises DomainError if the price lies outside the no-arbitrage band
-    (intrinsic, e^y) or outside the bracket [lo, hi]. Logs a warning and
-    returns the last iterate when the iteration limit is reached first.
+    (intrinsic, e^y) or outside the bracket sigma in [1e-6, 5]. Stops at a
+    price error of 1e-12, or logs a warning and returns the last iterate
+    at the iteration limit.
     """
     if not (t > 0.0):
         raise DomainError("implied vol requires t > 0")
@@ -320,6 +318,7 @@ def bs_implied_vol(
             f"price {price} outside the no-arbitrage band "
             f"({intrinsic}, {math.exp(y)})"
         )
+    lo, hi = _IV_LO, _IV_HI
     f_lo = c_rel(y, lo, t) - price
     f_hi = c_rel(y, hi, t) - price
     if f_lo > 0.0 or f_hi < 0.0:
@@ -327,7 +326,7 @@ def bs_implied_vol(
     sigma = 0.5 * (lo + hi)
     for _ in range(_IV_MAX_ITER):
         f = c_rel(y, sigma, t) - price
-        if abs(f) <= tol:
+        if abs(f) <= _IV_TOL:
             return sigma
         if f > 0.0:
             hi = sigma
@@ -341,6 +340,6 @@ def bs_implied_vol(
         sigma = candidate if step_ok else 0.5 * (lo + hi)
     log.warning(
         "bs_implied_vol: no convergence to tol=%g in %d iterations at y=%r, t=%r; "
-        "returning sigma=%r", tol, _IV_MAX_ITER, y, t, sigma,
+        "returning sigma=%r", _IV_TOL, _IV_MAX_ITER, y, t, sigma,
     )
     return sigma

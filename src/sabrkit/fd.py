@@ -18,7 +18,7 @@ computes the edge values of a block of 32 time steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +51,10 @@ PriceFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 # about 12 ns a node-step the limit is about a minute of marching
 _MAX_NODE_STEPS = 5_000_000_000
 
+# the explicit step's safety factor against the stability bound
+_C_SAFETY = 0.9
+_WINDOW_X = (-1.0, 1.0)  # x range of the interest window
+
 
 class FdInstabilityError(RuntimeError):
     """Explicit time step produced a non-finite or exploding node."""
@@ -64,8 +68,6 @@ class FdConfig:
     nx0: int = 13
     nsigma0: int = 19
     level: int = 0
-    c_safety: float = 0.9
-    window_x: tuple[float, float] = (-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ class FdSolution:
     values: np.ndarray  # shape (nx, nsigma)
     params: SabrParams
     time: float
-    window_x_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    window_s_idx: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+    window_x_idx: np.ndarray
+    window_s_idx: np.ndarray
     est_error: float = float("nan")
 
     @property
@@ -104,36 +106,30 @@ class FdComparison:
     log_l2: float
 
 
-def build_grid(
-    x_max: float = 3.0,
-    sigma_center: float = 0.18,
-    sigma_max: float = 1.6803,
-    nx0: int = 13,
-    nsigma0: int = 19,
-    level: int = 0,
-) -> FdGrid:
-    """Level-k mesh: each refinement halves both mesh widths (arithmetic
-    midpoints in x, geometric midpoints in sigma). Its n_time_steps is 0:
-    solve takes the step count from stable_time_steps."""
-    if not (x_max > 0.0):
-        raise DomainError(f"x_max must be positive, got {x_max}")
-    if not (0.0 < sigma_center < sigma_max):
+def build_grid(config: FdConfig) -> FdGrid:
+    """The config's level-k mesh: each refinement halves both mesh widths
+    (arithmetic midpoints in x, geometric midpoints in sigma). Its
+    n_time_steps is 0: solve takes the step count from stable_time_steps."""
+    level = config.level
+    if not (config.x_max > 0.0):
+        raise DomainError(f"x_max must be positive, got {config.x_max}")
+    if not (0.0 < config.sigma_center < config.sigma_max):
         raise DomainError("need 0 < sigma_center < sigma_max")
-    if nx0 < 3 or nsigma0 < 3:
+    if config.nx0 < 3 or config.nsigma0 < 3:
         raise DomainError("need at least 3 nodes per direction")
     if level < 0:
         raise DomainError(f"level must be nonnegative, got {level}")
     # past 64 levels the grid is only larger; the min spares building 2**level
-    nx = (nx0 - 1) * 2 ** min(level, 64) + 1
-    ns = (nsigma0 - 1) * 2 ** min(level, 64) + 1
+    nx = (config.nx0 - 1) * 2 ** min(level, 64) + 1
+    ns = (config.nsigma0 - 1) * 2 ** min(level, 64) + 1
     if nx * ns > _MAX_NODE_STEPS:
         raise DomainError(
             f"level {level} grid has more nodes than the limit of "
             f"{_MAX_NODE_STEPS} node-steps (nodes x time steps) of one solve"
         )
-    sigma_min = sigma_center**2 / sigma_max
-    x = np.linspace(-x_max, x_max, nx)
-    s = np.geomspace(sigma_min, sigma_max, ns)
+    sigma_min = config.sigma_center**2 / config.sigma_max
+    x = np.linspace(-config.x_max, config.x_max, nx)
+    s = np.geomspace(sigma_min, config.sigma_max, ns)
     return FdGrid(x_nodes=x, sigma_nodes=s, level=level, n_time_steps=0)
 
 
@@ -208,15 +204,11 @@ def _step_matrix(grid: FdGrid, params: SabrParams, dt: float) -> sparse.csr_matr
     return sparse.csr_matrix((data, indices, indptr), shape=(n_int, nx * ns))
 
 
-def stable_time_steps(
-    grid: FdGrid, params: SabrParams, T: float, c_safety: float = 0.9
-) -> int:
+def stable_time_steps(grid: FdGrid, params: SabrParams, T: float) -> int:
     """Time-step count from the explicit stability bound
 
-    dt <= c_safety / max over nodes of sigma^2 (1/dx^2 + nu^2/ds^2 + |nu rho|/(dx ds)).
+    dt <= 0.9 / max over nodes of sigma^2 (1/dx^2 + nu^2/ds^2 + |nu rho|/(dx ds)).
     """
-    if not (0.0 < c_safety < math.inf):
-        raise DomainError(f"c_safety must be positive and finite, got {c_safety}")
     s = grid.sigma_nodes
     dx = grid.dx
     ds_local = np.minimum.reduce(
@@ -229,7 +221,7 @@ def stable_time_steps(
                 + params.nu**2 / ds_local**2
                 + abs(params.nu * params.rho) / (dx * ds_local)
             )
-        steps = T / (c_safety / float(rate.max()))
+        steps = T / (_C_SAFETY / float(rate.max()))
     except (OverflowError, ZeroDivisionError):  # nu**2 or the rate overflows
         steps = math.inf
     if not math.isfinite(steps):
@@ -248,15 +240,8 @@ def _level_grid(params: SabrParams, T: float, config: FdConfig) -> FdGrid:
         raise DomainError("FD benchmark is only available for kappa0 = 0")
     if not (0.0 < T < math.inf):
         raise DomainError(f"expiry T must be positive and finite, got {T}")
-    grid = build_grid(
-        config.x_max,
-        config.sigma_center,
-        config.sigma_max,
-        config.nx0,
-        config.nsigma0,
-        config.level,
-    )
-    nt = stable_time_steps(grid, params, T, config.c_safety)
+    grid = build_grid(config)
+    nt = stable_time_steps(grid, params, T)
     nodes = grid.x_nodes.size * grid.sigma_nodes.size
     if nodes * nt > _MAX_NODE_STEPS:
         raise DomainError(
@@ -290,9 +275,7 @@ def _window_indices(grid: FdGrid, config: FdConfig) -> tuple[np.ndarray, np.ndar
     x = grid.x_nodes
     s = grid.sigma_nodes
     eps = 1e-9
-    ix = np.flatnonzero(
-        (x >= config.window_x[0] - eps) & (x <= config.window_x[1] + eps)
-    )
+    ix = np.flatnonzero((x >= _WINDOW_X[0] - eps) & (x <= _WINDOW_X[1] + eps))
     js = np.flatnonzero((s >= lo * (1 - eps)) & (s <= hi * (1 + eps)))
     if ix.size == 0 or js.size == 0:
         raise DomainError("interest window contains no grid nodes")
@@ -350,17 +333,16 @@ def _cell_averaged_payoff(x: np.ndarray, h: float) -> np.ndarray:
 
 
 def solve_sequence(
-    params: SabrParams, T: float, config: FdConfig, max_level: int | None = None
+    params: SabrParams, T: float, config: FdConfig, max_level: int
 ) -> list[FdSolution]:
     """Refinement sequence w_0 .. w_max_level with Richardson error
     estimates est_error = ||w_k - w_{k-1}||_2 / 3 on the interest window."""
-    top = config.level if max_level is None else max_level
-    if top < 0:
-        raise DomainError(f"max_level must be nonnegative, got {top}")
+    if max_level < 0:
+        raise DomainError(f"max_level must be nonnegative, got {max_level}")
     # the finest level is the longest march: fail before solving the others
-    _level_grid(params, T, replace(config, level=top))
+    _level_grid(params, T, replace(config, level=max_level))
     solutions: list[FdSolution] = []
-    for level in range(top + 1):
+    for level in range(max_level + 1):
         sol = solve(params, T, replace(config, level=level))
         if solutions:
             diff = _level_diff(solutions[-1], sol)
@@ -427,21 +409,19 @@ def _cutoff_config(config: FdConfig) -> FdConfig:
     )
 
 
+# nodes of the residual lattice along t, sigma and y
+_LATTICE_SIZE = (10, 9, 11)
+
+
 @dataclass(frozen=True)
 class ResidualRegion:
     t_range: tuple[float, float] = (0.1, 1.0)
     sigma_range: tuple[float, float] = (0.1, 0.3)
     y_range: tuple[float, float] = (-0.5, 0.5)
-    n_t: int = 10
-    n_sigma: int = 9
-    n_y: int = 11
 
     def lattice(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.linspace(*self.t_range, self.n_t),
-            np.linspace(*self.sigma_range, self.n_sigma),
-            np.linspace(*self.y_range, self.n_y),
-        )
+        ranges = (self.t_range, self.sigma_range, self.y_range)
+        return tuple(np.linspace(*r, n) for r, n in zip(ranges, _LATTICE_SIZE))
 
 
 REL_STEP = 1e-3
@@ -462,7 +442,7 @@ def residual_norm(
     derivatives by central differences with relative step 1e-3.
 
     price_fn is called once, on (y, sigma, t) arrays that broadcast to
-    (11, n_t, n_sigma, n_y): the 11 stencil points of every lattice node.
+    (11, 10, 9, 11): the 11 stencil points of every lattice node.
     A model that overflows there gives a non-finite residual, which raises
     DomainError naming the first lattice node it reaches."""
     if region.t_range[0] < 0.1:
@@ -471,7 +451,7 @@ def residual_norm(
     if top * top == math.inf:
         raise DomainError(f"sigma**2 overflows a float, got sigma = {top}")
     nu, rho = params.nu, params.rho
-    # open mesh: (n_t, 1, 1), (1, n_sigma, 1) and (1, 1, n_y), so the
+    # open mesh: (10, 1, 1), (1, 9, 1) and (1, 1, 11), so the
     # stacked inputs broadcast to the lattice without being stored at its size
     t, s, y = np.ix_(*region.lattice())
     ht = REL_STEP * t

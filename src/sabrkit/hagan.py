@@ -29,16 +29,16 @@ def xi(z, rho: float):
     return m.log((m.sqrt(1.0 - 2.0 * rho * z + z * z) + z - rho) / (1.0 - rho))
 
 
-def z_over_xi(z, rho: float, z_switch: float = Z_SWITCH):
+def z_over_xi(z, rho: float):
     """The backbone quotient z / xi(z), regularized near z = 0.
 
-    For |z| < z_switch the cubic Taylor expansion of the quotient is used:
+    For |z| < Z_SWITCH the cubic Taylor expansion of the quotient is used:
     1 - rho z/2 + (1/6 - rho^2/4) z^2 + (5 rho/24 - rho^3/4) z^3, which
-    meets the exact quotient to O(z_switch^4) at the switch point.
+    meets the exact quotient to O(Z_SWITCH^4) at the switch point.
     """
     _check_rho(rho)
     m, (z,) = _args(z)
-    near = abs(z) < z_switch
+    near = abs(z) < Z_SWITCH
     far_z = m.where(near, 1.0, z)  # keeps 0/0 out of the unused branch
     series = 1.0 + z * (
         -0.5 * rho

@@ -1,0 +1,165 @@
+"""The library's settings: every defaulted parameter and dataclass field of
+`src/sabrkit`, and the keywords that became module constants.
+
+A setting that no caller outside the tests sets is a module constant, not
+a parameter. Adding a defaulted parameter or field fails
+`test_settings_snapshot` until SETTINGS below lists it.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+
+import sabrkit
+from sabrkit import (
+    FdConfig,
+    FdSolution,
+    ResidualRegion,
+    SabrParams,
+    bs_implied_vol,
+    build_grid,
+    calibrate_panel,
+    fit_day,
+    solve_sequence,
+    synth_panel,
+    z_over_xi,
+)
+from sabrkit import calibration
+from sabrkit.fd import stable_time_steps
+
+# module.name.param for every defaulted parameter of a module-level function
+# and every dataclass field with a default, sorted
+SETTINGS = [
+    "calibration.CalibrationResult.converged",
+    "calibration.CalibrationResult.n_skipped",
+    "calibration.CalibrationResult.nfev",
+    "calibration.CalibrationResult.ose",
+    "calibration.MarketQuote.delta",
+    "calibration.MarketQuote.moneyness",
+    "calibration.calibrate_panel.kappa0",
+    "calibration.calibrate_panel.sigma_prev0",
+    "calibration.calibrate_panel.theta",
+    "calibration.fit_day.kappa0",
+    "calibration.fit_day.sigma_prev",
+    "calibration.fit_day.theta",
+    "calibration.objective_value.sigma_prev",
+    "calibration.out_of_sample.sigma_prev",
+    "calibration.synth_panel.noise_level",
+    "calibration.synth_panel.quote_with",
+    "calibration.synth_panel.seed",
+    "cli.main.argv",
+    "core.OptionQuery.expiry",
+    "core.OptionQuery.rate",
+    "expansion.SabrParams.kappa0",
+    "expansion.SabrParams.theta",
+    "expansion._kernel_sum.shift",
+    "expansion.f1_term.kappa0",
+    "expansion.f1_term.theta",
+    "expansion.f2_term.kappa0",
+    "expansion.f2_term.theta",
+    "expansion.price_d.sigma",
+    "expansion.price_sa2_rel.sigma",
+    "expansion.sigma_d.sigma",
+    "fd.FdConfig.level",
+    "fd.FdConfig.nsigma0",
+    "fd.FdConfig.nx0",
+    "fd.FdConfig.sigma_center",
+    "fd.FdConfig.sigma_max",
+    "fd.FdConfig.x_max",
+    "fd.FdSolution.est_error",
+    "fd.ResidualRegion.sigma_range",
+    "fd.ResidualRegion.t_range",
+    "fd.ResidualRegion.y_range",
+    "hagan.price_h.regularized",
+    "hagan.price_h.sigma",
+    "hagan.sigma_h.regularized",
+    "hagan.sigma_h.sigma",
+    "mc.McConfig.antithetic",
+    "mc.McConfig.dt",
+    "mc.McConfig.n_paths",
+    "mc.McConfig.seed",
+]
+
+
+def settings() -> list[str]:
+    found = []
+    for info in pkgutil.iter_modules(sabrkit.__path__):
+        module = importlib.import_module(f"sabrkit.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported from elsewhere
+            if inspect.isfunction(obj):
+                found += [
+                    f"{info.name}.{name}.{p.name}"
+                    for p in inspect.signature(obj).parameters.values()
+                    if p.default is not inspect.Parameter.empty
+                ]
+            elif isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                found += [
+                    f"{info.name}.{name}.{f.name}"
+                    for f in dataclasses.fields(obj)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING
+                ]
+    return sorted(found)
+
+
+def test_settings_snapshot():
+    assert settings() == SETTINGS
+
+
+PARAMS = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+DAY = synth_panel(PARAMS, 1)[0]
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("lo", lambda: bs_implied_vol(0.08, 0.0, 1.0, lo=1e-6)),
+        ("hi", lambda: bs_implied_vol(0.08, 0.0, 1.0, hi=5.0)),
+        ("tol", lambda: bs_implied_vol(0.08, 0.0, 1.0, tol=1e-12)),
+        ("z_switch", lambda: z_over_xi(0.1, -0.2, z_switch=1e-4)),
+        ("c_safety", lambda: FdConfig(c_safety=0.9)),
+        ("window_x", lambda: FdConfig(window_x=(-1.0, 1.0))),
+        (
+            "c_safety",
+            lambda: stable_time_steps(build_grid(FdConfig()), PARAMS, 0.5, c_safety=0.9),
+        ),
+        ("x_max", lambda: build_grid(x_max=3.0)),
+        ("sigma_center", lambda: build_grid(sigma_center=0.18)),
+        ("sigma_max", lambda: build_grid(sigma_max=1.6803)),
+        ("nx0", lambda: build_grid(nx0=13)),
+        ("nsigma0", lambda: build_grid(nsigma0=19)),
+        ("level", lambda: build_grid(level=0)),
+        ("n_t", lambda: ResidualRegion(n_t=10)),
+        ("n_sigma", lambda: ResidualRegion(n_sigma=9)),
+        ("n_y", lambda: ResidualRegion(n_y=11)),
+        ("bounds", lambda: fit_day(DAY, (1.0, 0.2, -0.2), "sigma_d", bounds=None)),
+        ("max_iter", lambda: fit_day(DAY, (1.0, 0.2, -0.2), "sigma_d", max_iter=2000)),
+        ("n_restarts", lambda: fit_day(DAY, (1.0, 0.2, -0.2), "sigma_d", n_restarts=1)),
+        ("max_iter", lambda: calibrate_panel([DAY], (1.0, 0.2, -0.2), "sigma_d", max_iter=2000)),
+        ("model", lambda: synth_panel(PARAMS, 1, model="sigma_d")),
+    ],
+)
+def test_removed_keyword_is_a_type_error(name, call):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        call()
+
+
+def test_max_level_is_required():
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'max_level'"):
+        solve_sequence(PARAMS, 0.5, FdConfig())
+
+
+def test_window_indices_are_required():
+    with pytest.raises(TypeError, match="'window_x_idx' and 'window_s_idx'"):
+        FdSolution(grid=None, values=np.zeros(1), params=PARAMS, time=0.5)
+
+
+def test_fit_bounds_is_gone():
+    assert not hasattr(calibration, "FitBounds")
+    assert "FitBounds" not in calibration.__all__

@@ -114,7 +114,7 @@ class TestSigmaDObjective:
             return seen[-1]
 
         monkeypatch.setattr(calibration, "_sigma_d_quote", recorded)
-        value = objective_value(quotes, params, "sigma_d")
+        value = objective_value(self.DAY, params, "sigma_d", sigma_prev=0.19)
         want = sigma_d(quotes.y, quotes.t, params)
         (got,) = seen
         np.testing.assert_array_equal(got.value, want.value)
@@ -216,6 +216,12 @@ class TestSynthPanel:
         with pytest.raises(DomainError):
             synth_panel(TRUE, 1, noise_level=-0.1)
 
+    @pytest.mark.parametrize("n_days", [0, -3])
+    def test_panel_needs_a_day(self, n_days):
+        message = f"^a panel needs at least one day, got n_days = {n_days}$"
+        with pytest.raises(DomainError, match=message):
+            synth_panel(TRUE, n_days)
+
 
 class TestFitDay:
     def test_recovers_generator(self):
@@ -234,7 +240,7 @@ class TestFitDay:
         assert -0.99 <= res.rho <= 0.99
 
     @staticmethod
-    def check_nfev(monkeypatch, objective, n_restarts):
+    def check_nfev(monkeypatch, objective):
         calls = []
         residuals = calibration._residuals
 
@@ -244,7 +250,7 @@ class TestFitDay:
 
         monkeypatch.setattr(calibration, "_residuals", counted)
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
-        res = fit_day(day, (1.0, 0.25, -0.3), objective, n_restarts=n_restarts)
+        res = fit_day(day, (1.0, 0.25, -0.3), objective)
         assert res.converged
         # every optimizer evaluation, plus the final one at the fitted point
         assert 0 < res.nfev < 100
@@ -252,15 +258,35 @@ class TestFitDay:
 
     @pytest.mark.parametrize("n_restarts", [0, 1])
     def test_nfev_counts_objective_evaluations(self, monkeypatch, n_restarts):
-        self.check_nfev(monkeypatch, "sigma_d", n_restarts)
+        monkeypatch.setattr(calibration, "_RUNS", 1 + n_restarts)
+        self.check_nfev(monkeypatch, "sigma_d")
 
     def test_nfev_counts_finite_difference_probes(self, monkeypatch):
         # price_h has no closed-form Jacobian: its difference probes count
-        self.check_nfev(monkeypatch, "price_h", 1)
+        self.check_nfev(monkeypatch, "price_h")
 
-    def test_max_iter_stop_is_not_converged(self):
+    def test_second_run_starts_where_the_first_stopped(self, monkeypatch):
+        import scipy.optimize
+
+        least_squares = scipy.optimize.least_squares
+        runs = []
+
+        def recorded(fun, x0, **kwargs):
+            runs.append((np.array(x0), least_squares(fun, x0, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr("scipy.optimize.least_squares", recorded)
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
-        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d", max_iter=2)
+        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d")
+        assert len(runs) == 2
+        np.testing.assert_array_equal(runs[1][0], runs[0][1].x)
+        assert res.params == tuple(runs[1][1].x)
+
+    def test_max_iter_stop_is_not_converged(self, monkeypatch):
+        # a run capped at 2 residual evaluations stops before it converges
+        monkeypatch.setattr(calibration, "_MAX_NFEV", 2)
+        day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
+        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d")
         assert not res.converged
         assert all(math.isfinite(v) for v in (*res.params, res.ise))
         assert res.n_skipped == 0
@@ -336,10 +362,6 @@ class TestFitDay:
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match="unknown objective"):
             fit_day(day, (1.0, 0.25, -0.3), "vega_weighted")
-
-    def test_bounds_validated(self):
-        with pytest.raises(DomainError, match="nu bounds"):
-            calibration.FitBounds(nu=(1.0, 1.0))
 
     def test_out_of_sample_from_truth(self):
         days = synth_panel(TRUE, 2, noise_level=0.01, seed=6)
@@ -425,6 +447,10 @@ class TestPinnedFits:
 
 
 class TestPanel:
+    def test_calibrate_panel_needs_a_day(self):
+        with pytest.raises(DomainError, match="^a panel needs at least one quote day$"):
+            calibrate_panel([], (1.0, 0.25, -0.3), "sigma_d")
+
     def test_warm_start_chain(self):
         days = synth_panel(TRUE, 3, noise_level=0.005, seed=8)
         results = calibrate_panel(days, (1.0, 0.25, -0.3), "sigma_d")

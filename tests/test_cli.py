@@ -292,6 +292,17 @@ class TestMc:
         assert code == EXIT_USAGE
         assert "--strikes" in err
 
+    def test_empty_strike_string_is_usage_error(self, capsys, monkeypatch):
+        # an empty --strikes used to price at the spot instead
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr("sabrkit.cli.simulate_prices", no_simulation)
+        code, out, err = run(["mc", "--preset", "mc-paper", "--strikes", ""], capsys)
+        assert code == EXIT_USAGE
+        assert err == "error: --strikes: at least one strike required\n"
+        assert out == ""
+
 
 class TestCalibrate:
     def test_synth_recovery(self, capsys, tmp_path):
@@ -354,6 +365,38 @@ class TestCalibrate:
             ["calibrate", "--synth-days", "1", "--init", "1.0,0.25"], capsys
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--synth-days", "0"], "a panel needs at least one day, got n_days = 0"),
+            (["--synth-days=-3"], "a panel needs at least one day, got n_days = -3"),
+            (["--quotes", "header-only.csv"], "a panel needs at least one quote day"),
+        ],
+    )
+    def test_no_quote_day_is_domain_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        # these printed an all-nan summary and exited 0; pyproject turns the
+        # numpy warnings that summary raised into errors
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "header-only.csv").write_text("day,type,expiry_months,delta,implied_vol\n")
+        code, out, err = run(["calibrate", *argv], capsys)
+        assert code == EXIT_DOMAIN
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["calibrate", "--quotes", "missing.csv"], "missing.csv"),
+            (["calibrate", "--synth-days", "1", "--out", "no/dir/r.csv"], "no/dir/r.csv"),
+            (["price", "--out", "no/dir/x.csv"], "no/dir/x.csv"),
+        ],
+    )
+    def test_missing_file_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert err == f"error: {path}: No such file or directory\n"
 
     def test_start_the_model_rejects_exits_no_convergence(self, capsys, tmp_path):
         # the Hagan vol is negative at this start: a failed fit, not a crash

@@ -22,6 +22,7 @@ from sabrkit import (
     norm_pdf,
     phi_t,
 )
+from sabrkit import core
 
 
 class TestNormal:
@@ -287,11 +288,12 @@ class TestImpliedVol:
                 continue
             assert abs(bs_implied_vol(price, y, t) - s) <= 1e-9
 
-    def test_iteration_limit_warns(self, caplog):
+    def test_iteration_limit_warns(self, caplog, monkeypatch):
         # no float sigma prices 0.08 exactly, so no iterate meets a
         # tolerance this tiny and the loop runs out
+        monkeypatch.setattr(core, "_IV_TOL", 1e-300)
         with caplog.at_level(logging.WARNING, logger="sabrkit.core"):
-            vol = bs_implied_vol(0.08, 0.0, 1.0, tol=1e-300)
+            vol = bs_implied_vol(0.08, 0.0, 1.0)
         assert abs(vol - 0.2008674410229397) <= 1e-12
         assert len(caplog.records) == 1
         assert "no convergence" in caplog.records[0].getMessage()

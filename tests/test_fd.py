@@ -67,8 +67,8 @@ def reference_operator(grid, params, w):
 def reference_march(params, T, config):
     """Explicit march with the reference operator and one c_rel call per
     step for the whole boundary ring; returns the final grid values."""
-    grid = build_grid(level=config.level)
-    nt = stable_time_steps(grid, params, T, config.c_safety)
+    grid = build_grid(config)
+    nt = stable_time_steps(grid, params, T)
     dt = T / nt
     x, s = grid.x_nodes, grid.sigma_nodes
     xs, ss = np.meshgrid(x, s, indexing="ij")
@@ -112,30 +112,30 @@ def reference_residual(price_fn, params, region):
 class TestGrid:
     def test_node_counts(self):
         for level in (0, 1, 2):
-            g = build_grid(level=level)
+            g = build_grid(FdConfig(level=level))
             assert g.x_nodes.size == 12 * 2**level + 1
             assert g.sigma_nodes.size == 18 * 2**level + 1
 
     def test_sigma_geometric(self):
-        g = build_grid()
+        g = build_grid(FdConfig())
         ratios = g.sigma_nodes[1:] / g.sigma_nodes[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
         assert g.sigma_nodes[0] == pytest.approx(0.18**2 / 1.6803)
         assert g.sigma_nodes[-1] == pytest.approx(1.6803)
 
     def test_nesting(self):
-        coarse = build_grid(level=1)
-        fine = build_grid(level=2)
+        coarse = build_grid(FdConfig(level=1))
+        fine = build_grid(FdConfig(level=2))
         assert np.allclose(fine.x_nodes[::2], coarse.x_nodes)
         assert np.allclose(fine.sigma_nodes[::2], coarse.sigma_nodes, rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            build_grid(x_max=-1.0)
+            build_grid(FdConfig(x_max=-1.0))
         with pytest.raises(DomainError):
-            build_grid(sigma_center=2.0, sigma_max=1.0)
+            build_grid(FdConfig(sigma_center=2.0, sigma_max=1.0))
         with pytest.raises(DomainError):
-            build_grid(level=-1)
+            build_grid(FdConfig(level=-1))
 
 
 class TestBoundary:
@@ -168,7 +168,7 @@ class TestStepMatrix:
     @example(nu=0.0, rho=-0.5, level=1, dt_frac=0.5, seed=2)
     def test_matches_reference_operator(self, nu, rho, level, dt_frac, seed):
         params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
-        grid = build_grid(level=level)
+        grid = build_grid(FdConfig(level=level))
         dt = dt_frac / stable_time_steps(grid, params, 1.0)
         w = np.random.default_rng(seed).standard_normal(
             (grid.x_nodes.size, grid.sigma_nodes.size)
@@ -178,7 +178,7 @@ class TestStepMatrix:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_layout(self):
-        grid = build_grid(level=1)
+        grid = build_grid(FdConfig(level=1))
         ns = grid.sigma_nodes.size
         step = _step_matrix(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
         n_int = (grid.x_nodes.size - 2) * (ns - 2)
@@ -237,12 +237,22 @@ class TestSolve:
         assert math.isnan(sols[0].est_error)
         assert sols[2].est_error < sols[1].est_error
 
-    def test_instability_detected(self):
+    def test_instability_detected(self, monkeypatch):
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
         # the failing step, node and value, as the slice-based stencil gave them
+        monkeypatch.setattr(fd, "_C_SAFETY", 10.0)
         with pytest.raises(FdInstabilityError) as info:
-            solve(params, 0.5, FdConfig(level=1, c_safety=10.0))
+            solve(params, 0.5, FdConfig(level=1))
         assert str(info.value) == "exploding value -2170 at x=0, sigma=1.484, t=0.4286"
+
+    def test_window(self):
+        # x in [-1, 1] and the level-0 sigma nodes next to sigma_center
+        sol = solve(SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 0.5, FdConfig())
+        x = sol.grid.x_nodes[sol.window_x_idx]
+        np.testing.assert_allclose(x, [-1.0, -0.5, 0.0, 0.5, 1.0], rtol=0.0, atol=1e-15)
+        ratio = (1.6803**2 / 0.18**2) ** (1.0 / 18.0)
+        s = sol.grid.sigma_nodes[sol.window_s_idx]
+        np.testing.assert_allclose(s, [0.18 / ratio, 0.18, 0.18 * ratio], rtol=1e-12)
 
     def test_march_matches_reference(self):
         # preset fd1-row7 at level 2
@@ -273,23 +283,16 @@ class TestSolve:
     def test_wide_grid_runs_clean(self):
         # x_max = 8 puts e^x_max (2981) above the 1e3 floor of the
         # instability bound, so the bound comes from the payoff; the window
-        # was recorded when the bound still grew with the edge values
+        # (only x = 0 on this grid) was recorded when the bound still grew
+        # with the edge values
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        sol = solve(params, 0.5, FdConfig(x_max=8.0, window_x=(-4.0, 4.0)))
-        want = [
-            [7.20832519796302e-09, 1.5664511067605546e-08, 2.8982613133115815e-08],
-            [-1.4525963326091343e-06, -2.7287967706975833e-06, -5.071306160602337e-06],
-            [0.00021570756120601456, 0.0003709783540740714, 0.0006069061463382697],
-            [0.21129574308765003, 0.21384020079197819, 0.2163915037138973],
-            [3.0753619883019705, 3.074927081458415, 3.071992424051305],
-            [14.457407737663319, 14.453706518456217, 14.439103319669718],
-            [57.64022645280955, 57.62612381896358, 57.57058557095551],
-        ]
+        sol = solve(params, 0.5, FdConfig(x_max=8.0))
+        want = [[0.21129574308765003, 0.21384020079197819, 0.2163915037138973]]
         assert sol.grid.n_time_steps == 14
         np.testing.assert_allclose(sol.restriction, want, rtol=1e-12, atol=1e-20)
 
     def test_instability_messages(self):
-        grid = build_grid()
+        grid = build_grid(FdConfig())
         w = np.zeros((grid.x_nodes.size, grid.sigma_nodes.size))
         w[3, 4] = 1e9
         assert str(_instability(w, grid, 0.25)).startswith("exploding value 1e+09 at x=")
@@ -298,14 +301,21 @@ class TestSolve:
 
 
 class TestResidual:
+    # on a 3 x 3 x 5 lattice, see small_lattice
     SMALL = ResidualRegion(t_range=(0.3, 0.8), sigma_range=(0.15, 0.25),
-                           y_range=(-0.3, 0.3), n_t=3, n_sigma=3, n_y=5)
+                           y_range=(-0.3, 0.3))
 
+    @pytest.fixture
+    def small_lattice(self, monkeypatch):
+        monkeypatch.setattr(fd, "_LATTICE_SIZE", (3, 3, 5))
+
+    @pytest.mark.usefixtures("small_lattice")
     def test_black_scholes_solves_nu_zero(self):
         params = SabrParams(sigma0=0.2, nu=0.0, rho=0.0)
         r = residual_norm(price_fn_for_model("bs", params), params, self.SMALL)
         assert r <= 1e-4
 
+    @pytest.mark.usefixtures("small_lattice")
     def test_expansion_beats_black_scholes(self):
         params = SabrParams(sigma0=0.2, nu=0.3, rho=-0.4)
         r_bs = residual_norm(price_fn_for_model("bs", params), params, self.SMALL)
@@ -376,6 +386,7 @@ class TestResidual:
             reference_residual(fn, params, region), rel=1e-12, abs=0.0
         )
 
+    @pytest.mark.usefixtures("small_lattice")
     def test_one_price_call_per_residual(self):
         params = SabrParams(sigma0=0.2, nu=0.3, rho=-0.4)
         fn = price_fn_for_model("sa2", params)
@@ -400,16 +411,9 @@ class TestResidual:
 class TestTimeStepBound:
     def test_refinement_increases_steps(self):
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        n0 = stable_time_steps(build_grid(level=0), params, 1.0)
-        n1 = stable_time_steps(build_grid(level=1), params, 1.0)
+        n0 = stable_time_steps(build_grid(FdConfig(level=0)), params, 1.0)
+        n1 = stable_time_steps(build_grid(FdConfig(level=1)), params, 1.0)
         assert n1 >= 3.5 * n0
-
-    def test_safety_factor(self):
-        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        g = build_grid(level=1)
-        loose = stable_time_steps(g, params, 1.0, c_safety=0.9)
-        tight = stable_time_steps(g, params, 1.0, c_safety=0.45)
-        assert tight >= 1.98 * loose
 
 
 class TestMarchLimit:
@@ -425,7 +429,7 @@ class TestMarchLimit:
     def test_non_finite_stability_rate(self):
         params = SabrParams(sigma0=0.18, nu=1e200, rho=-0.2)
         with pytest.raises(DomainError, match="non-finite number of time steps"):
-            stable_time_steps(build_grid(), params, 0.5)
+            stable_time_steps(build_grid(FdConfig()), params, 0.5)
         with pytest.raises(DomainError, match="non-finite number of time steps"):
             solve(params, 0.5, FdConfig())
 
@@ -447,19 +451,9 @@ class TestMarchLimit:
         with pytest.raises(DomainError, match="FD level 12 needs 3624001537 nodes"):
             solve_sequence(params, 0.5, FdConfig(), max_level=12)
 
-    @pytest.mark.parametrize("c_safety", [-1.0, 0.0, math.nan, math.inf])
-    def test_c_safety_must_be_positive_and_finite(self, c_safety):
-        # -1 used to march one step of dt = T, 0 to report a non-finite step count
-        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        message = f"^c_safety must be positive and finite, got {c_safety}$"
-        with pytest.raises(DomainError, match=message):
-            solve(params, 0.5, FdConfig(c_safety=c_safety))
-        with pytest.raises(DomainError, match=message):
-            stable_time_steps(build_grid(), params, 0.5, c_safety=c_safety)
-
     def test_huge_level_rejected_before_building_nodes(self):
         with pytest.raises(DomainError, match="level 1000000000 grid has more nodes"):
-            build_grid(level=10**9)
+            build_grid(FdConfig(level=10**9))
 
     @pytest.mark.parametrize(
         "preset, steps",
@@ -475,7 +469,7 @@ class TestMarchLimit:
         params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
         for level, want in enumerate(steps):
             grid = _level_grid(params, p["t"], FdConfig(level=level))
-            assert build_grid(level=level).n_time_steps == 0
+            assert build_grid(FdConfig(level=level)).n_time_steps == 0
             assert grid.n_time_steps == want
             assert grid.n_time_steps == stable_time_steps(grid, params, p["t"])
 

@@ -99,7 +99,7 @@ class TestPriceH:
 
     def test_regularized_close_to_raw(self):
         # at |z| = 0.01 both are far from the switch; the series remainder
-        # at the switch itself is O(z_switch^4)
+        # at the switch itself is O(Z_SWITCH^4)
         p = SabrParams(sigma0=0.2, nu=0.5, rho=-0.4)
         y = 0.01 * 0.2 / 0.5  # z = 0.01
         reg = price_h(y, 1.0, p)
