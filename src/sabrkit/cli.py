@@ -192,11 +192,15 @@ def _resolve(args) -> set[str]:
 
 @contextlib.contextmanager
 def _file_errors(path: str):
-    """An OSError reading or writing path becomes a usage error naming it."""
+    """An OSError reading or writing path, or bytes read from it that are
+    not UTF-8, become a usage error naming it."""
     try:
         yield
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}", EXIT_USAGE) from exc
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoded chunk, not the file, so it is left out
+        raise CliError(f"{path}: not UTF-8 text ({exc.reason})", EXIT_USAGE) from exc
 
 
 def _emit(rows: list[list], header: list[str], args) -> None:

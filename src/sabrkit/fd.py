@@ -8,23 +8,30 @@ sigma-grid, Black-Scholes boundary data, a refinement sequence with
 Richardson error estimation, and a PDE-residual diagnostic for the
 closed-form approximations. Strike is normalized to K = 1, r = 0.
 
-Each time step is one sparse product: the explicit step I + dt L for
-the interior nodes is assembled once per solve as a CSR matrix over the
-flattened (x, sigma) grid. The boundary data is the nu = 0 solution,
-`core.c_rel`, written on all four edges of the rectangle; one array call
-computes the edge values of a block of 32 time steps.
+Each time step is one sparse product: the explicit step I + dt L is
+assembled once per solve as a matrix of nine diagonals (DIA format) over
+the whole flattened (x, sigma) grid, with zero rows for the edge nodes.
+The boundary data is the nu = 0 solution, `core.c_rel`, written on all
+four edges of the rectangle after each product; one array call computes
+the edge values of a block of 32 time steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+import scipy  # loaded already by core's scipy.special
 
 from .core import DomainError, _require_at, c_rel
 from .expansion import SabrParams
+
+if TYPE_CHECKING:
+    # scipy.sparse loads only in _step_matrix, or lazily (as an attribute
+    # of scipy) when typing.get_type_hints resolves its return annotation
+    import scipy.sparse
 
 __all__ = [
     "FdConfig",
@@ -48,7 +55,8 @@ PriceFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # the most node-steps (grid nodes x time steps) one solve may march: level 4
 # of every FD preset fits (at most 4.0e9, fd1-row1's cut-off grid), and at
-# about 12 ns a node-step the limit is about a minute of marching
+# about 7 ns a node-step (levels 3 and 4, one core of a 2-vCPU Xeon) the
+# limit is about 35 s of marching
 _MAX_NODE_STEPS = 5_000_000_000
 
 # the explicit step's safety factor against the stability bound
@@ -150,15 +158,17 @@ def _edge_nodes(grid: FdGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(ring)
 
 
-def _step_matrix(grid: FdGrid, params: SabrParams, dt: float) -> sparse.csr_matrix:
-    """The explicit step I + dt L for the interior nodes, as a CSR matrix
-    that maps the flattened (x, sigma) grid to its flattened interior.
+def _step_matrix(grid: FdGrid, params: SabrParams, dt: float) -> scipy.sparse.dia_matrix:
+    """The explicit step I + dt L as a DIA matrix of nine diagonals over
+    the flattened (x, sigma) grid, n = nx * ns; the rows of edge nodes
+    are zero.
 
     L is the 9-point operator: central differences in x and nonuniform
     central differences in sigma, with the mixed term as the sigma-derivative
-    of the central x-derivative. Each row stores its 9 entries in column
-    order, so the CSR arrays are written directly: a COO build's full-grid
-    index arrays and duplicate summing raise the solver's peak memory."""
+    of the central x-derivative. Its weights depend only on the sigma
+    index. The offsets ascend, so the product adds each row's 9 terms in
+    ascending column order, as a CSR product of the same rows does, with
+    contiguous loops and no index arrays."""
     # imported here, its only caller, so that subcommands without an FD
     # solve do not load scipy.sparse
     from scipy import sparse
@@ -190,18 +200,15 @@ def _step_matrix(grid: FdGrid, params: SabrParams, dt: float) -> sparse.csr_matr
     weights[7] += xx - x1
     weights *= scale
     weights[4] += 1.0
-    offsets = np.array(
-        [-ns - 1, -ns, -ns + 1, -1, 0, 1, ns - 1, ns, ns + 1], dtype=np.int32
-    )
-    centre = (
-        np.arange(1, nx - 1, dtype=np.int32)[:, None] * ns
-        + np.arange(1, ns - 1, dtype=np.int32)[None, :]
-    )
-    n_int = centre.size
-    indices = (centre[:, :, None] + offsets).reshape(-1)
-    data = np.broadcast_to(weights.T, (nx - 2, ns - 2, 9)).reshape(-1)
-    indptr = np.arange(0, 9 * n_int + 1, 9, dtype=np.int32)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n_int, nx * ns))
+    # the weight of row r on diagonal k sits at column r + offsets[k]:
+    # node (i + di, j + dj) of the interior node (i, j)
+    stencil = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    data = np.zeros((9, nx, ns))
+    for k, (di, dj) in enumerate(stencil):
+        data[k, 1 + di : nx - 1 + di, 1 + dj : ns - 1 + dj] = weights[k]
+    offsets = [di * ns + dj for di, dj in stencil]
+    n = nx * ns
+    return sparse.dia_matrix((data.reshape(9, n), offsets), shape=(n, n))
 
 
 def stable_time_steps(grid: FdGrid, params: SabrParams, T: float) -> int:
@@ -288,31 +295,27 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
     nt = grid.n_time_steps
     dt = T / nt
     step = _step_matrix(grid, params, dt)
-    w = _cell_averaged_payoff(grid.x_nodes, grid.dx)[:, np.newaxis] * np.ones(
-        (1, grid.sigma_nodes.size)
-    )
-    flat = w.reshape(-1)
-    interior = w[1:-1, 1:-1]
+    shape = (grid.x_nodes.size, grid.sigma_nodes.size)
+    flat = np.repeat(_cell_averaged_payoff(grid.x_nodes, grid.dx), shape[1])
     # fixed, since no edge value can exceed it: c_rel(y) <= e^y <= e^x_max,
     # which is below 1e3 or else below 1.01 (e^x_max - 1) <= 1.01 max payoff
-    bound = max(1.01 * float(w.max()), 1e3)
+    bound = max(1.01 * float(flat.max()), 1e3)
     ex, es = _edge_nodes(grid)
-    edge = np.ravel_multi_index((ex, es), w.shape)
+    edge = np.ravel_multi_index((ex, es), shape)
     x_edge, s_edge = grid.x_nodes[ex], grid.sigma_nodes[es]
     for k0 in range(0, nt, _EDGE_BLOCK):
         ks = np.arange(k0 + 1, min(k0 + _EDGE_BLOCK, nt) + 1)
         edge_block = c_rel(x_edge, s_edge, (ks * dt)[:, np.newaxis])
         for k, edge_values in zip(ks, edge_block):
-            t_next = k * dt
-            interior[...] = (step @ flat).reshape(interior.shape)
+            flat = step @ flat
             flat[edge] = edge_values
             # NaN and inf fail the comparison too
-            if not float(np.abs(w).max()) <= bound:
-                raise _instability(w, grid, t_next)
+            if not float(np.abs(flat).max()) <= bound:
+                raise _instability(flat.reshape(shape), grid, k * dt)
     ix, js = _window_indices(grid, config)
     return FdSolution(
         grid=grid,
-        values=w,
+        values=flat.reshape(shape),
         params=params,
         time=T,
         window_x_idx=ix,

@@ -398,6 +398,23 @@ class TestCalibrate:
         assert code == EXIT_USAGE
         assert err == f"error: {path}: No such file or directory\n"
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"\xff\xfed\x00a\x00y\x00", "invalid start byte"),
+            ("day,type,expiry_months,delta,implied_vol\n1,call,1,0.25,0.2\u00e9\n"
+             .encode("latin-1"), "invalid continuation byte"),
+        ],
+        ids=["utf16-bom", "latin1-row"],
+    )
+    def test_non_utf8_quotes_is_usage_error(self, capsys, tmp_path, monkeypatch, data, reason):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "q.csv").write_bytes(data)
+        code, out, err = run(["calibrate", "--quotes", "q.csv"], capsys)
+        assert code == EXIT_USAGE
+        assert err == f"error: q.csv: not UTF-8 text ({reason})\n"
+        assert out == ""
+
     def test_start_the_model_rejects_exits_no_convergence(self, capsys, tmp_path):
         # the Hagan vol is negative at this start: a failed fit, not a crash
         out_path = str(tmp_path / "results.csv")

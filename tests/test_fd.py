@@ -1,4 +1,5 @@
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from sabrkit.models import price_fn_for_model
 
 def reference_operator(grid, params, w):
     """L w on the interior nodes by array slices: the slice-based stencil
-    the CSR step matrix replaced, kept here as its independent reference."""
+    the sparse step matrix replaced, kept here as its independent reference."""
     s = grid.sigma_nodes
     dx, nu, rho = grid.dx, params.nu, params.rho
     s2 = (s[1:-1] ** 2)[np.newaxis, :]
@@ -173,21 +174,75 @@ class TestStepMatrix:
         w = np.random.default_rng(seed).standard_normal(
             (grid.x_nodes.size, grid.sigma_nodes.size)
         )
-        got = _step_matrix(grid, params, dt) @ w.ravel()
-        want = (w[1:-1, 1:-1] + dt * reference_operator(grid, params, w)).ravel()
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        got = (_step_matrix(grid, params, dt) @ w.ravel()).reshape(w.shape)
+        want = w[1:-1, 1:-1] + dt * reference_operator(grid, params, w)
+        assert np.abs(got[1:-1, 1:-1] - want).max() <= 1e-13 * np.abs(want).max()
+        got[1:-1, 1:-1] = 0.0
+        assert not got.any()  # the edge rows are exactly zero
 
     def test_layout(self):
         grid = build_grid(FdConfig(level=1))
-        ns = grid.sigma_nodes.size
+        nx, ns = grid.x_nodes.size, grid.sigma_nodes.size
         step = _step_matrix(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
-        n_int = (grid.x_nodes.size - 2) * (ns - 2)
-        assert step.shape == (n_int, grid.x_nodes.size * ns)
-        assert step.indices.dtype == np.int32
-        np.testing.assert_array_equal(step.indptr, np.arange(0, 9 * n_int + 1, 9))
-        offsets = step.indices.reshape(n_int, 9) - step.indices[4::9, np.newaxis]
+        assert step.format == "dia"
+        assert step.shape == (nx * ns, nx * ns)
         want = [-ns - 1, -ns, -ns + 1, -1, 0, 1, ns - 1, ns, ns + 1]
-        np.testing.assert_array_equal(offsets, np.broadcast_to(want, offsets.shape))
+        np.testing.assert_array_equal(step.offsets, want)
+        rows = step.toarray().reshape(nx, ns, nx * ns)
+        for edge in (rows[0], rows[-1], rows[:, 0], rows[:, -1]):
+            assert not edge.any()
+        assert (np.count_nonzero(rows[1:-1, 1:-1], axis=-1) == 9).all()
+
+    def test_return_annotation_resolves(self):
+        import scipy.sparse
+
+        assert typing.get_type_hints(_step_matrix)["return"] is scipy.sparse.dia_matrix
+
+
+def csr_march(params, T, config):
+    """solve's march with the CSR product the DIA step replaced: the same
+    operator's interior rows as a CSR matrix, each row summed in ascending
+    column order, and the edge values in solve's blocks of time steps."""
+    grid = _level_grid(params, T, config)
+    nt = grid.n_time_steps
+    dt = T / nt
+    x, s = grid.x_nodes, grid.sigma_nodes
+    inner = np.zeros((x.size, s.size), dtype=bool)
+    inner[1:-1, 1:-1] = True
+    csr = _step_matrix(grid, params, dt).tocsr()[np.flatnonzero(inner)]
+    assert csr.has_sorted_indices
+    w = _cell_averaged_payoff(x, grid.dx)[:, np.newaxis] * np.ones((1, s.size))
+    flat = w.reshape(-1)
+    interior = w[1:-1, 1:-1]
+    ring = ~inner
+    xs, ss = np.meshgrid(x, s, indexing="ij")
+    for k0 in range(0, nt, fd._EDGE_BLOCK):
+        ks = np.arange(k0 + 1, min(k0 + fd._EDGE_BLOCK, nt) + 1)
+        edge_block = c_rel(xs[ring], ss[ring], (ks * dt)[:, np.newaxis])
+        for edge_values in edge_block:
+            interior[...] = (csr @ flat).reshape(interior.shape)
+            w[ring] = edge_values
+    return w
+
+
+class TestDiaStep:
+    # the benchmark's fd presets, and nu = 0 and rho = 0, where the cross
+    # diagonals (and at nu = 0 the sigma diagonals) are zero in the DIA
+    # matrix and absent from the CSR one
+    @pytest.mark.parametrize(
+        "nu, rho, T",
+        [
+            pytest.param(*(FD_PRESETS[p][k] for k in ("nu", "rho", "t")), id=p)
+            for p in ("fd1-row7", "fd2-row3", "fd1-row4", "fd1-row1")
+        ]
+        + [pytest.param(0.0, -0.2, 0.5, id="nu0"), pytest.param(1.0, 0.0, 0.5, id="rho0")],
+    )
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_bit_identical_to_csr_march(self, nu, rho, T, level):
+        params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
+        config = FdConfig(level=level)
+        got = solve(params, T, config).values
+        assert np.array_equal(got, csr_march(params, T, config))
 
 
 class TestInitialData:
