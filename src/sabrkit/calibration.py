@@ -2,13 +2,13 @@
 
 Quotes are (delta or log-moneyness, implied vol, expiry) observations;
 objectives compare model implied vols, relative prices, or log prices
-against the quoted ones (strike normalized to K = 1, r = 0). Fitting is
-trust-region reflective least squares (Branch, Coleman & Li 1999; scipy's
-`least_squares`, method "trf") on the per-quote residuals inside the box
-nu in [0, 5], sigma in [0.01, 2], rho in [-0.99, 0.99]. The sigma_d
-objective supplies its closed-form Jacobian, which costs no more than its
-values; the others use forward differences. Days are fitted in a
-warm-start chain with in-sample / out-of-sample RMS error reporting.
+against the quoted ones (strike normalized to K = 1, r = 0). A fit is one
+run of trust-region reflective least squares (Branch, Coleman & Li 1999;
+scipy's `least_squares`, method "trf") on the per-quote residuals inside
+the box nu in [0, 5], sigma in [0.01, 2], rho in [-0.99, 0.99]. The
+sigma_d objective supplies its closed-form Jacobian, which costs no more
+than its values; the others use forward differences. Days are fitted in
+a warm-start chain with in-sample / out-of-sample RMS error reporting.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ class CalibrationResult:
     ose: float = float("nan")
     converged: bool = True
     n_skipped: int = 0
-    # residual evaluations of the fit over both runs, finite-difference
-    # probes included
+    # residual evaluations of the fit, finite-difference probes included
     nfev: int = 0
 
     @property
@@ -231,10 +230,8 @@ def objective_value(
 # the (nu, sigma, rho) box of every fit
 _LOWER = (0.0, 0.01, -0.99)
 _UPPER = (5.0, 2.0, 0.99)
-# residual evaluations per least-squares run, difference probes not counted
+# residual evaluations per fit, difference probes not counted
 _MAX_NFEV = 2000
-# least-squares runs per fit, each starting where the previous one stopped
-_RUNS = 2
 
 
 def _make_params(x: np.ndarray, kappa0: float, theta: float) -> SabrParams:
@@ -243,7 +240,7 @@ def _make_params(x: np.ndarray, kappa0: float, theta: float) -> SabrParams:
 
 
 class _NoFiniteStart(Exception):
-    """A least-squares run's start point has no finite residuals."""
+    """The fit's start point has no finite residuals."""
 
 
 def _sigma_d_jacobian(
@@ -271,17 +268,16 @@ def fit_day(
     (model - target) / sqrt(n_used) of the quotes the objective uses, whose
     sum of squares is the objective; a skipped quote's residual is 0. The
     sigma_d objective has a closed-form Jacobian, the others use forward
-    differences. Two runs search the box of the module docstring, the
-    second from where the first stopped, each capped at 2000 residual
-    evaluations with finite-difference probes not counted.
+    differences. One run searches the box of the module docstring, capped
+    at 2000 residual evaluations with finite-difference probes not counted.
 
     init is (nu, sigma, rho), clipped into the box; ISE is the RMS of the
     fitted objective. kappa0 and theta are fixed in the model of every
     objective; the d and h models have no mean reversion, so a nonzero
     kappa0 with their objectives raises DomainError before the fit starts,
-    as does a negative or non-finite kappa0 or theta. A run that hits the
+    as does a negative or non-finite kappa0 or theta. A fit that hits the
     cap, or whose start point has no usable quote or parameters the model
-    rejects, ends the fit with converged=False and the point it reached.
+    rejects, ends with converged=False and the point it reached.
     """
     # imported here, its only caller: scipy.optimize costs every other
     # subcommand about 0.25 s and 20 MB at start-up
@@ -298,7 +294,7 @@ def fit_day(
     quotes = _quote_arrays(day, sigma_prev)
     n_quotes = quotes.y.size
     nfev = 0
-    # (x, params, used, scale, clamped) of the run's last finite residuals
+    # (x, params, used, scale, clamped) of the last finite residuals
     last = None
 
     def residuals(x: np.ndarray) -> np.ndarray:
@@ -327,26 +323,23 @@ def fit_day(
         jac[~used] = 0.0
         return jac * scale
 
-    converged = True
-    for _ in range(_RUNS):
-        last = None
-        try:
-            res = least_squares(
-                residuals,
-                x,
-                jac=sigma_d_jac if objective == "sigma_d" else "2-point",
-                bounds=(_LOWER, _UPPER),
-                method="trf",
-                # a run ends when its step falls below 1e-8 relative to x:
-                # fitted parameters agree with a 1e-15 stop to about 2e-9
-                xtol=1e-8,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=_MAX_NFEV,
-            )
-        except _NoFiniteStart:
-            converged = False
-            break
+    try:
+        res = least_squares(
+            residuals,
+            x,
+            jac=sigma_d_jac if objective == "sigma_d" else "2-point",
+            bounds=(_LOWER, _UPPER),
+            method="trf",
+            # the run ends when its step falls below 1e-8 relative to x:
+            # fitted parameters agree with a 1e-15 stop to about 2e-9
+            xtol=1e-8,
+            ftol=1e-15,
+            gtol=1e-15,
+            max_nfev=_MAX_NFEV,
+        )
+    except _NoFiniteStart:
+        converged = False
+    else:
         x = res.x
         converged = bool(res.success)
     try:
@@ -392,6 +385,8 @@ def synth_panel(
         raise DomainError(f"a panel needs at least one day, got n_days = {n_days}")
     if noise_level < 0.0:
         raise DomainError(f"noise_level must be nonnegative, got {noise_level}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     vol_fn = vol_fn_for_model("d", generator_params)
     # (expiry, quoted coordinate, model vol) per quote point; the same every day
     points = []

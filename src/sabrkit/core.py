@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, NamedTuple
@@ -46,6 +47,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _STD_NORMAL = NormalDist()
+# the largest y whose e^y is a float
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 # bs_implied_vol's sigma bracket, price tolerance and iteration limit
 _IV_LO = 1e-6
 _IV_HI = 5.0
@@ -69,7 +72,7 @@ class OptionQuery:
         rate: continuously compounded interest rate (per year).
         expiry: time to expiry in years, >= 0.
 
-    Every field must be finite.
+    Every field must be finite, and the forward S e^{rt} a positive float.
     """
 
     spot: float
@@ -88,6 +91,15 @@ class OptionQuery:
             raise DomainError(f"strike must be positive, got {self.strike}")
         if not (self.expiry >= 0.0):
             raise DomainError(f"expiry must be nonnegative, got {self.expiry}")
+        try:
+            forward = self.forward
+        except OverflowError:
+            forward = math.inf
+        if not (0.0 < forward < math.inf):
+            raise DomainError(
+                "the forward S e^(rt) is not a positive float at "
+                f"spot = {self.spot}, rate = {self.rate}, expiry = {self.expiry}"
+            )
 
     @property
     def forward(self) -> float:
@@ -282,8 +294,10 @@ def c_rel(y, sigma, t):
 
     Equals K^{-1} e^{rt} bs_call for any (S, K, r) with ln(S e^{rt}/K) = y.
     Points with sigma sqrt(t) = 0 take the intrinsic value (e^y - 1)^+.
+    A NaN y, or one whose e^y overflows a float, raises DomainError.
     """
     m, (y, sigma, t) = _args(y, sigma, t)
+    _require(y <= _MAX_EXP_ARG, "y must be a number whose e^y is a float", y)
     _require(sigma >= 0.0, "sigma must be nonnegative", sigma)
     _require(t >= 0.0, "t must be nonnegative", t)
     v = sigma * m.sqrt(t)

@@ -47,14 +47,14 @@ def z_over_xi(z, rho: float):
     return m.where(near, series, far_z / xi(far_z, rho))
 
 
-def sigma_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
+def sigma_h(y, t, params: SabrParams, *, sigma=None):
     """Hagan implied volatility
 
         sigma * (z / xi(z)) * [1 + (rho nu sigma / 4 + (2 - 3 rho^2) nu^2 / 24) t]
 
-    with z = (nu / sigma) y. The regularized quotient is the default; pass
-    regularized=False to evaluate the raw quotient, which raises DomainError
-    wherever z = 0 (at y = 0, or everywhere when nu = 0).
+    with z = (nu / sigma) y and the quotient from z_over_xi: Hagan et al.'s
+    z / xi(z) for |z| >= Z_SWITCH, its Taylor series below, where the raw
+    quotient tends to 0/0.
     """
     if params.kappa0 != 0.0:
         raise DomainError("sigma_h is only available for kappa0 = 0")
@@ -68,25 +68,21 @@ def sigma_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
     with np.errstate(over="ignore", invalid="ignore"):
         z = nu * y / sigma
         _require_at(m.isfinite(z * z), "z = nu y / sigma overflows z**2", nu=nu, y=y, sigma=sigma)
-        if regularized:
-            backbone = z_over_xi(z, rho)
-        else:
-            _require(z != 0.0, "the raw quotient z/xi(z) needs z = nu y / sigma != 0", z)
-            backbone = z / xi(z, rho)
+        backbone = z_over_xi(z, rho)
         bracket = 1.0 + (0.25 * rho * nu * sigma + (2.0 - 3.0 * rho * rho) * nu2 / 24.0) * t
         vol = sigma * backbone * bracket
     _require_at(m.isfinite(vol), "sigma_h overflows a float", nu=nu, y=y, t=t, sigma=sigma)
     return vol
 
 
-def price_h(y, t, params: SabrParams, regularized: bool = True, *, sigma=None):
+def price_h(y, t, params: SabrParams, *, sigma=None):
     """Relative call price through the Hagan vol: c_rel(y, sigma_h, t).
 
     The bracket of sigma_h turns negative at large rho nu sigma t; such a
     vol is no Black-Scholes vol, and DomainError names it and its point."""
     # broadcast, so that the error can name the point
     _, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
-    vol = sigma_h(y, t, params, regularized=regularized, sigma=sigma)
+    vol = sigma_h(y, t, params, sigma=sigma)
     _require_at(
         vol >= 0.0, "the Hagan vol is negative", vol=vol, nu=params.nu, y=y, t=t, sigma=sigma
     )

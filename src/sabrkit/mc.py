@@ -43,6 +43,8 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.n_paths <= 0:
             raise DomainError(f"n_paths must be positive, got {self.n_paths}")
         if not (self.dt > 0.0):
@@ -116,8 +118,9 @@ def simulate_prices(
 
     The queries must share spot, rate and expiry; only the strikes differ.
     Each result equals what a simulation of that query alone would give,
-    bit for bit. Deterministic for a fixed seed. With antithetic variates
-    each mirrored pair contributes one averaged sample to the error estimate.
+    bit for bit, on any number of SABR_THREADS worker threads (one when
+    unset). Deterministic for a fixed seed. With antithetic variates each
+    mirrored pair contributes one averaged sample to the error estimate.
     """
     if not queries:
         raise DomainError("simulate_prices needs at least one query")
@@ -169,13 +172,8 @@ def simulate_prices(
             config.antithetic, samples[:, start : start + sizes[i]],
         )
 
-    workers = _max_workers()
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(seeds))))
-    else:
-        for i in range(len(seeds)):
-            run(i)
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+        list(pool.map(run, range(len(seeds))))
     disc = math.exp(-q0.rate * t)
     root_n = math.sqrt(n_samples)
     return [

@@ -16,7 +16,7 @@ from .hagan import price_h, sigma_h
 
 __all__ = ["MODEL_NAMES", "price_fn_for_model", "vol_fn_for_model"]
 
-MODEL_NAMES = ("sa2", "d", "h", "h_raw", "bs", "kappa")
+MODEL_NAMES = ("sa2", "d", "h", "bs", "kappa")
 
 
 def price_fn_for_model(model: str, params: SabrParams) -> Callable:
@@ -32,8 +32,6 @@ def price_fn_for_model(model: str, params: SabrParams) -> Callable:
         return lambda y, s, t: price_d(y, t, params, sigma=s)
     if model == "h":
         return lambda y, s, t: price_h(y, t, params, sigma=s)
-    if model == "h_raw":
-        return lambda y, s, t: price_h(y, t, params, regularized=False, sigma=s)
     if model == "bs":
         return lambda y, s, t: c_rel(y, s, t)
     raise DomainError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
@@ -60,8 +58,6 @@ def vol_fn_for_model(model: str, params: SabrParams) -> Callable:
         return lambda y, t: sigma_d(y, t, params).value
     if model == "h":
         return lambda y, t: sigma_h(y, t, params)
-    if model == "h_raw":
-        return lambda y, t: sigma_h(y, t, params, regularized=False)
     if model == "bs":
         return _per_point(lambda y, t: params.sigma0)
     raise DomainError(f"no implied-vol form for model {model!r}")

@@ -1,9 +1,11 @@
-"""The library's settings: every defaulted parameter and dataclass field of
-`src/sabrkit`, and the keywords that became module constants.
+"""The library's surface: every defaulted parameter and dataclass field of
+`src/sabrkit`, the keywords that became module constants, and the lists of
+models, objectives and public names.
 
 A setting that no caller outside the tests sets is a module constant, not
 a parameter. Adding a defaulted parameter or field fails
-`test_settings_snapshot` until SETTINGS below lists it.
+`test_settings_snapshot` until SETTINGS below lists it; adding a model, an
+objective or a public name fails its snapshot test the same way.
 """
 
 import dataclasses
@@ -24,11 +26,13 @@ from sabrkit import (
     build_grid,
     calibrate_panel,
     fit_day,
+    price_h,
+    sigma_h,
     solve_sequence,
     synth_panel,
     z_over_xi,
 )
-from sabrkit import calibration
+from sabrkit import calibration, models
 from sabrkit.fd import stable_time_steps
 
 # module.name.param for every defaulted parameter of a module-level function
@@ -74,9 +78,7 @@ SETTINGS = [
     "fd.ResidualRegion.sigma_range",
     "fd.ResidualRegion.t_range",
     "fd.ResidualRegion.y_range",
-    "hagan.price_h.regularized",
     "hagan.price_h.sigma",
-    "hagan.sigma_h.regularized",
     "hagan.sigma_h.sigma",
     "mc.McConfig.antithetic",
     "mc.McConfig.dt",
@@ -112,6 +114,37 @@ def test_settings_snapshot():
     assert settings() == SETTINGS
 
 
+def test_model_names_snapshot():
+    assert models.MODEL_NAMES == ("sa2", "d", "h", "bs", "kappa")
+
+
+def test_objectives_snapshot():
+    assert calibration.OBJECTIVES == (
+        "sigma_d", "sigma_h", "price_d", "price_h", "price_sa2",
+        "log_price_d", "log_price_h", "log_price_sa2", "price_kappa",
+    )
+
+
+PUBLIC_NAMES = [
+    "CalibrationResult", "DomainError", "ExpansionPrice", "FdComparison", "FdConfig",
+    "FdGrid", "FdInstabilityError", "FdSolution", "MODEL_NAMES", "MarketQuote", "McConfig",
+    "MeanRevState", "OptionQuery", "QuoteDay", "ResidualRegion", "SabrParams", "VolQuote",
+    "__version__", "bs_call", "bs_implied_vol", "build_grid", "c_rel", "calibrate_panel",
+    "compare", "cutoff_sensitivity", "d_minus", "d_pair", "delta_sa2",
+    "delta_to_moneyness", "det_vol_price", "f1_term", "f2_term", "fit_day", "h_tilde",
+    "hermite", "implied_e1", "implied_e2", "norm_cdf", "norm_pdf", "norm_ppf",
+    "objective_value", "out_of_sample", "phi_t", "price_d", "price_fn_for_model",
+    "price_h", "price_sa2", "price_sa2_rel", "read_quotes_csv", "residual_norm",
+    "richardson_ratios", "sigma_d", "sigma_h", "sigma_of_z", "simulate_price",
+    "simulate_prices", "solve", "solve_sequence", "synth_panel", "total_variance",
+    "vol_fn_for_model", "write_quotes_csv", "write_results_csv", "z_over_xi",
+]
+
+
+def test_public_names_snapshot():
+    assert sorted(sabrkit.__all__) == PUBLIC_NAMES
+
+
 PARAMS = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
 DAY = synth_panel(PARAMS, 1)[0]
 
@@ -123,6 +156,8 @@ DAY = synth_panel(PARAMS, 1)[0]
         ("hi", lambda: bs_implied_vol(0.08, 0.0, 1.0, hi=5.0)),
         ("tol", lambda: bs_implied_vol(0.08, 0.0, 1.0, tol=1e-12)),
         ("z_switch", lambda: z_over_xi(0.1, -0.2, z_switch=1e-4)),
+        ("regularized", lambda: sigma_h(0.0, 1.0, PARAMS, regularized=False)),
+        ("regularized", lambda: price_h(0.0, 1.0, PARAMS, regularized=False)),
         ("c_safety", lambda: FdConfig(c_safety=0.9)),
         ("window_x", lambda: FdConfig(window_x=(-1.0, 1.0))),
         (

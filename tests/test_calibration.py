@@ -216,6 +216,10 @@ class TestSynthPanel:
         with pytest.raises(DomainError):
             synth_panel(TRUE, 1, noise_level=-0.1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="^seed must be nonnegative, got -1$"):
+            synth_panel(TRUE, 1, seed=-1)
+
     @pytest.mark.parametrize("n_days", [0, -3])
     def test_panel_needs_a_day(self, n_days):
         message = f"^a panel needs at least one day, got n_days = {n_days}$"
@@ -256,16 +260,14 @@ class TestFitDay:
         assert 0 < res.nfev < 100
         assert len(calls) == res.nfev + 1
 
-    @pytest.mark.parametrize("n_restarts", [0, 1])
-    def test_nfev_counts_objective_evaluations(self, monkeypatch, n_restarts):
-        monkeypatch.setattr(calibration, "_RUNS", 1 + n_restarts)
+    def test_nfev_counts_objective_evaluations(self, monkeypatch):
         self.check_nfev(monkeypatch, "sigma_d")
 
     def test_nfev_counts_finite_difference_probes(self, monkeypatch):
         # price_h has no closed-form Jacobian: its difference probes count
         self.check_nfev(monkeypatch, "price_h")
 
-    def test_second_run_starts_where_the_first_stopped(self, monkeypatch):
+    def test_one_least_squares_run_from_the_clipped_start(self, monkeypatch):
         import scipy.optimize
 
         least_squares = scipy.optimize.least_squares
@@ -277,10 +279,11 @@ class TestFitDay:
 
         monkeypatch.setattr("scipy.optimize.least_squares", recorded)
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
-        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d")
-        assert len(runs) == 2
-        np.testing.assert_array_equal(runs[1][0], runs[0][1].x)
-        assert res.params == tuple(runs[1][1].x)
+        res = fit_day(day, (10.0, 0.25, -2.0), "sigma_d")
+        assert len(runs) == 1
+        np.testing.assert_array_equal(runs[0][0], [5.0, 0.25, -0.99])
+        assert res.params == tuple(runs[0][1].x)
+        assert res.nfev == runs[0][1].nfev
 
     def test_max_iter_stop_is_not_converged(self, monkeypatch):
         # a run capped at 2 residual evaluations stops before it converges

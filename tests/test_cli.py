@@ -89,10 +89,10 @@ class TestPrice:
         assert err == "error: nu**2 overflows a float, got nu = 1e+300\n"
         assert out == ""
 
-    def test_raw_hagan_at_the_money_is_domain_error(self, capsys):
+    def test_h_raw_is_an_unknown_model(self, capsys):
         code, out, err = run(["price", "--model", "h_raw", "--y", "0"], capsys)
-        assert code == EXIT_DOMAIN
-        assert "z/xi" in err
+        assert code == EXIT_USAGE
+        assert err == "error: --model: unknown model 'h_raw'; choose from sa2, d, h, bs, kappa\n"
         assert out == ""
 
 
@@ -472,6 +472,62 @@ class TestMisc:
             raise AssertionError("simulated a non-finite input")
 
         monkeypatch.setattr("sabrkit.cli.simulate_prices", no_simulation)
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_DOMAIN
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message, must_not_run",
+        [
+            (
+                ["mc", "--seed=-1"],
+                "seed must be nonnegative, got -1",
+                "sabrkit.cli.simulate_prices",
+            ),
+            (
+                ["calibrate", "--synth-days", "1", "--seed=-1"],
+                "seed must be nonnegative, got -1",
+                "sabrkit.calibration.vol_fn_for_model",
+            ),
+            (
+                ["mc", "--rate", "1000"],
+                "the forward S e^(rt) is not a positive float at "
+                "spot = 10.0, rate = 1000.0, expiry = 1.0",
+                "sabrkit.cli.simulate_prices",
+            ),
+            (
+                ["mc", "--rate=-1000"],
+                "the forward S e^(rt) is not a positive float at "
+                "spot = 10.0, rate = -1000.0, expiry = 1.0",
+                "sabrkit.cli.simulate_prices",
+            ),
+            (
+                ["price", "--y", "710", "--model", "d"],
+                "y must be a number whose e^y is a float, got 710.0",
+                None,
+            ),
+            (
+                ["price", "--y=0:800:3", "--model", "bs"],
+                "y must be a number whose e^y is a float, got 800.0",
+                None,
+            ),
+            (
+                ["mc", "--strikes", "1e-308", "--paths", "4", "--dt", "0.5"],
+                "y must be a number whose e^y is a float, got 711.4987937351601",
+                None,
+            ),
+        ],
+    )
+    def test_unrepresentable_values_are_domain_errors(
+        self, capsys, monkeypatch, argv, message, must_not_run
+    ):
+        # the seed and forward checks come before any path or panel is built
+        def fail(*args, **kwargs):
+            raise AssertionError("started work")
+
+        if must_not_run is not None:
+            monkeypatch.setattr(must_not_run, fail)
         code, out, err = run(argv, capsys)
         assert code == EXIT_DOMAIN
         assert err == f"error: {message}\n"

@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -259,6 +261,21 @@ class TestCRel:
             got = c_rel(np.array([0.1, -0.1]), 1e-310, 1.0)
         np.testing.assert_allclose(got, [math.exp(0.1) - 1.0, 0.0], rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("y", [710.0, math.inf, math.nan])
+    def test_rejects_y_whose_exp_is_no_float(self, y):
+        message = f"^y must be a number whose e\\^y is a float, got {y}$"
+        with pytest.raises(DomainError, match=message):
+            c_rel(y, 0.2, 1.0)
+        with pytest.raises(DomainError, match=message):
+            c_rel(np.array([0.0, y]), 0.2, 1.0)
+
+    def test_largest_y_is_priced(self):
+        y = math.log(sys.float_info.max)
+        assert math.isfinite(c_rel(y, 0.2, 1.0))
+        assert np.isfinite(c_rel(np.array([0.0, y]), np.array([0.2, 0.0]), 1.0)).all()
+        with pytest.raises(DomainError, match="e\\^y is a float"):
+            c_rel(math.nextafter(y, math.inf), 0.2, 1.0)
+
 
 class TestImpliedVol:
     def test_round_trip_atm(self):
@@ -312,6 +329,20 @@ class TestOptionQuery:
             OptionQuery(spot=1.0, strike=-1.0)
         with pytest.raises(DomainError):
             OptionQuery(spot=1.0, strike=1.0, expiry=-0.5)
+
+    @pytest.mark.parametrize(
+        "spot, rate", [(10.0, 1000.0), (10.0, -1000.0), (1e300, 20.0), (1e-300, -100.0)]
+    )
+    def test_forward_must_be_a_positive_float(self, spot, rate):
+        message = (
+            "the forward S e^(rt) is not a positive float at "
+            f"spot = {spot}, rate = {rate}, expiry = 1.0"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            OptionQuery(spot=spot, strike=1.0, rate=rate, expiry=1.0)
+
+    def test_forward_at_expiry_is_the_spot(self):
+        assert OptionQuery(spot=10.0, strike=1.0, rate=-1000.0, expiry=0.0).forward == 10.0
 
     def test_forward_and_moneyness(self):
         q = OptionQuery(spot=2.0, strike=1.5, rate=0.05, expiry=2.0)

@@ -5,7 +5,7 @@ import pytest
 
 from sabrkit import DomainError, SabrParams, c_rel, price_h, sigma_h, z_over_xi
 from sabrkit.expansion import implied_e1, sigma_d
-from sabrkit.hagan import xi
+from sabrkit.hagan import Z_SWITCH, xi
 
 
 class TestXi:
@@ -98,13 +98,14 @@ class TestPriceH:
         assert price_h(y, t, p) == pytest.approx(c_rel(y, sigma_h(y, t, p), t))
 
     def test_regularized_close_to_raw(self):
-        # at |z| = 0.01 both are far from the switch; the series remainder
-        # at the switch itself is O(Z_SWITCH^4)
+        # at |z| = 0.01 price_h's quotient is the raw z / xi(z); below the
+        # switch it is the series, whose remainder there is O(Z_SWITCH^4)
         p = SabrParams(sigma0=0.2, nu=0.5, rho=-0.4)
-        y = 0.01 * 0.2 / 0.5  # z = 0.01
-        reg = price_h(y, 1.0, p)
-        raw = price_h(y, 1.0, p, regularized=False)
-        assert abs(reg - raw) <= 1e-8
+        bracket = 1.0 + (0.25 * -0.4 * 0.5 * 0.2 + (2.0 - 3.0 * 0.16) * 0.25 / 24.0)
+        for z in (0.01, 0.5 * Z_SWITCH):
+            y = z * 0.2 / 0.5
+            raw = c_rel(y, 0.2 * (z / xi(z, -0.4)) * bracket, 1.0)
+            assert abs(price_h(y, 1.0, p) - raw) <= 1e-8
 
     def test_negative_vol_names_the_vol_and_its_point(self):
         # the bracket 1 + (rho nu sigma / 4 + (2 - 3 rho^2) nu^2 / 24) t is
@@ -124,20 +125,15 @@ class TestPriceH:
 
 
 class TestRawQuotient:
+    # Hagan et al.'s raw quotient z / xi(z) as the reference: z_over_xi is
+    # the same quotient from Z_SWITCH on, and finite at z = 0 where it is 0/0
     P = SabrParams(sigma0=0.2, nu=0.5, rho=-0.4)
 
-    def test_float_at_the_money_raises(self):
-        with pytest.raises(DomainError, match="z/xi"):
-            sigma_h(0.0, 1.0, self.P, regularized=False)
-
-    def test_array_with_one_zero_raises(self):
-        with pytest.raises(DomainError, match="z/xi"):
-            price_h(np.array([-0.1, 0.0, 0.1]), 1.0, self.P, regularized=False)
-
-    def test_nu_zero_raises_everywhere(self):
-        p = SabrParams(sigma0=0.2, nu=0.0, rho=-0.4)
-        with pytest.raises(DomainError):
-            sigma_h(0.1, 1.0, p, regularized=False)
+    def test_same_quotient_from_the_switch_on(self):
+        zs = np.array([-2.0, -Z_SWITCH, Z_SWITCH, 0.3])
+        np.testing.assert_array_equal(z_over_xi(zs, -0.4), zs / xi(zs, -0.4))
+        for z in zs.tolist():
+            assert z_over_xi(z, -0.4) == z / xi(z, -0.4)
 
     def test_regularized_unchanged_at_zero(self):
         bracket = 1.0 + (0.25 * -0.4 * 0.5 * 0.2 + (2.0 - 3.0 * 0.16) * 0.25 / 24.0)

@@ -39,6 +39,10 @@ class TestConfig:
         with pytest.raises(DomainError, match="at least 2"):
             McConfig(n_paths=n_paths, antithetic=antithetic)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="^seed must be nonnegative, got -1$"):
+            McConfig(seed=-1)
+
     def test_two_samples_accepted(self):
         assert McConfig(n_paths=4).n_samples == 2
         assert McConfig(n_paths=2, antithetic=False).n_samples == 2
