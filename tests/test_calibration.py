@@ -244,7 +244,7 @@ class TestFitDay:
         assert -0.99 <= res.rho <= 0.99
 
     @staticmethod
-    def check_nfev(monkeypatch, objective):
+    def check_nfev(monkeypatch, objective, day_index=0):
         calls = []
         residuals = calibration._residuals
 
@@ -253,15 +253,16 @@ class TestFitDay:
             return residuals(*args)
 
         monkeypatch.setattr(calibration, "_residuals", counted)
-        day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
+        day = synth_panel(TRUE, 2, noise_level=0.01, seed=5)[day_index]
         res = fit_day(day, (1.0, 0.25, -0.3), objective)
         assert res.converged
         # every optimizer evaluation, plus the final one at the fitted point
         assert 0 < res.nfev < 100
         assert len(calls) == res.nfev + 1
 
-    def test_nfev_counts_objective_evaluations(self, monkeypatch):
-        self.check_nfev(monkeypatch, "sigma_d")
+    @pytest.mark.parametrize("day_index", [0, 1])
+    def test_nfev_counts_objective_evaluations(self, monkeypatch, day_index):
+        self.check_nfev(monkeypatch, "sigma_d", day_index)
 
     def test_nfev_counts_finite_difference_probes(self, monkeypatch):
         # price_h has no closed-form Jacobian: its difference probes count
