@@ -1,14 +1,14 @@
 """Daily least-squares fitting of (nu, sigma, rho) to option-quote panels.
 
-Quotes are (delta or log-moneyness, implied vol, expiry) observations;
-objectives compare model implied vols, relative prices, or log prices
-against the quoted ones (strike normalized to K = 1, r = 0). A fit is one
-run of trust-region reflective least squares (Branch, Coleman & Li 1999;
-scipy's `least_squares`, method "trf") on the per-quote residuals inside
-the box nu in [0, 5], sigma in [0.01, 2], rho in [-0.99, 0.99]. The
-sigma_d objective supplies its closed-form Jacobian, which costs no more
-than its values; the others use forward differences. Days are fitted in
-a warm-start chain with in-sample / out-of-sample RMS error reporting.
+A QuoteDay holds one day's quotes as columns: delta or log-moneyness,
+implied vol and expiry arrays. Objectives compare model implied vols,
+relative prices or log prices against the quoted ones (strike K = 1,
+r = 0). A fit is one run of trust-region reflective least squares
+(Branch, Coleman & Li 1999; scipy's `least_squares`, method "trf") on the
+per-quote residuals inside the box nu in [0, 5], sigma in [0.01, 2], rho
+in [-0.99, 0.99]. The sigma_d objective supplies its closed-form
+Jacobian; the others use forward differences. Days are fitted in a
+warm-start chain with in-sample / out-of-sample RMS error reporting.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _NUMPY, DomainError, c_rel, norm_ppf
+from .core import _MATH, _NUMPY, DomainError, _args, _require, c_rel, norm_ppf
 from .expansion import SabrParams, _monomials, _sigma_d_coeffs_jac, _sigma_d_quote
 from .models import price_fn_for_model, vol_fn_for_model
 
@@ -29,7 +29,6 @@ __all__ = [
     "OBJECTIVES",
     "PANEL_EXPIRY_MONTHS",
     "PANEL_DELTAS",
-    "MarketQuote",
     "QuoteDay",
     "CalibrationResult",
     "delta_to_moneyness",
@@ -63,37 +62,47 @@ PANEL_EXPIRY_MONTHS = (1, 2, 3, 4, 5, 6, 9, 12, 18, 24)
 PANEL_DELTAS = tuple(0.20 + 0.05 * i for i in range(13))
 
 
-@dataclass(frozen=True)
-class MarketQuote:
-    """One quote: exactly one of delta / moneyness is present."""
+# QuoteDay's float columns in check order: the open interval of their values, and the rule
+_QUOTE_COLUMNS = {
+    "delta": (0.0, 1.0, "delta must lie in (0, 1)"),
+    "moneyness": (-math.inf, math.inf, "moneyness must be finite"),
+    "implied_vol": (0.0, math.inf, "implied_vol must be positive and finite"),
+    "expiry": (0.0, math.inf, "expiry must be positive and finite"),
+}
 
-    option_type: str  # 'C' or 'P'
-    expiry: float  # years
-    implied_vol: float
-    delta: float | None = None
-    moneyness: float | None = None
+
+@dataclass(frozen=True, eq=False)
+class QuoteDay:
+    """One day's quotes as columns, one entry per quote: option_type 'C' or
+    'P', float arrays expiry (years) and implied_vol, and exactly one
+    coordinate for the whole day, delta or log-moneyness. The columns are
+    checked once, here (_QUOTE_COLUMNS); a DomainError names a bad value."""
+
+    day: int
+    option_type: tuple[str, ...]
+    expiry: np.ndarray
+    implied_vol: np.ndarray
+    delta: np.ndarray | None = None
+    moneyness: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.option_type not in ("C", "P"):
-            raise DomainError(f"option_type must be 'C' or 'P', got {self.option_type!r}")
+        n = len(self.option_type)
+        if n == 0:
+            raise DomainError("a quote day must contain at least one quote")
         if (self.delta is None) == (self.moneyness is None):
             raise DomainError("exactly one of delta / moneyness must be set")
-        if self.delta is not None and not (0.0 < self.delta < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.implied_vol > 0.0):
-            raise DomainError(f"implied_vol must be positive, got {self.implied_vol}")
-        if not (self.expiry > 0.0):
-            raise DomainError(f"expiry must be positive, got {self.expiry}")
-
-
-@dataclass(frozen=True)
-class QuoteDay:
-    day: int
-    quotes: tuple[MarketQuote, ...]
-
-    def __post_init__(self) -> None:
-        if not self.quotes:
-            raise DomainError("a quote day must contain at least one quote")
+        object.__setattr__(self, "option_type", tuple(self.option_type))
+        bad = [kind for kind in self.option_type if kind not in ("C", "P")]
+        if bad:
+            raise DomainError(f"option_type must be 'C' or 'P', got {bad[0]!r}")
+        for name, (lo, hi, rule) in _QUOTE_COLUMNS.items():
+            if getattr(self, name) is not None:
+                column = np.array(getattr(self, name), dtype=float)  # a read-only copy
+                column.flags.writeable = False
+                if column.shape != (n,):
+                    raise DomainError(f"{name} must have shape ({n},), got {column.shape}")
+                _require((lo < column) & (column < hi), rule, column)
+                object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True)
@@ -115,51 +124,30 @@ class CalibrationResult:
         return (self.nu, self.sigma, self.rho)
 
 
-def delta_to_moneyness(delta: float, sigma_prev: float, T: float) -> float:
-    """Log-moneyness from a call delta: y = (s sqrt(T)/2)(2 N^{-1}(delta) - s sqrt(T))."""
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if not (sigma_prev > 0.0):
-        raise DomainError(f"sigma_prev must be positive, got {sigma_prev}")
-    v = sigma_prev * math.sqrt(T)
-    return 0.5 * v * (2.0 * norm_ppf(delta) - v)
+def delta_to_moneyness(delta, sigma_prev, T):
+    """Log-moneyness from a call delta: y = (s sqrt(T)/2)(2 N^{-1}(delta) - s sqrt(T)).
+
+    Floats give a float; otherwise the arguments broadcast to one array.
+    N^{-1} is norm_ppf of each delta, so an array entry equals the float
+    call on the same values bit for bit.
+    """
+    m, (delta, sigma_prev, T) = _args(delta, sigma_prev, T)
+    _require((0.0 < delta) & (delta < 1.0), "delta must lie in (0, 1)", delta)
+    _require(sigma_prev > 0.0, "sigma_prev must be positive", sigma_prev)
+    ppf = norm_ppf(delta) if m is _MATH else np.frompyfunc(norm_ppf, 1, 1)(delta).astype(float)
+    v = sigma_prev * m.sqrt(T)
+    return 0.5 * v * (2.0 * ppf - v)
 
 
-def _resolve_moneyness(day: QuoteDay, sigma_prev: float | None) -> np.ndarray:
-    ys = np.empty(len(day.quotes))
-    for i, q in enumerate(day.quotes):
-        if q.moneyness is not None:
-            ys[i] = q.moneyness
-        else:
-            if sigma_prev is None:
-                raise DomainError(
-                    "delta-quoted day needs a previous-day sigma for conversion"
-                )
-            ys[i] = delta_to_moneyness(q.delta, sigma_prev, q.expiry)
-    return ys
-
-
-@dataclass(frozen=True)
-class _QuoteArrays:
-    """A day's quotes as arrays, with the log-moneyness resolved and the
-    (y, t) monomials the sigma_d objective and its Jacobian evaluate its
-    coefficients on, one row per monomial."""
-
-    y: np.ndarray
-    t: np.ndarray
-    vol: np.ndarray
-    monomials: np.ndarray
-
-
-def _quote_arrays(day: QuoteDay, sigma_prev: float | None) -> _QuoteArrays:
-    y = _resolve_moneyness(day, sigma_prev)
-    t = np.array([q.expiry for q in day.quotes])
-    return _QuoteArrays(
-        y=y,
-        t=t,
-        vol=np.array([q.implied_vol for q in day.quotes]),
-        monomials=np.array(_monomials(y, t)),
-    )
+def _quote_monomials(day: QuoteDay, sigma_prev: float | None) -> np.ndarray:
+    """The day's monomials (y, t, t^2, t y, y^2) in rows, with the
+    log-moneyness y resolved: sigma_d and its Jacobian are evaluated on
+    them, and the other objectives read y and t from the first two rows."""
+    t = day.expiry
+    if day.delta is not None and sigma_prev is None:
+        raise DomainError("delta-quoted day needs a previous-day sigma for conversion")
+    y = day.moneyness if day.delta is None else delta_to_moneyness(day.delta, sigma_prev, t)
+    return np.array(_monomials(y, t))
 
 
 def _model_name(objective: str) -> str:
@@ -170,24 +158,24 @@ def _model_name(objective: str) -> str:
 
 
 def _residuals(
-    quotes: _QuoteArrays, params: SabrParams, objective: str
+    day: QuoteDay, monomials: np.ndarray, params: SabrParams, objective: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-quote model - target (of their logs for the log_* objectives),
     where a non-finite entry is a quote the objective skips, and for
     sigma_d the flags of its clamped model vols (None otherwise)."""
     model_name = _model_name(objective)
-    y, t = quotes.y, quotes.t
+    y, t = monomials[0], monomials[1]
     clamped = None
     if objective == "sigma_d":
         # sigma_d(y, t, params) from the day's monomials
-        model, clamped = _sigma_d_quote(_NUMPY, quotes.monomials, params.sigma0, params)
-        target = quotes.vol
+        model, clamped = _sigma_d_quote(_NUMPY, monomials, params.sigma0, params)
+        target = day.implied_vol
     elif objective.startswith("sigma"):
         model = vol_fn_for_model(model_name, params)(y, t)
-        target = quotes.vol
+        target = day.implied_vol
     else:
         model = price_fn_for_model(model_name, params)(y, params.sigma0, t)
-        target = c_rel(y, quotes.vol, t)
+        target = c_rel(y, day.implied_vol, t)
     if objective.startswith("log_"):
         # a nonpositive value gives a non-finite log, which is skipped below
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -198,9 +186,9 @@ def _residuals(
 
 
 def _objective_details(
-    quotes: _QuoteArrays, params: SabrParams, objective: str
+    day: QuoteDay, monomials: np.ndarray, params: SabrParams, objective: str
 ) -> tuple[float, int]:
-    diff, _ = _residuals(quotes, params, objective)
+    diff, _ = _residuals(day, monomials, params, objective)
     used = np.isfinite(diff)
     n_used = int(np.count_nonzero(used))
     skipped = diff.size - n_used
@@ -223,7 +211,7 @@ def objective_value(
     skipped (and counted toward the fit flag in fit_day) so optimizers
     always see a finite objective.
     """
-    value, _ = _objective_details(_quote_arrays(day, sigma_prev), params, objective)
+    value, _ = _objective_details(day, _quote_monomials(day, sigma_prev), params, objective)
     return value
 
 
@@ -291,8 +279,8 @@ def fit_day(
         )
     SabrParams(sigma0=1.0, nu=0.0, rho=0.0, kappa0=kappa0, theta=theta)  # validates both
     x = np.clip(np.asarray(init, dtype=float), _LOWER, _UPPER)
-    quotes = _quote_arrays(day, sigma_prev)
-    n_quotes = quotes.y.size
+    monomials = _quote_monomials(day, sigma_prev)
+    n_quotes = len(day.option_type)
     nfev = 0
     # (x, params, used, scale, clamped) of the last finite residuals
     last = None
@@ -302,7 +290,7 @@ def fit_day(
         nfev += 1
         try:
             params = _make_params(x, kappa0, theta)
-            diff, clamped = _residuals(quotes, params, objective)
+            diff, clamped = _residuals(day, monomials, params, objective)
         except DomainError:
             diff = np.full(n_quotes, np.nan)
         used = np.isfinite(diff)
@@ -319,7 +307,7 @@ def fit_day(
         if not np.array_equal(last[0], x):
             residuals(x)
         _, params, used, scale, clamped = last
-        jac = _sigma_d_jacobian(quotes.monomials, params, clamped)
+        jac = _sigma_d_jacobian(monomials, params, clamped)
         jac[~used] = 0.0
         return jac * scale
 
@@ -343,9 +331,8 @@ def fit_day(
         x = res.x
         converged = bool(res.success)
     try:
-        value, skipped = _objective_details(
-            quotes, _make_params(x, kappa0, theta), objective
-        )
+        params = _make_params(x, kappa0, theta)
+        value, skipped = _objective_details(day, monomials, params, objective)
     except DomainError:
         value, skipped = float("inf"), n_quotes
     return CalibrationResult(
@@ -379,40 +366,28 @@ def synth_panel(
     quote_with: str = "moneyness",
 ) -> list[QuoteDay]:
     """Desk-shaped synthetic panel: 2 x 10 expiries x 13 deltas = 260
-    quotes per day, implied vols from sigma_d plus Gaussian noise.
-    quote_with selects whether quotes carry moneyness or delta."""
+    quotes per day, implied vols from one sigma_d array call plus Gaussian
+    noise from one (n_days, 260) draw, floored at 1e-4. quote_with selects
+    whether the days carry moneyness or delta."""
     if not (n_days >= 1):
         raise DomainError(f"a panel needs at least one day, got n_days = {n_days}")
     if noise_level < 0.0:
         raise DomainError(f"noise_level must be nonnegative, got {noise_level}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    vol_fn = vol_fn_for_model("d", generator_params)
-    # (expiry, quoted coordinate, model vol) per quote point; the same every day
-    points = []
-    for months in PANEL_EXPIRY_MONTHS:
-        t = months / 12.0
-        for delta in PANEL_DELTAS:
-            y = delta_to_moneyness(delta, generator_params.sigma0, t)
-            coord = {"moneyness": y} if quote_with == "moneyness" else {"delta": delta}
-            points.append((t, coord, vol_fn(y, t)))
-    rng = np.random.default_rng(seed)
-    days = []
-    for day in range(1, n_days + 1):
-        quotes = []
-        for t, coord, vol in points:
-            for opt_type in ("C", "P"):
-                noisy = vol + noise_level * rng.standard_normal()
-                quotes.append(
-                    MarketQuote(
-                        option_type=opt_type,
-                        expiry=t,
-                        implied_vol=max(noisy, 1e-4),
-                        **coord,
-                    )
-                )
-        days.append(QuoteDay(day=day, quotes=tuple(quotes)))
-    return days
+    # the 130 (expiry, delta) points, expiry-major, each quoted as a C then a P
+    t = np.repeat(np.array(PANEL_EXPIRY_MONTHS) / 12.0, len(PANEL_DELTAS))
+    delta = np.tile(PANEL_DELTAS, len(PANEL_EXPIRY_MONTHS))
+    y = delta_to_moneyness(delta, generator_params.sigma0, t)
+    vol = np.repeat(vol_fn_for_model("d", generator_params)(y, t), 2)
+    t, delta, y = np.repeat(t, 2), np.repeat(delta, 2), np.repeat(y, 2)
+    coord = {"moneyness": y} if quote_with == "moneyness" else {"delta": delta}
+    noise = np.random.default_rng(seed).standard_normal((n_days, vol.size))
+    kinds = ("C", "P") * (vol.size // 2)
+    return [
+        QuoteDay(day, kinds, t, np.maximum(vol + noise_level * z, 1e-4), **coord)
+        for day, z in enumerate(noise, start=1)
+    ]
 
 
 def calibrate_panel(
@@ -448,27 +423,44 @@ RESULT_HEADER = ["day", "objective", "nu", "sigma", "rho", "ise", "ose", "flag"]
 
 
 def read_quotes_csv(path: str) -> list[QuoteDay]:
-    """Quote CSV: header day,type,expiry_months,delta,implied_vol."""
-    by_day: dict[int, list[MarketQuote]] = {}
+    """Quote CSV: header day,type,expiry_months,delta,implied_vol.
+
+    One QuoteDay per day, in day order; within a day the quotes keep their
+    file order. A row that does not parse, or whose values a QuoteDay
+    rejects, raises a DomainError naming its line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != QUOTE_HEADER:
-            raise DomainError(
-                f"bad quote CSV header {reader.fieldnames}; expected {QUOTE_HEADER}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != QUOTE_HEADER:
+            raise DomainError(f"bad quote CSV header {header}; expected {QUOTE_HEADER}")
+        rows = []
+        for row in filter(None, reader):  # blank lines hold no quote
             try:
-                day = int(row["day"])
-                quote = MarketQuote(
-                    option_type=row["type"],
-                    expiry=float(row["expiry_months"]) / 12.0,
-                    delta=float(row["delta"]),
-                    implied_vol=float(row["implied_vol"]),
-                )
-            except (ValueError, DomainError, KeyError) as exc:
-                raise DomainError(f"{path}:{lineno}: bad quote row: {exc}") from exc
-            by_day.setdefault(day, []).append(quote)
-    return [QuoteDay(day=d, quotes=tuple(qs)) for d, qs in sorted(by_day.items())]
+                day, kind, months, delta, vol = row
+                rows.append((reader.line_num, int(day), kind, *map(float, (months, delta, vol))))
+            except ValueError as exc:
+                raise DomainError(f"{path}:{reader.line_num}: bad quote row: {exc}") from exc
+    if not rows:
+        return []
+    lines, days, *columns = zip(*rows)
+    kinds, months, delta, vol = map(np.array, columns)
+
+    def quote_day(day: int, i: list[int] | slice) -> QuoteDay:
+        return QuoteDay(day, kinds[i].tolist(), months[i] / 12.0, vol[i], delta=delta[i])
+
+    by_day: dict[int, list[int]] = {}
+    for i, day in enumerate(days):
+        by_day.setdefault(day, []).append(i)
+    try:
+        return [quote_day(day, i) for day, i in sorted(by_day.items())]
+    except DomainError:
+        for i, line in enumerate(lines):  # the first bad line in the file
+            try:
+                quote_day(0, slice(i, i + 1))
+            except DomainError as exc:
+                raise DomainError(f"{path}:{line}: bad quote row: {exc}") from exc
+        raise
 
 
 def write_quotes_csv(path: str, days: Iterable[QuoteDay]) -> None:
@@ -476,12 +468,11 @@ def write_quotes_csv(path: str, days: Iterable[QuoteDay]) -> None:
         writer = csv.writer(fh)
         writer.writerow(QUOTE_HEADER)
         for day in days:
-            for q in day.quotes:
-                if q.delta is None:
-                    raise DomainError("quote CSV format requires delta-quoted panels")
-                writer.writerow(
-                    [day.day, q.option_type, round(q.expiry * 12.0, 10), q.delta, q.implied_vol]
-                )
+            if day.delta is None:
+                raise DomainError("quote CSV format requires delta-quoted panels")
+            months = [round(m, 10) for m in (day.expiry * 12.0).tolist()]
+            columns = (day.option_type, months, day.delta.tolist(), day.implied_vol.tolist())
+            writer.writerows([day.day, *row] for row in zip(*columns))
 
 
 def result_rows(results: Iterable[CalibrationResult]) -> list[list[str]]:

@@ -327,14 +327,15 @@ def cmd_mc(args) -> int:
         raise CliError("--strikes: at least one strike required", EXIT_USAGE)
     config = McConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
     queries = [OptionQuery(spot=spot, strike=k, rate=args.rate, expiry=t) for k in strikes]
-    mc_prices = simulate_prices(queries, params, config)
     ys = np.array([q.log_moneyness for q in queries])
-    # closed forms are relative prices: scale by the discounted strike
+    # closed forms are relative prices: scale by the discounted strike. They
+    # come first, so an input they reject fails before any path is simulated
     scale = math.exp(-args.rate * t) * np.array(strikes)
     closed = [
         (scale * price_fn_for_model(m, params)(ys, sigma, t)).tolist()
         for m in ("h", "d", "sa2")
     ]
+    mc_prices = simulate_prices(queries, params, config)
     rows = [
         [strike, y, c_mc, se, c_h, c_d, c_sa2, c_h - c_mc, c_d - c_mc]
         for strike, y, (c_mc, se), c_h, c_d, c_sa2 in zip(

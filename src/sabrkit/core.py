@@ -72,7 +72,8 @@ class OptionQuery:
         rate: continuously compounded interest rate (per year).
         expiry: time to expiry in years, >= 0.
 
-    Every field must be finite, and the forward S e^{rt} a positive float.
+    Every field must be finite, and the forward S e^{rt} and the discounted
+    strike K e^{-rt} positive floats.
     """
 
     spot: float
@@ -91,14 +92,17 @@ class OptionQuery:
             raise DomainError(f"strike must be positive, got {self.strike}")
         if not (self.expiry >= 0.0):
             raise DomainError(f"expiry must be nonnegative, got {self.expiry}")
-        try:
-            forward = self.forward
-        except OverflowError:
-            forward = math.inf
-        if not (0.0 < forward < math.inf):
-            raise DomainError(
-                "the forward S e^(rt) is not a positive float at "
-                f"spot = {self.spot}, rate = {self.rate}, expiry = {self.expiry}"
+        for what, name, sign in (
+            ("the forward S e^(rt)", "spot", 1.0),
+            ("the discounted strike K e^(-rt)", "strike", -1.0),
+        ):
+            try:
+                value = getattr(self, name) * math.exp(sign * self.rate * self.expiry)
+            except OverflowError:
+                value = math.inf
+            _require_at(
+                0.0 < value < math.inf, f"{what} is not a positive float",
+                **{name: getattr(self, name)}, rate=self.rate, expiry=self.expiry,
             )
 
     @property

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, OptionQuery
+from .core import DomainError, OptionQuery, _require_at
 from .expansion import SabrParams
 
 __all__ = ["McConfig", "simulate_price", "simulate_prices"]
@@ -103,7 +103,8 @@ def _block_payoffs(
         x += -0.5 * sigma * sigma * dt + sigma * dw1
         sigma *= np.exp(nu * sqdt * z2 + log_sigma_drift)
     payoff = np.empty((strikes.size, 2 * n)) if antithetic else out
-    np.subtract(np.exp(x), strikes[:, None], out=payoff)
+    with np.errstate(over="ignore"):  # simulate_prices rejects an infinite price
+        np.subtract(np.exp(x), strikes[:, None], out=payoff)
     np.maximum(payoff, 0.0, out=payoff)
     if antithetic:
         np.add(payoff[:, :n], payoff[:, n:], out=out)
@@ -176,10 +177,14 @@ def simulate_prices(
         list(pool.map(run, range(len(seeds))))
     disc = math.exp(-q0.rate * t)
     root_n = math.sqrt(n_samples)
-    return [
-        (disc * float(row.mean()), disc * float(row.std(ddof=1)) / root_n)
-        for row in samples
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-float is an error below
+        prices = [
+            (disc * float(row.mean()), disc * float(row.std(ddof=1)) / root_n)
+            for row in samples
+        ]
+    what = "the Monte Carlo price or its standard error is not a float"
+    _require_at(np.isfinite(prices), what, forward=q0.forward)
+    return prices
 
 
 def simulate_price(

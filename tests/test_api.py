@@ -42,8 +42,8 @@ SETTINGS = [
     "calibration.CalibrationResult.n_skipped",
     "calibration.CalibrationResult.nfev",
     "calibration.CalibrationResult.ose",
-    "calibration.MarketQuote.delta",
-    "calibration.MarketQuote.moneyness",
+    "calibration.QuoteDay.delta",
+    "calibration.QuoteDay.moneyness",
     "calibration.calibrate_panel.kappa0",
     "calibration.calibrate_panel.sigma_prev0",
     "calibration.calibrate_panel.theta",
@@ -127,7 +127,7 @@ def test_objectives_snapshot():
 
 PUBLIC_NAMES = [
     "CalibrationResult", "DomainError", "ExpansionPrice", "FdComparison", "FdConfig",
-    "FdGrid", "FdInstabilityError", "FdSolution", "MODEL_NAMES", "MarketQuote", "McConfig",
+    "FdGrid", "FdInstabilityError", "FdSolution", "MODEL_NAMES", "McConfig",
     "MeanRevState", "OptionQuery", "QuoteDay", "ResidualRegion", "SabrParams", "VolQuote",
     "__version__", "bs_call", "bs_implied_vol", "build_grid", "c_rel", "calibrate_panel",
     "compare", "cutoff_sensitivity", "d_minus", "d_pair", "delta_sa2",

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from sabrkit import (
     CalibrationResult,
     DomainError,
-    MarketQuote,
     QuoteDay,
     SabrParams,
     calibrate_panel,
@@ -26,7 +27,7 @@ from sabrkit.calibration import (
     OBJECTIVES,
     PANEL_DELTAS,
     PANEL_EXPIRY_MONTHS,
-    _quote_arrays,
+    _quote_monomials,
     _sigma_d_jacobian,
 )
 from sabrkit.core import _NUMPY, norm_cdf
@@ -35,24 +36,74 @@ from sabrkit.expansion import _sigma_d_quote, sigma_d
 TRUE = SabrParams(sigma0=0.19, nu=1.3, rho=-0.55)
 
 
+def quote_day(**columns):
+    """A two-quote delta day with the given columns replaced."""
+    base = dict(
+        day=1, option_type=("C", "P"), expiry=[1.0, 0.5], implied_vol=[0.2, 0.25],
+        delta=[0.5, 0.3],
+    )
+    return QuoteDay(**{**base, **columns})
+
+
+# (replaced columns, the DomainError's message) for each rule but the
+# coordinate's, which test_exactly_one_coordinate checks
+QUOTE_DAY_ERRORS = [
+    (dict(option_type=(), expiry=[], implied_vol=[], delta=[]),
+     "a quote day must contain at least one quote"),
+    (dict(option_type=("C", "X")), "option_type must be 'C' or 'P', got 'X'"),
+    (dict(delta=[0.5, 1.5]), "delta must lie in (0, 1), got 1.5"),
+    (dict(delta=[0.0, 0.3]), "delta must lie in (0, 1), got 0.0"),
+    (dict(delta=[math.nan, 0.3]), "delta must lie in (0, 1), got nan"),
+    (dict(delta=None, moneyness=[0.1, math.inf]), "moneyness must be finite, got inf"),
+    (dict(delta=None, moneyness=[math.nan, 0.1]), "moneyness must be finite, got nan"),
+    (dict(implied_vol=[0.2, -0.2]), "implied_vol must be positive and finite, got -0.2"),
+    (dict(implied_vol=[math.inf, 0.2]), "implied_vol must be positive and finite, got inf"),
+    (dict(expiry=[1.0, 0.0]), "expiry must be positive and finite, got 0.0"),
+    (dict(expiry=[math.nan, 1.0]), "expiry must be positive and finite, got nan"),
+    # the first bad value of a column is named
+    (dict(implied_vol=[-1.0, -2.0]), "implied_vol must be positive and finite, got -1.0"),
+]
+
+
 class TestQuoteTypes:
+    def test_columns_are_read_only_float_arrays(self):
+        source = np.array([1.0, 2.0])
+        day = quote_day(option_type=["C", "P"], expiry=source, implied_vol=(1, 2))
+        assert day.option_type == ("C", "P") and day.moneyness is None
+        for column in (day.expiry, day.implied_vol, day.delta):
+            assert isinstance(column, np.ndarray) and column.dtype == float
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
+        source[0] = 9.0  # the day holds a copy
+        np.testing.assert_array_equal(day.expiry, [1.0, 2.0])
+        np.testing.assert_array_equal(day.implied_vol, [1.0, 2.0])
+
     def test_exactly_one_coordinate(self):
-        with pytest.raises(DomainError):
-            MarketQuote(option_type="C", expiry=1.0, implied_vol=0.2)
-        with pytest.raises(DomainError):
-            MarketQuote(
-                option_type="C", expiry=1.0, implied_vol=0.2, delta=0.5, moneyness=0.1
-            )
+        message = "^exactly one of delta / moneyness must be set$"
+        with pytest.raises(DomainError, match=message):
+            quote_day(delta=None)
+        with pytest.raises(DomainError, match=message):
+            quote_day(moneyness=[0.1, -0.1])
+        day = quote_day(delta=None, moneyness=[0.1, -0.1])
+        assert day.delta is None
 
     def test_field_validation(self):
-        with pytest.raises(DomainError):
-            MarketQuote(option_type="X", expiry=1.0, implied_vol=0.2, delta=0.5)
-        with pytest.raises(DomainError):
-            MarketQuote(option_type="C", expiry=1.0, implied_vol=0.2, delta=1.5)
-        with pytest.raises(DomainError):
-            MarketQuote(option_type="C", expiry=1.0, implied_vol=-0.2, delta=0.5)
-        with pytest.raises(DomainError):
-            QuoteDay(day=1, quotes=())
+        for columns, message in QUOTE_DAY_ERRORS:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                quote_day(**columns)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (dict(expiry=[1.0]), "expiry must have shape (2,), got (1,)"),
+            (dict(implied_vol=[0.2, 0.2, 0.2]), "implied_vol must have shape (2,), got (3,)"),
+            (dict(delta=[[0.5, 0.3]]), "delta must have shape (2,), got (1, 2)"),
+            (dict(option_type=("C",)), "delta must have shape (1,), got (2,)"),
+        ],
+    )
+    def test_unequal_lengths(self, columns, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            quote_day(**columns)
 
 
 class TestDeltaConversion:
@@ -74,6 +125,20 @@ class TestDeltaConversion:
             delta_to_moneyness(0.0, 0.2, 1.0)
         with pytest.raises(DomainError):
             delta_to_moneyness(0.5, 0.0, 1.0)
+        with pytest.raises(DomainError, match=r"^delta must lie in \(0, 1\), got 1.0$"):
+            delta_to_moneyness(np.array([0.5, 1.0]), 0.2, 1.0)
+
+    def test_array_matches_float_calls(self):
+        # one broadcast call equals the float call at every point, bit for bit
+        deltas = np.array(PANEL_DELTAS)
+        ts = np.linspace(0.05, 3.0, deltas.size)
+        got = delta_to_moneyness(deltas, 0.19, ts)
+        want = [delta_to_moneyness(d, 0.19, t) for d, t in zip(deltas.tolist(), ts.tolist())]
+        assert got.tolist() == want
+        assert isinstance(delta_to_moneyness(0.5, 0.19, 1.0), float)
+        grid = delta_to_moneyness(deltas[:, None], 0.19, ts[None, :3])
+        assert grid.shape == (deltas.size, 3)
+        assert grid[4, 2] == delta_to_moneyness(float(deltas[4]), 0.19, float(ts[2]))
 
 
 class TestObjective:
@@ -105,7 +170,7 @@ class TestSigmaDObjective:
     DAY = synth_panel(TRUE, 1, noise_level=0.01, seed=3, quote_with="delta")[0]
 
     def check(self, monkeypatch, params):
-        quotes = _quote_arrays(self.DAY, 0.19)
+        y, t = _quote_monomials(self.DAY, 0.19)[:2]
         seen = []
         quote_fn = calibration._sigma_d_quote
 
@@ -115,11 +180,11 @@ class TestSigmaDObjective:
 
         monkeypatch.setattr(calibration, "_sigma_d_quote", recorded)
         value = objective_value(self.DAY, params, "sigma_d", sigma_prev=0.19)
-        want = sigma_d(quotes.y, quotes.t, params)
+        want = sigma_d(y, t, params)
         (got,) = seen
         np.testing.assert_array_equal(got.value, want.value)
         np.testing.assert_array_equal(got.clamped, want.clamped)
-        diff = want.value - quotes.vol
+        diff = want.value - self.DAY.implied_vol
         assert value == float(np.dot(diff, diff)) / diff.size
         return want
 
@@ -144,7 +209,7 @@ class TestSigmaDObjective:
 class TestSigmaDJacobian:
     # the closed-form d sigma_d / d(nu, sigma, rho) the sigma_d fit uses,
     # against central differences of sigma_d itself
-    MONO = _quote_arrays(TestSigmaDObjective.DAY, 0.19).monomials
+    MONO = _quote_monomials(TestSigmaDObjective.DAY, 0.19)
 
     def quote(self, nu, sigma, rho):
         return _sigma_d_quote(_NUMPY, self.MONO, sigma, SabrParams(sigma, nu, rho))
@@ -194,7 +259,7 @@ class TestSynthPanel:
     def test_shape(self):
         days = synth_panel(TRUE, 3)
         assert len(days) == 3
-        assert all(len(d.quotes) == 2 * len(PANEL_EXPIRY_MONTHS) * len(PANEL_DELTAS)
+        assert all(len(d.option_type) == 2 * len(PANEL_EXPIRY_MONTHS) * len(PANEL_DELTAS)
                    for d in days)
         assert [d.day for d in days] == [1, 2, 3]
 
@@ -202,14 +267,13 @@ class TestSynthPanel:
         a = synth_panel(TRUE, 1, noise_level=0.01, seed=4)[0]
         b = synth_panel(TRUE, 1, noise_level=0.01, seed=4)[0]
         c = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
-        assert a.quotes == b.quotes
-        assert a.quotes != c.quotes
+        np.testing.assert_array_equal(a.implied_vol, b.implied_vol)
+        assert (a.implied_vol != c.implied_vol).all()
 
     def test_quotes_match_series_vol(self):
         day = synth_panel(TRUE, 1)[0]
-        q = day.quotes[0]
-        assert q.implied_vol == pytest.approx(
-            sigma_d(q.moneyness, q.expiry, TRUE).value
+        assert day.implied_vol[0] == pytest.approx(
+            sigma_d(day.moneyness[0], day.expiry[0], TRUE).value
         )
 
     def test_negative_noise_rejected(self):
@@ -304,7 +368,7 @@ class TestFitDay:
         res = fit_day(day, start, "price_h")
         assert not res.converged
         assert res.params == start
-        assert res.ise == math.inf and res.n_skipped == len(day.quotes)
+        assert res.ise == math.inf and res.n_skipped == len(day.option_type)
         assert res.nfev == 1
 
     @pytest.mark.parametrize(
@@ -351,8 +415,9 @@ class TestFitDay:
     def test_start_with_no_usable_quote_is_not_converged(self):
         # sigma_d is clamped to its floor at the start, so the out-of-the-
         # money price is 0 and its log is not finite
-        quote = MarketQuote(option_type="C", expiry=2.0, implied_vol=0.2, moneyness=-0.2)
-        day = QuoteDay(day=1, quotes=(quote,))
+        day = QuoteDay(
+            day=1, option_type=("C",), expiry=[2.0], implied_vol=[0.2], moneyness=[-0.2]
+        )
         start = (5.0, 0.01, -0.99)
         params = SabrParams(sigma0=0.01, nu=5.0, rho=-0.99)
         assert objective_value(day, params, "log_price_d") == math.inf
@@ -479,12 +544,39 @@ class TestCsv:
         path = str(tmp_path / "quotes.csv")
         write_quotes_csv(path, days)
         back = read_quotes_csv(path)
-        assert len(back) == 2
-        assert len(back[0].quotes) == len(days[0].quotes)
-        for a, b in zip(days[0].quotes, back[0].quotes):
-            assert b.delta == pytest.approx(a.delta)
-            assert b.implied_vol == pytest.approx(a.implied_vol)
-            assert b.expiry == pytest.approx(a.expiry)
+        assert [d.day for d in back] == [1, 2]
+        for a, b in zip(days, back):
+            assert b.option_type == a.option_type and b.moneyness is None
+            np.testing.assert_array_equal(b.delta, a.delta)
+            np.testing.assert_array_equal(b.implied_vol, a.implied_vol)
+            # expiry goes through months rounded to 10 digits
+            np.testing.assert_allclose(b.expiry, a.expiry, rtol=1e-12)
+
+    def test_interleaved_days(self, tmp_path):
+        path = tmp_path / "interleaved.csv"
+        path.write_text(
+            "day,type,expiry_months,delta,implied_vol\n"
+            "2,C,12,0.5,0.21\n"
+            "1,P,6,0.3,0.22\n"
+            "\n"
+            "2,P,3,0.4,0.23\n"
+            "1,C,24,0.6,0.24\n"
+        )
+        day1, day2 = read_quotes_csv(str(path))
+        assert (day1.day, day2.day) == (1, 2)
+        assert (day1.option_type, day2.option_type) == (("P", "C"), ("C", "P"))
+        np.testing.assert_array_equal(day1.expiry, [6 / 12, 24 / 12])
+        np.testing.assert_array_equal(day2.expiry, [12 / 12, 3 / 12])
+        np.testing.assert_array_equal(day1.delta, [0.3, 0.6])
+        np.testing.assert_array_equal(day2.implied_vol, [0.21, 0.23])
+
+    def test_benchmark_panel_text_is_pinned(self, tmp_path):
+        # the calib benchmark writes these days one file each; a change to
+        # synth_panel's draws or to the writer's format changes the hash
+        path = tmp_path / "panel.csv"
+        write_quotes_csv(str(path), synth_panel(TRUE, 64, **BENCH_PANEL))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "57e2112cab6c2eef17c893ab8d11cf72bd34911a7c41aa8aa99f2a4fc608f0b0"
 
     def test_moneyness_panels_not_writable(self, tmp_path):
         days = synth_panel(TRUE, 1)
@@ -505,6 +597,33 @@ class TestCsv:
             "1,C,12,1.7,0.2\n"
         )
         with pytest.raises(DomainError, match=":3:"):
+            read_quotes_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,C,inf,0.4,0.2", "expiry must be positive and finite, got inf"),
+            ("1,C,12,0.4,inf", "implied_vol must be positive and finite, got inf"),
+            ("1,C,12,0.4,nan", "implied_vol must be positive and finite, got nan"),
+            ("1,C,12,nan,0.2", "delta must lie in (0, 1), got nan"),
+            ("1,X,12,0.4,0.2", "option_type must be 'C' or 'P', got 'X'"),
+            ("1,C,12,0.4", "not enough values to unpack (expected 5, got 4)"),
+            ("1,C,12,0.4,0.2,7", "too many values to unpack (expected 5)"),
+            ("1.5,C,12,0.4,0.2", "invalid literal for int() with base 10: '1.5'"),
+            ("1,C,12,x,0.2", "could not convert string to float: 'x'"),
+        ],
+    )
+    def test_bad_field_names_line_and_value(self, tmp_path, row, message):
+        # line 3 is the first bad line; line 4 breaks another rule
+        path = tmp_path / "bad_row.csv"
+        path.write_text(
+            "day,type,expiry_months,delta,implied_vol\n"
+            "2,C,12,0.5,0.2\n"
+            f"{row}\n"
+            "1,C,12,1.7,0.2\n"
+        )
+        want = f"^{re.escape(f'{path}:3: bad quote row: {message}')}$"
+        with pytest.raises(DomainError, match=want):
             read_quotes_csv(str(path))
 
     def test_results_csv(self, tmp_path):

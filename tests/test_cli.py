@@ -342,6 +342,21 @@ class TestCalibrate:
             rows = list(csv.DictReader(fh))
         assert abs(float(rows[0]["nu"]) - 1.3) <= 1e-2
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,C,inf,0.4,0.2", "expiry must be positive and finite, got inf"),
+            ("1,C,12,0.4,inf", "implied_vol must be positive and finite, got inf"),
+        ],
+    )
+    def test_non_finite_quote_field_is_domain_error(self, capsys, tmp_path, row, message):
+        path = tmp_path / "quotes.csv"
+        path.write_text(f"day,type,expiry_months,delta,implied_vol\n1,C,12,0.5,0.2\n{row}\n")
+        code, out, err = run(["calibrate", "--quotes", str(path), "--sigma-prev", "0.2"], capsys)
+        assert code == EXIT_DOMAIN
+        assert err == f"error: {path}:3: bad quote row: {message}\n"
+        assert out == ""
+
     def test_results_to_stdout_follow_format(self, capsys):
         code, out, _ = run(
             ["calibrate", "--synth-days", "1", "--nu", "1.3", "--sigma", "0.19",
@@ -513,16 +528,30 @@ class TestMisc:
                 None,
             ),
             (
-                ["mc", "--strikes", "1e-308", "--paths", "4", "--dt", "0.5"],
+                ["mc", "--strikes", "1e-308"],
                 "y must be a number whose e^y is a float, got 711.4987937351601",
+                "sabrkit.cli.simulate_prices",
+            ),
+            (
+                # the squared payoffs overflow the standard error's sum
+                ["mc", "--rate", "700", "--paths", "4", "--dt", "0.5"],
+                "the Monte Carlo price or its standard error is not a float at "
+                "forward = 1.0142320547350045e+305",
                 None,
+            ),
+            (
+                ["mc", "--rate=-700", "--spot", "1e300", "--strikes", "1e300"],
+                "the discounted strike K e^(-rt) is not a positive float at "
+                "strike = 1e+300, rate = -700.0, expiry = 1.0",
+                "sabrkit.cli.simulate_prices",
             ),
         ],
     )
     def test_unrepresentable_values_are_domain_errors(
         self, capsys, monkeypatch, argv, message, must_not_run
     ):
-        # the seed and forward checks come before any path or panel is built
+        # the seed, forward, strike and closed-form checks come before any
+        # path or panel is built
         def fail(*args, **kwargs):
             raise AssertionError("started work")
 

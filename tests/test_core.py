@@ -341,6 +341,16 @@ class TestOptionQuery:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             OptionQuery(spot=spot, strike=1.0, rate=rate, expiry=1.0)
 
+    @pytest.mark.parametrize("strike, rate", [(1e300, -700.0), (1e-300, 100.0)])
+    def test_discounted_strike_must_be_a_positive_float(self, strike, rate):
+        # K e^(-rt) overflows, or underflows to 0, while the forward is a float
+        message = (
+            "the discounted strike K e^(-rt) is not a positive float at "
+            f"strike = {strike}, rate = {rate}, expiry = 1.0"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            OptionQuery(spot=1.0, strike=strike, rate=rate, expiry=1.0)
+
     def test_forward_at_expiry_is_the_spot(self):
         assert OptionQuery(spot=10.0, strike=1.0, rate=-1000.0, expiry=0.0).forward == 10.0
 

@@ -29,7 +29,7 @@ from sabrkit import (
     sigma_d,
     sigma_h,
 )
-from sabrkit.calibration import OBJECTIVES, MarketQuote, QuoteDay
+from sabrkit.calibration import OBJECTIVES, QuoteDay
 from sabrkit.cli import RESIDUAL_PRESETS
 from sabrkit.hagan import Z_SWITCH
 from sabrkit.models import price_fn_for_model
@@ -207,11 +207,7 @@ class TestArrayEqualsScalar:
 
 def _quote_day(ys, ts, vols):
     return QuoteDay(
-        day=1,
-        quotes=tuple(
-            MarketQuote(option_type="C", expiry=float(t), implied_vol=float(v), moneyness=float(y))
-            for y, t, v in zip(ys, ts, vols)
-        ),
+        day=1, option_type=("C",) * len(ys), expiry=ts, implied_vol=vols, moneyness=ys
     )
 
 
@@ -220,11 +216,10 @@ def _pointwise_objective(day, params, objective):
     take_log = objective.startswith("log_")
     model_name = objective.split("_")[-1]
     sq_sum, used = 0.0, 0
-    for q in day.quotes:
-        y, t = q.moneyness, q.expiry
+    for y, t, vol in zip(day.moneyness.tolist(), day.expiry.tolist(), day.implied_vol.tolist()):
         if objective.startswith("sigma"):
             model = sigma_d(y, t, params).value if model_name == "d" else sigma_h(y, t, params)
-            target = q.implied_vol
+            target = vol
         else:
             model = {
                 "d": lambda: price_d(y, t, params),
@@ -232,7 +227,7 @@ def _pointwise_objective(day, params, objective):
                 "sa2": lambda: price_sa2_rel(y, t, params),
                 "kappa": lambda: price_sa2_rel(y, t, params),
             }[model_name]()
-            target = c_rel(y, q.implied_vol, t)
+            target = c_rel(y, vol, t)
         if take_log:
             if model <= 0.0 or target <= 0.0:
                 continue

@@ -110,6 +110,26 @@ class TestSimulate:
             simulate_price(q, SabrParams(sigma0=0.2, nu=0.5, rho=0.0), cfg)
 
 
+    @pytest.mark.parametrize(
+        "spot, rate, sigma, n_paths",
+        [
+            # the payoffs are floats near 1e305, their squares are not
+            (10.0, 700.0, 0.2, 4),
+            # some terminal forwards e^x are not floats
+            (1e308, 0.0, 1.0, 400),
+        ],
+    )
+    def test_overflow_names_the_forward(self, spot, rate, sigma, n_paths):
+        q = OptionQuery(spot=spot, strike=spot, rate=rate, expiry=1.0)
+        message = (
+            "the Monte Carlo price or its standard error is not a float at "
+            f"forward = {q.forward}"
+        )
+        params = SabrParams(sigma0=sigma, nu=0.125, rho=-0.4)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            simulate_price(q, params, McConfig(n_paths=n_paths, dt=0.5))
+
+
 class TestThreads:
     def test_thread_count_from_env(self, monkeypatch):
         monkeypatch.setenv("SABR_THREADS", "3")
