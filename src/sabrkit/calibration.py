@@ -3,18 +3,20 @@
 A QuoteDay holds one day's quotes as columns: delta or log-moneyness,
 implied vol and expiry arrays. Objectives compare model implied vols,
 relative prices or log prices against the quoted ones (strike K = 1,
-r = 0). A fit is one run of trust-region reflective least squares
-(Branch, Coleman & Li 1999; scipy's `least_squares`, method "trf") on the
-per-quote residuals inside the box nu in [0, 5], sigma in [0.01, 2], rho
-in [-0.99, 0.99]. The sigma_d objective supplies its closed-form
-Jacobian; the others use forward differences. Days are fitted in a
-warm-start chain with in-sample / out-of-sample RMS error reporting.
+r = 0). A fit is one run of a bounded Levenberg-Marquardt solver
+(Marquardt 1963, with each step clipped into the box as in Kanzow,
+Yamashita & Fukushima 2004) on the per-quote residuals inside the box
+nu in [0, 5], sigma in [0.01, 2], rho in [-0.99, 0.99]; it needs numpy
+only, so a fit loads no scipy.optimize. The sigma_d objective supplies its
+closed-form Jacobian; the others use forward differences. Days are fitted
+in a warm-start chain with in-sample / out-of-sample RMS error reporting.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -128,13 +130,18 @@ def delta_to_moneyness(delta, sigma_prev, T):
     """Log-moneyness from a call delta: y = (s sqrt(T)/2)(2 N^{-1}(delta) - s sqrt(T)).
 
     Floats give a float; otherwise the arguments broadcast to one array.
-    N^{-1} is norm_ppf of each delta, so an array entry equals the float
-    call on the same values bit for bit.
+    N^{-1} is norm_ppf of each distinct delta (a desk day quotes 13 deltas
+    at every expiry), so an array entry equals the float call on the same
+    values bit for bit.
     """
     m, (delta, sigma_prev, T) = _args(delta, sigma_prev, T)
     _require((0.0 < delta) & (delta < 1.0), "delta must lie in (0, 1)", delta)
     _require(sigma_prev > 0.0, "sigma_prev must be positive", sigma_prev)
-    ppf = norm_ppf(delta) if m is _MATH else np.frompyfunc(norm_ppf, 1, 1)(delta).astype(float)
+    if m is _MATH:
+        ppf = norm_ppf(delta)
+    else:
+        distinct, index = np.unique(delta, return_inverse=True)
+        ppf = np.array([norm_ppf(d) for d in distinct.tolist()])[index].reshape(delta.shape)
     v = sigma_prev * m.sqrt(T)
     return 0.5 * v * (2.0 * ppf - v)
 
@@ -157,38 +164,47 @@ def _model_name(objective: str) -> str:
     return model_name
 
 
+def _market_values(day: QuoteDay, monomials: np.ndarray, objective: str) -> np.ndarray:
+    """The per-quote values an objective's model is compared with: implied
+    vols, or relative prices c_rel(y, vol, t) (their logs for log_*)."""
+    if objective.startswith("sigma"):
+        return day.implied_vol
+    prices = c_rel(monomials[0], day.implied_vol, monomials[1])
+    if objective.startswith("log_"):
+        # a zero price gives a non-finite log, so its quote is skipped
+        with np.errstate(divide="ignore"):
+            return np.log(prices)
+    return prices
+
+
 def _residuals(
-    day: QuoteDay, monomials: np.ndarray, params: SabrParams, objective: str
+    monomials: np.ndarray, market: np.ndarray, params: SabrParams, objective: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-quote model - target (of their logs for the log_* objectives),
-    where a non-finite entry is a quote the objective skips, and for
-    sigma_d the flags of its clamped model vols (None otherwise)."""
+    """Per-quote model - market value (_market_values; of the model's log
+    for the log_* objectives), where a non-finite entry is a quote the
+    objective skips, and for sigma_d the flags of its clamped model vols
+    (None otherwise)."""
     model_name = _model_name(objective)
     y, t = monomials[0], monomials[1]
     clamped = None
     if objective == "sigma_d":
         # sigma_d(y, t, params) from the day's monomials
         model, clamped = _sigma_d_quote(_NUMPY, monomials, params.sigma0, params)
-        target = day.implied_vol
     elif objective.startswith("sigma"):
         model = vol_fn_for_model(model_name, params)(y, t)
-        target = day.implied_vol
     else:
         model = price_fn_for_model(model_name, params)(y, params.sigma0, t)
-        target = c_rel(y, day.implied_vol, t)
     if objective.startswith("log_"):
         # a nonpositive value gives a non-finite log, which is skipped below
         with np.errstate(divide="ignore", invalid="ignore"):
-            diff = np.log(model) - np.log(target)
-    else:
-        diff = model - target
-    return diff, clamped
+            return np.log(model) - market, clamped
+    return model - market, clamped
 
 
 def _objective_details(
-    day: QuoteDay, monomials: np.ndarray, params: SabrParams, objective: str
+    monomials: np.ndarray, market: np.ndarray, params: SabrParams, objective: str
 ) -> tuple[float, int]:
-    diff, _ = _residuals(day, monomials, params, objective)
+    diff, _ = _residuals(monomials, market, params, objective)
     used = np.isfinite(diff)
     n_used = int(np.count_nonzero(used))
     skipped = diff.size - n_used
@@ -211,7 +227,9 @@ def objective_value(
     skipped (and counted toward the fit flag in fit_day) so optimizers
     always see a finite objective.
     """
-    value, _ = _objective_details(day, _quote_monomials(day, sigma_prev), params, objective)
+    monomials = _quote_monomials(day, sigma_prev)
+    market = _market_values(day, monomials, objective)
+    value, _ = _objective_details(monomials, market, params, objective)
     return value
 
 
@@ -220,6 +238,9 @@ _LOWER = (0.0, 0.01, -0.99)
 _UPPER = (5.0, 2.0, 0.99)
 # residual evaluations per fit, difference probes not counted
 _MAX_NFEV = 2000
+# a fit ends when its next step would be shorter than 1e-8 relative to x:
+# on synthetic days its parameters agree with a 1e-15 stop to 2e-7 or closer
+_XTOL = 1e-8
 
 
 def _make_params(x: np.ndarray, kappa0: float, theta: float) -> SabrParams:
@@ -242,6 +263,64 @@ def _sigma_d_jacobian(
     return jac
 
 
+def _forward_jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """dr/dx by forward differences from r = fun(x): one probe per parameter
+    with scipy's "2-point" step sqrt(eps) max(1, |x|), taken backwards where
+    it would leave the box."""
+    h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+    h = np.where(x + h > _UPPER, -h, h)
+    jac = np.empty((r.size, x.size))
+    for j in range(x.size):
+        probe = x.copy()
+        probe[j] += h[j]
+        jac[:, j] = (fun(probe) - r) / (probe[j] - x[j])
+    return jac
+
+
+def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Minimize |fun(x)|^2 over the box by bounded Levenberg-Marquardt
+    (Marquardt 1963; projected onto the box as in Kanzow, Yamashita &
+    Fukushima 2004), from x inside the box; jac(x, r) is dr/dx at the last
+    point fun evaluated, r = fun(x).
+
+    Each step solves (J'J + lam diag J'J) dx = -J'r and clips x + dx into the
+    box. It is taken if the sum of squares does not rise, and lam falls
+    tenfold; otherwise, or when the residuals or the step are not finite or
+    the system is singular, lam rises tenfold. A zero column of J gets a unit
+    diagonal, as in MINPACK's lmder, so it takes no step. The run converges
+    when a step is shorter than _XTOL (_XTOL + |x|), and otherwise ends after
+    _MAX_NFEV - 1 steps with at most one evaluation each. Returns the last
+    point taken and whether the run converged.
+    """
+    r = fun(x)
+    cost = r @ r
+    jacobian = jac(x, r)
+    lam = 1e-3
+    for _ in range(_MAX_NFEV - 1):
+        with np.errstate(all="ignore"):
+            normal = jacobian.T @ jacobian
+            diag = np.diag(normal).copy()
+            diag[diag == 0.0] = 1.0
+            try:
+                step = np.linalg.solve(normal + lam * np.diag(diag), -(jacobian.T @ r))
+            except np.linalg.LinAlgError:  # singular
+                step = np.full(x.size, np.nan)
+        x_new = np.clip(x + step, _LOWER, _UPPER)
+        step_norm = np.linalg.norm(x_new - x)
+        if step_norm < _XTOL * (_XTOL + np.linalg.norm(x)):
+            return x, True
+        if np.isfinite(step_norm):
+            r_new = fun(x_new)
+            cost_new = r_new @ r_new
+            if cost_new <= cost:  # False when not finite
+                x, r, cost = x_new, r_new, cost_new
+                jacobian = jac(x, r)
+                lam /= 10.0
+                continue
+        lam *= 10.0
+    return x, False
+
+
 def fit_day(
     day: QuoteDay,
     init: tuple[float, float, float],
@@ -252,7 +331,7 @@ def fit_day(
 ) -> CalibrationResult:
     """Least-squares fit of (nu, sigma, rho) for one day.
 
-    Trust-region reflective least squares on the residuals
+    Bounded Levenberg-Marquardt (_least_squares) on the residuals
     (model - target) / sqrt(n_used) of the quotes the objective uses, whose
     sum of squares is the objective; a skipped quote's residual is 0. The
     sigma_d objective has a closed-form Jacobian, the others use forward
@@ -267,10 +346,6 @@ def fit_day(
     cap, or whose start point has no usable quote or parameters the model
     rejects, ends with converged=False and the point it reached.
     """
-    # imported here, its only caller: scipy.optimize costs every other
-    # subcommand about 0.25 s and 20 MB at start-up
-    from scipy.optimize import least_squares
-
     # an unknown objective, or a kappa0 or theta its model rejects, is an
     # error, not a failed fit
     if _model_name(objective) in ("d", "h") and kappa0 != 0.0:
@@ -281,8 +356,12 @@ def fit_day(
     x = np.clip(np.asarray(init, dtype=float), _LOWER, _UPPER)
     monomials = _quote_monomials(day, sigma_prev)
     n_quotes = len(day.option_type)
+    try:
+        market = _market_values(day, monomials, objective)
+    except DomainError:  # a y whose e^y overflows: no quote is usable
+        market = np.full(n_quotes, np.nan)
     nfev = 0
-    # (x, params, used, scale, clamped) of the last finite residuals
+    # (params, used, scale, clamped) of the last finite residuals
     last = None
 
     def residuals(x: np.ndarray) -> np.ndarray:
@@ -290,7 +369,7 @@ def fit_day(
         nfev += 1
         try:
             params = _make_params(x, kappa0, theta)
-            diff, clamped = _residuals(day, monomials, params, objective)
+            diff, clamped = _residuals(monomials, market, params, objective)
         except DomainError:
             diff = np.full(n_quotes, np.nan)
         used = np.isfinite(diff)
@@ -298,41 +377,29 @@ def fit_day(
         if n_used == 0:
             if last is None:
                 raise _NoFiniteStart
-            return np.full(n_quotes, np.inf)  # least_squares shrinks its step
+            return np.full(n_quotes, np.inf)  # a rejected step
         scale = 1.0 / math.sqrt(n_used)
-        last = (x.copy(), params, used, scale, clamped)
+        last = (params, used, scale, clamped)
         return np.where(used, diff, 0.0) * scale
 
-    def sigma_d_jac(x: np.ndarray) -> np.ndarray:
-        if not np.array_equal(last[0], x):
-            residuals(x)
-        _, params, used, scale, clamped = last
+    def sigma_d_jac(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        # _least_squares asks at the point it evaluated last
+        params, used, scale, clamped = last
         jac = _sigma_d_jacobian(monomials, params, clamped)
         jac[~used] = 0.0
         return jac * scale
 
+    if objective == "sigma_d":
+        jac = sigma_d_jac
+    else:
+        jac = functools.partial(_forward_jacobian, residuals)
     try:
-        res = least_squares(
-            residuals,
-            x,
-            jac=sigma_d_jac if objective == "sigma_d" else "2-point",
-            bounds=(_LOWER, _UPPER),
-            method="trf",
-            # the run ends when its step falls below 1e-8 relative to x:
-            # fitted parameters agree with a 1e-15 stop to about 2e-9
-            xtol=1e-8,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=_MAX_NFEV,
-        )
+        x, converged = _least_squares(residuals, jac, x)
     except _NoFiniteStart:
         converged = False
-    else:
-        x = res.x
-        converged = bool(res.success)
     try:
         params = _make_params(x, kappa0, theta)
-        value, skipped = _objective_details(day, monomials, params, objective)
+        value, skipped = _objective_details(monomials, market, params, objective)
     except DomainError:
         value, skipped = float("inf"), n_quotes
     return CalibrationResult(

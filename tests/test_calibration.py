@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import re
@@ -12,13 +13,16 @@ from sabrkit import (
     DomainError,
     QuoteDay,
     SabrParams,
+    c_rel,
     calibrate_panel,
     delta_to_moneyness,
     fit_day,
     objective_value,
     out_of_sample,
+    price_fn_for_model,
     read_quotes_csv,
     synth_panel,
+    vol_fn_for_model,
     write_quotes_csv,
     write_results_csv,
 )
@@ -139,6 +143,16 @@ class TestDeltaConversion:
         grid = delta_to_moneyness(deltas[:, None], 0.19, ts[None, :3])
         assert grid.shape == (deltas.size, 3)
         assert grid[4, 2] == delta_to_moneyness(float(deltas[4]), 0.19, float(ts[2]))
+
+    def test_repeated_unsorted_deltas_match_float_calls(self):
+        # each distinct delta's N^{-1} is computed once and scattered back
+        deltas = np.array([0.8, 0.2, 0.5, 0.2, 0.8, 0.35, 0.5, 0.2])
+        ts = np.linspace(0.1, 2.0, deltas.size)
+        got = delta_to_moneyness(deltas, 0.19, ts)
+        want = [delta_to_moneyness(d, 0.19, t) for d, t in zip(deltas.tolist(), ts.tolist())]
+        assert got.tolist() == want
+        grid = delta_to_moneyness(deltas.reshape(2, 4), 0.19, ts.reshape(2, 4))
+        assert grid.tolist() == np.reshape(want, (2, 4)).tolist()
 
 
 class TestObjective:
@@ -333,31 +347,60 @@ class TestFitDay:
         self.check_nfev(monkeypatch, "price_h")
 
     def test_one_least_squares_run_from_the_clipped_start(self, monkeypatch):
-        import scipy.optimize
-
-        least_squares = scipy.optimize.least_squares
+        least_squares = calibration._least_squares
         runs = []
 
-        def recorded(fun, x0, **kwargs):
-            runs.append((np.array(x0), least_squares(fun, x0, **kwargs)))
+        def recorded(fun, jac, x):
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return fun(x)
+
+            runs.append((x.copy(), least_squares(counted, jac, x), calls))
             return runs[-1][1]
 
-        monkeypatch.setattr("scipy.optimize.least_squares", recorded)
+        monkeypatch.setattr(calibration, "_least_squares", recorded)
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
         res = fit_day(day, (10.0, 0.25, -2.0), "sigma_d")
         assert len(runs) == 1
-        np.testing.assert_array_equal(runs[0][0], [5.0, 0.25, -0.99])
-        assert res.params == tuple(runs[0][1].x)
-        assert res.nfev == runs[0][1].nfev
+        start, (x, converged), calls = runs[0]
+        np.testing.assert_array_equal(start, [5.0, 0.25, -0.99])
+        assert res.params == tuple(x) and res.converged == converged
+        # sigma_d has a closed-form Jacobian: every evaluation is the solver's
+        assert res.nfev == len(calls)
 
     def test_max_iter_stop_is_not_converged(self, monkeypatch):
         # a run capped at 2 residual evaluations stops before it converges
         monkeypatch.setattr(calibration, "_MAX_NFEV", 2)
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
-        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d")
-        assert not res.converged
-        assert all(math.isfinite(v) for v in (*res.params, res.ise))
-        assert res.n_skipped == 0
+        for objective in ("sigma_d", "price_h"):
+            res = fit_day(day, (1.0, 0.25, -0.3), objective)
+            assert not res.converged
+            assert all(math.isfinite(v) for v in (*res.params, res.ise))
+            assert res.n_skipped == 0
+
+    @pytest.mark.parametrize("objective", ["sigma_d", "price_h", "log_price_sa2"])
+    @pytest.mark.parametrize("start", [(10.0, 3.0, -2.0), (-1.0, 0.001, 2.0), (6.0, 0.005, 1.5)])
+    def test_result_stays_in_the_box_from_starts_outside_it(self, objective, start):
+        day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
+        res = fit_day(day, start, objective)
+        for lo, got, hi in zip(calibration._LOWER, res.params, calibration._UPPER):
+            assert lo <= got <= hi
+
+    def test_all_quotes_clamped_neither_raises_nor_leaves_the_box(self):
+        # sigma_d is clamped to its floor at both quotes, so every row of the
+        # Jacobian is zero and so is each column: the run takes no step
+        day = QuoteDay(
+            day=1, option_type=("C", "P"), expiry=[2.0, 3.0], implied_vol=[0.2, 0.2],
+            moneyness=[-0.2, 0.2],
+        )
+        start = (5.0, 0.01, -0.99)
+        params = SabrParams(sigma0=0.01, nu=5.0, rho=-0.99)
+        assert _sigma_d_quote(_NUMPY, _quote_monomials(day, None), 0.01, params).clamped.all()
+        res = fit_day(day, start, "sigma_d")
+        assert res.converged and res.params == start
+        assert res.n_skipped == 0 and res.nfev == 1
 
     def test_start_the_model_rejects_is_not_converged(self):
         # the Hagan vol is negative here, so price_h raises DomainError
@@ -378,7 +421,7 @@ class TestFitDay:
         def no_fit(*args, **kwargs):
             raise AssertionError("started a fit")
 
-        monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
+        monkeypatch.setattr(calibration, "_least_squares", no_fit)
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match="only available for kappa0 = 0, got kappa0 = 0.5"):
             fit_day(day, (1.0, 0.25, -0.3), objective, kappa0=0.5)
@@ -397,7 +440,7 @@ class TestFitDay:
         def no_fit(*args, **kwargs):
             raise AssertionError("started a fit")
 
-        monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
+        monkeypatch.setattr(calibration, "_least_squares", no_fit)
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match=message):
             fit_day(day, (1.0, 0.25, -0.3), "price_kappa", **kwargs)
@@ -427,6 +470,15 @@ class TestFitDay:
         assert res.ise == math.inf and res.n_skipped == 1
         assert res.nfev == 1
 
+    def test_day_whose_prices_overflow_is_not_converged(self):
+        # e^y overflows, so c_rel rejects the day's market prices
+        day = QuoteDay(day=1, option_type=("C",), expiry=[1.0], implied_vol=[0.2], moneyness=[800.0])
+        start = (1.0, 0.25, -0.3)
+        res = fit_day(day, start, "price_d")
+        assert not res.converged and res.params == start
+        assert res.ise == math.inf and res.n_skipped == 1
+        assert res.nfev == 1
+
     def test_unknown_objective_is_an_error(self):
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match="unknown objective"):
@@ -437,6 +489,126 @@ class TestFitDay:
         ose = out_of_sample(days[1], TRUE, "sigma_d")
         # yesterday's truth explains today's quotes up to the noise level
         assert 0.005 <= ose <= 0.02
+
+
+def forward(fun):
+    """_least_squares's jac argument: forward differences of fun."""
+    return functools.partial(calibration._forward_jacobian, fun)
+
+
+class TestLeastSquares:
+    """The fit's solver on small residual functions of x = (nu, sigma, rho),
+    from starts inside the box."""
+
+    def test_stops_at_the_box(self):
+        # the unconstrained minimum (7, 0.3, -2) lies outside the box
+        def fun(x):
+            return x - np.array([7.0, 0.3, -2.0])
+
+        x, converged = calibration._least_squares(fun, forward(fun), np.array([1.0, 0.2, 0.0]))
+        # the run stops once a step would be shorter than 1e-8 (1e-8 + |x|)
+        assert converged
+        np.testing.assert_allclose(x, [5.0, 0.3, -0.99], rtol=0.0, atol=1e-7)
+
+    def test_zero_jacobian_column_takes_no_step(self):
+        # sigma is not in the residuals, so its Jacobian column is zero
+        def fun(x):
+            return np.array([x[0] - 1.0, x[2] + 0.5])
+
+        x, converged = calibration._least_squares(fun, forward(fun), np.array([2.0, 0.3, 0.5]))
+        assert converged and x[1] == 0.3
+        np.testing.assert_allclose(x[[0, 2]], [1.0, -0.5], rtol=0.0, atol=1e-7)
+
+    def test_non_finite_residuals_are_rejected_steps(self):
+        # past nu = 2 the residuals are inf, so every step across it is
+        # rejected until the steps are too short to matter
+        def fun(x):
+            return np.array([x[0] - 3.0 if x[0] <= 2.0 else math.inf])
+
+        def jac(x, r):
+            return np.array([[1.0, 0.0, 0.0]])
+
+        x, converged = calibration._least_squares(fun, jac, np.array([1.0, 0.2, 0.0]))
+        assert converged
+        assert 2.0 - 1e-7 <= x[0] <= 2.0 and (x[1], x[2]) == (0.2, 0.0)
+
+    def test_non_finite_jacobian_ends_the_run_unconverged(self):
+        # no step can be formed: the run ends at the start, with one evaluation
+        calls = []
+
+        def fun(x):
+            calls.append(1)
+            return np.array([x[0] - 3.0])
+
+        def jac(x, r):
+            return np.full((1, 3), np.nan)
+
+        start = np.array([1.0, 0.2, 0.0])
+        x, converged = calibration._least_squares(fun, jac, start.copy())
+        assert not converged and len(calls) == 1
+        np.testing.assert_array_equal(x, start)
+
+    def test_forward_jacobian_steps_back_at_the_upper_bound(self):
+        x = np.array([5.0, 0.2, 0.99])
+        probes = []
+
+        def fun(x):
+            probes.append(x.copy())
+            return np.array([x[0] ** 2, x[1] ** 2, x[2] ** 2])
+
+        jac = calibration._forward_jacobian(fun, x, fun(x))
+        steps = np.array(probes[1:]) - x
+        h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+        np.testing.assert_allclose(np.diag(steps), [-h[0], h[1], -h[2]], rtol=1e-7)
+        np.testing.assert_allclose(np.diag(jac), 2.0 * x, rtol=1e-7)
+
+
+class TestScipyReference:
+    """fit_day against scipy's trust-region reflective least_squares, run
+    here on the objectives as written from the public model functions, to a
+    1e-15 stop. Measured on these days: the parameters agree to 1.7e-7
+    (log_price_h; 6.8e-8 or closer for the other objectives) and the ISE to
+    1.5e-14 relative."""
+
+    DAYS = synth_panel(TRUE, 3, noise_level=0.01, seed=5)
+    START = (1.0, 0.25, -0.3)
+
+    @staticmethod
+    def reference_fit(day, objective, kappa0):
+        from scipy.optimize import least_squares
+
+        y, t = day.moneyness, day.expiry
+        model = calibration._OBJECTIVE_MODEL[objective]
+
+        def residuals(x):
+            params = SabrParams(sigma0=x[1], nu=x[0], rho=x[2], kappa0=kappa0, theta=0.2)
+            if objective.startswith("sigma"):
+                got, want = vol_fn_for_model(model, params)(y, t), day.implied_vol
+            else:
+                got = price_fn_for_model(model, params)(y, x[1], t)
+                want = c_rel(y, day.implied_vol, t)
+            if objective.startswith("log_"):
+                got, want = np.log(got), np.log(want)
+            return (got - want) / math.sqrt(y.size)
+
+        bounds = (calibration._LOWER, calibration._UPPER)
+        tol = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        res = least_squares(residuals, TestScipyReference.START, bounds=bounds, **tol)
+        assert res.success
+        return res.x, math.sqrt(2.0 * res.cost)
+
+    @pytest.mark.parametrize(
+        "objective, kappa0",
+        [*((o, 0.0) for o in OBJECTIVES),
+         *((o, 1.0) for o in ("price_sa2", "log_price_sa2", "price_kappa"))],
+    )
+    def test_agrees_with_scipy(self, objective, kappa0):
+        for day in self.DAYS:
+            res = fit_day(day, self.START, objective, kappa0=kappa0, theta=0.2)
+            x, ise = self.reference_fit(day, objective, kappa0)
+            assert res.converged and res.n_skipped == 0
+            np.testing.assert_allclose(res.params, x, rtol=0.0, atol=1e-6)
+            assert res.ise == pytest.approx(ise, rel=1e-12)
 
 
 # the calib benchmark's panel: 64 delta-quoted days, noise 0.01

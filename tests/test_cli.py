@@ -602,7 +602,7 @@ def no_work(monkeypatch):
         "sabrkit.calibration.synth_panel",
         "sabrkit.calibration.read_quotes_csv",
         "sabrkit.calibration.fit_day",
-        "scipy.optimize.least_squares",
+        "sabrkit.calibration._least_squares",
     ):
         monkeypatch.setattr(target, fail)
 
@@ -719,7 +719,7 @@ class TestCalibrateKappa:
         def no_fit(*args, **kwargs):
             raise AssertionError("started a fit")
 
-        monkeypatch.setattr("scipy.optimize.least_squares", no_fit)
+        monkeypatch.setattr("sabrkit.calibration._least_squares", no_fit)
         code, out, err = run(
             ["calibrate", "--synth-days", "1", "--objective", objective, *flags], capsys
         )

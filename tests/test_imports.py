@@ -1,7 +1,6 @@
-"""Start-up cost: `import sabrkit.cli` loads neither scipy.optimize (only
-calibration fits call it) nor scipy.sparse (only FD solves call it), and
-each subcommand loads only the one it runs (scipy.optimize brings
-scipy.sparse with it).
+"""Start-up cost: no subcommand loads scipy.optimize (calibration fits run
+their own solver), and only an FD solve loads scipy.sparse; `import
+sabrkit.cli` loads neither.
 
 The checks run in a fresh interpreter, since pytest's own process has
 imported scipy modules of its own by now."""
@@ -62,8 +61,6 @@ def test_fd_run_loads_only_sparse():
     assert seen == {"import": [], "fd": ["scipy.sparse"]}
 
 
-def test_calibrate_run_loads_optimize():
-    # least_squares is imported inside fit_day; scipy.optimize brings
-    # scipy.sparse with it
+def test_calibrate_run_loads_neither():
     seen = loaded_after([("calibrate", ["calibrate", "--synth-days", "1"])])
-    assert seen == {"import": [], "calibrate": ["scipy.optimize", "scipy.sparse"]}
+    assert seen == {"import": [], "calibrate": []}
