@@ -164,47 +164,38 @@ def _model_name(objective: str) -> str:
     return model_name
 
 
-def _market_values(day: QuoteDay, monomials: np.ndarray, objective: str) -> np.ndarray:
-    """The per-quote values an objective's model is compared with: implied
-    vols, or relative prices c_rel(y, vol, t) (their logs for log_*)."""
-    if objective.startswith("sigma"):
-        return day.implied_vol
-    prices = c_rel(monomials[0], day.implied_vol, monomials[1])
-    if objective.startswith("log_"):
-        # a zero price gives a non-finite log, so its quote is skipped
-        with np.errstate(divide="ignore"):
-            return np.log(prices)
-    return prices
-
-
 def _residuals(
-    monomials: np.ndarray, market: np.ndarray, params: SabrParams, objective: str
+    day: QuoteDay, monomials: np.ndarray, params: SabrParams, objective: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-quote model - market value (_market_values; of the model's log
-    for the log_* objectives), where a non-finite entry is a quote the
-    objective skips, and for sigma_d the flags of its clamped model vols
-    (None otherwise)."""
+    """Per-quote model - target (of their logs for the log_* objectives),
+    where a non-finite entry is a quote the objective skips, and for
+    sigma_d the flags of its clamped model vols (None otherwise)."""
     model_name = _model_name(objective)
     y, t = monomials[0], monomials[1]
     clamped = None
     if objective == "sigma_d":
         # sigma_d(y, t, params) from the day's monomials
         model, clamped = _sigma_d_quote(_NUMPY, monomials, params.sigma0, params)
+        target = day.implied_vol
     elif objective.startswith("sigma"):
         model = vol_fn_for_model(model_name, params)(y, t)
+        target = day.implied_vol
     else:
         model = price_fn_for_model(model_name, params)(y, params.sigma0, t)
+        target = c_rel(y, day.implied_vol, t)
     if objective.startswith("log_"):
         # a nonpositive value gives a non-finite log, which is skipped below
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(model) - market, clamped
-    return model - market, clamped
+            diff = np.log(model) - np.log(target)
+    else:
+        diff = model - target
+    return diff, clamped
 
 
 def _objective_details(
-    monomials: np.ndarray, market: np.ndarray, params: SabrParams, objective: str
+    day: QuoteDay, monomials: np.ndarray, params: SabrParams, objective: str
 ) -> tuple[float, int]:
-    diff, _ = _residuals(monomials, market, params, objective)
+    diff, _ = _residuals(day, monomials, params, objective)
     used = np.isfinite(diff)
     n_used = int(np.count_nonzero(used))
     skipped = diff.size - n_used
@@ -227,9 +218,7 @@ def objective_value(
     skipped (and counted toward the fit flag in fit_day) so optimizers
     always see a finite objective.
     """
-    monomials = _quote_monomials(day, sigma_prev)
-    market = _market_values(day, monomials, objective)
-    value, _ = _objective_details(monomials, market, params, objective)
+    value, _ = _objective_details(day, _quote_monomials(day, sigma_prev), params, objective)
     return value
 
 
@@ -283,41 +272,53 @@ def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, bool]:
     Fukushima 2004), from x inside the box; jac(x, r) is dr/dx at the last
     point fun evaluated, r = fun(x).
 
-    Each step solves (J'J + lam diag J'J) dx = -J'r and clips x + dx into the
-    box. It is taken if the sum of squares does not rise, and lam falls
-    tenfold; otherwise, or when the residuals or the step are not finite or
-    the system is singular, lam rises tenfold. A zero column of J gets a unit
-    diagonal, as in MINPACK's lmder, so it takes no step. The run converges
-    when a step is shorter than _XTOL (_XTOL + |x|), and otherwise ends after
-    _MAX_NFEV - 1 steps with at most one evaluation each. Returns the last
-    point taken and whether the run converged.
+    A parameter on a bound that the gradient J'r pushes out of the box
+    stays there; each step solves (J'J + lam diag J'J) dx = -J'r in the
+    others and clips x + dx into the box. It is taken if the sum of squares
+    does not rise, and lam falls tenfold; otherwise, or when the residuals
+    or the step are not finite or the system is singular, lam rises
+    tenfold. A zero column of J gets a unit diagonal, as in MINPACK's lmder,
+    so it takes no step. The run converges when a step is shorter than
+    _XTOL (_XTOL + |x|), and otherwise ends after _MAX_NFEV - 1 steps with
+    at most one evaluation each, or at once where J'J or J'r is not finite.
+    Returns the last point taken and whether the run converged.
     """
     r = fun(x)
     cost = r @ r
-    jacobian = jac(x, r)
     lam = 1e-3
+    moved = True
     for _ in range(_MAX_NFEV - 1):
-        with np.errstate(all="ignore"):
-            normal = jacobian.T @ jacobian
+        if moved:
+            jacobian = jac(x, r)
+            with np.errstate(all="ignore"):
+                normal = jacobian.T @ jacobian
+                grad = jacobian.T @ r
+            if not (np.isfinite(normal).all() and np.isfinite(grad).all()):
+                return x, False  # no step can be formed before x moves
             diag = np.diag(normal).copy()
             diag[diag == 0.0] = 1.0
-            try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), -(jacobian.T @ r))
-            except np.linalg.LinAlgError:  # singular
-                step = np.full(x.size, np.nan)
+            free = ~(((x <= _LOWER) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
+            normal, diag, grad = normal[np.ix_(free, free)], diag[free], grad[free]
+        step = np.zeros(x.size)
+        try:
+            with np.errstate(all="ignore"):
+                step[free] = np.linalg.solve(normal + lam * np.diag(diag), -grad)
+        except np.linalg.LinAlgError:  # singular
+            step[free] = np.nan
         x_new = np.clip(x + step, _LOWER, _UPPER)
         step_norm = np.linalg.norm(x_new - x)
         if step_norm < _XTOL * (_XTOL + np.linalg.norm(x)):
             return x, True
+        moved = False
         if np.isfinite(step_norm):
             r_new = fun(x_new)
             cost_new = r_new @ r_new
-            if cost_new <= cost:  # False when not finite
-                x, r, cost = x_new, r_new, cost_new
-                jacobian = jac(x, r)
-                lam /= 10.0
-                continue
-        lam *= 10.0
+            moved = cost_new <= cost  # False when not finite
+        if moved:
+            x, r, cost = x_new, r_new, cost_new
+            lam /= 10.0
+        else:
+            lam *= 10.0
     return x, False
 
 
@@ -356,10 +357,6 @@ def fit_day(
     x = np.clip(np.asarray(init, dtype=float), _LOWER, _UPPER)
     monomials = _quote_monomials(day, sigma_prev)
     n_quotes = len(day.option_type)
-    try:
-        market = _market_values(day, monomials, objective)
-    except DomainError:  # a y whose e^y overflows: no quote is usable
-        market = np.full(n_quotes, np.nan)
     nfev = 0
     # (params, used, scale, clamped) of the last finite residuals
     last = None
@@ -369,7 +366,7 @@ def fit_day(
         nfev += 1
         try:
             params = _make_params(x, kappa0, theta)
-            diff, clamped = _residuals(monomials, market, params, objective)
+            diff, clamped = _residuals(day, monomials, params, objective)
         except DomainError:
             diff = np.full(n_quotes, np.nan)
         used = np.isfinite(diff)
@@ -399,7 +396,7 @@ def fit_day(
         converged = False
     try:
         params = _make_params(x, kappa0, theta)
-        value, skipped = _objective_details(monomials, market, params, objective)
+        value, skipped = _objective_details(day, monomials, params, objective)
     except DomainError:
         value, skipped = float("inf"), n_quotes
     return CalibrationResult(

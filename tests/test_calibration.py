@@ -470,15 +470,6 @@ class TestFitDay:
         assert res.ise == math.inf and res.n_skipped == 1
         assert res.nfev == 1
 
-    def test_day_whose_prices_overflow_is_not_converged(self):
-        # e^y overflows, so c_rel rejects the day's market prices
-        day = QuoteDay(day=1, option_type=("C",), expiry=[1.0], implied_vol=[0.2], moneyness=[800.0])
-        start = (1.0, 0.25, -0.3)
-        res = fit_day(day, start, "price_d")
-        assert not res.converged and res.params == start
-        assert res.ise == math.inf and res.n_skipped == 1
-        assert res.nfev == 1
-
     def test_unknown_objective_is_an_error(self):
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match="unknown objective"):
@@ -532,9 +523,15 @@ class TestLeastSquares:
         assert converged
         assert 2.0 - 1e-7 <= x[0] <= 2.0 and (x[1], x[2]) == (0.2, 0.0)
 
-    def test_non_finite_jacobian_ends_the_run_unconverged(self):
-        # no step can be formed: the run ends at the start, with one evaluation
-        calls = []
+    def test_non_finite_jacobian_ends_the_run_unconverged(self, monkeypatch):
+        # no step can be formed: the run ends at the start, with one
+        # evaluation and no linear solve
+        calls, solves = [], []
+        solve = np.linalg.solve
+
+        def counted_solve(*args):
+            solves.append(1)
+            return solve(*args)
 
         def fun(x):
             calls.append(1)
@@ -543,10 +540,35 @@ class TestLeastSquares:
         def jac(x, r):
             return np.full((1, 3), np.nan)
 
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
         start = np.array([1.0, 0.2, 0.0])
         x, converged = calibration._least_squares(fun, jac, start.copy())
-        assert not converged and len(calls) == 1
+        assert not converged and len(calls) == 1 and not solves
         np.testing.assert_array_equal(x, start)
+
+    @pytest.mark.parametrize(
+        "fun, minimum",
+        [
+            # nu at its upper bound: the free rho and sigma are coupled to it
+            (lambda x: np.array([x[0] - 10.0, x[2] + 0.1 * x[0] - 1.0, x[1] + 0.2 * x[2] - 0.4]),
+             (5.0, 0.3, 0.5)),
+            # rho at its lower bound, nu coupled to it
+            (lambda x: np.array([x[2] + 2.0, x[0] - 1.0 - 0.5 * x[2], x[1] - 0.2]),
+             (0.505, 0.2, -0.99)),
+            # nu and rho on bounds, sigma coupled to both
+            (lambda x: np.array([x[0] - 10.0, x[2] + 2.0, x[1] - 0.1 * x[0] + 0.3 * x[2]]),
+             (5.0, 0.797, -0.99)),
+        ],
+        ids=["nu_upper", "rho_lower", "nu_and_rho"],
+    )
+    @pytest.mark.parametrize("start", [(1.0, 0.25, 0.0), (4.5, 1.5, 0.9), (0.1, 0.05, -0.9)])
+    def test_coupled_minimum_on_a_bound(self, fun, minimum, start):
+        # the unconstrained step pushes a bound parameter out of the box:
+        # it stays on its bound and the others solve their own system.
+        # Measured: within 8e-10 of the minimum from every start.
+        x, converged = calibration._least_squares(fun, forward(fun), np.array(start))
+        assert converged
+        np.testing.assert_allclose(x, minimum, rtol=0.0, atol=1e-8)
 
     def test_forward_jacobian_steps_back_at_the_upper_bound(self):
         x = np.array([5.0, 0.2, 0.99])
@@ -606,6 +628,22 @@ class TestScipyReference:
         for day in self.DAYS:
             res = fit_day(day, self.START, objective, kappa0=kappa0, theta=0.2)
             x, ise = self.reference_fit(day, objective, kappa0)
+            assert res.converged and res.n_skipped == 0
+            np.testing.assert_allclose(res.params, x, rtol=0.0, atol=1e-6)
+            assert res.ise == pytest.approx(ise, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rho, objective", [(-0.999, "sigma_h"), (0.995, "price_d"), (0.995, "log_price_sa2")]
+    )
+    def test_agrees_with_scipy_with_rho_on_a_bound(self, rho, objective):
+        # quotes generated past the box's rho: some day's fitted rho lies on
+        # the bound, with nu and sigma still free. Measured: parameters
+        # within 1.9e-8 (price_d), ISE within 5.3e-15 relative.
+        days = synth_panel(SabrParams(sigma0=0.19, nu=1.3, rho=rho), 2, noise_level=0.01, seed=5)
+        fits = [fit_day(day, self.START, objective) for day in days]
+        assert any(abs(res.rho) == 0.99 for res in fits)
+        for day, res in zip(days, fits):
+            x, ise = self.reference_fit(day, objective, 0.0)
             assert res.converged and res.n_skipped == 0
             np.testing.assert_allclose(res.params, x, rtol=0.0, atol=1e-6)
             assert res.ise == pytest.approx(ise, rel=1e-12)
