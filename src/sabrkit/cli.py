@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import math
 import sys
@@ -412,7 +413,11 @@ def _add_parser(sub, name: str, func, text: str, *flags: str) -> argparse.Argume
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once a process: a parse keeps no state in
+    it (each parse starts a fresh `given` set, and presets write into the
+    parsed args)."""
     parser = argparse.ArgumentParser(
         prog="sabrkit",
         description="SABR pricing, benchmarks, and calibration toolkit",

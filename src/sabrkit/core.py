@@ -13,6 +13,12 @@ few units in the last place. `OptionQuery`, `d_pair`, `bs_call`,
 `c_rel` is the package's only Black-Scholes evaluator: `bs_call`, the
 deterministic-vol price in `meanrev`, the leading term of the series
 price in `expansion` and the FD boundary data in `fd` all call it.
+
+An array `norm_cdf` (and so an array `c_rel`) evaluates scipy's `erfc`
+ufunc; `scipy.special` is imported at the first such call, not with this
+module, so importing sabrkit, or a run that makes no array call (a
+`price` lattice, a `sigma_d` calibration), does not load it. Float calls
+use `math.erfc`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "DomainError",
@@ -144,8 +149,18 @@ _MATH = _Ops(
     math.exp, math.sqrt, math.log, math.erfc,
     lambda cond, a, b: a if cond else b, max, lambda x: 1.0, math.isfinite,
 )
+
+
+def _erfc(x):
+    # scipy.special loads at the first array call, so a run that makes none
+    # (a sigma_d calibration) never pays its import
+    from scipy.special import erfc
+
+    return erfc(x)
+
+
 _NUMPY = _Ops(
-    np.exp, np.sqrt, np.log, erfc, np.where, np.maximum, np.ones_like, np.isfinite
+    np.exp, np.sqrt, np.log, _erfc, np.where, np.maximum, np.ones_like, np.isfinite
 )
 
 

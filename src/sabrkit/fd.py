@@ -23,7 +23,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy  # loaded already by core's scipy.special
+# only the bare package (about 10 ms), kept so that typing.get_type_hints
+# finds scipy in this module's globals for _step_matrix's return annotation
+import scipy
 
 from .core import DomainError, _require_at, c_rel
 from .expansion import SabrParams

@@ -15,7 +15,9 @@ from sabrkit import (
     sigma_d,
 )
 from sabrkit.calibration import calibrate_panel, result_rows, synth_panel
-from sabrkit.cli import EXIT_DOMAIN, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main
+from sabrkit.cli import (
+    EXIT_DOMAIN, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, build_parser, main,
+)
 
 
 def run(argv, capsys):
@@ -687,6 +689,39 @@ class TestFlags:
         code, out, err = run(["mc", "--preset", "mc-paper", "--nu", "1", "--print-config"], capsys)
         assert code == EXIT_USAGE and out == ""
         assert "--nu" in err
+
+
+class TestParserReuse:
+    # main parses every call with the one parser built per process, so no
+    # call may leave state in it for the next
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_sigma_prev_does_not_outlive_its_call(self, capsys, tmp_path):
+        path = tmp_path / "quotes.csv"
+        path.write_text("day,type,expiry_months,delta,implied_vol\n"
+                        "1,C,12,0.5,0.2\n1,C,12,0.25,0.21\n1,P,12,0.25,0.22\n")
+        code, _, err = run(["calibrate", "--quotes", str(path), "--sigma-prev", "0.2"], capsys)
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE), err
+        code, out, err = run(["calibrate", "--synth-days", "1", "--format", "csv"], capsys)
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE), err
+        assert err == "" and parse_csv(out)[0][0] == "day"
+
+    # table4's region is the plain run's, so only its config line differs;
+    # table5-row1 also moves nu and t
+    @pytest.mark.parametrize("preset", ["table4", "table5-row1"])
+    def test_preset_does_not_outlive_its_call(self, capsys, preset):
+        _, plain_config, _ = run(["residual", "--print-config"], capsys)
+        _, plain, _ = run(["residual", "--format", "csv"], capsys)
+        _, preset_config, _ = run(["residual", "--preset", preset, "--print-config"], capsys)
+        code, _, _ = run(["residual", "--preset", preset, "--format", "csv"], capsys)
+        assert code == EXIT_OK and preset_config != plain_config
+        code, config_after, _ = run(["residual", "--print-config"], capsys)
+        assert code == EXIT_OK and config_after == plain_config
+        assert "preset=None" in config_after.splitlines()
+        code, after, _ = run(["residual", "--format", "csv"], capsys)
+        assert code == EXIT_OK and after == plain
 
 
 class TestCalibrateKappa:

@@ -1,8 +1,13 @@
-"""Start-up cost: no subcommand loads scipy.optimize (calibration fits run
-their own solver), and only an FD solve loads scipy.sparse; `import
-sabrkit.cli` loads neither.
+"""Start-up cost: each scipy submodule sabrkit uses loads only where it runs.
 
-The checks run in a fresh interpreter, since pytest's own process has
+`import sabrkit.cli` loads none of them, nor does a `price` run or a
+`sigma_d` or `sigma_h` calibration, which make no array `erfc` call.
+`scipy.special` (the `erfc` ufunc of an array `c_rel`) loads in a
+`residual`, `fd` or `mc` run and in a price-objective fit;
+`scipy.sparse` only in an FD solve. No subcommand loads
+`scipy.optimize`: calibration fits run their own solver.
+
+Each check runs in a fresh interpreter, since pytest's own process has
 imported scipy modules of its own by now."""
 
 import json
@@ -13,7 +18,7 @@ from pathlib import Path
 
 import sabrkit
 
-DEFERRED = ("scipy.optimize", "scipy.sparse")
+DEFERRED = ("scipy.optimize", "scipy.sparse", "scipy.special")
 
 SCRIPT = """
 import contextlib, io, json, sys
@@ -47,20 +52,37 @@ def loaded_after(runs):
     return json.loads(proc.stdout)
 
 
-def test_closed_form_and_mc_runs_load_neither():
+def test_price_and_vol_objective_calibrate_runs_load_none(tmp_path):
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text("day,type,expiry_months,delta,implied_vol\n"
+                      "1,C,12,0.5,0.2\n1,C,12,0.25,0.21\n1,P,12,0.25,0.22\n")
     seen = loaded_after([
-        ("price", ["price", "--y=-0.2:0.2:5", "--t", "0.5,1"]),
+        # price evaluates its lattice point by point, in float calls
+        ("price", ["price", "--model", "sa2,h,d,bs", "--y=-0.2:0.2:5", "--t", "0.5,1"]),
+        ("synthetic", ["calibrate", "--synth-days", "1"]),
+        ("quotes", ["calibrate", "--quotes", str(quotes), "--sigma-prev", "0.2",
+                    "--objective", "sigma_d"]),
+        ("sigma_h", ["calibrate", "--synth-days", "1", "--objective", "sigma_h"]),
+    ])
+    assert seen == {"import": [], "price": [], "synthetic": [], "quotes": [], "sigma_h": []}
+
+
+def test_residual_and_mc_runs_load_only_special():
+    for name, argv in [
         ("residual", ["residual", "--preset", "table4"]),
         ("mc", ["mc", "--paths", "1000", "--dt", "0.01", "--strikes", "10"]),
-    ])
-    assert seen == {"import": [], "price": [], "residual": [], "mc": []}
+    ]:
+        seen = loaded_after([(name, argv)])
+        assert seen == {"import": [], name: ["scipy.special"]}
 
 
-def test_fd_run_loads_only_sparse():
+def test_fd_run_loads_special_and_sparse():
     seen = loaded_after([("fd", ["fd", "--levels", "0"])])
-    assert seen == {"import": [], "fd": ["scipy.sparse"]}
+    assert seen == {"import": [], "fd": ["scipy.sparse", "scipy.special"]}
 
 
-def test_calibrate_run_loads_neither():
-    seen = loaded_after([("calibrate", ["calibrate", "--synth-days", "1"])])
-    assert seen == {"import": [], "calibrate": []}
+def test_price_objective_fit_loads_only_special():
+    seen = loaded_after([
+        ("calibrate", ["calibrate", "--synth-days", "1", "--objective", "price_sa2"]),
+    ])
+    assert seen == {"import": [], "calibrate": ["scipy.special"]}
