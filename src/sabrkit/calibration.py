@@ -164,38 +164,59 @@ def _model_name(objective: str) -> str:
     return model_name
 
 
+def _targets(day: QuoteDay, monomials: np.ndarray, objective: str) -> np.ndarray:
+    """The quoted values an objective's model values are compared with: the
+    implied vols, their relative prices c_rel(y, implied_vol, t), or the
+    logs of those prices. They do not depend on the parameters, so a fit
+    computes them once."""
+    if objective.startswith("sigma"):
+        return day.implied_vol
+    target = c_rel(monomials[0], day.implied_vol, monomials[1])
+    if objective.startswith("log_"):
+        # a nonpositive value gives a non-finite log, which is skipped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(target)
+    return target
+
+
 def _residuals(
-    day: QuoteDay, monomials: np.ndarray, params: SabrParams, objective: str
+    day: QuoteDay,
+    monomials: np.ndarray,
+    params: SabrParams,
+    objective: str,
+    targets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-quote model - target (of their logs for the log_* objectives),
-    where a non-finite entry is a quote the objective skips, and for
-    sigma_d the flags of its clamped model vols (None otherwise)."""
+    """Per-quote model - target (of the model's log for the log_*
+    objectives) against _targets, where a non-finite entry is a quote the
+    objective skips, and for sigma_d the flags of its clamped model vols
+    (None otherwise)."""
     model_name = _model_name(objective)
     y, t = monomials[0], monomials[1]
     clamped = None
     if objective == "sigma_d":
         # sigma_d(y, t, params) from the day's monomials
         model, clamped = _sigma_d_quote(_NUMPY, monomials, params.sigma0, params)
-        target = day.implied_vol
     elif objective.startswith("sigma"):
         model = vol_fn_for_model(model_name, params)(y, t)
-        target = day.implied_vol
     else:
         model = price_fn_for_model(model_name, params)(y, params.sigma0, t)
-        target = c_rel(y, day.implied_vol, t)
     if objective.startswith("log_"):
         # a nonpositive value gives a non-finite log, which is skipped below
         with np.errstate(divide="ignore", invalid="ignore"):
-            diff = np.log(model) - np.log(target)
+            diff = np.log(model) - targets
     else:
-        diff = model - target
+        diff = model - targets
     return diff, clamped
 
 
 def _objective_details(
-    day: QuoteDay, monomials: np.ndarray, params: SabrParams, objective: str
+    day: QuoteDay,
+    monomials: np.ndarray,
+    params: SabrParams,
+    objective: str,
+    targets: np.ndarray,
 ) -> tuple[float, int]:
-    diff, _ = _residuals(day, monomials, params, objective)
+    diff, _ = _residuals(day, monomials, params, objective, targets)
     used = np.isfinite(diff)
     n_used = int(np.count_nonzero(used))
     skipped = diff.size - n_used
@@ -218,7 +239,9 @@ def objective_value(
     skipped (and counted toward the fit flag in fit_day) so optimizers
     always see a finite objective.
     """
-    value, _ = _objective_details(day, _quote_monomials(day, sigma_prev), params, objective)
+    monomials = _quote_monomials(day, sigma_prev)
+    targets = _targets(day, monomials, objective)
+    value, _ = _objective_details(day, monomials, params, objective, targets)
     return value
 
 
@@ -357,6 +380,10 @@ def fit_day(
     x = np.clip(np.asarray(init, dtype=float), _LOWER, _UPPER)
     monomials = _quote_monomials(day, sigma_prev)
     n_quotes = len(day.option_type)
+    try:
+        targets = _targets(day, monomials, objective)
+    except DomainError:  # c_rel rejects the day's y: every quote is skipped
+        targets = np.full(n_quotes, np.nan)
     nfev = 0
     # (params, used, scale, clamped) of the last finite residuals
     last = None
@@ -366,7 +393,7 @@ def fit_day(
         nfev += 1
         try:
             params = _make_params(x, kappa0, theta)
-            diff, clamped = _residuals(day, monomials, params, objective)
+            diff, clamped = _residuals(day, monomials, params, objective, targets)
         except DomainError:
             diff = np.full(n_quotes, np.nan)
         used = np.isfinite(diff)
@@ -396,7 +423,7 @@ def fit_day(
         converged = False
     try:
         params = _make_params(x, kappa0, theta)
-        value, skipped = _objective_details(day, monomials, params, objective)
+        value, skipped = _objective_details(day, monomials, params, objective, targets)
     except DomainError:
         value, skipped = float("inf"), n_quotes
     return CalibrationResult(

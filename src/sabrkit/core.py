@@ -5,10 +5,18 @@ are built from.
 The closed-form kernels (`norm_cdf`, `norm_pdf`, `d_minus`, `hermite`,
 `h_tilde`, `phi_t`, `c_rel`) broadcast over numpy arrays: an array call
 evaluates every point in one pass and raises DomainError when any element
-is outside the domain. A call with plain floats returns a float computed
-with the math module; it agrees with the same point of an array call to a
-few units in the last place. `OptionQuery`, `d_pair`, `bs_call`,
-`norm_ppf` and `bs_implied_vol` stay scalar.
+is outside the domain. The arguments keep their own shapes, so each
+operation runs over the broadcast of its own operands only (on an open
+mesh such as `np.ix_`'s, a factor of y alone is computed once per y), and
+the result has the broadcast shape of all the arguments. A call with plain
+floats returns a float computed with the math module; it agrees with the
+same point of an array call to a few units in the last place. `OptionQuery`,
+`d_pair`, `bs_call`, `norm_ppf` and `bs_implied_vol` stay scalar.
+
+Each public kernel chooses its operations once, in `_args`; kernels that
+build on one another call its private form, which takes those operations
+(`_c_rel`, `_ncdf`, `_npdf`, `_hermite`), so no check or dispatch repeats
+within a call.
 
 `c_rel` is the package's only Black-Scholes evaluator: `bs_call`, the
 deterministic-vol price in `meanrev`, the leading term of the series
@@ -170,15 +178,14 @@ def _args(*xs) -> tuple[_Ops, list]:
     All-scalar arguments become floats evaluated with the math module, in
     the same arithmetic as a plain-float implementation; callers such as
     bs_implied_vol at deep in-the-money points depend on those last digits.
-    Otherwise every argument becomes a float array, broadcast to the common
-    shape, and numpy evaluates the same formula element-wise.
+    Otherwise every argument becomes a float array in its own shape, and
+    numpy evaluates the same formula element-wise, broadcasting each
+    operation over its own operands; the result has the broadcast shape of
+    all the arguments.
     """
     for x in xs:
         if not isinstance(x, (float, int)) and np.ndim(x) != 0:
-            arrays = [np.asarray(a, dtype=float) for a in xs]
-            # np.broadcast_arrays, without its per-call overhead
-            shape = np.broadcast(*arrays).shape
-            return _NUMPY, [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
+            return _NUMPY, [np.asarray(a, dtype=float) for a in xs]
     return _MATH, [float(x) for x in xs]
 
 
@@ -201,25 +208,41 @@ def _require(ok, what: str, values) -> None:
 
 def _require_at(ok, what: str, **inputs) -> None:
     """DomainError naming every input's value at the first point where ok
-    fails, unless ok holds everywhere; array inputs share ok's shape."""
+    fails, unless ok holds everywhere; ok and the array inputs broadcast
+    together, and only on the error path."""
     if not _all(ok):
         if not isinstance(ok, bool):
-            i = int(np.flatnonzero(~ok)[0])
-            inputs = {k: v.flat[i] if np.ndim(v) else v for k, v in inputs.items()}
+            shape = np.broadcast_shapes(np.shape(ok), *(np.shape(v) for v in inputs.values()))
+            i = int(np.flatnonzero(~np.broadcast_to(ok, shape))[0])
+            inputs = {
+                k: np.broadcast_to(v, shape).flat[i] if np.ndim(v) else v
+                for k, v in inputs.items()
+            }
         point = ", ".join(f"{k} = {v}" for k, v in inputs.items())
         raise DomainError(f"{what} at {point}")
+
+
+def _ncdf(m: _Ops, x):
+    # N(x) = erfc(-x / sqrt 2) / 2; x / -sqrt 2 is -x / sqrt 2 bit for bit,
+    # without the negated copy of x
+    return 0.5 * m.erfc(x / -_SQRT2)
+
+
+def _npdf(m: _Ops, x):
+    # N'(x)
+    return _INV_SQRT_2PI * m.exp(-0.5 * x * x)
 
 
 def norm_cdf(x):
     """Standard normal CDF via erfc; absolute error below 1e-15."""
     m, (x,) = _args(x)
-    return 0.5 * m.erfc(-x / _SQRT2)
+    return _ncdf(m, x)
 
 
 def norm_pdf(x):
     """Standard normal density e^{-x^2/2} / sqrt(2 pi)."""
     m, (x,) = _args(x)
-    return _INV_SQRT_2PI * m.exp(-0.5 * x * x)
+    return _npdf(m, x)
 
 
 def norm_ppf(p: float) -> float:
@@ -234,9 +257,18 @@ def hermite(n: int, x):
 
     Uses the recurrence H_{n+1}(x) = x H_n(x) - n H_{n-1}(x).
     """
+    _check_hermite_order(n)
+    m, (x,) = _args(x)
+    return _hermite(m, n, x)
+
+
+def _check_hermite_order(n) -> None:
     if not isinstance(n, int) or n < 0 or n > 5:
         raise DomainError(f"hermite order must be an integer in 0..5, got {n}")
-    m, (x,) = _args(x)
+
+
+def _hermite(m: _Ops, n: int, x):
+    # H_n(x) for a checked order n
     if n == 0:
         return m.ones_like(x)
     h_prev, h = 1.0, x
@@ -270,7 +302,8 @@ def h_tilde(n: int, u, sigma, t):
     """
     m, (u, sigma, t) = _args(u, sigma, t)
     v, ell = _scaled_d_minus(m, u, sigma, t)
-    return (-1.0 / v) ** n * hermite(n, ell)
+    _check_hermite_order(n)
+    return (-1.0 / v) ** n * _hermite(m, n, ell)
 
 
 def phi_t(u, sigma, t):
@@ -316,6 +349,11 @@ def c_rel(y, sigma, t):
     A NaN y, or one whose e^y overflows a float, raises DomainError.
     """
     m, (y, sigma, t) = _args(y, sigma, t)
+    return _c_rel(m, y, sigma, t)
+
+
+def _c_rel(m: _Ops, y, sigma, t):
+    # c_rel with the operations m, its checks included
     _require(y <= _MAX_EXP_ARG, "y must be a number whose e^y is a float", y)
     _require(sigma >= 0.0, "sigma must be nonnegative", sigma)
     _require(t >= 0.0, "t must be nonnegative", t)
@@ -324,15 +362,16 @@ def c_rel(y, sigma, t):
     if _any(flat):
         # evaluate the formula at a harmless point, then take the payoff
         payoff = m.maximum(m.exp(y) - 1.0, 0.0)
-        live = c_rel(y, m.where(flat, 1.0, sigma), m.where(flat, 1.0, t))
+        live = _c_rel(m, y, m.where(flat, 1.0, sigma), m.where(flat, 1.0, t))
         return m.where(flat, payoff, live)
     dm = _d_minus_of(m, y, v)
-    return m.exp(y) * norm_cdf(dm + v) - norm_cdf(dm)
+    return m.exp(y) * _ncdf(m, dm + v) - _ncdf(m, dm)
 
 
 def _c_rel_vega(y: float, sigma: float, t: float) -> float:
-    # d/dsigma c_rel = sqrt(t) N'(d_-)
-    return math.sqrt(t) * norm_pdf(d_minus(y, sigma, t))
+    # d/dsigma c_rel = sqrt(t) N'(d_-), in the operations of d_minus and
+    # norm_pdf; bs_implied_vol keeps sigma > 0 and t > 0
+    return math.sqrt(t) * _npdf(_MATH, _d_minus_of(_MATH, y, sigma * math.sqrt(t)))
 
 
 def bs_implied_vol(price: float, y: float, t: float) -> float:
@@ -345,6 +384,7 @@ def bs_implied_vol(price: float, y: float, t: float) -> float:
     """
     if not (t > 0.0):
         raise DomainError("implied vol requires t > 0")
+    y, t = float(y), float(t)  # the math-module _c_rel below takes floats
     intrinsic = max(math.exp(y) - 1.0, 0.0)
     if not (intrinsic < price < math.exp(y)):
         raise DomainError(
@@ -352,13 +392,13 @@ def bs_implied_vol(price: float, y: float, t: float) -> float:
             f"({intrinsic}, {math.exp(y)})"
         )
     lo, hi = _IV_LO, _IV_HI
-    f_lo = c_rel(y, lo, t) - price
-    f_hi = c_rel(y, hi, t) - price
+    f_lo = _c_rel(_MATH, y, lo, t) - price
+    f_hi = _c_rel(_MATH, y, hi, t) - price
     if f_lo > 0.0 or f_hi < 0.0:
         raise DomainError(f"price {price} not bracketed by sigma in [{lo}, {hi}]")
     sigma = 0.5 * (lo + hi)
     for _ in range(_IV_MAX_ITER):
-        f = c_rel(y, sigma, t) - price
+        f = _c_rel(_MATH, y, sigma, t) - price
         if abs(f) <= _IV_TOL:
             return sigma
         if f > 0.0:

@@ -58,11 +58,10 @@ from .core import (
     OptionQuery,
     _all,
     _args,
+    _c_rel,
+    _ncdf,
+    _npdf,
     _scaled_d_minus,
-    c_rel,
-    d_pair,
-    norm_cdf,
-    norm_pdf,
 )
 
 __all__ = [
@@ -183,8 +182,8 @@ def f1_term(
     t = query.expiry
     if not (t > 0.0):
         raise DomainError("f1_term requires t > 0")
-    dm = d_pair(query, sigma).d_minus
-    return query.strike * _f1_rel(_MATH, dm, norm_pdf(dm), sigma, t, rho, kappa0, theta)
+    _, dm = _scaled_d_minus(_MATH, query.log_moneyness, sigma, t)
+    return query.strike * _f1_rel(_MATH, dm, _npdf(_MATH, dm), sigma, t, rho, kappa0, theta)
 
 
 def f2_coeffs(
@@ -255,7 +254,7 @@ def f2_term(
     if not (t > 0.0):
         raise DomainError("f2_term requires t > 0")
     v, dm = _scaled_d_minus(_MATH, query.log_moneyness, sigma, t)
-    return query.strike * _f2_rel(dm, v, norm_pdf(dm), sigma, t, rho, kappa0, theta)
+    return query.strike * _f2_rel(dm, v, _npdf(_MATH, dm), sigma, t, rho, kappa0, theta)
 
 
 def _sa2_rel(m, y, t, sigma, params: SabrParams):
@@ -263,12 +262,12 @@ def _sa2_rel(m, y, t, sigma, params: SabrParams):
     # corrections are evaluated at t = 1 and the callers keep F_BS alone,
     # which c_rel makes the payoff there. v = sigma sqrt(t), d_- and N'(d_-)
     # are computed once and serve both corrections.
-    f_bs = c_rel(y, sigma, t)
+    f_bs = _c_rel(m, y, sigma, t)
     live = t > 0.0
     if not _all(live):
         t = m.where(live, t, 1.0)
     v, dm = _scaled_d_minus(m, y, sigma, t)
-    pdf = norm_pdf(dm)
+    pdf = _npdf(m, dm)
     rho, kappa0, theta = params.rho, params.kappa0, params.theta
     f2 = _f2_rel(dm, v, pdf, sigma, t, rho, kappa0, theta)
     f1 = _f1_rel(m, dm, pdf, sigma, t, rho, kappa0, theta)
@@ -404,33 +403,43 @@ def implied_e2(y, sigma, rho: float, t):
     return _poly(_implied_coeffs(sigma, rho)[1], _monomials(y, t)[1:])
 
 
+def _sigma_d_args(y, t, params: SabrParams, sigma):
+    # (m, y, t, sigma) of a sigma_d or price_d call; a scalar sigma stays a
+    # float, so the coefficients do
+    sigma = params.sigma0 if sigma is None else sigma
+    if np.ndim(sigma) == 0:
+        m, (y, t) = _args(y, t)
+        return m, y, t, float(sigma)
+    m, (y, t, sigma) = _args(y, t, sigma)
+    return m, y, t, sigma
+
+
+def _sigma_d(m, y, t, sigma, params: SabrParams) -> VolQuote:
+    if params.nu != 0.0:
+        _require_sigma_t(sigma, t, "sigma_d")
+    return _sigma_d_quote(m, _monomials(y, t), sigma, params)
+
+
 def sigma_d(y, t, params: SabrParams, *, sigma=None) -> VolQuote:
     """Expansion implied vol sigma + nu e1 + nu^2 e2.
 
     Nonpositive raw values (possible for extreme parameters probed by
     optimizers) are clamped to a small positive floor and flagged.
     """
-    sigma = params.sigma0 if sigma is None else sigma
-    if np.ndim(sigma) == 0:  # the coefficients stay floats
-        m, (y, t) = _args(y, t)
-        sigma = float(sigma)
-    else:
-        m, (y, t, sigma) = _args(y, t, sigma)
-    if params.nu != 0.0:
-        _require_sigma_t(sigma, t, "sigma_d")
-    return _sigma_d_quote(m, _monomials(y, t), sigma, params)
+    return _sigma_d(*_sigma_d_args(y, t, params, sigma), params)
 
 
 def price_d(y, t, params: SabrParams, *, sigma=None):
     """Relative price through the implied-vol expansion: c_rel(y, sigma_d, t)."""
-    return c_rel(y, sigma_d(y, t, params, sigma=sigma).value, t)
+    m, y, t, sigma = _sigma_d_args(y, t, params, sigma)
+    return _c_rel(m, y, _sigma_d(m, y, t, sigma, params).value, t)
 
 
 def _dx_correction(dm, v, coeffs):
     # x-derivative over K of the correction term with kernel coefficients
     # coeffs: d/du (h_tilde(i) phi_t) = h_tilde(i + 1) phi_t shifts each
-    # index up by one
-    return _kernel_sum(dm, v, coeffs, 1) * (norm_pdf(dm) / v)
+    # index up by one; a float call (delta_sa2)
+    return _kernel_sum(dm, v, coeffs, 1) * (_npdf(_MATH, dm) / v)
 
 
 def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
@@ -445,7 +454,7 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
         raise DomainError("delta_sa2 requires t > 0")
     sigma, nu, rho = params.sigma0, params.nu, params.rho
     v, dm = _scaled_d_minus(_MATH, query.log_moneyness, sigma, t)
-    base = norm_cdf(dm + v)  # N(d_+)
+    base = _ncdf(_MATH, dm + v)  # N(d_+)
     if nu == 0.0:
         return base
     nu2 = _nu_squared(nu)

@@ -479,8 +479,7 @@ def residual_norm(
         res = c_t - lc
         square = res * res
         total = float(np.sum(square))
-    node = {k: np.broadcast_to(v, square.shape) for k, v in (("y", y), ("sigma", s), ("t", t))}
-    _require_at(np.isfinite(square), "the PDE residual squared is not finite", **node)
+    _require_at(np.isfinite(square), "the PDE residual squared is not finite", y=y, sigma=s, t=t)
     if not math.isfinite(total):
         raise DomainError("the PDE residual norm overflows a float")
     return math.sqrt(total / t.shape[0])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, _args, _require, _require_at, c_rel
+from .core import DomainError, _args, _c_rel, _require, _require_at
 from .expansion import SabrParams, _nu_squared
 
 __all__ = ["xi", "z_over_xi", "sigma_h", "price_h", "Z_SWITCH"]
@@ -26,6 +26,10 @@ def xi(z, rho: float):
     """xi(z) = ln[(sqrt(1 - 2 rho z + z^2) + z - rho) / (1 - rho)]."""
     _check_rho(rho)
     m, (z,) = _args(z)
+    return _xi(m, z, rho)
+
+
+def _xi(m, z, rho: float):
     return m.log((m.sqrt(1.0 - 2.0 * rho * z + z * z) + z - rho) / (1.0 - rho))
 
 
@@ -38,13 +42,17 @@ def z_over_xi(z, rho: float):
     """
     _check_rho(rho)
     m, (z,) = _args(z)
+    return _z_over_xi(m, z, rho)
+
+
+def _z_over_xi(m, z, rho: float):
     near = abs(z) < Z_SWITCH
     far_z = m.where(near, 1.0, z)  # keeps 0/0 out of the unused branch
     series = 1.0 + z * (
         -0.5 * rho
         + z * ((1.0 / 6.0 - 0.25 * rho * rho) + z * (5.0 * rho / 24.0 - 0.25 * rho**3))
     )
-    return m.where(near, series, far_z / xi(far_z, rho))
+    return m.where(near, series, far_z / _xi(m, far_z, rho))
 
 
 def sigma_h(y, t, params: SabrParams, *, sigma=None):
@@ -56,9 +64,13 @@ def sigma_h(y, t, params: SabrParams, *, sigma=None):
     z / xi(z) for |z| >= Z_SWITCH, its Taylor series below, where the raw
     quotient tends to 0/0.
     """
+    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    return _sigma_h(m, y, t, sigma, params)
+
+
+def _sigma_h(m, y, t, sigma, params: SabrParams):
     if params.kappa0 != 0.0:
         raise DomainError("sigma_h is only available for kappa0 = 0")
-    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
     _require(t >= 0.0, "t must be nonnegative", t)
     _require(sigma > 0.0, "sigma must be positive", sigma)
     nu, rho = params.nu, params.rho
@@ -68,7 +80,7 @@ def sigma_h(y, t, params: SabrParams, *, sigma=None):
     with np.errstate(over="ignore", invalid="ignore"):
         z = nu * y / sigma
         _require_at(m.isfinite(z * z), "z = nu y / sigma overflows z**2", nu=nu, y=y, sigma=sigma)
-        backbone = z_over_xi(z, rho)
+        backbone = _z_over_xi(m, z, rho)  # SabrParams keeps rho in (-1, 1)
         bracket = 1.0 + (0.25 * rho * nu * sigma + (2.0 - 3.0 * rho * rho) * nu2 / 24.0) * t
         vol = sigma * backbone * bracket
     _require_at(m.isfinite(vol), "sigma_h overflows a float", nu=nu, y=y, t=t, sigma=sigma)
@@ -80,10 +92,9 @@ def price_h(y, t, params: SabrParams, *, sigma=None):
 
     The bracket of sigma_h turns negative at large rho nu sigma t; such a
     vol is no Black-Scholes vol, and DomainError names it and its point."""
-    # broadcast, so that the error can name the point
-    _, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
-    vol = sigma_h(y, t, params, sigma=sigma)
+    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    vol = _sigma_h(m, y, t, sigma, params)
     _require_at(
         vol >= 0.0, "the Hagan vol is negative", vol=vol, nu=params.nu, y=y, t=t, sigma=sigma
     )
-    return c_rel(y, vol, t)
+    return _c_rel(m, y, vol, t)

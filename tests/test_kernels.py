@@ -1,6 +1,8 @@
 """Array-valued closed-form kernels: an array call agrees with the same
 formula evaluated point by point on floats, rejects an array holding one
-bad element, and the residual tables keep their recorded values."""
+bad element, computes on its arguments' own shapes with the result the
+same as on their broadcast copies, and the residual tables keep their
+recorded values."""
 
 import math
 
@@ -17,8 +19,11 @@ from sabrkit import (
     c_rel,
     d_minus,
     h_tilde,
+    hermite,
     implied_e1,
     implied_e2,
+    norm_cdf,
+    norm_pdf,
     objective_value,
     phi_t,
     price_d,
@@ -28,11 +33,12 @@ from sabrkit import (
     residual_norm,
     sigma_d,
     sigma_h,
+    z_over_xi,
 )
 from sabrkit.calibration import OBJECTIVES, QuoteDay
 from sabrkit.cli import RESIDUAL_PRESETS
-from sabrkit.hagan import Z_SWITCH
-from sabrkit.models import price_fn_for_model
+from sabrkit.hagan import Z_SWITCH, xi
+from sabrkit.models import MODEL_NAMES, price_fn_for_model
 
 # a float call runs on the math module and an array call on numpy, so the
 # two agree to rounding, not bit for bit
@@ -286,6 +292,137 @@ class TestArrayDomainErrors:
         assert type(sigma_h(0.1, 1.0, self.P)) is float
         quote = sigma_d(0.1, 1.0, self.P)
         assert type(quote.value) is float and type(quote.clamped) is bool
+
+
+@st.composite
+def open_mesh(draw, *ranges):
+    """One 1-d array per (lo, hi) range, each on its own axis of an np.ix_
+    mesh, in a drawn axis order: the arguments broadcast to a lattice
+    without being stored at its size."""
+    axes = draw(st.permutations(range(len(ranges))))
+    columns = [arrays(draw, draw(st.integers(1, 4)), lo, hi) for lo, hi in ranges]
+    mesh = np.ix_(*(columns[a] for a in axes))
+    return [mesh[axes.index(i)] for i in range(len(ranges))]
+
+
+def _parts(result):
+    # a VolQuote's value and flags, or the one result array
+    return tuple(result) if isinstance(result, tuple) else (result,)
+
+
+def assert_open_mesh_call(fn, *args):
+    """fn on the open mesh has the broadcast shape of its arguments and
+    equals, bit for bit, fn on contiguous broadcast copies of them."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    full = fn(*(np.array(a) for a in np.broadcast_arrays(*args)))
+    for got, want in zip(_parts(fn(*args)), _parts(full), strict=True):
+        assert np.shape(got) == shape
+        assert np.array_equal(got, want)
+
+
+Y, SIGMA, T = (-2.0, 2.0), (0.05, 1.0), (0.05, 3.0)
+
+
+class TestOpenMesh:
+    @given(open_mesh(Y, (0.0, 1.0), (0.0, 3.0)))
+    def test_c_rel(self, mesh):
+        # sigma and t may hold exact zeros: the intrinsic-value branch
+        assert_open_mesh_call(c_rel, *mesh)
+
+    @given(open_mesh((-8.0, 8.0), (-8.0, 8.0)), st.integers(0, 5))
+    def test_one_argument_kernels(self, mesh, n):
+        # a sum of two open-mesh factors is a 2-d argument
+        x = mesh[0] + mesh[1]
+        for fn in (norm_cdf, norm_pdf, lambda x: hermite(n, x)):
+            assert_open_mesh_call(fn, x)
+
+    @given(open_mesh(Y, SIGMA, T), st.integers(0, 5))
+    def test_gaussian_kernels(self, mesh, n):
+        assert_open_mesh_call(d_minus, *mesh)
+        assert_open_mesh_call(phi_t, *mesh)
+        assert_open_mesh_call(lambda u, s, t: h_tilde(n, u, s, t), *mesh)
+
+    @given(open_mesh((-3 * Z_SWITCH, 3 * Z_SWITCH), (-1.5, 1.5)), floats(-0.95, 0.95))
+    def test_backbone(self, mesh, rho):
+        # z on both sides of the switch to the series
+        z = mesh[0] + mesh[1]
+        assert_open_mesh_call(lambda z: xi(z, rho), z)
+        assert_open_mesh_call(lambda z: z_over_xi(z, rho), z)
+
+    @given(open_mesh(Y, T, SIGMA), params_strategy(), params_strategy(kappa=True))
+    def test_price_sa2_rel(self, mesh, params, kappa_params):
+        # expiries below 0.5 become exact zeros: the payoff branch
+        mesh[1] = np.where(mesh[1] < 0.5, 0.0, mesh[1])
+        for p in (params, kappa_params):
+            assert_open_mesh_call(lambda y, t, s: price_sa2_rel(y, t, p, sigma=s), *mesh)
+
+    @given(open_mesh(Y, T, SIGMA), params_strategy())
+    def test_implied_vol_forms(self, mesh, params):
+        assert_open_mesh_call(lambda y, t, s: sigma_d(y, t, params, sigma=s), *mesh)
+        assert_open_mesh_call(lambda y, t, s: price_d(y, t, params, sigma=s), *mesh)
+        # the vol stays positive: |rho nu sigma / 4| + |2 - 3 rho^2| nu^2 / 24 < 1/t here
+        hagan = SabrParams(params.sigma0, min(params.nu, 1.0), params.rho)
+        assert_open_mesh_call(lambda y, t, s: sigma_h(y, t, hagan, sigma=s), *mesh)
+        assert_open_mesh_call(lambda y, t, s: price_h(y, t, hagan, sigma=s), *mesh)
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    @given(mesh=open_mesh(Y, SIGMA, T), params=params_strategy(kappa=True))
+    def test_price_models(self, model, mesh, params):
+        if model != "kappa":
+            params = SabrParams(params.sigma0, min(params.nu, 1.0), params.rho)
+        assert_open_mesh_call(price_fn_for_model(model, params), *mesh)
+
+
+def _message(call, *args) -> str:
+    with pytest.raises(DomainError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+class TestOpenMeshErrors:
+    """A check that fails on an open mesh names the first failing point of
+    the broadcast lattice in row-major order, with every input there, as the
+    same call on broadcast copies does."""
+
+    P = SabrParams(sigma0=0.2, nu=0.4, rho=-0.2)
+
+    def test_negative_hagan_vol(self):
+        # the vol turns negative at large sigma t: here only at sigma = 1e3
+        t, sigma, y = np.ix_([0.01, 0.5, 1.0], [0.2, 1e3], [-0.1, 0.1])
+        call = lambda y, t, s: price_h(y, t, self.P, sigma=s)  # noqa: E731
+        # the first point in row-major order, from float calls
+        vol, point = next(
+            (v, (yi, ti, si))
+            for ti in t.flat
+            for si in sigma.flat
+            for yi in y.flat
+            if (v := sigma_h(float(yi), float(ti), self.P, sigma=float(si))) < 0.0
+        )
+        want = "the Hagan vol is negative at vol = {}, nu = 0.4, y = {}, t = {}, sigma = {}"
+        want = want.format(vol, *point)
+        assert point == (-0.1, 0.5, 1e3)
+        assert _message(call, y, t, sigma) == want
+        assert _message(call, *np.broadcast_arrays(y, t, sigma)) == want
+
+    def test_overflowing_y(self):
+        # y over the axis that varies fastest, so its first bad value is
+        # the first bad point of the lattice
+        y, sigma, t = np.ix_([0.0, 800.0, 900.0], [0.2, 0.3], [1.0])
+        y = y.reshape(1, 1, -1)
+        want = "y must be a number whose e^y is a float, got 800.0"
+        assert _message(c_rel, y, sigma, t) == want
+        assert _message(c_rel, *np.broadcast_arrays(y, sigma, t)) == want
+
+    def test_non_finite_residual(self):
+        # residual_norm's lattice is an open mesh; its sigma**2 overflows
+        # from the second sigma node on
+        params = SabrParams(sigma0=0.1, nu=0.4, rho=0.2)
+        region = ResidualRegion(t_range=(0.1, 1.0), sigma_range=(1e150, 1e154))
+        t, s, y = region.lattice()
+        want = f"the PDE residual squared is not finite at y = {y[0]}, sigma = {s[0]}, t = {t[0]}"
+        for model in ("bs", "h"):
+            fn = price_fn_for_model(model, params)
+            assert _message(residual_norm, fn, params, region) == want
 
 
 # residual norms recorded at the seed commit, scaled as the CLI prints them
