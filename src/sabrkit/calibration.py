@@ -180,11 +180,7 @@ def _targets(day: QuoteDay, monomials: np.ndarray, objective: str) -> np.ndarray
 
 
 def _residuals(
-    day: QuoteDay,
-    monomials: np.ndarray,
-    params: SabrParams,
-    objective: str,
-    targets: np.ndarray,
+    monomials: np.ndarray, params: SabrParams, objective: str, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-quote model - target (of the model's log for the log_*
     objectives) against _targets, where a non-finite entry is a quote the
@@ -210,13 +206,9 @@ def _residuals(
 
 
 def _objective_details(
-    day: QuoteDay,
-    monomials: np.ndarray,
-    params: SabrParams,
-    objective: str,
-    targets: np.ndarray,
+    monomials: np.ndarray, params: SabrParams, objective: str, targets: np.ndarray
 ) -> tuple[float, int]:
-    diff, _ = _residuals(day, monomials, params, objective, targets)
+    diff, _ = _residuals(monomials, params, objective, targets)
     used = np.isfinite(diff)
     n_used = int(np.count_nonzero(used))
     skipped = diff.size - n_used
@@ -241,7 +233,7 @@ def objective_value(
     """
     monomials = _quote_monomials(day, sigma_prev)
     targets = _targets(day, monomials, objective)
-    value, _ = _objective_details(day, monomials, params, objective, targets)
+    value, _ = _objective_details(monomials, params, objective, targets)
     return value
 
 
@@ -393,7 +385,7 @@ def fit_day(
         nfev += 1
         try:
             params = _make_params(x, kappa0, theta)
-            diff, clamped = _residuals(day, monomials, params, objective, targets)
+            diff, clamped = _residuals(monomials, params, objective, targets)
         except DomainError:
             diff = np.full(n_quotes, np.nan)
         used = np.isfinite(diff)
@@ -423,7 +415,7 @@ def fit_day(
         converged = False
     try:
         params = _make_params(x, kappa0, theta)
-        value, skipped = _objective_details(day, monomials, params, objective, targets)
+        value, skipped = _objective_details(monomials, params, objective, targets)
     except DomainError:
         value, skipped = float("inf"), n_quotes
     return CalibrationResult(
