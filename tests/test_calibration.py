@@ -414,6 +414,22 @@ class TestFitDay:
         assert res.ise == math.inf and res.n_skipped == len(day.option_type)
         assert res.nfev == 1
 
+    @pytest.mark.parametrize("objective", ["price_d", "log_price_sa2"])
+    def test_quoted_prices_c_rel_rejects_fail_the_fit(self, objective):
+        # e^800 overflows, so the day's quoted prices cannot be formed
+        day = QuoteDay(
+            day=1, option_type=("C", "C"), expiry=[1.0, 1.0], implied_vol=[0.2, 0.2],
+            moneyness=[0.1, 800.0],
+        )
+        start = (0.5, 0.2, -0.3)
+        with pytest.raises(DomainError, match="e\\^y is a float, got 800.0"):
+            objective_value(day, SabrParams(0.2, 0.5, -0.3), objective)
+        res = fit_day(day, start, objective)
+        assert not res.converged
+        assert res.params == start
+        assert res.ise == math.inf and res.n_skipped == 2
+        assert res.nfev == 1
+
     @pytest.mark.parametrize(
         "objective", [o for o in OBJECTIVES if calibration._OBJECTIVE_MODEL[o] in ("d", "h")]
     )
