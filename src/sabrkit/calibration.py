@@ -10,6 +10,10 @@ nu in [0, 5], sigma in [0.01, 2], rho in [-0.99, 0.99]; it needs numpy
 only, so a fit loads no scipy.optimize. The sigma_d objective supplies its
 closed-form Jacobian; the others use forward differences. Days are fitted
 in a warm-start chain with in-sample / out-of-sample RMS error reporting.
+
+Each day is built once and serves its fit, ISE and OSE under one fault
+rule: parameters the model rejects, or quoted prices c_rel cannot form,
+skip every quote, for an error of inf (objective_value raises instead).
 """
 
 from __future__ import annotations
@@ -36,29 +40,27 @@ __all__ = [
     "delta_to_moneyness",
     "objective_value",
     "fit_day",
-    "out_of_sample",
     "synth_panel",
     "calibrate_panel",
     "read_quotes_csv",
     "write_quotes_csv",
     "result_rows",
-    "write_results_csv",
 ]
 
-# objective -> the models.py model it compares; sigma_* objectives compare
-# implied vols, the others relative prices (log_* their logarithms)
-_OBJECTIVE_MODEL = {
-    "sigma_d": "d",
-    "sigma_h": "h",
-    "price_d": "d",
-    "price_h": "h",
-    "price_sa2": "sa2",
-    "log_price_d": "d",
-    "log_price_h": "h",
-    "log_price_sa2": "sa2",
-    "price_kappa": "sa2",  # price_sa2, named for fits with kappa0 > 0
+# objective -> (the models.py model it compares, the compared quantity:
+# implied vol, relative price or its logarithm); the one reader of an
+# objective's name
+_OBJECTIVE_TABLE = {
+    "sigma_d": ("d", "vol"),
+    "sigma_h": ("h", "vol"),
+    "price_d": ("d", "price"),
+    "price_h": ("h", "price"),
+    "price_sa2": ("sa2", "price"),
+    "log_price_d": ("d", "log price"),
+    "log_price_h": ("h", "log price"),
+    "log_price_sa2": ("sa2", "log price"),
 }
-OBJECTIVES = tuple(_OBJECTIVE_MODEL)
+OBJECTIVES = tuple(_OBJECTIVE_TABLE)
 
 PANEL_EXPIRY_MONTHS = (1, 2, 3, 4, 5, 6, 9, 12, 18, 24)
 PANEL_DELTAS = tuple(0.20 + 0.05 * i for i in range(13))
@@ -146,77 +148,82 @@ def delta_to_moneyness(delta, sigma_prev, T):
     return 0.5 * v * (2.0 * ppf - v)
 
 
-def _quote_monomials(day: QuoteDay, sigma_prev: float | None) -> np.ndarray:
-    """The day's monomials (y, t, t^2, t y, y^2) in rows, with the
-    log-moneyness y resolved: sigma_d and its Jacobian are evaluated on
-    them, and the other objectives read y and t from the first two rows."""
-    t = day.expiry
-    if day.delta is not None and sigma_prev is None:
-        raise DomainError("delta-quoted day needs a previous-day sigma for conversion")
-    y = day.moneyness if day.delta is None else delta_to_moneyness(day.delta, sigma_prev, t)
-    return np.array(_monomials(y, t))
+class _DayObjective:
+    """One day under one objective: the day's monomials (y, t, t^2, t y,
+    y^2) with the log-moneyness y resolved, on which sigma_d and its
+    Jacobian are evaluated (the other objectives read y and t from the
+    first two rows), and the quoted values its model values are compared
+    with."""
 
+    def __init__(self, day: QuoteDay, objective: str, sigma_prev: float | None):
+        if objective not in _OBJECTIVE_TABLE:
+            raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+        if day.delta is not None and sigma_prev is None:
+            raise DomainError("delta-quoted day needs a previous-day sigma for conversion")
+        self.day, self.objective = day, objective
+        self.model, self.quantity = _OBJECTIVE_TABLE[objective]
+        # sigma_d from the monomials, with its closed-form Jacobian
+        self.closed_form = (self.model, self.quantity) == ("d", "vol")
+        t = day.expiry
+        y = day.moneyness if day.delta is None else delta_to_moneyness(day.delta, sigma_prev, t)
+        self.monomials = np.array(_monomials(y, t))
 
-def _model_name(objective: str) -> str:
-    model_name = _OBJECTIVE_MODEL.get(objective)
-    if model_name is None:
-        raise DomainError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    return model_name
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        """The implied vols, their relative prices c_rel(y, implied_vol, t),
+        or the logs of those prices; a DomainError, raised again at each
+        use, where c_rel cannot form the prices."""
+        if self.quantity == "vol":
+            return self.day.implied_vol
+        target = c_rel(self.monomials[0], self.day.implied_vol, self.monomials[1])
+        if self.quantity == "log price":
+            # a nonpositive value gives a non-finite log, which is skipped
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.log(target)
+        return target
 
+    def residuals(self, params: SabrParams) -> tuple[np.ndarray, np.ndarray | None]:
+        """Per-quote model - target (of the model's log for log prices),
+        where a non-finite entry is a quote the objective skips, and for
+        sigma_d the flags of its clamped model vols (None otherwise). A
+        DomainError where the targets cannot be formed or the model rejects
+        params."""
+        targets = self.targets
+        y, t = self.monomials[0], self.monomials[1]
+        clamped = None
+        if self.closed_form:
+            model, clamped = _sigma_d_quote(_NUMPY, self.monomials, params.sigma0, params)
+        elif self.quantity == "vol":
+            model = vol_fn_for_model(self.model, params)(y, t)
+        else:
+            model = price_fn_for_model(self.model, params)(y, params.sigma0, t)
+        if self.quantity == "log price":
+            # a nonpositive value gives a non-finite log, which is skipped below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.log(model) - targets, clamped
+        return model - targets, clamped
 
-def _targets(day: QuoteDay, monomials: np.ndarray, objective: str) -> np.ndarray:
-    """The quoted values an objective's model values are compared with: the
-    implied vols, their relative prices c_rel(y, implied_vol, t), or the
-    logs of those prices. They do not depend on the parameters, so a fit
-    computes them once."""
-    if objective.startswith("sigma"):
-        return day.implied_vol
-    target = c_rel(monomials[0], day.implied_vol, monomials[1])
-    if objective.startswith("log_"):
-        # a nonpositive value gives a non-finite log, which is skipped
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(target)
-    return target
+    def mean_square(self, params: SabrParams) -> tuple[float, int]:
+        """The objective at params (inf if it skips every quote) and the
+        number of quotes it skips; raises as residuals does."""
+        diff, _ = self.residuals(params)
+        used = np.isfinite(diff)
+        n_used = int(np.count_nonzero(used))
+        skipped = diff.size - n_used
+        if n_used == 0:
+            return float("inf"), skipped
+        if skipped:
+            diff = diff[used]
+        return float(np.dot(diff, diff)) / n_used, skipped
 
-
-def _residuals(
-    monomials: np.ndarray, params: SabrParams, objective: str, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-quote model - target (of the model's log for the log_*
-    objectives) against _targets, where a non-finite entry is a quote the
-    objective skips, and for sigma_d the flags of its clamped model vols
-    (None otherwise)."""
-    model_name = _model_name(objective)
-    y, t = monomials[0], monomials[1]
-    clamped = None
-    if objective == "sigma_d":
-        # sigma_d(y, t, params) from the day's monomials
-        model, clamped = _sigma_d_quote(_NUMPY, monomials, params.sigma0, params)
-    elif objective.startswith("sigma"):
-        model = vol_fn_for_model(model_name, params)(y, t)
-    else:
-        model = price_fn_for_model(model_name, params)(y, params.sigma0, t)
-    if objective.startswith("log_"):
-        # a nonpositive value gives a non-finite log, which is skipped below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = np.log(model) - targets
-    else:
-        diff = model - targets
-    return diff, clamped
-
-
-def _objective_details(
-    monomials: np.ndarray, params: SabrParams, objective: str, targets: np.ndarray
-) -> tuple[float, int]:
-    diff, _ = _residuals(monomials, params, objective, targets)
-    used = np.isfinite(diff)
-    n_used = int(np.count_nonzero(used))
-    skipped = diff.size - n_used
-    if n_used == 0:
-        return float("inf"), skipped
-    if skipped:
-        diff = diff[used]
-    return float(np.dot(diff, diff)) / n_used, skipped
+    def rms(self, params: SabrParams) -> tuple[float, int]:
+        """RMS error and skipped quotes at params, for the ISE and OSE; a
+        DomainError skips every quote, as in each evaluation of the fit."""
+        try:
+            value, skipped = self.mean_square(params)
+        except DomainError:
+            return math.inf, self.day.implied_vol.size
+        return math.sqrt(value), skipped
 
 
 def objective_value(
@@ -229,12 +236,11 @@ def objective_value(
 
     All quotes are evaluated in one array call. Non-finite model values are
     skipped (and counted toward the fit flag in fit_day) so optimizers
-    always see a finite objective.
+    always see a finite objective. Parameters the model rejects, or quoted
+    prices c_rel cannot form, raise DomainError; a fit, its ISE and its
+    OSE count them as every quote skipped.
     """
-    monomials = _quote_monomials(day, sigma_prev)
-    targets = _targets(day, monomials, objective)
-    value, _ = _objective_details(monomials, params, objective, targets)
-    return value
+    return _DayObjective(day, objective, sigma_prev).mean_square(params)[0]
 
 
 # the (nu, sigma, rho) box of every fit
@@ -362,20 +368,23 @@ def fit_day(
     cap, or whose start point has no usable quote or parameters the model
     rejects, ends with converged=False and the point it reached.
     """
-    # an unknown objective, or a kappa0 or theta its model rejects, is an
-    # error, not a failed fit
-    if _model_name(objective) in ("d", "h") and kappa0 != 0.0:
+    return _fit(_DayObjective(day, objective, sigma_prev), init, kappa0, theta)
+
+
+def _fit(
+    target: _DayObjective, init: tuple[float, float, float], kappa0: float, theta: float
+) -> CalibrationResult:
+    """fit_day on a built day objective."""
+    # a kappa0 or theta the model rejects is an error, not a failed fit;
+    # only the sa2 model has mean reversion
+    if target.model != "sa2" and kappa0 != 0.0:
+        objective = target.objective
         raise DomainError(
             f"objective {objective!r} is only available for kappa0 = 0, got kappa0 = {kappa0}"
         )
     SabrParams(sigma0=1.0, nu=0.0, rho=0.0, kappa0=kappa0, theta=theta)  # validates both
     x = np.clip(np.asarray(init, dtype=float), _LOWER, _UPPER)
-    monomials = _quote_monomials(day, sigma_prev)
-    n_quotes = len(day.option_type)
-    try:
-        targets = _targets(day, monomials, objective)
-    except DomainError:  # c_rel rejects the day's y: every quote is skipped
-        targets = np.full(n_quotes, np.nan)
+    n_quotes = target.day.implied_vol.size
     nfev = 0
     # (params, used, scale, clamped) of the last finite residuals
     last = None
@@ -385,7 +394,7 @@ def fit_day(
         nfev += 1
         try:
             params = _make_params(x, kappa0, theta)
-            diff, clamped = _residuals(monomials, params, objective, targets)
+            diff, clamped = target.residuals(params)
         except DomainError:
             diff = np.full(n_quotes, np.nan)
         used = np.isfinite(diff)
@@ -401,11 +410,11 @@ def fit_day(
     def sigma_d_jac(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         # _least_squares asks at the point it evaluated last
         params, used, scale, clamped = last
-        jac = _sigma_d_jacobian(monomials, params, clamped)
+        jac = _sigma_d_jacobian(target.monomials, params, clamped)
         jac[~used] = 0.0
         return jac * scale
 
-    if objective == "sigma_d":
+    if target.closed_form:
         jac = sigma_d_jac
     else:
         jac = functools.partial(_forward_jacobian, residuals)
@@ -413,32 +422,18 @@ def fit_day(
         x, converged = _least_squares(residuals, jac, x)
     except _NoFiniteStart:
         converged = False
-    try:
-        params = _make_params(x, kappa0, theta)
-        value, skipped = _objective_details(monomials, params, objective, targets)
-    except DomainError:
-        value, skipped = float("inf"), n_quotes
+    ise, skipped = target.rms(_make_params(x, kappa0, theta))
     return CalibrationResult(
-        day=day.day,
-        objective=objective,
+        day=target.day.day,
+        objective=target.objective,
         nu=float(x[0]),
         sigma=float(x[1]),
         rho=float(x[2]),
-        ise=math.sqrt(value),
+        ise=ise,
         converged=converged,
         n_skipped=skipped,
         nfev=nfev,
     )
-
-
-def out_of_sample(
-    day: QuoteDay,
-    prev_params: SabrParams,
-    objective: str,
-    sigma_prev: float | None = None,
-) -> float:
-    """RMS error of today's quotes under yesterday's fitted parameters."""
-    return math.sqrt(objective_value(day, prev_params, objective, sigma_prev))
 
 
 def synth_panel(
@@ -482,18 +477,19 @@ def calibrate_panel(
     theta: float = 0.0,
 ) -> list[CalibrationResult]:
     """Fit every day with a warm-start chain: day tau starts from day
-    tau-1's parameters, and OSE evaluates day tau under them."""
+    tau-1's parameters, and OSE is the RMS error of day tau under them.
+    A day's fit, ISE and OSE evaluate one day objective, so a fault that
+    flags the fit gives an OSE of inf rather than an error."""
     if not days:
         raise DomainError("a panel needs at least one quote day")
     results: list[CalibrationResult] = []
     prev: CalibrationResult | None = None
     sigma_prev = sigma_prev0
     for day in days:
-        start = prev.params if prev is not None else init
-        res = fit_day(day, start, objective, sigma_prev, kappa0=kappa0, theta=theta)
+        target = _DayObjective(day, objective, sigma_prev)
+        res = _fit(target, prev.params if prev is not None else init, kappa0, theta)
         if prev is not None:
-            prev_params = _make_params(np.array(prev.params), kappa0, theta)
-            ose = out_of_sample(day, prev_params, objective, sigma_prev)
+            ose, _ = target.rms(_make_params(np.array(prev.params), kappa0, theta))
             res = dataclasses.replace(res, ose=ose)
         results.append(res)
         prev = res
@@ -573,10 +569,3 @@ def result_rows(results: Iterable[CalibrationResult]) -> list[list[str]]:
         ]
         for r in results
     ]
-
-
-def write_results_csv(path: str, results: Iterable[CalibrationResult]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_HEADER)
-        writer.writerows(result_rows(results))

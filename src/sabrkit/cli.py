@@ -364,11 +364,7 @@ def cmd_calibrate(args) -> int:
         days, init, args.objective, sigma_prev0=args.sigma_prev,
         kappa0=args.kappa0, theta=args.theta,
     )
-    if args.out:
-        with _file_errors(args.out):
-            cal.write_results_csv(args.out, results)
-    else:
-        _emit(cal.result_rows(results), cal.RESULT_HEADER, args)
+    _emit(cal.result_rows(results), cal.RESULT_HEADER, args)
     nus = [r.nu for r in results]
     sigmas = [r.sigma for r in results]
     rhos = [r.rho for r in results]

@@ -46,6 +46,7 @@ The acceptance gate checks one against the other; computing F1 from
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -266,11 +267,22 @@ def _sa2_rel(m, y, t, sigma, params: SabrParams):
     live = t > 0.0
     if not _all(live):
         t = m.where(live, t, 1.0)
-    v, dm = _scaled_d_minus(m, y, sigma, t)
-    pdf = _npdf(m, dm)
     rho, kappa0, theta = params.rho, params.kappa0, params.theta
-    f2 = _f2_rel(dm, v, pdf, sigma, t, rho, kappa0, theta)
-    f1 = _f1_rel(m, dm, pdf, sigma, t, rho, kappa0, theta)
+    # numpy warns of the overflow handled below; float arithmetic overflows silently
+    with contextlib.nullcontext() if m is _MATH else np.errstate(over="ignore", invalid="ignore"):
+        v, dm = _scaled_d_minus(m, y, sigma, t)
+        pdf = _npdf(m, dm)
+        f2 = _f2_rel(dm, v, pdf, sigma, t, rho, kappa0, theta)
+        f1 = _f1_rel(m, dm, pdf, sigma, t, rho, kappa0, theta)
+        # Both corrections tend to 0 as t -> 0, but at tiny v the F2
+        # ladder's powers of -1/v times its Hermite values of d_- overflow
+        # (already at t = 1e-80 for sigma = 0.2, y = 0.1): a correction that
+        # is not finite at v < 1 takes that limit, leaving F_BS (c_rel
+        # exactly at nu = 0). One not finite at large v stays, for callers
+        # to report.
+        if not _all(m.isfinite(f1 + f2)):
+            kept = m.isfinite(f1) & m.isfinite(f2) | (v >= 1.0)
+            f1, f2 = m.where(kept, f1, 0.0), m.where(kept, f2, 0.0)
     return live, f_bs, f1, f2
 
 

@@ -51,7 +51,6 @@ SETTINGS = [
     "calibration.fit_day.sigma_prev",
     "calibration.fit_day.theta",
     "calibration.objective_value.sigma_prev",
-    "calibration.out_of_sample.sigma_prev",
     "calibration.synth_panel.noise_level",
     "calibration.synth_panel.quote_with",
     "calibration.synth_panel.seed",
@@ -121,7 +120,7 @@ def test_model_names_snapshot():
 def test_objectives_snapshot():
     assert calibration.OBJECTIVES == (
         "sigma_d", "sigma_h", "price_d", "price_h", "price_sa2",
-        "log_price_d", "log_price_h", "log_price_sa2", "price_kappa",
+        "log_price_d", "log_price_h", "log_price_sa2",
     )
 
 
@@ -133,11 +132,11 @@ PUBLIC_NAMES = [
     "compare", "cutoff_sensitivity", "d_minus", "d_pair", "delta_sa2",
     "delta_to_moneyness", "det_vol_price", "f1_term", "f2_term", "fit_day", "h_tilde",
     "hermite", "implied_e1", "implied_e2", "norm_cdf", "norm_pdf", "norm_ppf",
-    "objective_value", "out_of_sample", "phi_t", "price_d", "price_fn_for_model",
+    "objective_value", "phi_t", "price_d", "price_fn_for_model",
     "price_h", "price_sa2", "price_sa2_rel", "read_quotes_csv", "residual_norm",
     "richardson_ratios", "sigma_d", "sigma_h", "sigma_of_z", "simulate_price",
     "simulate_prices", "solve", "solve_sequence", "synth_panel", "total_variance",
-    "vol_fn_for_model", "write_quotes_csv", "write_results_csv", "z_over_xi",
+    "vol_fn_for_model", "write_quotes_csv", "z_over_xi",
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import math
@@ -18,26 +19,31 @@ from sabrkit import (
     delta_to_moneyness,
     fit_day,
     objective_value,
-    out_of_sample,
     price_fn_for_model,
     read_quotes_csv,
     synth_panel,
     vol_fn_for_model,
     write_quotes_csv,
-    write_results_csv,
 )
 from sabrkit import calibration
 from sabrkit.calibration import (
     OBJECTIVES,
     PANEL_DELTAS,
     PANEL_EXPIRY_MONTHS,
-    _quote_monomials,
+    RESULT_HEADER,
     _sigma_d_jacobian,
+    result_rows,
 )
+from sabrkit.cli import _emit
 from sabrkit.core import _NUMPY, norm_cdf
 from sabrkit.expansion import _sigma_d_quote, sigma_d
 
 TRUE = SabrParams(sigma0=0.19, nu=1.3, rho=-0.55)
+
+
+def monomials(day, sigma_prev):
+    """The day's monomials (y, t, t^2, t y, y^2) as its fit evaluates them."""
+    return calibration._DayObjective(day, "sigma_d", sigma_prev).monomials
 
 
 def quote_day(**columns):
@@ -184,7 +190,7 @@ class TestSigmaDObjective:
     DAY = synth_panel(TRUE, 1, noise_level=0.01, seed=3, quote_with="delta")[0]
 
     def check(self, monkeypatch, params):
-        y, t = _quote_monomials(self.DAY, 0.19)[:2]
+        y, t = monomials(self.DAY, 0.19)[:2]
         seen = []
         quote_fn = calibration._sigma_d_quote
 
@@ -223,7 +229,7 @@ class TestSigmaDObjective:
 class TestSigmaDJacobian:
     # the closed-form d sigma_d / d(nu, sigma, rho) the sigma_d fit uses,
     # against central differences of sigma_d itself
-    MONO = _quote_monomials(TestSigmaDObjective.DAY, 0.19)
+    MONO = monomials(TestSigmaDObjective.DAY, 0.19)
 
     def quote(self, nu, sigma, rho):
         return _sigma_d_quote(_NUMPY, self.MONO, sigma, SabrParams(sigma, nu, rho))
@@ -324,13 +330,13 @@ class TestFitDay:
     @staticmethod
     def check_nfev(monkeypatch, objective, day_index=0):
         calls = []
-        residuals = calibration._residuals
+        residuals = calibration._DayObjective.residuals
 
         def counted(*args):
             calls.append(1)
             return residuals(*args)
 
-        monkeypatch.setattr(calibration, "_residuals", counted)
+        monkeypatch.setattr(calibration._DayObjective, "residuals", counted)
         day = synth_panel(TRUE, 2, noise_level=0.01, seed=5)[day_index]
         res = fit_day(day, (1.0, 0.25, -0.3), objective)
         assert res.converged
@@ -397,7 +403,7 @@ class TestFitDay:
         )
         start = (5.0, 0.01, -0.99)
         params = SabrParams(sigma0=0.01, nu=5.0, rho=-0.99)
-        assert _sigma_d_quote(_NUMPY, _quote_monomials(day, None), 0.01, params).clamped.all()
+        assert _sigma_d_quote(_NUMPY, monomials(day, None), 0.01, params).clamped.all()
         res = fit_day(day, start, "sigma_d")
         assert res.converged and res.params == start
         assert res.n_skipped == 0 and res.nfev == 1
@@ -431,7 +437,7 @@ class TestFitDay:
         assert res.nfev == 1
 
     @pytest.mark.parametrize(
-        "objective", [o for o in OBJECTIVES if calibration._OBJECTIVE_MODEL[o] in ("d", "h")]
+        "objective", [o for o in OBJECTIVES if calibration._OBJECTIVE_TABLE[o][0] in ("d", "h")]
     )
     def test_kappa0_without_mean_reversion_raises_before_the_fit(self, monkeypatch, objective):
         def no_fit(*args, **kwargs):
@@ -459,7 +465,7 @@ class TestFitDay:
         monkeypatch.setattr(calibration, "_least_squares", no_fit)
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match=message):
-            fit_day(day, (1.0, 0.25, -0.3), "price_kappa", **kwargs)
+            fit_day(day, (1.0, 0.25, -0.3), "price_sa2", **kwargs)
 
     @pytest.mark.parametrize("objective", ["price_sa2", "log_price_sa2"])
     def test_kappa0_and_theta_reach_every_sa2_objective(self, objective):
@@ -467,9 +473,6 @@ class TestFitDay:
         start = (1.0, 0.25, -0.3)
         res = fit_day(day, start, objective, kappa0=1.0, theta=0.2)
         assert res.params != fit_day(day, start, objective).params
-        if objective == "price_sa2":
-            kappa = fit_day(day, start, "price_kappa", kappa0=1.0, theta=0.2)
-            assert (res.params, res.ise) == (kappa.params, kappa.ise)
 
     def test_start_with_no_usable_quote_is_not_converged(self):
         # sigma_d is clamped to its floor at the start, so the out-of-the-
@@ -492,10 +495,14 @@ class TestFitDay:
             fit_day(day, (1.0, 0.25, -0.3), "vega_weighted")
 
     def test_out_of_sample_from_truth(self):
-        days = synth_panel(TRUE, 2, noise_level=0.01, seed=6)
-        ose = out_of_sample(days[1], TRUE, "sigma_d")
+        # day 1 is quoted from the truth without noise, so its fit is the
+        # truth, and day 2's OSE is the RMS error of its noisy quotes under it
+        days = [synth_panel(TRUE, 1)[0], synth_panel(TRUE, 2, noise_level=0.01, seed=6)[1]]
+        fit, today = calibrate_panel(days, (1.0, 0.25, -0.3), "sigma_d")
+        yesterday = SabrParams(sigma0=fit.sigma, nu=fit.nu, rho=fit.rho)
+        assert today.ose == math.sqrt(objective_value(days[1], yesterday, "sigma_d"))
         # yesterday's truth explains today's quotes up to the noise level
-        assert 0.005 <= ose <= 0.02
+        assert 0.005 <= today.ose <= 0.02
 
 
 def forward(fun):
@@ -616,16 +623,16 @@ class TestScipyReference:
         from scipy.optimize import least_squares
 
         y, t = day.moneyness, day.expiry
-        model = calibration._OBJECTIVE_MODEL[objective]
+        model, quantity = calibration._OBJECTIVE_TABLE[objective]
 
         def residuals(x):
             params = SabrParams(sigma0=x[1], nu=x[0], rho=x[2], kappa0=kappa0, theta=0.2)
-            if objective.startswith("sigma"):
+            if quantity == "vol":
                 got, want = vol_fn_for_model(model, params)(y, t), day.implied_vol
             else:
                 got = price_fn_for_model(model, params)(y, x[1], t)
                 want = c_rel(y, day.implied_vol, t)
-            if objective.startswith("log_"):
+            if quantity == "log price":
                 got, want = np.log(got), np.log(want)
             return (got - want) / math.sqrt(y.size)
 
@@ -638,7 +645,7 @@ class TestScipyReference:
     @pytest.mark.parametrize(
         "objective, kappa0",
         [*((o, 0.0) for o in OBJECTIVES),
-         *((o, 1.0) for o in ("price_sa2", "log_price_sa2", "price_kappa"))],
+         *((o, 1.0) for o in ("price_sa2", "log_price_sa2"))],
     )
     def test_agrees_with_scipy(self, objective, kappa0):
         for day in self.DAYS:
@@ -690,9 +697,9 @@ PINNED_FITS = [
 ]
 
 
-# one noisy day fitted from (1.0, 0.25, -0.3) with every objective:
-# (nu, sigma, rho, ISE) recorded with the Nelder-Mead search that least
-# squares replaced; price_kappa with kappa0 = 1, theta = 0.2
+# one noisy day fitted from (1.0, 0.25, -0.3) with every objective, and
+# with price_sa2 at kappa0 = 1, theta = 0.2: (nu, sigma, rho, ISE) recorded
+# with the Nelder-Mead search that least squares replaced
 NELDER_MEAD_FITS = {
     "sigma_d": (1.303908960316044, 0.18854318027432038, -0.5336217924485057, 0.00961738561855491),
     "sigma_h": (1.2840399386206358, 0.1904779361903875, -0.5825602451038457, 0.010397733659868976),
@@ -702,8 +709,10 @@ NELDER_MEAD_FITS = {
     "log_price_d": (1.2593939129552474, 0.18851849745813037, -0.5347410726048583, 0.08297114054498539),
     "log_price_h": (1.0964078180461918, 0.19006261957477288, -0.5815513315759042, 0.08890221124324259),
     "log_price_sa2": (1.0990553465184747, 0.189541432854503, -0.5584520511466902, 0.08869999326461019),
-    "price_kappa": (0.8792496495621507, 0.20670945392811196, -0.7191762189511901, 0.006636058654634641),
 }
+NELDER_MEAD_KAPPA_FIT = (
+    0.8792496495621507, 0.20670945392811196, -0.7191762189511901, 0.006636058654634641
+)
 
 
 class TestEveryObjective:
@@ -712,15 +721,19 @@ class TestEveryObjective:
     def test_pins_cover_every_objective(self):
         assert set(NELDER_MEAD_FITS) == set(OBJECTIVES)
 
-    @pytest.mark.parametrize("objective", OBJECTIVES)
-    def test_matches_nelder_mead(self, objective):
-        kwargs = dict(kappa0=1.0, theta=0.2) if objective == "price_kappa" else {}
+    def check(self, objective, want, **kwargs):
         res = fit_day(self.DAY, (1.0, 0.25, -0.3), objective, **kwargs)
         assert res.converged and res.n_skipped == 0
-        want = NELDER_MEAD_FITS[objective]
         for got, pinned in zip(res.params, want[:3]):
             assert abs(got - pinned) <= 1e-6
         assert res.ise <= want[3] * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_matches_nelder_mead(self, objective):
+        self.check(objective, NELDER_MEAD_FITS[objective])
+
+    def test_matches_nelder_mead_with_mean_reversion(self):
+        self.check("price_sa2", NELDER_MEAD_KAPPA_FIT, kappa0=1.0, theta=0.2)
 
 
 class TestPinnedFits:
@@ -755,6 +768,19 @@ class TestPanel:
             assert res.ose >= res.ise * 0.5  # same noise scale
         nus = [r.nu for r in results]
         assert all(abs(n - TRUE.nu) <= 0.2 for n in nus)
+
+    def test_day_whose_quoted_prices_cannot_be_formed_has_inf_ose(self):
+        # e^800 overflows, so day 2's quoted prices cannot be formed: its fit
+        # is flagged, and its OSE under day 1's parameters is inf, not an error
+        good = synth_panel(TRUE, 1)[0]
+        bad = QuoteDay(
+            day=2, option_type=("C", "C"), expiry=[1.0, 1.0], implied_vol=[0.2, 0.2],
+            moneyness=[0.1, 800.0],
+        )
+        first, second = calibrate_panel([good, bad], (1.0, 0.25, -0.3), "price_d")
+        assert first.converged and math.isnan(first.ose)
+        assert not second.converged and second.params == first.params
+        assert second.ise == second.ose == math.inf and second.n_skipped == 2
 
     def test_ose_exceeds_ise_on_average(self):
         days = synth_panel(TRUE, 6, noise_level=0.01, seed=12)
@@ -853,6 +879,7 @@ class TestCsv:
             read_quotes_csv(str(path))
 
     def test_results_csv(self, tmp_path):
+        # the result table as `sabrkit calibrate --format csv --out` writes it
         results = [
             CalibrationResult(day=1, objective="sigma_d", nu=1.3, sigma=0.19,
                               rho=-0.55, ise=1e-3),
@@ -860,7 +887,7 @@ class TestCsv:
                               rho=-0.54, ise=1e-3, ose=2e-3, converged=False),
         ]
         path = tmp_path / "results.csv"
-        write_results_csv(str(path), results)
+        _emit(result_rows(results), RESULT_HEADER, argparse.Namespace(format="csv", out=path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "day,objective,nu,sigma,rho,ise,ose,flag"
         assert lines[1].endswith("ok")

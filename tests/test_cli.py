@@ -437,13 +437,36 @@ class TestCalibrate:
         out_path = str(tmp_path / "results.csv")
         code, _, err = run(
             ["calibrate", "--synth-days", "1", "--objective", "price_h",
-             "--init=5,0.05,0.99", "--out", out_path],
+             "--init=5,0.05,0.99", "--out", out_path, "--format", "csv"],
             capsys,
         )
         assert code == EXIT_NO_CONVERGENCE and err == ""
         with open(out_path) as fh:
             (row,) = csv.DictReader(fh)
         assert (row["nu"], row["ise"], row["flag"]) == ("5", "inf", "flagged")
+
+    def test_panel_whose_fits_the_model_rejects_prints_every_day(self, capsys):
+        # day 2 starts where day 1 failed, and its OSE is evaluated there
+        code, out, err = run(
+            ["calibrate", "--synth-days", "2", "--objective", "price_h",
+             "--init=5,0.05,0.99", "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_NO_CONVERGENCE and err == ""
+        rows = parse_csv(out)
+        assert rows[1] == ["1", "price_h", "5", "0.05", "0.99", "inf", "nan", "flagged"]
+        assert rows[2] == ["2", "price_h", "5", "0.05", "0.99", "inf", "inf", "flagged"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv", "pretty"])
+    def test_results_to_out_follow_format(self, capsys, tmp_path, fmt):
+        # --out takes the result table, as stdout shows it, and leaves the
+        # summary table on stdout
+        argv = ["calibrate", "--synth-days", "2", "--format", fmt]
+        _, both, _ = run(argv, capsys)
+        out_path = tmp_path / "results.txt"
+        code, summary, _ = run([*argv, "--out", str(out_path)], capsys)
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        assert out_path.read_bytes().decode() + summary == both
 
 
 class TestMisc:
@@ -725,16 +748,23 @@ class TestParserReuse:
 
 
 class TestCalibrateKappa:
-    ARGV = ["calibrate", "--synth-days", "1", "--objective", "price_kappa", "--format", "csv"]
+    ARGV = ["calibrate", "--synth-days", "1", "--objective", "price_sa2", "--format", "csv"]
 
     def test_kappa0_and_theta_reach_the_fit(self, capsys):
         code, out, _ = run([*self.ARGV, "--kappa0", "1.5", "--theta", "0.3"], capsys)
         assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
         days = synth_panel(SabrParams(sigma0=0.2, nu=0.125, rho=-0.4), 1)
-        want = calibrate_panel(days, (0.5, 0.2, -0.3), "price_kappa", kappa0=1.5, theta=0.3)
+        want = calibrate_panel(days, (0.5, 0.2, -0.3), "price_sa2", kappa0=1.5, theta=0.3)
         assert parse_csv(out)[1] == result_rows(want)[0]
         _, plain, _ = run(self.ARGV, capsys)
         assert parse_csv(plain)[1] != parse_csv(out)[1]
+
+    def test_price_kappa_is_not_an_objective(self, capsys):
+        # it was price_sa2 under another name
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--synth-days", "1", "--objective", "price_kappa"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'price_kappa'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "objective, flags, message",
@@ -744,7 +774,7 @@ class TestCalibrateKappa:
                  "got kappa0 = 1.0")
                 for o in ("sigma_d", "sigma_h", "price_d", "log_price_h")
             ),
-            ("price_kappa", ["--kappa0=-1"], "kappa0 must be nonnegative, got -1.0"),
+            ("price_sa2", ["--kappa0=-1"], "kappa0 must be nonnegative, got -1.0"),
             ("price_sa2", ["--kappa0=1", "--theta=-0.1"], "theta must be nonnegative, got -0.1"),
         ],
     )

@@ -172,6 +172,17 @@ class TestPriceSa2:
         q = OptionQuery(spot=math.exp(0.15), strike=1.0, expiry=0.9)
         assert price_sa2_rel(0.15, 0.9, p) == pytest.approx(price_sa2(q, p).total)
 
+    @pytest.mark.parametrize("kappa0", [0.0, 1.0])
+    @pytest.mark.parametrize("nu", [0.0, 0.5])
+    def test_tiny_expiry_is_black_scholes(self, nu, kappa0):
+        # at these expiries the F2 ladder's powers of -1/v overflow, and the
+        # corrections take their t -> 0 limit, 0; an array call must not warn
+        p = SabrParams(sigma0=0.2, nu=nu, rho=-0.3, kappa0=kappa0, theta=0.3)
+        y, t = np.array([0.1, 0.0, -0.1]), np.array([1e-80, 1e-200, 1e-300])
+        np.testing.assert_array_equal(price_sa2_rel(y, t, p), c_rel(y, 0.2, t))
+        for yi, ti in zip(y.tolist(), t.tolist()):
+            assert price_sa2_rel(yi, ti, p) == c_rel(yi, 0.2, ti)
+
     def test_mean_reversion_terms_enter(self):
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
         flat = price_sa2(q, SabrParams(sigma0=0.2, nu=0.3, rho=-0.3)).total

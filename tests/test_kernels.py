@@ -231,7 +231,6 @@ def _pointwise_objective(day, params, objective):
                 "d": lambda: price_d(y, t, params),
                 "h": lambda: price_h(y, t, params),
                 "sa2": lambda: price_sa2_rel(y, t, params),
-                "kappa": lambda: price_sa2_rel(y, t, params),
             }[model_name]()
             target = c_rel(y, vol, t)
         if take_log:
@@ -247,10 +246,14 @@ def _pointwise_objective(day, params, objective):
 
 
 class TestObjective:
-    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize(
+        "objective, kappa",
+        [*((o, False) for o in OBJECTIVES), ("price_sa2", True)],
+        ids=[*OBJECTIVES, "price_sa2-kappa"],
+    )
     @given(data=st.data())
-    def test_matches_quote_by_quote(self, objective, data):
-        params = data.draw(params_strategy(kappa=objective == "price_kappa"))
+    def test_matches_quote_by_quote(self, objective, kappa, data):
+        params = data.draw(params_strategy(kappa=kappa))
         n = data.draw(N)
         day = _quote_day(
             arrays(data.draw, n, -0.5, 0.5),
