@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import calibration as cal
-from .core import DomainError, OptionQuery
+from .core import DomainError, OptionQuery, _require_at
 from .expansion import SabrParams
 from .fd import (
     FdConfig,
@@ -252,13 +252,17 @@ def cmd_price(args) -> int:
     header = ["y", "t"]
     for m in models:
         header += [f"price_{m}", f"vol_{m}"]
-    fns = [(price_fn_for_model(m, params), vol_fn_for_model(m, params)) for m in models]
+    fns = [(m, price_fn_for_model(m, params), vol_fn_for_model(m, params)) for m in models]
     rows = []
     for t in ts:
         for y in ys:
             row: list = [y, t]
-            for price_fn, vol_fn in fns:
+            for model, price_fn, vol_fn in fns:
                 price = price_fn(y, params.sigma0, t)
+                _require_at(
+                    math.isfinite(price), f"model {model} gives a price that is not finite",
+                    y=y, t=t,
+                )
                 try:
                     vol = vol_fn(y, t)
                 except DomainError:

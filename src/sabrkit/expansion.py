@@ -35,12 +35,16 @@ coefficients per parameter set.
 broadcast over numpy arrays of (y, t, sigma) like the kernels in `core`;
 the `sigma` keyword replaces params.sigma0, point by point when it is an
 array. The OptionQuery forms (`price_sa2`, `f1_term`, `f2_term`,
-`delta_sa2`) stay scalar. `price_sa2` and `price_sa2_rel` share one
-strike-normalized evaluation whose leading term F_BS / K is `core.c_rel`.
+`delta_sa2`) stay scalar. `price_sa2`, `price_sa2_rel`, `f1_term` and
+`f2_term` are one strike-normalized evaluation, whose leading term
+F_BS / K is `core.c_rel`. At tiny t, where a ladder's powers of -1/v
+overflow, the corrections take their t -> 0 limit 0; the hedge ratio's
+x-derivatives follow the same rule, so both reduce to Black-Scholes.
 
-F1 keeps two forms on purpose: the closed form in `f1_term` and the
-kernel coefficients in `f1_coeffs`, which the hedge ratio differentiates.
-The acceptance gate checks one against the other; computing F1 from
+F1 keeps two forms on purpose: the closed form in the price (and so in
+`f1_term`) and the kernel coefficients in `f1_coeffs`, which the hedge
+ratio differentiates at the parameters' own kappa0 and theta. The
+acceptance gate checks one against the other; computing F1 from
 `f1_coeffs` would compare `f1_coeffs` with itself.
 """
 
@@ -138,11 +142,6 @@ def _require_sigma_t(sigma, t, what: str) -> None:
         raise DomainError(f"{what} requires sigma > 0 and t > 0")
 
 
-def _require_no_mean_reversion(params: SabrParams, what: str) -> None:
-    if params.kappa0 != 0.0:
-        raise DomainError(f"{what} is only available for kappa0 = 0")
-
-
 def _nu_squared(nu: float) -> float:
     """nu^2, with a DomainError naming nu where it overflows a float."""
     nu2 = nu * nu
@@ -158,33 +157,6 @@ def f1_coeffs(
     a10 = 0.5 * t * t * sigma * kappa0 * (theta - sigma)
     a11 = 0.5 * t * t * rho * sigma**3
     return a10, a11
-
-
-def _f1_rel(m, dm, pdf, sigma, t, rho: float, kappa0: float, theta: float):
-    # F1 / K from d_- and pdf = N'(d_-), with the float or array operations
-    # m; the mean-reversion term is zero at kappa0 = 0 and skipped there
-    drift = -rho * sigma * dm
-    if kappa0 != 0.0:
-        drift = kappa0 * (theta - sigma) * m.sqrt(t) + drift
-    return 0.5 * t * drift * pdf
-
-
-def f1_term(
-    query: OptionQuery,
-    sigma: float,
-    rho: float,
-    kappa0: float = 0.0,
-    theta: float = 0.0,
-) -> float:
-    """First-order forward price correction per unit of vol-of-vol:
-
-    F1 = (K t / 2) (kappa0 (theta - sigma) sqrt(t) - rho sigma d_-) N'(d_-).
-    """
-    t = query.expiry
-    if not (t > 0.0):
-        raise DomainError("f1_term requires t > 0")
-    _, dm = _scaled_d_minus(_MATH, query.log_moneyness, sigma, t)
-    return query.strike * _f1_rel(_MATH, dm, _npdf(_MATH, dm), sigma, t, rho, kappa0, theta)
 
 
 def f2_coeffs(
@@ -235,27 +207,16 @@ def _kernel_sum(dm, v, coeffs, shift: int = 0):
     return total
 
 
-def _f2_rel(dm, v, pdf, sigma, t, rho: float, kappa0: float, theta: float):
-    # F2 / K = phi_t sum_i a2i h_tilde(i), with phi_t = N'(d_-) / v
-    return _kernel_sum(dm, v, f2_coeffs(sigma, t, rho, kappa0, theta)) * (pdf / v)
-
-
-def f2_term(
-    query: OptionQuery,
-    sigma: float,
-    rho: float,
-    kappa0: float = 0.0,
-    theta: float = 0.0,
-) -> float:
-    """Second-order forward price correction per unit of nu^2:
-
-    F2 = K * sum_{i=0..4} a2i * h_tilde(i, y) * phi_t(y, sigma).
-    """
-    t = query.expiry
-    if not (t > 0.0):
-        raise DomainError("f2_term requires t > 0")
-    v, dm = _scaled_d_minus(_MATH, query.log_moneyness, sigma, t)
-    return query.strike * _f2_rel(dm, v, _npdf(_MATH, dm), sigma, t, rho, kappa0, theta)
+def _t_to_zero(m, v, a, b):
+    # Both corrections (and their x-derivatives) tend to 0 as t -> 0, but at
+    # tiny v a ladder's powers of -1/v times its Hermite values of d_-
+    # overflow (already at t = 1e-80 for sigma = 0.2, y = 0.1): a pair that
+    # is not finite at v < 1 takes that limit, leaving the Black-Scholes
+    # term alone. One not finite at large v stays, for callers to report.
+    if not _all(m.isfinite(a + b)):
+        kept = m.isfinite(a) & m.isfinite(b) | (v >= 1.0)
+        a, b = m.where(kept, a, 0.0), m.where(kept, b, 0.0)
+    return a, b
 
 
 def _sa2_rel(m, y, t, sigma, params: SabrParams):
@@ -268,22 +229,58 @@ def _sa2_rel(m, y, t, sigma, params: SabrParams):
     if not _all(live):
         t = m.where(live, t, 1.0)
     rho, kappa0, theta = params.rho, params.kappa0, params.theta
-    # numpy warns of the overflow handled below; float arithmetic overflows silently
+    # numpy warns of the overflow _t_to_zero handles; float arithmetic overflows silently
     with contextlib.nullcontext() if m is _MATH else np.errstate(over="ignore", invalid="ignore"):
         v, dm = _scaled_d_minus(m, y, sigma, t)
         pdf = _npdf(m, dm)
-        f2 = _f2_rel(dm, v, pdf, sigma, t, rho, kappa0, theta)
-        f1 = _f1_rel(m, dm, pdf, sigma, t, rho, kappa0, theta)
-        # Both corrections tend to 0 as t -> 0, but at tiny v the F2
-        # ladder's powers of -1/v times its Hermite values of d_- overflow
-        # (already at t = 1e-80 for sigma = 0.2, y = 0.1): a correction that
-        # is not finite at v < 1 takes that limit, leaving F_BS (c_rel
-        # exactly at nu = 0). One not finite at large v stays, for callers
-        # to report.
-        if not _all(m.isfinite(f1 + f2)):
-            kept = m.isfinite(f1) & m.isfinite(f2) | (v >= 1.0)
-            f1, f2 = m.where(kept, f1, 0.0), m.where(kept, f2, 0.0)
+        # F2 / K = phi_t sum_i a2i h_tilde(i), with phi_t = N'(d_-) / v
+        f2 = _kernel_sum(dm, v, f2_coeffs(sigma, t, rho, kappa0, theta)) * (pdf / v)
+        # F1 / K in closed form; the mean-reversion term is zero at kappa0 = 0
+        # and skipped there
+        drift = -rho * sigma * dm
+        if kappa0 != 0.0:
+            drift = kappa0 * (theta - sigma) * m.sqrt(t) + drift
+        f1, f2 = _t_to_zero(m, v, 0.5 * t * drift * pdf, f2)
     return live, f_bs, f1, f2
+
+
+def _terms(query: OptionQuery, sigma, rho, kappa0, theta, what: str):
+    # (F1, F2) of price_sa2's evaluation at sigma0 = sigma
+    if not (query.expiry > 0.0):
+        raise DomainError(f"{what} requires t > 0")
+    params = SabrParams(sigma0=sigma, nu=0.0, rho=rho, kappa0=kappa0, theta=theta)
+    _, _, f1, f2 = _sa2_rel(_MATH, query.log_moneyness, query.expiry, sigma, params)
+    return query.strike * f1, query.strike * f2
+
+
+def f1_term(
+    query: OptionQuery,
+    sigma: float,
+    rho: float,
+    kappa0: float = 0.0,
+    theta: float = 0.0,
+) -> float:
+    """First-order forward price correction per unit of vol-of-vol, the F1
+    of `price_sa2` at sigma0 = sigma:
+
+    F1 = (K t / 2) (kappa0 (theta - sigma) sqrt(t) - rho sigma d_-) N'(d_-).
+    """
+    return _terms(query, sigma, rho, kappa0, theta, "f1_term")[0]
+
+
+def f2_term(
+    query: OptionQuery,
+    sigma: float,
+    rho: float,
+    kappa0: float = 0.0,
+    theta: float = 0.0,
+) -> float:
+    """Second-order forward price correction per unit of nu^2, the F2 of
+    `price_sa2` at sigma0 = sigma:
+
+    F2 = K * sum_{i=0..4} a2i * h_tilde(i, y) * phi_t(y, sigma).
+    """
+    return _terms(query, sigma, rho, kappa0, theta, "f2_term")[1]
 
 
 def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
@@ -385,7 +382,8 @@ def _sigma_d_quote(m, mono, sigma, params: SabrParams) -> VolQuote:
 
     sigma is a float or an array broadcast to the monomials' shape; at
     nu = 0 the coefficients are zero and need no sigma > 0."""
-    _require_no_mean_reversion(params, "sigma_d")
+    if params.kappa0 != 0.0:
+        raise DomainError("sigma_d is only available for kappa0 = 0")
     nu = params.nu
     if nu == 0.0:
         coeffs = (0.0,) * 5
@@ -415,17 +413,6 @@ def implied_e2(y, sigma, rho: float, t):
     return _poly(_implied_coeffs(sigma, rho)[1], _monomials(y, t)[1:])
 
 
-def _sigma_d_args(y, t, params: SabrParams, sigma):
-    # (m, y, t, sigma) of a sigma_d or price_d call; a scalar sigma stays a
-    # float, so the coefficients do
-    sigma = params.sigma0 if sigma is None else sigma
-    if np.ndim(sigma) == 0:
-        m, (y, t) = _args(y, t)
-        return m, y, t, float(sigma)
-    m, (y, t, sigma) = _args(y, t, sigma)
-    return m, y, t, sigma
-
-
 def _sigma_d(m, y, t, sigma, params: SabrParams) -> VolQuote:
     if params.nu != 0.0:
         _require_sigma_t(sigma, t, "sigma_d")
@@ -438,29 +425,23 @@ def sigma_d(y, t, params: SabrParams, *, sigma=None) -> VolQuote:
     Nonpositive raw values (possible for extreme parameters probed by
     optimizers) are clamped to a small positive floor and flagged.
     """
-    return _sigma_d(*_sigma_d_args(y, t, params, sigma), params)
+    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    return _sigma_d(m, y, t, sigma, params)
 
 
 def price_d(y, t, params: SabrParams, *, sigma=None):
     """Relative price through the implied-vol expansion: c_rel(y, sigma_d, t)."""
-    m, y, t, sigma = _sigma_d_args(y, t, params, sigma)
+    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
     return _c_rel(m, y, _sigma_d(m, y, t, sigma, params).value, t)
-
-
-def _dx_correction(dm, v, coeffs):
-    # x-derivative over K of the correction term with kernel coefficients
-    # coeffs: d/du (h_tilde(i) phi_t) = h_tilde(i + 1) phi_t shifts each
-    # index up by one; a float call (delta_sa2)
-    return _kernel_sum(dm, v, coeffs, 1) * (_npdf(_MATH, dm) / v)
 
 
 def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
     """Hedge ratio of the discounted second-order price, d/dS of e^{-rt} F.
 
     Equals N(d_+) plus the term-by-term S-derivative of the correction
-    terms; reduces to the Black-Scholes delta at nu = 0.
+    terms, mean reversion included; reduces to the Black-Scholes delta at
+    nu = 0, and at tiny t, where the corrections take their t -> 0 limit.
     """
-    _require_no_mean_reversion(params, "delta_sa2")
     t = query.expiry
     if not (t > 0.0):
         raise DomainError("delta_sa2 requires t > 0")
@@ -470,6 +451,12 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
     if nu == 0.0:
         return base
     nu2 = _nu_squared(nu)
-    dx_b1 = query.strike * _dx_correction(dm, v, f1_coeffs(sigma, t, rho, 0.0, 0.0))
-    dx_b2 = query.strike * _dx_correction(dm, v, f2_coeffs(sigma, t, rho, 0.0, 0.0))
+    # d/du (h_tilde(i) phi_t) = h_tilde(i + 1) phi_t: the x-derivative over K
+    # of each correction is its ladder shifted up one index
+    pdf_v = _npdf(_MATH, dm) / v
+    dx_b1, dx_b2 = _t_to_zero(_MATH, v, *(
+        query.strike
+        * (_kernel_sum(dm, v, coeffs(sigma, t, rho, params.kappa0, params.theta), 1) * pdf_v)
+        for coeffs in (f1_coeffs, f2_coeffs)
+    ))
     return base + math.exp(-query.log_price) * (nu * dx_b1 + nu2 * dx_b2)

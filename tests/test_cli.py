@@ -97,6 +97,17 @@ class TestPrice:
         assert err == "error: --model: unknown model 'h_raw'; choose from sa2, d, h, bs, kappa\n"
         assert out == ""
 
+    def test_price_that_is_not_finite_is_domain_error(self, capsys):
+        # at v = sigma sqrt(t) = 2e149 the F2 ladder is not finite
+        code, out, err = run(
+            ["price", "--model", "bs,sa2", "--y", "0", "--t", "1,1e300", "--sigma", "0.2",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_DOMAIN
+        assert err == "error: model sa2 gives a price that is not finite at y = 0.0, t = 1e+300\n"
+        assert out == ""
+
 
 class TestResidual:
     def test_preset_ordering(self, capsys):

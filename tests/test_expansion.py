@@ -10,6 +10,7 @@ from sabrkit import (
     bs_call,
     c_rel,
     d_minus,
+    d_pair,
     delta_sa2,
     f1_term,
     f2_term,
@@ -98,6 +99,25 @@ class TestF1:
         with pytest.raises(DomainError):
             f1_term(q, 0.2, -0.3)
 
+    @pytest.mark.parametrize("term", [f1_term, f2_term])
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("rho", 1.5, "rho must lie strictly in"),
+            ("rho", -1.0, "rho must lie strictly in"),
+            ("kappa0", -2.0, "kappa0 must be nonnegative"),
+            ("theta", -0.1, "theta must be nonnegative"),
+            ("sigma", math.nan, "sigma0 must be finite"),
+            ("kappa0", math.inf, "kappa0 must be finite"),
+        ],
+    )
+    def test_rejects_what_sabr_params_rejects(self, term, name, value, message):
+        q = OptionQuery(spot=1.1, strike=1.0, expiry=1.0)
+        args = dict(sigma=0.2, rho=-0.3, kappa0=0.5, theta=0.2)
+        args[name] = value
+        with pytest.raises(DomainError, match=f"^{message}"):
+            term(q, **args)
+
 
 class TestF2:
     def test_coeff_limits(self):
@@ -182,6 +202,19 @@ class TestPriceSa2:
         np.testing.assert_array_equal(price_sa2_rel(y, t, p), c_rel(y, 0.2, t))
         for yi, ti in zip(y.tolist(), t.tolist()):
             assert price_sa2_rel(yi, ti, p) == c_rel(yi, 0.2, ti)
+            # the hedge ratio and the F2 term take the same limit
+            q = OptionQuery(spot=math.exp(yi), strike=1.0, expiry=ti)
+            assert f2_term(q, 0.2, -0.3, kappa0, 0.3) == 0.0
+            assert delta_sa2(q, p) == norm_cdf(d_pair(q, 0.2).d_plus)
+
+    def test_terms_are_the_price_corrections(self):
+        # f1_term and f2_term are the F1 and F2 of price_sa2, bit for bit
+        for i, (y, s, t, rho) in enumerate(random_lattice(100, seed=21)):
+            kappa0, theta = (0.0, 0.0) if i % 2 else (1.5 * s, 0.3)
+            q = OptionQuery(spot=100.0 * math.exp(y), strike=100.0, rate=0.02, expiry=t)
+            res = price_sa2(q, SabrParams(sigma0=s, nu=0.4, rho=rho, kappa0=kappa0, theta=theta))
+            assert res.f1 == f1_term(q, s, rho, kappa0, theta)
+            assert res.f2 == f2_term(q, s, rho, kappa0, theta)
 
     def test_mean_reversion_terms_enter(self):
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
@@ -276,8 +309,6 @@ class TestDelta:
     def test_nu_zero_is_bs_delta(self):
         q = OptionQuery(spot=1.08, strike=1.0, expiry=0.6)
         p = SabrParams(sigma0=0.22, nu=0.0, rho=-0.5)
-        from sabrkit import d_pair
-
         assert delta_sa2(q, p) == pytest.approx(norm_cdf(d_pair(q, 0.22).d_plus))
 
     def test_matches_finite_difference(self):
@@ -289,6 +320,27 @@ class TestDelta:
         fd = (up - dn) / (2 * h)
         assert abs(delta_sa2(q, p) - fd) <= 1e-6 * abs(fd)
 
+    def test_matches_finite_difference_with_mean_reversion(self):
+        # criterion 9's draws and bar, with kappa0 in [0, 3], theta in [0.05, 0.5]
+        rng = np.random.default_rng(919)
+        for _ in range(50):
+            spot, strike = rng.uniform(0.5, 2.0, 2)
+            rate, t = rng.uniform(0.0, 0.06), rng.uniform(0.1, 3.0)
+            p = SabrParams(
+                sigma0=rng.uniform(0.1, 0.5), nu=rng.uniform(0.0, 1.0),
+                rho=rng.uniform(-0.8, 0.8), kappa0=rng.uniform(0.0, 3.0),
+                theta=rng.uniform(0.05, 0.5),
+            )
+            h = 1e-5 * spot
+
+            def disc_price(sp):
+                q = OptionQuery(spot=sp, strike=strike, rate=rate, expiry=t)
+                return math.exp(-rate * t) * price_sa2(q, p).total
+
+            fd = (disc_price(spot + h) - disc_price(spot - h)) / (2.0 * h)
+            q = OptionQuery(spot=spot, strike=strike, rate=rate, expiry=t)
+            assert abs(delta_sa2(q, p) - fd) <= 1e-6 * abs(fd)
+
     def test_homogeneity_degree_zero(self):
         p = SabrParams(sigma0=0.2, nu=0.4, rho=-0.3)
         base = delta_sa2(OptionQuery(spot=1.1, strike=1.0, expiry=1.0), p)
@@ -296,10 +348,7 @@ class TestDelta:
             q = OptionQuery(spot=1.1 * lam, strike=lam, expiry=1.0)
             assert delta_sa2(q, p) == pytest.approx(base, rel=1e-12)
 
-    def test_rejects_mean_reversion_and_expiry(self):
-        q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
-        with pytest.raises(DomainError):
-            delta_sa2(q, SabrParams(sigma0=0.2, nu=0.3, rho=0.0, kappa0=1.0, theta=0.2))
+    def test_rejects_expiry(self):
         q0 = OptionQuery(spot=1.0, strike=1.0, expiry=0.0)
         with pytest.raises(DomainError):
-            delta_sa2(q0, SabrParams(sigma0=0.2, nu=0.3, rho=0.0))
+            delta_sa2(q0, SabrParams(sigma0=0.2, nu=0.3, rho=0.0, kappa0=1.0, theta=0.2))
