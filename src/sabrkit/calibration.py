@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import _MATH, _NUMPY, DomainError, _args, _require, c_rel, norm_ppf
-from .expansion import SabrParams, _monomials, _sigma_d_coeffs_jac, _sigma_d_quote
+from .expansion import SabrParams, _monomials, _sigma_d_jacobian, _sigma_d_quote
 from .models import price_fn_for_model, vol_fn_for_model
 
 __all__ = [
@@ -139,6 +139,7 @@ def delta_to_moneyness(delta, sigma_prev, T):
     m, (delta, sigma_prev, T) = _args(delta, sigma_prev, T)
     _require((0.0 < delta) & (delta < 1.0), "delta must lie in (0, 1)", delta)
     _require(sigma_prev > 0.0, "sigma_prev must be positive", sigma_prev)
+    _require((0.0 < T) & (T < math.inf), "T must be positive and finite", T)
     if m is _MATH:
         ppf = norm_ppf(delta)
     else:
@@ -260,17 +261,6 @@ def _make_params(x: np.ndarray, kappa0: float, theta: float) -> SabrParams:
 
 class _NoFiniteStart(Exception):
     """The fit's start point has no finite residuals."""
-
-
-def _sigma_d_jacobian(
-    monomials: np.ndarray, params: SabrParams, clamped: np.ndarray
-) -> np.ndarray:
-    """d sigma_d / d(nu, sigma, rho) per quote from the day's monomials:
-    zero where sigma_d is clamped to its floor."""
-    jac = monomials.T @ _sigma_d_coeffs_jac(params)
-    jac[:, 1] += 1.0
-    jac[clamped] = 0.0
-    return jac
 
 
 def _forward_jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -29,7 +29,10 @@ so sigma_d = sigma + sum_k c_k m_k over the monomials
 m = (y, t, t^2, t y, y^2), with c = nu e1 + nu^2 e2 folded onto them.
 `implied_e1`, `implied_e2` and `sigma_d` evaluate this one table; a
 calibration builds a day's monomials once and evaluates only the five
-coefficients per parameter set.
+coefficients per parameter set. `_sigma_d_jacobian` takes their
+derivatives from the same table: dc/dnu = e1 + 2 nu e2, and the sigma and
+rho columns are complex steps Im c(x + ih) / h, exact to rounding since
+nothing is subtracted (Squire & Trapp 1998).
 
 `price_sa2_rel`, `implied_e1`, `implied_e2`, `sigma_d` and `price_d`
 broadcast over numpy arrays of (y, t, sigma) like the kernels in `core`;
@@ -39,7 +42,9 @@ array. The OptionQuery forms (`price_sa2`, `f1_term`, `f2_term`,
 `f2_term` are one strike-normalized evaluation, whose leading term
 F_BS / K is `core.c_rel`. At tiny t, where a ladder's powers of -1/v
 overflow, the corrections take their t -> 0 limit 0; the hedge ratio's
-x-derivatives follow the same rule, so both reduce to Black-Scholes.
+x-derivatives follow the same rule, so both reduce to Black-Scholes. A
+correction not finite at larger v is a DomainError naming y and t in the
+OptionQuery forms; `price_sa2_rel` returns it for its callers to report.
 
 F1 keeps two forms on purpose: the closed form in the price (and so in
 `f1_term`) and the kernel coefficients in `f1_coeffs`, which the hedge
@@ -66,6 +71,7 @@ from .core import (
     _c_rel,
     _ncdf,
     _npdf,
+    _require_at,
     _scaled_d_minus,
 )
 
@@ -108,8 +114,7 @@ class SabrParams:
             raise DomainError(f"sigma0 must be positive, got {self.sigma0}")
         if not (self.nu >= 0.0):
             raise DomainError(f"nu must be nonnegative, got {self.nu}")
-        if not (-1.0 < self.rho < 1.0):
-            raise DomainError(f"rho must lie strictly in (-1, 1), got {self.rho}")
+        _require_rho(self.rho)
         if not (self.kappa0 >= 0.0):
             raise DomainError(f"kappa0 must be nonnegative, got {self.kappa0}")
         if not (self.theta >= 0.0):
@@ -135,6 +140,11 @@ class VolQuote(NamedTuple):
 
     value: float | np.ndarray
     clamped: bool | np.ndarray
+
+
+def _require_rho(rho: float) -> None:
+    if not (-1.0 < rho < 1.0):
+        raise DomainError(f"rho must lie strictly in (-1, 1), got {rho}")
 
 
 def _require_sigma_t(sigma, t, what: str) -> None:
@@ -244,13 +254,22 @@ def _sa2_rel(m, y, t, sigma, params: SabrParams):
     return live, f_bs, f1, f2
 
 
-def _terms(query: OptionQuery, sigma, rho, kappa0, theta, what: str):
-    # (F1, F2) of price_sa2's evaluation at sigma0 = sigma
-    if not (query.expiry > 0.0):
+def _require_finite(what: str, y: float, t: float, *terms: float) -> None:
+    # an OptionQuery form names a point where a correction is not finite (at
+    # large v = sigma sqrt(t)), as the price command does
+    ok = all(map(math.isfinite, terms))
+    _require_at(ok, f"{what} gives a correction that is not finite", y=y, t=t)
+
+
+def _term(query: OptionQuery, sigma, rho, kappa0, theta, order: int) -> float:
+    # F1 (order 1) or F2 (order 2) of price_sa2's evaluation at sigma0 = sigma
+    what, y, t = f"f{order}_term", query.log_moneyness, query.expiry
+    if not (t > 0.0):
         raise DomainError(f"{what} requires t > 0")
     params = SabrParams(sigma0=sigma, nu=0.0, rho=rho, kappa0=kappa0, theta=theta)
-    _, _, f1, f2 = _sa2_rel(_MATH, query.log_moneyness, query.expiry, sigma, params)
-    return query.strike * f1, query.strike * f2
+    term = query.strike * _sa2_rel(_MATH, y, t, sigma, params)[order + 1]
+    _require_finite(what, y, t, term)
+    return term
 
 
 def f1_term(
@@ -265,7 +284,7 @@ def f1_term(
 
     F1 = (K t / 2) (kappa0 (theta - sigma) sqrt(t) - rho sigma d_-) N'(d_-).
     """
-    return _terms(query, sigma, rho, kappa0, theta, "f1_term")[0]
+    return _term(query, sigma, rho, kappa0, theta, 1)
 
 
 def f2_term(
@@ -280,7 +299,7 @@ def f2_term(
 
     F2 = K * sum_{i=0..4} a2i * h_tilde(i, y) * phi_t(y, sigma).
     """
-    return _terms(query, sigma, rho, kappa0, theta, "f2_term")[1]
+    return _term(query, sigma, rho, kappa0, theta, 2)
 
 
 def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
@@ -290,13 +309,13 @@ def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
     the payoff and both correction terms vanish.
     """
     nu2 = _nu_squared(params.nu)
-    live, f_bs, f1, f2 = _sa2_rel(
-        _MATH, query.log_moneyness, query.expiry, params.sigma0, params
-    )
+    y, t = query.log_moneyness, query.expiry
+    live, f_bs, f1, f2 = _sa2_rel(_MATH, y, t, params.sigma0, params)
     if not live:  # at expiry both corrections vanish
         f1 = f2 = 0.0
     k = query.strike
     f_bs, f1, f2 = k * f_bs, k * f1, k * f2
+    _require_finite("price_sa2", y, t, f1, f2)
     return ExpansionPrice(f_bs, f1, f2, f_bs + params.nu * f1 + nu2 * f2)
 
 
@@ -323,44 +342,10 @@ def _implied_coeffs(sigma, rho: float):
     return e1, e2
 
 
-def _implied_coeffs_grad(sigma: float, rho: float):
-    """d/dsigma and d/drho of `_implied_coeffs`' (e1, e2), in its layout."""
-    r2 = rho * rho
-    s2 = sigma * sigma
-    d_sigma = (
-        (0.0, 0.5 * rho * sigma),
-        (
-            1.0 / 12.0 - r2 / 8.0,
-            3.0 * s2 * (r2 / 8.0 - 1.0 / 24.0),
-            -r2 / 8.0,
-            -(1.0 / 6.0 - r2 / 4.0) / s2,
-        ),
-    )
-    d_rho = (
-        (-0.5, 0.25 * s2),
-        (-0.25 * rho * sigma, 0.25 * rho * sigma * s2, -0.25 * rho * sigma, -0.5 * rho / sigma),
-    )
-    return d_sigma, d_rho
-
-
 def _fold(e1, e2, w1, w2):
     # w1 e1 + w2 e2 on the five monomials (y, t, t^2, t y, y^2)
     (a_y, a_t), (b_t, b_tt, b_ty, b_yy) = e1, e2
     return (w1 * a_y, w1 * a_t + w2 * b_t, w2 * b_tt, w2 * b_ty, w2 * b_yy)
-
-
-def _sigma_d_coeffs_jac(params: SabrParams) -> np.ndarray:
-    """5 x 3 Jacobian of sigma_d's coefficients c = nu e1 + nu^2 e2 on the
-    five monomials with respect to (nu, sigma0, rho), for kappa0 = 0;
-    d sigma_d / d(nu, sigma0, rho) is the monomials times this, plus 1 on
-    sigma0, where sigma_d is not clamped."""
-    nu, sigma, rho = params.nu, params.sigma0, params.rho
-    e1, e2 = _implied_coeffs(sigma, rho)
-    (s1, s2), (r1, r2) = _implied_coeffs_grad(sigma, rho)
-    nu2 = nu * nu
-    return np.array(
-        [_fold(e1, e2, 1.0, 2.0 * nu), _fold(s1, s2, nu, nu2), _fold(r1, r2, nu, nu2)]
-    ).T
 
 
 def _monomials(y, t):
@@ -394,11 +379,31 @@ def _sigma_d_quote(m, mono, sigma, params: SabrParams) -> VolQuote:
     return VolQuote(m.where(clamped, SIGMA_FLOOR, raw), clamped)
 
 
+_COMPLEX_STEP = 1e-30  # the h of Im f(x + ih) / h, which is f'(x) to rounding
+
+
+def _sigma_d_jacobian(mono: np.ndarray, params: SabrParams, clamped: np.ndarray) -> np.ndarray:
+    """d sigma_d / d(nu, sigma0, rho) per quote from the 5 x n monomials, for
+    kappa0 = 0: the monomials times the Jacobian of the coefficients c, plus
+    1 on sigma0, and zero where sigma_d is clamped."""
+    nu, sigma, rho, h = params.nu, params.sigma0, params.rho, _COMPLEX_STEP
+
+    def step(sigma, rho):  # Im c / h at a complex sigma or rho
+        return [c.imag / h for c in _fold(*_implied_coeffs(sigma, rho), nu, nu * nu)]
+
+    d_nu = _fold(*_implied_coeffs(sigma, rho), 1.0, 2.0 * nu)
+    jac = mono.T @ np.array([d_nu, step(complex(sigma, h), rho), step(sigma, complex(rho, h))]).T
+    jac[:, 1] += 1.0
+    jac[clamped] = 0.0
+    return jac
+
+
 def implied_e1(y, sigma, rho: float, t):
     """First-order implied-vol coefficient e1 = -rho sigma sqrt(t) d_- / 2
     = -rho y / 2 + rho sigma^2 t / 4."""
     m, (y, sigma, t) = _args(y, sigma, t)
     _require_sigma_t(sigma, t, "implied_e1")
+    _require_rho(rho)
     return _poly(_implied_coeffs(sigma, rho)[0], _monomials(y, t)[:2])
 
 
@@ -410,6 +415,7 @@ def implied_e2(y, sigma, rho: float, t):
     """
     m, (y, sigma, t) = _args(y, sigma, t)
     _require_sigma_t(sigma, t, "implied_e2")
+    _require_rho(rho)
     return _poly(_implied_coeffs(sigma, rho)[1], _monomials(y, t)[1:])
 
 
@@ -442,11 +448,11 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
     terms, mean reversion included; reduces to the Black-Scholes delta at
     nu = 0, and at tiny t, where the corrections take their t -> 0 limit.
     """
-    t = query.expiry
+    y, t = query.log_moneyness, query.expiry
     if not (t > 0.0):
         raise DomainError("delta_sa2 requires t > 0")
     sigma, nu, rho = params.sigma0, params.nu, params.rho
-    v, dm = _scaled_d_minus(_MATH, query.log_moneyness, sigma, t)
+    v, dm = _scaled_d_minus(_MATH, y, sigma, t)
     base = _ncdf(_MATH, dm + v)  # N(d_+)
     if nu == 0.0:
         return base
@@ -459,4 +465,5 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
         * (_kernel_sum(dm, v, coeffs(sigma, t, rho, params.kappa0, params.theta), 1) * pdf_v)
         for coeffs in (f1_coeffs, f2_coeffs)
     ))
+    _require_finite("delta_sa2", y, t, dx_b1, dx_b2)
     return base + math.exp(-query.log_price) * (nu * dx_b1 + nu2 * dx_b2)

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sabrkit import (
@@ -31,12 +31,11 @@ from sabrkit.calibration import (
     PANEL_DELTAS,
     PANEL_EXPIRY_MONTHS,
     RESULT_HEADER,
-    _sigma_d_jacobian,
     result_rows,
 )
 from sabrkit.cli import _emit
 from sabrkit.core import _NUMPY, norm_cdf
-from sabrkit.expansion import _sigma_d_quote, sigma_d
+from sabrkit.expansion import _sigma_d_jacobian, _sigma_d_quote, sigma_d
 
 TRUE = SabrParams(sigma0=0.19, nu=1.3, rho=-0.55)
 
@@ -138,6 +137,21 @@ class TestDeltaConversion:
         with pytest.raises(DomainError, match=r"^delta must lie in \(0, 1\), got 1.0$"):
             delta_to_moneyness(np.array([0.5, 1.0]), 0.2, 1.0)
 
+    @pytest.mark.parametrize(
+        "T, bad",
+        [
+            (-1.0, "-1.0"),
+            (0.0, "0.0"),
+            (math.inf, "inf"),
+            (math.nan, "nan"),
+            (np.array([1.0, -1.0]), "-1.0"),
+            (np.array([0.5, math.inf]), "inf"),
+        ],
+    )
+    def test_expiry_must_be_positive_and_finite(self, T, bad):
+        with pytest.raises(DomainError, match=rf"^T must be positive and finite, got {bad}$"):
+            delta_to_moneyness(np.array([0.5, 0.3]) if np.ndim(T) else 0.5, 0.2, T)
+
     def test_array_matches_float_calls(self):
         # one broadcast call equals the float call at every point, bit for bit
         deltas = np.array(PANEL_DELTAS)
@@ -238,6 +252,7 @@ class TestSigmaDJacobian:
         base = self.quote(nu, sigma, rho)
         jac = _sigma_d_jacobian(self.MONO, SabrParams(sigma, nu, rho), base.clamped)
         assert jac.shape == (base.value.size, 3)
+        assert jac.dtype == np.float64  # no complex step leaks into the fit
         assert (jac[base.clamped] == 0.0).all()
         x = np.array([nu, sigma, rho])
         for j, h in enumerate((1e-5, 1e-5 * sigma, 1e-5)):
@@ -263,6 +278,15 @@ class TestSigmaDJacobian:
         sigma=st.floats(0.01, 2.0),
         rho=st.floats(-0.99, 0.99),
     )
+    # the corners of the fit box
+    @example(nu=0.0, sigma=0.01, rho=-0.99)
+    @example(nu=0.0, sigma=0.01, rho=0.99)
+    @example(nu=0.0, sigma=2.0, rho=-0.99)
+    @example(nu=0.0, sigma=2.0, rho=0.99)
+    @example(nu=5.0, sigma=0.01, rho=-0.99)
+    @example(nu=5.0, sigma=0.01, rho=0.99)
+    @example(nu=5.0, sigma=2.0, rho=-0.99)
+    @example(nu=5.0, sigma=2.0, rho=0.99)
     def test_random_params(self, nu, sigma, rho):
         self.check(nu, sigma, rho)
 

@@ -216,6 +216,29 @@ class TestPriceSa2:
             assert res.f1 == f1_term(q, s, rho, kappa0, theta)
             assert res.f2 == f2_term(q, s, rho, kappa0, theta)
 
+    @pytest.mark.parametrize("name", ["price_sa2", "delta_sa2", "f1_term", "f2_term"])
+    def test_correction_not_finite_is_domain_error(self, name):
+        # at large v = sigma sqrt(t) the corrections are not finite; the
+        # OptionQuery forms name the point, as the price command does
+        q = OptionQuery(spot=1.0, strike=1.0, expiry=1e300)
+        p = SabrParams(sigma0=0.2, nu=0.5, rho=-0.3)
+        form = {
+            "price_sa2": lambda: price_sa2(q, p),
+            "delta_sa2": lambda: delta_sa2(q, p),
+            "f1_term": lambda: f1_term(q, p.sigma0, p.rho),
+            "f2_term": lambda: f2_term(q, p.sigma0, p.rho),
+        }[name]
+        message = rf"^{name} gives a correction that is not finite at y = 0.0, t = 1e\+300$"
+        with pytest.raises(DomainError, match=message):
+            form()
+
+    def test_each_term_answers_for_itself(self):
+        # at t = 1e103 the kappa0^2 t^3 term of F2 overflows, while F1 is 0
+        q = OptionQuery(spot=1.0, strike=1.0, expiry=1e103)
+        assert f1_term(q, 0.2, -0.3, 1.0, 0.3) == 0.0
+        with pytest.raises(DomainError, match="^f2_term gives a correction that is not finite"):
+            f2_term(q, 0.2, -0.3, 1.0, 0.3)
+
     def test_mean_reversion_terms_enter(self):
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
         flat = price_sa2(q, SabrParams(sigma0=0.2, nu=0.3, rho=-0.3)).total
@@ -254,6 +277,12 @@ class TestImpliedVol:
             + t * t * r2 * s**3 / 8
         )
         assert implied_e2(y, s, rho, t) == pytest.approx(expected, abs=1e-16)
+
+    @pytest.mark.parametrize("rho", [1.5, 1.0, -1.0, math.nan])
+    @pytest.mark.parametrize("coeff", [implied_e1, implied_e2])
+    def test_rejects_rho_outside_unit_interval(self, coeff, rho):
+        with pytest.raises(DomainError, match=r"^rho must lie strictly in \(-1, 1\), got "):
+            coeff(0.1, 0.2, rho, 1.0)
 
     def test_e2_even_in_rho(self):
         for y, s, t, rho in random_lattice(50, seed=17):
