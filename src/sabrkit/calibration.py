@@ -7,9 +7,12 @@ r = 0). A fit is one run of a bounded Levenberg-Marquardt solver
 (Marquardt 1963, with each step clipped into the box as in Kanzow,
 Yamashita & Fukushima 2004) on the per-quote residuals inside the box
 nu in [0, 5], sigma in [0.01, 2], rho in [-0.99, 0.99]; it needs numpy
-only, so a fit loads no scipy.optimize. The sigma_d objective supplies its
-closed-form Jacobian; the others use forward differences. Days are fitted
-in a warm-start chain with in-sample / out-of-sample RMS error reporting.
+only, so a fit loads no scipy.optimize. The three d objectives (sigma_d,
+price_d, log_price_d) supply closed-form Jacobians: sigma_d's from its
+coefficient table, and the prices' by the chain rule through the vega of
+c_rel at sigma_d. The h and sa2 objectives use forward differences. Days
+are fitted in a warm-start chain with in-sample / out-of-sample RMS error
+reporting.
 
 Each day is built once and serves its fit, ISE and OSE under one fault
 rule: parameters the model rejects, or quoted prices c_rel cannot form,
@@ -22,12 +25,24 @@ import csv
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _MATH, _NUMPY, DomainError, _args, _require, c_rel, norm_ppf
+from .core import (
+    _MATH,
+    _NUMPY,
+    DomainError,
+    _args,
+    _c_rel,
+    _c_rel_vega,
+    _require,
+    _require_at,
+    c_rel,
+    norm_ppf,
+)
 from .expansion import SabrParams, _monomials, _sigma_d_jacobian, _sigma_d_quote
 from .models import price_fn_for_model, vol_fn_for_model
 
@@ -64,6 +79,9 @@ OBJECTIVES = tuple(_OBJECTIVE_TABLE)
 
 PANEL_EXPIRY_MONTHS = (1, 2, 3, 4, 5, 6, 9, 12, 18, 24)
 PANEL_DELTAS = tuple(0.20 + 0.05 * i for i in range(13))
+
+# the largest v whose square v * v is a float
+_MAX_V = math.sqrt(sys.float_info.max)
 
 
 # QuoteDay's float columns in check order: the open interval of their values, and the rule
@@ -138,7 +156,8 @@ def delta_to_moneyness(delta, sigma_prev, T):
     """
     m, (delta, sigma_prev, T) = _args(delta, sigma_prev, T)
     _require((0.0 < delta) & (delta < 1.0), "delta must lie in (0, 1)", delta)
-    _require(sigma_prev > 0.0, "sigma_prev must be positive", sigma_prev)
+    positive = (0.0 < sigma_prev) & (sigma_prev < math.inf)
+    _require(positive, "sigma_prev must be positive and finite", sigma_prev)
     _require((0.0 < T) & (T < math.inf), "T must be positive and finite", T)
     if m is _MATH:
         ppf = norm_ppf(delta)
@@ -146,13 +165,15 @@ def delta_to_moneyness(delta, sigma_prev, T):
         distinct, index = np.unique(delta, return_inverse=True)
         ppf = np.array([norm_ppf(d) for d in distinct.tolist()])[index].reshape(delta.shape)
     v = sigma_prev * m.sqrt(T)
+    _require_at(v <= _MAX_V, "sigma_prev sqrt(T) squared overflows a float",
+                sigma_prev=sigma_prev, T=T)
     return 0.5 * v * (2.0 * ppf - v)
 
 
 class _DayObjective:
     """One day under one objective: the day's monomials (y, t, t^2, t y,
     y^2) with the log-moneyness y resolved, on which sigma_d and its
-    Jacobian are evaluated (the other objectives read y and t from the
+    Jacobian are evaluated (the h and sa2 objectives read y and t from the
     first two rows), and the quoted values its model values are compared
     with."""
 
@@ -163,8 +184,8 @@ class _DayObjective:
             raise DomainError("delta-quoted day needs a previous-day sigma for conversion")
         self.day, self.objective = day, objective
         self.model, self.quantity = _OBJECTIVE_TABLE[objective]
-        # sigma_d from the monomials, with its closed-form Jacobian
-        self.closed_form = (self.model, self.quantity) == ("d", "vol")
+        # sigma_d from the monomials, with closed-form Jacobians
+        self.closed_form = self.model == "d"
         t = day.expiry
         y = day.moneyness if day.delta is None else delta_to_moneyness(day.delta, sigma_prev, t)
         self.monomials = np.array(_monomials(y, t))
@@ -183,17 +204,20 @@ class _DayObjective:
                 return np.log(target)
         return target
 
-    def residuals(self, params: SabrParams) -> tuple[np.ndarray, np.ndarray | None]:
+    def residuals(self, params: SabrParams) -> tuple[np.ndarray, tuple | None]:
         """Per-quote model - target (of the model's log for log prices),
         where a non-finite entry is a quote the objective skips, and for
-        sigma_d the flags of its clamped model vols (None otherwise). A
-        DomainError where the targets cannot be formed or the model rejects
-        params."""
+        the d objectives the (sigma_d quote, model value) that jacobian
+        takes (None otherwise). A DomainError where the targets cannot be
+        formed or the model rejects params."""
         targets = self.targets
         y, t = self.monomials[0], self.monomials[1]
-        clamped = None
+        state = None
         if self.closed_form:
-            model, clamped = _sigma_d_quote(_NUMPY, self.monomials, params.sigma0, params)
+            # price_d's and sigma_d's evaluations, from the monomials
+            quote = _sigma_d_quote(_NUMPY, self.monomials, params.sigma0, params)
+            model = quote.value if self.quantity == "vol" else _c_rel(_NUMPY, y, quote.value, t)
+            state = (quote, model)
         elif self.quantity == "vol":
             model = vol_fn_for_model(self.model, params)(y, t)
         else:
@@ -201,8 +225,25 @@ class _DayObjective:
         if self.quantity == "log price":
             # a nonpositive value gives a non-finite log, which is skipped below
             with np.errstate(divide="ignore", invalid="ignore"):
-                return np.log(model) - targets, clamped
-        return model - targets, clamped
+                return np.log(model) - targets, state
+        return model - targets, state
+
+    def jacobian(self, params: SabrParams, quote, model: np.ndarray) -> np.ndarray:
+        """d residuals / d(nu, sigma0, rho) of a d objective at params, from
+        the (quote, model) its residuals returned there: sigma_d's Jacobian,
+        for prices times the vega sqrt(t) N'(d_-) of c_rel at sigma_d, over
+        the price for log prices. Clamped rows are zero; a row whose
+        residual is skipped is the caller's to zero."""
+        jac = _sigma_d_jacobian(self.monomials, params, quote.clamped)
+        if self.quantity != "vol":
+            y, t = self.monomials[0], self.monomials[1]
+            # a row that is not finite here is a skipped quote's (a zero price)
+            with np.errstate(all="ignore"):
+                vega = _c_rel_vega(_NUMPY, y, quote.value, t)
+                if self.quantity == "log price":
+                    vega = vega / model
+                jac *= vega[:, None]
+        return jac
 
     def mean_square(self, params: SabrParams) -> tuple[float, int]:
         """The objective at params (inf if it skips every quote) and the
@@ -244,9 +285,10 @@ def objective_value(
     return _DayObjective(day, objective, sigma_prev).mean_square(params)[0]
 
 
-# the (nu, sigma, rho) box of every fit
-_LOWER = (0.0, 0.01, -0.99)
-_UPPER = (5.0, 2.0, 0.99)
+# the (nu, sigma, rho) box of every fit, as read-only float arrays
+_LOWER = np.array([0.0, 0.01, -0.99])
+_UPPER = np.array([5.0, 2.0, 0.99])
+_LOWER.flags.writeable = _UPPER.flags.writeable = False
 # residual evaluations per fit, difference probes not counted
 _MAX_NFEV = 2000
 # a fit ends when its next step would be shorter than 1e-8 relative to x:
@@ -306,22 +348,27 @@ def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, bool]:
                 grad = jacobian.T @ r
             if not (np.isfinite(normal).all() and np.isfinite(grad).all()):
                 return x, False  # no step can be formed before x moves
-            diag = np.diag(normal).copy()
+            diag = normal.diagonal().copy()
             diag[diag == 0.0] = 1.0
             free = ~(((x <= _LOWER) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
-            normal, diag, grad = normal[np.ix_(free, free)], diag[free], grad[free]
-        step = np.zeros(x.size)
+            held = not free.all()
+            if held:  # the free parameters' system
+                normal, diag, grad = normal[np.ix_(free, free)], diag[free], grad[free]
         try:
             with np.errstate(all="ignore"):
-                step[free] = np.linalg.solve(normal + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
         except np.linalg.LinAlgError:  # singular
-            step[free] = np.nan
+            step = np.full(grad.size, np.nan)
+        if held:
+            step_free, step = step, np.zeros(x.size)
+            step[free] = step_free
         x_new = np.clip(x + step, _LOWER, _UPPER)
-        step_norm = np.linalg.norm(x_new - x)
-        if step_norm < _XTOL * (_XTOL + np.linalg.norm(x)):
+        dx = x_new - x
+        step_norm = math.sqrt(dx @ dx)
+        if step_norm < _XTOL * (_XTOL + math.sqrt(x @ x)):
             return x, True
         moved = False
-        if np.isfinite(step_norm):
+        if math.isfinite(step_norm):
             r_new = fun(x_new)
             cost_new = r_new @ r_new
             moved = cost_new <= cost  # False when not finite
@@ -346,7 +393,7 @@ def fit_day(
     Bounded Levenberg-Marquardt (_least_squares) on the residuals
     (model - target) / sqrt(n_used) of the quotes the objective uses, whose
     sum of squares is the objective; a skipped quote's residual is 0. The
-    sigma_d objective has a closed-form Jacobian, the others use forward
+    d objectives have closed-form Jacobians, the h and sa2 ones use forward
     differences. One run searches the box of the module docstring, capped
     at 2000 residual evaluations with finite-difference probes not counted.
 
@@ -376,7 +423,7 @@ def _fit(
     x = np.clip(np.asarray(init, dtype=float), _LOWER, _UPPER)
     n_quotes = target.day.implied_vol.size
     nfev = 0
-    # (params, used, scale, clamped) of the last finite residuals
+    # (params, used, scale, state) of the last finite residuals
     last = None
 
     def residuals(x: np.ndarray) -> np.ndarray:
@@ -384,7 +431,7 @@ def _fit(
         nfev += 1
         try:
             params = _make_params(x, kappa0, theta)
-            diff, clamped = target.residuals(params)
+            diff, state = target.residuals(params)
         except DomainError:
             diff = np.full(n_quotes, np.nan)
         used = np.isfinite(diff)
@@ -394,18 +441,18 @@ def _fit(
                 raise _NoFiniteStart
             return np.full(n_quotes, np.inf)  # a rejected step
         scale = 1.0 / math.sqrt(n_used)
-        last = (params, used, scale, clamped)
+        last = (params, used, scale, state)
         return np.where(used, diff, 0.0) * scale
 
-    def sigma_d_jac(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def closed_form_jac(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         # _least_squares asks at the point it evaluated last
-        params, used, scale, clamped = last
-        jac = _sigma_d_jacobian(target.monomials, params, clamped)
+        params, used, scale, state = last
+        jac = target.jacobian(params, *state)
         jac[~used] = 0.0
         return jac * scale
 
     if target.closed_form:
-        jac = sigma_d_jac
+        jac = closed_form_jac
     else:
         jac = functools.partial(_forward_jacobian, residuals)
     try:
@@ -496,40 +543,55 @@ def read_quotes_csv(path: str) -> list[QuoteDay]:
 
     One QuoteDay per day, in day order; within a day the quotes keep their
     file order. A row that does not parse, or whose values a QuoteDay
-    rejects, raises a DomainError naming its line.
+    rejects, raises a DomainError naming its line: the first line that
+    does not parse, else the first whose values are rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != QUOTE_HEADER:
             raise DomainError(f"bad quote CSV header {header}; expected {QUOTE_HEADER}")
+        rows = list(filter(None, reader))  # blank lines hold no quote
+    if not rows:
+        return []
+    try:
+        # whole columns at once; the row-wise reading names a fault's line
+        days, kinds, *columns = zip(*rows, strict=True)
+        days = list(map(int, days))
+        months, delta, vol = (np.array(list(map(float, c))) for c in columns)
+        if len(set(days)) == 1:
+            return [QuoteDay(days[0], kinds, months / 12.0, vol, delta=delta)]
+        by_day: dict[int, list[int]] = {}
+        for i, day in enumerate(days):
+            by_day.setdefault(day, []).append(i)
+        return [
+            QuoteDay(day, [kinds[j] for j in i], months[i] / 12.0, vol[i], delta=delta[i])
+            for day, i in sorted(by_day.items())
+        ]
+    except ValueError:  # a DomainError included
+        _raise_first_bad_row(path)
+        raise
+
+
+def _raise_first_bad_row(path: str) -> None:
+    """Read the quote CSV at path row by row: raise a DomainError naming the
+    first line that does not parse, else the first whose values a one-quote
+    QuoteDay rejects."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         rows = []
-        for row in filter(None, reader):  # blank lines hold no quote
+        for row in filter(None, reader):
             try:
                 day, kind, months, delta, vol = row
                 rows.append((reader.line_num, int(day), kind, *map(float, (months, delta, vol))))
             except ValueError as exc:
                 raise DomainError(f"{path}:{reader.line_num}: bad quote row: {exc}") from exc
-    if not rows:
-        return []
-    lines, days, *columns = zip(*rows)
-    kinds, months, delta, vol = map(np.array, columns)
-
-    def quote_day(day: int, i: list[int] | slice) -> QuoteDay:
-        return QuoteDay(day, kinds[i].tolist(), months[i] / 12.0, vol[i], delta=delta[i])
-
-    by_day: dict[int, list[int]] = {}
-    for i, day in enumerate(days):
-        by_day.setdefault(day, []).append(i)
-    try:
-        return [quote_day(day, i) for day, i in sorted(by_day.items())]
-    except DomainError:
-        for i, line in enumerate(lines):  # the first bad line in the file
-            try:
-                quote_day(0, slice(i, i + 1))
-            except DomainError as exc:
-                raise DomainError(f"{path}:{line}: bad quote row: {exc}") from exc
-        raise
+    for line, day, kind, months, delta, vol in rows:
+        try:
+            QuoteDay(day, (kind,), [months / 12.0], [vol], delta=[delta])
+        except DomainError as exc:
+            raise DomainError(f"{path}:{line}: bad quote row: {exc}") from exc
 
 
 def write_quotes_csv(path: str, days: Iterable[QuoteDay]) -> None:

@@ -368,10 +368,11 @@ def _c_rel(m: _Ops, y, sigma, t):
     return m.exp(y) * _ncdf(m, dm + v) - _ncdf(m, dm)
 
 
-def _c_rel_vega(y: float, sigma: float, t: float) -> float:
+def _c_rel_vega(m: _Ops, y, sigma, t):
     # d/dsigma c_rel = sqrt(t) N'(d_-), in the operations of d_minus and
-    # norm_pdf; bs_implied_vol keeps sigma > 0 and t > 0
-    return math.sqrt(t) * _npdf(_MATH, _d_minus_of(_MATH, y, sigma * math.sqrt(t)))
+    # norm_pdf; its callers keep sigma > 0 and t > 0
+    root_t = m.sqrt(t)
+    return root_t * _npdf(m, _d_minus_of(m, y, sigma * root_t))
 
 
 def bs_implied_vol(price: float, y: float, t: float) -> float:
@@ -405,7 +406,7 @@ def bs_implied_vol(price: float, y: float, t: float) -> float:
             hi = sigma
         else:
             lo = sigma
-        vega = _c_rel_vega(y, sigma, t)
+        vega = _c_rel_vega(_MATH, y, sigma, t)
         step_ok = vega > 0.0
         if step_ok:
             candidate = sigma - f / vega

@@ -148,8 +148,8 @@ def _require_rho(rho: float) -> None:
 
 
 def _require_sigma_t(sigma, t, what: str) -> None:
-    if not (_all(sigma > 0.0) and _all(t > 0.0)):
-        raise DomainError(f"{what} requires sigma > 0 and t > 0")
+    if not all(_all((0.0 < x) & (x < math.inf)) for x in (sigma, t)):
+        raise DomainError(f"{what} requires finite sigma > 0 and t > 0")
 
 
 def _nu_squared(nu: float) -> float:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import functools
 import hashlib
 import math
@@ -6,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sabrkit import (
@@ -151,6 +152,42 @@ class TestDeltaConversion:
     def test_expiry_must_be_positive_and_finite(self, T, bad):
         with pytest.raises(DomainError, match=rf"^T must be positive and finite, got {bad}$"):
             delta_to_moneyness(np.array([0.5, 0.3]) if np.ndim(T) else 0.5, 0.2, T)
+
+    @pytest.mark.parametrize(
+        "sigma_prev, bad",
+        [
+            (0.0, "0.0"),
+            (-0.2, "-0.2"),
+            (math.inf, "inf"),
+            (math.nan, "nan"),
+            (np.array([0.2, math.inf]), "inf"),
+        ],
+    )
+    def test_sigma_prev_must_be_positive_and_finite(self, sigma_prev, bad):
+        # inf gave -inf
+        want = rf"^sigma_prev must be positive and finite, got {bad}$"
+        with pytest.raises(DomainError, match=want):
+            delta_to_moneyness(0.5, sigma_prev, 1.0)
+
+    @pytest.mark.parametrize(
+        "delta, sigma_prev, T, named",
+        [
+            (0.5, 1e200, 1.0, "sigma_prev = 1e+200, T = 1.0"),
+            (0.5, 1e154, 4.0, "sigma_prev = 1e+154, T = 4.0"),
+            (np.array([0.5, 0.3]), np.array([0.2, 1e200]), 0.5, "sigma_prev = 1e+200, T = 0.5"),
+        ],
+    )
+    def test_sigma_prev_whose_v_squared_overflows(self, delta, sigma_prev, T, named):
+        # v = sigma_prev sqrt(T); v * v overflowed and y was -inf
+        want = rf"^sigma_prev sqrt\(T\) squared overflows a float at {re.escape(named)}$"
+        with pytest.raises(DomainError, match=want):
+            delta_to_moneyness(delta, sigma_prev, T)
+
+    def test_largest_v_whose_square_is_a_float(self):
+        v = calibration._MAX_V
+        above = math.nextafter(v, math.inf)
+        assert math.isfinite(v * v) and above * above == math.inf
+        assert math.isfinite(delta_to_moneyness(0.5, v, 1.0))
 
     def test_array_matches_float_calls(self):
         # one broadcast call equals the float call at every point, bit for bit
@@ -297,6 +334,105 @@ class TestSigmaDJacobian:
     def test_clamped_rows_are_zero(self):
         base = self.check(3.0, 0.1, 0.9)
         assert 0 < base.clamped.sum() < base.clamped.size
+
+
+def solver_functions(day, objective, sigma_prev=None):
+    """The residual function and Jacobian that a fit of day hands its solver."""
+    handed = []
+
+    def capture(fun, jac, x):
+        handed.append((fun, jac))
+        return x, True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibration, "_least_squares", capture)
+        fit_day(day, (1.0, 0.25, -0.3), objective, sigma_prev=sigma_prev)
+    return handed[0]
+
+
+class TestDObjectiveJacobians:
+    """The closed-form Jacobian each d objective's fit hands its solver,
+    against central differences of the objective's residuals, on random
+    days and parameters. Clamped quotes (sigma_d <= 0) and skipped ones (a
+    zero model or quoted price under a log: noise floors vols at 1e-4)
+    are included."""
+
+    @staticmethod
+    def residuals(target, x):
+        params = SabrParams(sigma0=x[1], nu=x[0], rho=x[2])
+        diff, _ = target.residuals(params)
+        clamped = _sigma_d_quote(_NUMPY, target.monomials, x[1], params).clamped
+        return diff, clamped
+
+    def check(self, day, objective, nu, sigma, rho):
+        fun, jac = solver_functions(day, objective)
+        target = calibration._DayObjective(day, objective, None)
+        x = np.array([nu, sigma, rho])
+        base, clamped = self.residuals(target, x)
+        used = np.isfinite(base)
+        if not used.any():
+            return None
+        got = jac(x, fun(x)) * math.sqrt(np.count_nonzero(used))  # unscaled
+        assert got.shape == (base.size, 3) and got.dtype == np.float64
+        assert (got[~used | clamped] == 0.0).all()
+        fd = np.empty_like(got)
+        same = np.empty(got.shape, dtype=bool)
+        for j, h in enumerate((1e-5, 1e-5 * sigma, 1e-5)):
+            step = np.zeros(3)
+            step[j] = h
+            # a skipped row's differences are not finite: inf - inf
+            with np.errstate(invalid="ignore"):
+                if j == 0 and nu < h:  # nu >= 0: one-sided, second order
+                    probes = [self.residuals(target, x + k * step) for k in range(3)]
+                    (f0, _), (f1, _), (f2, _) = probes
+                    fd[:, j] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+                else:
+                    probes = [self.residuals(target, x + k * step) for k in (-1, 1)]
+                    (lo, _), (hi, _) = probes
+                    fd[:, j] = (hi - lo) / (2.0 * h)
+            # rows used by every probe whose clamp flag no probe changes
+            same[:, j] = used & np.logical_and.reduce(
+                [np.isfinite(d) & (c == clamped) for d, c in probes]
+            )
+        # 1e-6 relative, or 1e-7 of the row's largest derivative: a
+        # difference's truncation error scales with the row, not the entry
+        row = np.maximum(1.0, np.abs(np.where(same, fd, 0.0)).max(axis=1, keepdims=True))
+        ok = np.abs(got - fd) <= 1e-6 * np.abs(fd) + 1e-7 * row
+        assert ok[same].all(), np.argwhere(same & ~ok)[:5]
+        return used, clamped
+
+    @given(
+        nu=st.floats(0.0, 5.0),
+        sigma=st.floats(0.01, 2.0),
+        rho=st.floats(-0.99, 0.99),
+        noise=st.sampled_from([0.0, 0.01, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(nu=3.0, sigma=0.1, rho=0.9, noise=0.3, seed=5)
+    def test_random_days(self, nu, sigma, rho, noise, seed):
+        day = synth_panel(TRUE, 1, noise_level=noise, seed=seed)[0]
+        for objective in ("sigma_d", "price_d", "log_price_d"):
+            self.check(day, objective, nu, sigma, rho)
+
+    def test_clamped_and_skipped_rows(self):
+        # at these parameters some sigma_d are clamped; under the log, a
+        # clamped out-of-the-money model price and a floored quote's price are 0
+        day = synth_panel(TRUE, 1, noise_level=0.3, seed=5)[0]
+        used, clamped = self.check(day, "log_price_d", 3.0, 0.1, 0.9)
+        assert 0 < clamped.sum() and 0 < (~used).sum() < used.size
+        used, clamped = self.check(day, "price_d", 3.0, 0.1, 0.9)
+        assert 0 < clamped.sum() and used.all()
+
+    def test_delta_quoted_day(self):
+        day = synth_panel(TRUE, 1, noise_level=0.01, seed=3, quote_with="delta")[0]
+        fun, jac = solver_functions(day, "price_d", sigma_prev=0.19)
+        moneyness_day = QuoteDay(
+            1, day.option_type, day.expiry, day.implied_vol,
+            moneyness=delta_to_moneyness(day.delta, 0.19, day.expiry),
+        )
+        want_fun, want_jac = solver_functions(moneyness_day, "price_d")
+        x = np.array([1.2, 0.2, -0.5])
+        np.testing.assert_array_equal(jac(x, fun(x)), want_jac(x, want_fun(x)))
 
 
 class TestSynthPanel:
@@ -696,6 +832,56 @@ class TestScipyReference:
             assert res.ise == pytest.approx(ise, rel=1e-12)
 
 
+    @pytest.mark.parametrize("objective", ["price_d", "log_price_d"])
+    def test_d_prices_agree_with_scipy_on_the_jacobian_panel(self, objective):
+        # the panel of TestJacobianCost, where the fits use closed-form
+        # Jacobians. Measured: parameters within 5e-8, ISE within 3e-14 relative.
+        for day in TestJacobianCost.DAYS[::10]:
+            res = fit_day(day, self.START, objective)
+            x, ise = self.reference_fit(day, objective, 0.0)
+            assert res.converged and res.n_skipped == 0
+            np.testing.assert_allclose(res.params, x, rtol=0.0, atol=1e-6)
+            assert res.ise == pytest.approx(ise, rel=1e-12)
+
+
+# the residual evaluations of 30 fits per objective on TestJacobianCost's
+# panel, recorded when every objective but sigma_d used forward differences
+FORWARD_DIFFERENCE_NFEV = {
+    "sigma_d": 114,
+    "sigma_h": 960,
+    "price_d": 682,
+    "price_h": 1036,
+    "price_sa2": 513,
+    "log_price_d": 991,
+    "log_price_h": 1014,
+    "log_price_sa2": 620,
+}
+
+
+class TestJacobianCost:
+    """A 30-day panel, each day fitted from the generator: the d price
+    objectives' closed-form Jacobians take fewer residual evaluations than
+    forward differences did, and no other objective's count moves."""
+
+    GENERATOR = SabrParams(sigma0=0.25, nu=0.4, rho=-0.3)
+    DAYS = synth_panel(GENERATOR, 30, noise_level=0.002, seed=7)
+
+    def test_pins_cover_every_objective(self):
+        assert set(FORWARD_DIFFERENCE_NFEV) == set(OBJECTIVES)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_evaluations_per_fit(self, objective):
+        start = (self.GENERATOR.nu, self.GENERATOR.sigma0, self.GENERATOR.rho)
+        fits = [fit_day(day, start, objective) for day in self.DAYS]
+        assert all(res.converged and res.n_skipped == 0 for res in fits)
+        nfev = sum(res.nfev for res in fits)
+        if objective in ("price_d", "log_price_d"):
+            # measured: 122 and 131, about 4 a fit against 23 and 33
+            assert nfev <= 5 * len(fits) < FORWARD_DIFFERENCE_NFEV[objective]
+        else:
+            assert nfev == FORWARD_DIFFERENCE_NFEV[objective]
+
+
 # the calib benchmark's panel: 64 delta-quoted days, noise 0.01
 BENCH_PANEL = dict(noise_level=0.01, seed=20181224, quote_with="delta")
 
@@ -776,6 +962,20 @@ class TestPinnedFits:
         for got, pinned in zip(res.params, want[:3]):
             assert abs(got - pinned) <= 1e-8
         assert res.ise == pytest.approx(want[3], rel=1e-9)
+
+    def test_benchmark_panel_chain_is_pinned(self, panel, tmp_path):
+        # the 64-day sigma_d chain through the quote CSV, as the calib
+        # benchmark runs it a window at a time. The hash was recorded with
+        # the row-wise reader and a solver that formed the free parameters'
+        # system at every step: reading and solving must not move a bit.
+        path = str(tmp_path / "panel.csv")
+        write_quotes_csv(path, panel)
+        results = calibrate_panel(
+            read_quotes_csv(path), (1.0, 0.25, -0.3), "sigma_d", sigma_prev0=0.19
+        )
+        text = repr([(r.nu, r.sigma, r.rho, r.ise, r.ose, r.nfev, r.converged) for r in results])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "9c1230f4567d63e5c3f7c6ebb4a9fb2f0b603895df7d7952a39bd5a726f8036a"
 
 
 class TestPanel:
@@ -916,3 +1116,116 @@ class TestCsv:
         assert lines[0] == "day,objective,nu,sigma,rho,ise,ose,flag"
         assert lines[1].endswith("ok")
         assert lines[2].endswith("flagged")
+
+
+def read_row_wise(path):
+    """The quote reader one row at a time: every row parsed in file order,
+    then every row's values checked in file order, the first fault named
+    by its line; then the rows grouped by day."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                day, kind, months, delta, vol = row
+                rows.append((reader.line_num, int(day), kind, *map(float, (months, delta, vol))))
+            except ValueError as exc:
+                raise DomainError(f"{path}:{reader.line_num}: bad quote row: {exc}") from exc
+    by_day = {}
+    for line, day, kind, months, delta, vol in rows:
+        try:
+            QuoteDay(day, (kind,), [months / 12.0], [vol], delta=[delta])
+        except DomainError as exc:
+            raise DomainError(f"{path}:{line}: bad quote row: {exc}") from exc
+        by_day.setdefault(day, []).append((kind, months / 12.0, delta, vol))
+    return [
+        QuoteDay(day, *([q[k] for q in quotes] for k in (0, 1, 3)), delta=[q[2] for q in quotes])
+        for day, quotes in sorted(by_day.items())
+    ]
+
+
+# rows that do not parse, then rows whose values a QuoteDay rejects
+BAD_ROWS = [
+    "1,C,12,0.4",
+    "1,C,12,0.4,0.2,7",
+    "1.5,C,12,0.4,0.2",
+    "1,C,12,x,0.2",
+    " ",
+    "1,X,12,0.4,0.2",
+    "2,C,12,1.7,0.2",
+    "3,P,inf,0.4,0.2",
+    "1,C,12,0.4,-0.2",
+]
+
+
+@st.composite
+def quote_files(draw):
+    """The text of a quote CSV: up to 12 quotes of days 1-4 interleaved,
+    cells plain, quoted, or (numbers) quoted around a line break; blank
+    lines; LF or CRLF endings; and in half the files up to three of
+    BAD_ROWS at random lines."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [
+            str(draw(st.integers(1, 4))),
+            draw(st.sampled_from("CP")),
+            repr(draw(st.floats(0.5, 36.0))),
+            repr(draw(st.floats(0.001, 0.999))),
+            repr(draw(st.floats(1e-4, 2.0))),
+        ]
+        forms = ["{}", '"{}"', '"{}' + newline + '"']  # the type cell takes the first two
+        styles = [draw(st.sampled_from(forms[:2] if k == 1 else forms)) for k in range(5)]
+        lines.append(",".join(style.format(c) for style, c in zip(styles, cells)))
+    bad = draw(st.lists(st.sampled_from(BAD_ROWS), max_size=3)) if draw(st.booleans()) else []
+    for extra in [""] * draw(st.integers(0, 3)) + bad:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return newline.join([",".join(calibration.QUOTE_HEADER), *lines, ""])
+
+
+class TestColumnarReader:
+    """read_quotes_csv against the row-wise reading it replaced."""
+
+    @given(text=quote_files())
+    @example(text="day,type,expiry_months,delta,implied_vol\n"
+                  "1,C,12,0.4,0.2\n1,X,12,0.4,0.2\n\n2,C,12,x,0.2\n")
+    # the one fault is a row with a sixth cell
+    @example(text="day,type,expiry_months,delta,implied_vol\n"
+                  "1,C,12,0.4,0.2\n1,C,12,0.4,0.2,7\n1,P,12,0.4,0.2\n")
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_row_wise_reading(self, tmp_path, text):
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = read_row_wise(str(path))
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                read_quotes_csv(str(path))
+            return
+        got = read_quotes_csv(str(path))
+        assert [d.day for d in got] == [d.day for d in want]
+        for a, b in zip(got, want):
+            assert a.option_type == b.option_type and a.moneyness is None
+            for name in ("expiry", "delta", "implied_vol"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_parse_fault_after_a_rule_fault_is_named(self, tmp_path):
+        # line 3 breaks a QuoteDay rule, line 5 does not parse: parsing comes first
+        path = tmp_path / "quotes.csv"
+        path.write_text("day,type,expiry_months,delta,implied_vol\n"
+                        "1,C,12,0.4,0.2\n1,X,12,0.4,0.2\n\n2,C,12,x,0.2\n")
+        want = f"{path}:5: bad quote row: could not convert string to float: 'x'"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            read_quotes_csv(str(path))
+
+    def test_quoted_line_breaks_move_the_named_line(self, tmp_path):
+        # a quoted cell spanning two lines: the bad row after it is on line 4
+        path = tmp_path / "quotes.csv"
+        path.write_text('day,type,expiry_months,delta,implied_vol\n'
+                        '1,C,"12\n",0.4,0.2\n1,C,12,1.7,0.2\n')
+        want = f"{path}:4: bad quote row: delta must lie in (0, 1), got 1.7"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            read_quotes_csv(str(path))

@@ -370,6 +370,27 @@ class TestCalibrate:
         assert err == f"error: {path}:3: bad quote row: {message}\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "sigma_prev, message",
+        [
+            ("inf", "sigma_prev must be positive and finite, got inf"),
+            ("1e200", "sigma_prev sqrt(T) squared overflows a float at sigma_prev = 1e+200, "
+                      "T = 1.0"),
+        ],
+    )
+    def test_sigma_prev_not_finite_or_overflowing_is_domain_error(
+        self, capsys, tmp_path, sigma_prev, message
+    ):
+        # it printed a flagged row with ISE inf and exited 4
+        path = tmp_path / "quotes.csv"
+        path.write_text("day,type,expiry_months,delta,implied_vol\n1,C,12,0.5,0.2\n")
+        code, out, err = run(
+            ["calibrate", "--quotes", str(path), f"--sigma-prev={sigma_prev}"], capsys
+        )
+        assert code == EXIT_DOMAIN
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     def test_results_to_stdout_follow_format(self, capsys):
         code, out, _ = run(
             ["calibrate", "--synth-days", "1", "--nu", "1.3", "--sigma", "0.19",

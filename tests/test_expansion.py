@@ -284,6 +284,27 @@ class TestImpliedVol:
         with pytest.raises(DomainError, match=r"^rho must lie strictly in \(-1, 1\), got "):
             coeff(0.1, 0.2, rho, 1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sigma_d(0.1, math.inf, SabrParams(0.2, 0.5, -0.3)),
+            lambda: sigma_d(0.1, 1.0, SabrParams(0.2, 0.5, -0.3), sigma=math.inf),
+            lambda: sigma_d(np.array([0.1, 0.2]), np.array([1.0, math.inf]),
+                            SabrParams(0.2, 0.5, -0.3)),
+            lambda: price_d(0.1, math.inf, SabrParams(0.2, 0.5, -0.3)),
+            lambda: implied_e1(0.1, 0.2, 0.3, math.inf),
+            lambda: implied_e1(0.1, np.array([0.2, math.inf]), 0.3, 1.0),
+            lambda: implied_e2(0.1, math.inf, 0.3, 1.0),
+            lambda: implied_e2(0.1, 0.2, 0.3, np.array([1.0, math.nan])),
+        ],
+        ids=["sigma_d_t", "sigma_d_sigma", "sigma_d_array_t", "price_d_t", "e1_t",
+             "e1_array_sigma", "e2_sigma", "e2_array_t_nan"],
+    )
+    def test_rejects_sigma_or_t_not_finite(self, call):
+        # sigma_d was nan and unflagged at t = inf, implied_e1 inf, implied_e2 nan
+        with pytest.raises(DomainError, match=r" requires finite sigma > 0 and t > 0$"):
+            call()
+
     def test_e2_even_in_rho(self):
         for y, s, t, rho in random_lattice(50, seed=17):
             assert implied_e2(y, s, rho, t) == pytest.approx(
