@@ -148,7 +148,7 @@ def _require_rho(rho: float) -> None:
 
 
 def _require_sigma_t(sigma, t, what: str) -> None:
-    if not all(_all((0.0 < x) & (x < math.inf)) for x in (sigma, t)):
+    if not (_all((0.0 < sigma) & (sigma < math.inf)) and _all((0.0 < t) & (t < math.inf))):
         raise DomainError(f"{what} requires finite sigma > 0 and t > 0")
 
 

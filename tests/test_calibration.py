@@ -423,17 +423,6 @@ class TestDObjectiveJacobians:
         used, clamped = self.check(day, "price_d", 3.0, 0.1, 0.9)
         assert 0 < clamped.sum() and used.all()
 
-    def test_delta_quoted_day(self):
-        day = synth_panel(TRUE, 1, noise_level=0.01, seed=3, quote_with="delta")[0]
-        fun, jac = solver_functions(day, "price_d", sigma_prev=0.19)
-        moneyness_day = QuoteDay(
-            1, day.option_type, day.expiry, day.implied_vol,
-            moneyness=delta_to_moneyness(day.delta, 0.19, day.expiry),
-        )
-        want_fun, want_jac = solver_functions(moneyness_day, "price_d")
-        x = np.array([1.2, 0.2, -0.5])
-        np.testing.assert_array_equal(jac(x, fun(x)), want_jac(x, want_fun(x)))
-
 
 class TestSynthPanel:
     def test_shape(self):
@@ -835,7 +824,8 @@ class TestScipyReference:
     @pytest.mark.parametrize("objective", ["price_d", "log_price_d"])
     def test_d_prices_agree_with_scipy_on_the_jacobian_panel(self, objective):
         # the panel of TestJacobianCost, where the fits use closed-form
-        # Jacobians. Measured: parameters within 5e-8, ISE within 3e-14 relative.
+        # Jacobians. Measured: parameters within 7.1e-8 (log_price_d), ISE
+        # within 3.3e-14 relative.
         for day in TestJacobianCost.DAYS[::10]:
             res = fit_day(day, self.START, objective)
             x, ise = self.reference_fit(day, objective, 0.0)
