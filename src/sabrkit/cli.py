@@ -332,24 +332,32 @@ def cmd_mc(args) -> int:
         raise CliError("--strikes: at least one strike required", EXIT_USAGE)
     config = McConfig(n_paths=args.paths, dt=args.dt, seed=args.seed)
     queries = [OptionQuery(spot=spot, strike=k, rate=args.rate, expiry=t) for k in strikes]
-    ys = np.array([q.log_moneyness for q in queries])
+    ys = [q.log_moneyness for q in queries]
     # closed forms are relative prices: scale by the discounted strike. They
-    # come first, so an input they reject fails before any path is simulated
-    scale = math.exp(-args.rate * t) * np.array(strikes)
-    closed = [
-        (scale * price_fn_for_model(m, params)(ys, sigma, t)).tolist()
-        for m in ("h", "d", "sa2")
-    ]
+    # are float calls, price's evaluation at each strike, and come first, so
+    # an input they reject fails before any path is simulated
+    disc = math.exp(-args.rate * t)
+    fns = [price_fn_for_model(m, params) for m in ("h", "d", "sa2")]
+    closed = [[disc * k * fn(y, sigma, t) for fn in fns] for k, y in zip(strikes, ys)]
     mc_prices = simulate_prices(queries, params, config)
     rows = [
         [strike, y, c_mc, se, c_h, c_d, c_sa2, c_h - c_mc, c_d - c_mc]
-        for strike, y, (c_mc, se), c_h, c_d, c_sa2 in zip(
-            strikes, ys.tolist(), mc_prices, *closed
-        )
+        for strike, y, (c_mc, se), (c_h, c_d, c_sa2) in zip(strikes, ys, mc_prices, closed)
     ]
     header = ["strike", "y", "c_mc", "std_error", "c_h", "c_d", "c_sa2", "e_h", "e_d"]
     _emit(rows, header, args)
     return EXIT_OK
+
+
+def _mean(xs: list[float]) -> float:
+    # fsum rounds once, so days that fit the same value average to it exactly
+    return math.fsum(xs) / len(xs)
+
+
+def _std(xs: list[float]) -> float:
+    """Population standard deviation (np.std's default)."""
+    mean = _mean(xs)
+    return math.sqrt(_mean([(x - mean) * (x - mean) for x in xs]))
 
 
 def cmd_calibrate(args) -> int:
@@ -379,11 +387,11 @@ def cmd_calibrate(args) -> int:
         "rho_mean", "rho_std",
     ]
     summary = [[
-        float(np.mean(ises)),
-        float(np.mean(oses)) if oses else float("nan"),
-        float(np.mean(nus)), float(np.std(nus)),
-        float(np.mean(sigmas)), float(np.std(sigmas)),
-        float(np.mean(rhos)), float(np.std(rhos)),
+        _mean(ises),
+        _mean(oses) if oses else float("nan"),
+        _mean(nus), _std(nus),
+        _mean(sigmas), _std(sigmas),
+        _mean(rhos), _std(rhos),
     ]]
     summary_args = argparse.Namespace(format=args.format, out=None)
     _emit(summary, summary_header, summary_args)

@@ -25,8 +25,8 @@ price in `expansion` and the FD boundary data in `fd` all call it.
 An array `norm_cdf` (and so an array `c_rel`) evaluates scipy's `erfc`
 ufunc; `scipy.special` is imported at the first such call, not with this
 module, so importing sabrkit, or a run that makes no array call (a
-`price` lattice, a `sigma_d` calibration), does not load it. Float calls
-use `math.erfc`.
+`price` lattice, an `mc` run, a `sigma_d` calibration), does not load
+it. Float calls use `math.erfc`.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ _MATH = _Ops(
 
 def _erfc(x):
     # scipy.special loads at the first array call, so a run that makes none
-    # (a sigma_d calibration) never pays its import
+    # (an mc run, a sigma_d calibration) never pays its import
     from scipy.special import erfc
 
     return erfc(x)

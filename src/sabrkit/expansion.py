@@ -71,6 +71,7 @@ from .core import (
     _c_rel,
     _ncdf,
     _npdf,
+    _require,
     _require_at,
     _scaled_d_minus,
 )
@@ -420,8 +421,10 @@ def implied_e2(y, sigma, rho: float, t):
 
 
 def _sigma_d(m, y, t, sigma, params: SabrParams) -> VolQuote:
-    if params.nu != 0.0:
-        _require_sigma_t(sigma, t, "sigma_d")
+    # at every nu, nu = 0 included, whose zero coefficients would turn an
+    # infinite y or t into nan
+    _require(m.isfinite(y), "sigma_d requires finite y", y)
+    _require_sigma_t(sigma, t, "sigma_d")
     return _sigma_d_quote(m, _monomials(y, t), sigma, params)
 
 

@@ -23,16 +23,14 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-# only the bare package (about 10 ms), kept so that typing.get_type_hints
-# finds scipy in this module's globals for _step_matrix's return annotation
-import scipy
 
 from .core import DomainError, _require_at, c_rel
 from .expansion import SabrParams
 
 if TYPE_CHECKING:
-    # scipy.sparse loads only in _step_matrix, or lazily (as an attribute
-    # of scipy) when typing.get_type_hints resolves its return annotation
+    # for _step_matrix's return annotation, a string at run time: scipy
+    # loads only in _step_matrix, so subcommands without an FD solve never
+    # import it
     import scipy.sparse
 
 __all__ = [

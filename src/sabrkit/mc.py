@@ -93,15 +93,19 @@ def _block_payoffs(
     x = np.full(2 * n if antithetic else n, math.log(forward))
     sigma = np.full_like(x, params.sigma0)
     log_sigma_drift = -0.5 * nu * nu * dt
+    nu_sqdt = nu * sqdt
     for _ in range(n_steps):
         z1 = rng.standard_normal(n)
         z2 = rng.standard_normal(n)
-        if antithetic:
-            z1 = np.concatenate([z1, -z1])
-            z2 = np.concatenate([z2, -z2])
         dw1 = sqdt * (rho * z2 + rho_c * z1)
+        dlog_sigma = nu_sqdt * z2
+        if antithetic:
+            # the mirrored paths' increments are the negated products, bit
+            # for bit: IEEE negation is exact and commutes with them
+            dw1 = np.concatenate([dw1, -dw1])
+            dlog_sigma = np.concatenate([dlog_sigma, -dlog_sigma])
         x += -0.5 * sigma * sigma * dt + sigma * dw1
-        sigma *= np.exp(nu * sqdt * z2 + log_sigma_drift)
+        sigma *= np.exp(dlog_sigma + log_sigma_drift)
     payoff = np.empty((strikes.size, 2 * n)) if antithetic else out
     with np.errstate(over="ignore"):  # simulate_prices rejects an infinite price
         np.subtract(np.exp(x), strikes[:, None], out=payoff)

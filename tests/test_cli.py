@@ -2,6 +2,7 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from sabrkit import (
@@ -275,6 +276,32 @@ class TestMc:
             assert c_sa2 == pytest.approx(disc * price_sa2(q, params).total, rel=1e-12)
             assert (e_h, e_d) == (c_h - c_mc, c_d - c_mc)
 
+    @pytest.mark.parametrize("rate", ["0", "0.03"])
+    def test_closed_forms_equal_price_bit_for_bit(self, capsys, rate):
+        # mc prices its closed forms as price does, point by point, times the
+        # discounted strike: at mc-paper's (y, t) the columns agree exactly
+        code, out, _ = run(
+            ["mc", "--preset", "mc-paper", "--strikes", "8:12:9", "--rate", rate,
+             "--paths", "200", "--dt", "0.1", "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        mc_rows = parse_csv(out)[1:]
+        ys = ",".join(row[1] for row in mc_rows)
+        code, out, _ = run(
+            ["price", "--model", "h,d,sa2", f"--y={ys}", "--t", "1", "--sigma", "0.2",
+             "--nu", "0.2", "--rho=-0.3", "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        price_rows = parse_csv(out)[1:]
+        assert [row[0] for row in price_rows] == [row[1] for row in mc_rows]
+        disc = math.exp(-float(rate))
+        for mc_row, price_row in zip(mc_rows, price_rows):
+            strike = float(mc_row[0])
+            want = [disc * strike * float(price_row[i]) for i in (2, 4, 6)]
+            assert [float(c) for c in mc_row[4:7]] == want
+
     @pytest.mark.parametrize("paths", ["1", "3"])
     def test_too_few_paths_is_domain_error(self, capsys, paths):
         code, out, err = run(["mc", "--preset", "mc-paper", "--paths", paths], capsys)
@@ -336,6 +363,39 @@ class TestCalibrate:
         summary = parse_csv(out)
         assert summary[0][0] == "ise"
         assert float(summary[1][0]) <= 1e-4
+
+    @pytest.mark.parametrize("n_days", [1, 12])
+    def test_summary_is_the_mean_and_std_of_the_days(self, capsys, n_days):
+        # correctly rounded sums: exact on one day, within rounding of
+        # numpy's pairwise sums over more
+        days = synth_panel(SabrParams(sigma0=0.2, nu=0.125, rho=-0.4), n_days=n_days,
+                           noise_level=0.002, seed=0)
+        results = calibrate_panel(days, (0.5, 0.2, -0.3), "sigma_d")
+        code, out, _ = run(
+            ["calibrate", "--synth-days", str(n_days), "--noise", "0.002", "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        got = [float(v) for v in parse_csv(out)[-1]]
+        cols = [[getattr(r, name) for r in results] for name in ("nu", "sigma", "rho")]
+        want = [
+            np.mean([r.ise for r in results]),
+            np.mean([r.ose for r in results[1:]]) if n_days > 1 else math.nan,
+            *(f(col) for col in cols for f in (np.mean, np.std)),
+        ]
+        if n_days == 1:
+            assert got[0] == want[0] and math.isnan(got[1]) and got[2:] == want[2:]
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_summary_of_identical_days_has_zero_spread(self, capsys):
+        # without noise every day fits the same parameters; numpy's sums read
+        # a spread of up to 1.1e-16 there
+        code, out, _ = run(["calibrate", "--synth-days", "30", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        summary = dict(zip(rows[-2], map(float, rows[-1])))
+        assert [summary[f"{p}_std"] for p in ("nu", "sigma", "rho")] == [0.0, 0.0, 0.0]
 
     def test_quotes_csv_path(self, capsys, tmp_path):
         from sabrkit import synth_panel, write_quotes_csv

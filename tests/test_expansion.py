@@ -305,6 +305,32 @@ class TestImpliedVol:
         with pytest.raises(DomainError, match=r" requires finite sigma > 0 and t > 0$"):
             call()
 
+    NU0 = SabrParams(0.2, 0.0, -0.3)
+
+    @pytest.mark.parametrize("form", [sigma_d, price_d])
+    @pytest.mark.parametrize(
+        "y, t, sigma",
+        [(0.1, math.inf, None), (0.1, -1.0, None), (0.1, 1.0, math.inf),
+         (np.array([0.1, 0.2]), np.array([1.0, -1.0]), None)],
+        ids=["t_inf", "t_negative", "sigma_inf", "array_t_negative"],
+    )
+    def test_rejects_sigma_or_t_at_nu_zero(self, form, y, t, sigma):
+        # at nu = 0 sigma_d returned nan at t = inf and sigma0 at t = -1
+        with pytest.raises(DomainError, match=r" requires finite sigma > 0 and t > 0$"):
+            form(y, t, self.NU0, sigma=sigma)
+
+    @pytest.mark.parametrize("form", [sigma_d, price_d])
+    @pytest.mark.parametrize("nu", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "y, bad", [(math.inf, "inf"), (math.nan, "nan"),
+                   (np.array([0.1, -math.inf, math.nan]), "-inf")],
+        ids=["inf", "nan", "array"],
+    )
+    def test_rejects_y_not_finite(self, form, nu, y, bad):
+        # nan at any nu before; the message names the first bad value
+        with pytest.raises(DomainError, match=rf"^sigma_d requires finite y, got {bad}$"):
+            form(y, 1.0, SabrParams(0.2, nu, -0.3))
+
     def test_e2_even_in_rho(self):
         for y, s, t, rho in random_lattice(50, seed=17):
             assert implied_e2(y, s, rho, t) == pytest.approx(

@@ -1,11 +1,12 @@
 """Start-up cost: each scipy submodule sabrkit uses loads only where it runs.
 
-`import sabrkit.cli` loads none of them, nor does a `price` run or a
-`sigma_d` or `sigma_h` calibration, which make no array `erfc` call.
+`import sabrkit.cli` loads no module of scipy, not even the bare package,
+nor does a `price` or `mc` run or a `sigma_d` or `sigma_h` calibration:
+they make only float `erfc` calls, and `mc`'s paths need none.
 `scipy.special` (the `erfc` ufunc of an array `c_rel`) loads in a
-`residual`, `fd` or `mc` run and in a price-objective fit;
-`scipy.sparse` only in an FD solve. No subcommand loads
-`scipy.optimize`: calibration fits run their own solver.
+`residual` or `fd` run and in a price-objective fit; `scipy.sparse` only
+in an FD solve. No subcommand loads `scipy.optimize`: calibration fits run
+their own solver.
 
 Each check runs in a fresh interpreter, since pytest's own process has
 imported scipy modules of its own by now."""
@@ -27,20 +28,26 @@ def deferred_loaded():
     return sorted(p for p in {prefixes!r} if any(
         m == p or m.startswith(p + ".") for m in sys.modules))
 
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
 import sabrkit, sabrkit.cli
 seen = {{"import": deferred_loaded()}}
+bare = {{"import": scipy_loaded()}}
 for name, argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = sabrkit.cli.main(argv)
     assert code == 0, (name, code)
     seen[name] = deferred_loaded()
-print(json.dumps(seen))
+    bare[name] = scipy_loaded()
+print(json.dumps([seen, bare]))
 """
 
 
 def loaded_after(runs):
     """The deferred modules loaded after importing sabrkit.cli, and after
-    each cli.main run in turn, in a fresh interpreter."""
+    each cli.main run in turn, in a fresh interpreter; and at each of those
+    points whether any module named scipy or scipy.* is loaded."""
     src = str(Path(sabrkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -56,33 +63,34 @@ def test_price_and_vol_objective_calibrate_runs_load_none(tmp_path):
     quotes = tmp_path / "quotes.csv"
     quotes.write_text("day,type,expiry_months,delta,implied_vol\n"
                       "1,C,12,0.5,0.2\n1,C,12,0.25,0.21\n1,P,12,0.25,0.22\n")
-    seen = loaded_after([
+    runs = [
         # price evaluates its lattice point by point, in float calls
         ("price", ["price", "--model", "sa2,h,d,bs", "--y=-0.2:0.2:5", "--t", "0.5,1"]),
         ("synthetic", ["calibrate", "--synth-days", "1"]),
         ("quotes", ["calibrate", "--quotes", str(quotes), "--sigma-prev", "0.2",
                     "--objective", "sigma_d"]),
         ("sigma_h", ["calibrate", "--synth-days", "1", "--objective", "sigma_h"]),
-    ])
-    assert seen == {"import": [], "price": [], "synthetic": [], "quotes": [], "sigma_h": []}
+        # mc prices its closed-form columns as price does
+        ("mc", ["mc", "--paths", "1000", "--dt", "0.01", "--strikes", "8:12:9"]),
+    ]
+    seen, bare = loaded_after(runs)
+    names = ["import"] + [name for name, _ in runs]
+    assert seen == dict.fromkeys(names, [])
+    assert bare == dict.fromkeys(names, False)
 
 
-def test_residual_and_mc_runs_load_only_special():
-    for name, argv in [
-        ("residual", ["residual", "--preset", "table4"]),
-        ("mc", ["mc", "--paths", "1000", "--dt", "0.01", "--strikes", "10"]),
-    ]:
-        seen = loaded_after([(name, argv)])
-        assert seen == {"import": [], name: ["scipy.special"]}
+def test_residual_run_loads_only_special():
+    seen, _ = loaded_after([("residual", ["residual", "--preset", "table4"])])
+    assert seen == {"import": [], "residual": ["scipy.special"]}
 
 
 def test_fd_run_loads_special_and_sparse():
-    seen = loaded_after([("fd", ["fd", "--levels", "0"])])
+    seen, _ = loaded_after([("fd", ["fd", "--levels", "0"])])
     assert seen == {"import": [], "fd": ["scipy.sparse", "scipy.special"]}
 
 
 def test_price_objective_fit_loads_only_special():
-    seen = loaded_after([
+    seen, _ = loaded_after([
         ("calibrate", ["calibrate", "--synth-days", "1", "--objective", "price_sa2"]),
     ])
     assert seen == {"import": [], "calibrate": ["scipy.special"]}

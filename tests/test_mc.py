@@ -2,6 +2,7 @@ import logging
 import math
 import re
 
+import numpy as np
 import pytest
 
 from sabrkit import (
@@ -278,3 +279,52 @@ class TestSizeLimits:
         ]
         with pytest.raises(AssertionError, match="started a simulation"):
             simulate_prices(queries, self.PARAMS, McConfig(n_paths=30000, dt=1e-3))
+
+
+def concatenate_then_multiply(
+    seed_seq, n, forward, strikes, params, n_steps, dt, antithetic, out
+):
+    """_block_payoffs as it was before it mirrored the increments: the
+    antithetic normals are concatenated first and every path's increments
+    formed from them."""
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    nu, rho = params.nu, params.rho
+    rho_c = math.sqrt(1.0 - rho * rho)
+    sqdt = math.sqrt(dt)
+    x = np.full(2 * n if antithetic else n, math.log(forward))
+    sigma = np.full_like(x, params.sigma0)
+    log_sigma_drift = -0.5 * nu * nu * dt
+    for _ in range(n_steps):
+        z1 = rng.standard_normal(n)
+        z2 = rng.standard_normal(n)
+        if antithetic:
+            z1 = np.concatenate([z1, -z1])
+            z2 = np.concatenate([z2, -z2])
+        dw1 = sqdt * (rho * z2 + rho_c * z1)
+        x += -0.5 * sigma * sigma * dt + sigma * dw1
+        sigma *= np.exp(nu * sqdt * z2 + log_sigma_drift)
+    payoff = np.empty((strikes.size, 2 * n)) if antithetic else out
+    np.subtract(np.exp(x), strikes[:, None], out=payoff)
+    np.maximum(payoff, 0.0, out=payoff)
+    if antithetic:
+        np.add(payoff[:, :n], payoff[:, n:], out=out)
+        out *= 0.5
+
+
+class TestBlockPayoffs:
+    STRIKES = np.linspace(8.0, 12.0, 9)
+
+    @pytest.mark.parametrize(
+        "params",
+        [SabrParams(sigma0=0.2, nu=0.2, rho=-0.3), SabrParams(sigma0=0.35, nu=1.1, rho=0.6)],
+    )
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("n", [1, 2712, _BLOCK])
+    def test_bit_identical_to_concatenating_the_normals(self, params, antithetic, n):
+        # negating the products is exact, so the mirrored increments are the
+        # increments of the negated normals
+        args = (10.0, self.STRIKES, params, 25, 0.01, antithetic)
+        got, want = np.empty((2, self.STRIKES.size, n))
+        mc._block_payoffs(np.random.SeedSequence(7), n, *args, got)
+        concatenate_then_multiply(np.random.SeedSequence(7), n, *args, want)
+        assert np.array_equal(got, want)
