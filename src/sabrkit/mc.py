@@ -6,6 +6,13 @@ increments. The generator is counter-based (Philox), so path blocks are
 reproducible regardless of scheduling. One path set serves every strike of
 an expiry: the paths are stepped once and each strike's payoff is taken
 from the same terminal log-forwards.
+
+A block marches _CHUNK time steps per pass from one draw of normals, taken
+in the stream order of one (z1, z2) pair of draws per step, so its payoffs
+are bit-identical to stepping one time step per pass. What is left of the
+cost is mostly the normal draws themselves. Under antithetics a block of n
+samples steps n drawn paths and their n mirrors, so an odd n_paths steps
+one path fewer: n_paths // 2 pairs.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from .expansion import SabrParams
 __all__ = ["McConfig", "simulate_price", "simulate_prices"]
 
 _BLOCK = 4096
+# time steps a block marches per pass, from one draw of normals
+_CHUNK = 4
 
 # the most path-steps (paths x time steps) one simulation may march, as
 # fd._MAX_NODE_STEPS for FD; mc-paper takes 3e7
@@ -72,6 +81,70 @@ def _max_workers() -> int:
     return max(1, n)
 
 
+def _log_forwards(
+    rng: np.random.Generator,
+    n: int,
+    forward: float,
+    params: SabrParams,
+    n_steps: int,
+    dt: float,
+    antithetic: bool,
+) -> np.ndarray:
+    """The terminal log-forwards of n drawn paths, followed under
+    antithetics by their n mirrors, stepped _CHUNK time steps per pass. The
+    step buffers are freed on return, before any payoff is formed."""
+    nu, rho = params.nu, params.rho
+    rho_c = math.sqrt(1.0 - rho * rho)
+    sqdt = math.sqrt(dt)
+    log_sigma_drift = -0.5 * nu * nu * dt
+    nu_sqdt = nu * sqdt
+    width = 2 * n if antithetic else n
+    x = np.full(width, math.log(forward))
+    # z[s] holds step s's normals (z1, z2), drawn in the order of one pair
+    # of standard_normal(n) calls per step; once used, z1 holds the drawn
+    # paths' dw1 and, under antithetics, z2 the mirrored paths' -dw1
+    z = np.empty((_CHUNK, 2, n))
+    # sigma[s] is sigma before step s of the chunk, sigma[m] after its last
+    # step; sigma[1:] first holds the step factors exp(d ln sigma + drift)
+    sigma = np.empty((_CHUNK + 1, width))
+    sigma[0] = params.sigma0
+    dx = np.empty((_CHUNK, width))
+    for first in range(0, n_steps, _CHUNK):
+        m = min(_CHUNK, n_steps - first)
+        zm, sig, inc = z[:m], sigma[: m + 1], dx[:m]
+        rng.standard_normal(out=zm)
+        z1, z2 = zm[:, 0], zm[:, 1]
+        # dw1 = sqdt * (rho * z2 + rho_c * z1), in place in z1
+        np.multiply(z2, rho, out=inc[:, :n])
+        z1 *= rho_c
+        z1 += inc[:, :n]
+        z1 *= sqdt
+        z2 *= nu_sqdt
+        np.add(z2, log_sigma_drift, out=sig[1:, :n])
+        if antithetic:
+            # the mirrored paths' increments are the negated products, bit
+            # for bit: IEEE negation is exact and commutes with them, and
+            # drift - a is (-a) + drift
+            np.subtract(log_sigma_drift, z2, out=sig[1:, n:])
+            np.negative(z1, out=z2)
+            dw1 = zm.reshape(m, width)
+        else:
+            dw1 = z1
+        np.exp(sig[1:], out=sig[1:])
+        for s in range(m):
+            sig[s + 1] *= sig[s]
+        # dx = -0.5 * sigma * sigma * dt + sigma * dw1, in that operation order
+        np.multiply(sig[:m], -0.5, out=inc)
+        inc *= sig[:m]
+        inc *= dt
+        dw1 *= sig[:m]
+        inc += dw1
+        for s in range(m):
+            x += inc[s]
+        sigma[0] = sig[m]
+    return x
+
+
 def _block_payoffs(
     seed_seq: np.random.SeedSequence,
     n: int,
@@ -87,31 +160,15 @@ def _block_payoffs(
     pair-averaged under antithetics; the paths are stepped once for all
     strikes."""
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    nu, rho = params.nu, params.rho
-    rho_c = math.sqrt(1.0 - rho * rho)
-    sqdt = math.sqrt(dt)
-    x = np.full(2 * n if antithetic else n, math.log(forward))
-    sigma = np.full_like(x, params.sigma0)
-    log_sigma_drift = -0.5 * nu * nu * dt
-    nu_sqdt = nu * sqdt
-    for _ in range(n_steps):
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        dw1 = sqdt * (rho * z2 + rho_c * z1)
-        dlog_sigma = nu_sqdt * z2
-        if antithetic:
-            # the mirrored paths' increments are the negated products, bit
-            # for bit: IEEE negation is exact and commutes with them
-            dw1 = np.concatenate([dw1, -dw1])
-            dlog_sigma = np.concatenate([dlog_sigma, -dlog_sigma])
-        x += -0.5 * sigma * sigma * dt + sigma * dw1
-        sigma *= np.exp(dlog_sigma + log_sigma_drift)
-    payoff = np.empty((strikes.size, 2 * n)) if antithetic else out
+    x = _log_forwards(rng, n, forward, params, n_steps, dt, antithetic)
     with np.errstate(over="ignore"):  # simulate_prices rejects an infinite price
-        np.subtract(np.exp(x), strikes[:, None], out=payoff)
-    np.maximum(payoff, 0.0, out=payoff)
+        np.exp(x, out=x)
+    np.subtract(x[:n], strikes[:, None], out=out)
+    np.maximum(out, 0.0, out=out)
     if antithetic:
-        np.add(payoff[:, :n], payoff[:, n:], out=out)
+        mirrored = np.subtract(x[n:], strikes[:, None])
+        np.maximum(mirrored, 0.0, out=mirrored)
+        out += mirrored
         out *= 0.5
 
 

@@ -1,3 +1,4 @@
+import inspect
 import logging
 import math
 import re
@@ -16,7 +17,7 @@ from sabrkit import (
     simulate_prices,
 )
 from sabrkit import mc
-from sabrkit.mc import _BLOCK, _MAX_PATH_STEPS, _MAX_SAMPLE_BYTES, _max_workers
+from sabrkit.mc import _BLOCK, _CHUNK, _MAX_PATH_STEPS, _MAX_SAMPLE_BYTES, _max_workers
 
 
 class TestConfig:
@@ -322,9 +323,40 @@ class TestBlockPayoffs:
     @pytest.mark.parametrize("n", [1, 2712, _BLOCK])
     def test_bit_identical_to_concatenating_the_normals(self, params, antithetic, n):
         # negating the products is exact, so the mirrored increments are the
-        # increments of the negated normals
-        args = (10.0, self.STRIKES, params, 25, 0.01, antithetic)
-        got, want = np.empty((2, self.STRIKES.size, n))
-        mc._block_payoffs(np.random.SeedSequence(7), n, *args, got)
-        concatenate_then_multiply(np.random.SeedSequence(7), n, *args, want)
+        # increments of the negated normals; one draw per chunk of steps is
+        # the per-step stream, on either side of each chunk boundary
+        for n_steps in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 25):
+            args = (10.0, self.STRIKES, params, n_steps, 0.01, antithetic)
+            got, want = np.empty((2, self.STRIKES.size, n))
+            mc._block_payoffs(np.random.SeedSequence(7), n, *args, got)
+            concatenate_then_multiply(np.random.SeedSequence(7), n, *args, want)
+            assert np.array_equal(got, want), n_steps
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_overflowing_forward_bit_identical_and_rejected(self, antithetic):
+        # some terminal forwards e^x are not floats, after a chunk boundary:
+        # the payoffs are inf where the oracle's are, and the price names
+        # the forward
+        params = SabrParams(sigma0=1.0, nu=0.125, rho=-0.4)
+        dt = 1.0 / (_CHUNK + 1)  # _CHUNK + 1 steps to expiry 1
+        args = (1e308, np.array([1e308]), params, _CHUNK + 1, dt, antithetic)
+        got, want = np.empty((2, 1, 200))
+        mc._block_payoffs(np.random.SeedSequence(3), 200, *args, got)
+        with np.errstate(over="ignore"):
+            concatenate_then_multiply(np.random.SeedSequence(3), 200, *args, want)
+        assert np.isinf(want).any()
         assert np.array_equal(got, want)
+        q = OptionQuery(spot=1e308, strike=1e308, expiry=1.0)
+        cfg = McConfig(n_paths=400, dt=dt, antithetic=antithetic)
+        with pytest.raises(DomainError, match=re.escape(f"at forward = {q.forward}")):
+            simulate_prices([q], params, cfg)
+
+    def test_parameter_names_the_tracer_reads(self):
+        # benchmarks/tracing.py binds each call's arguments by name to count
+        # 2n or n paths times n_steps, so a rename would break that count;
+        # the order is pinned too, as simulate_prices passes them by position
+        names = list(inspect.signature(mc._block_payoffs).parameters)
+        assert names == [
+            "seed_seq", "n", "forward", "strikes", "params", "n_steps", "dt",
+            "antithetic", "out",
+        ]

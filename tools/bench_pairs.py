@@ -1,0 +1,133 @@
+"""Paired benchmark runs of two checkouts, in alternating fresh processes.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload mc --seeds 60-67 \
+        --seconds 30 [--out pairs.json]
+
+Each pair runs `benchmarks/run.py --workload W --seed S --seconds X
+--trace 0` once from each checkout's root, each in a fresh interpreter;
+the side that runs first alternates, the parent first in even pairs. For
+every end-to-end metric BENCHMARK.json lists, the JSON printed (and
+written to --out) gives both sides' runs, medians and quartiles, the
+per-pair ratios change/parent, how many pairs the change won, and the
+change's median against the parent's quartile spread and the metric's
+bound. `--workload` takes several names; each runs its own pairs. Uses
+only the standard library; the checkouts' benchmarks are not modified.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def seed_list(text: str) -> list[int]:
+    """'60-67' or '60,61,65' (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "-B", "benchmarks/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          timeout=max(900.0, 20 * seconds))
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(
+            f"{checkout}: {' '.join(argv[2:])} exited with {proc.returncode}\n"
+            f"{proc.stderr}"
+        )
+    return json.loads(lines[-1])
+
+
+def quartiles(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
+            "runs": [round(v, 6) for v in runs]}
+
+
+def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
+    lower = metric["better"] == "lower"
+    p, c = quartiles(parent), quartiles(change)
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(parent, change))
+    rel = c["median"] / p["median"] - 1.0
+    gain = (p["median"] - c["median"]) if lower else (c["median"] - p["median"])
+    return {
+        "unit": metric["unit"],
+        "parent": p,
+        "change": c,
+        "ratios": [round(b / a, 4) for a, b in zip(parent, change)],
+        "change_wins": wins,
+        "ties": sum(a == b for a, b in zip(parent, change)),
+        "change_rel": round(rel, 4),
+        "parent_iqr_rel": round((p["q3"] - p["q1"]) / p["median"], 4),
+        # a gain counts only past the spread of the parent's own runs
+        "gain_beyond_parent_iqr": gain > p["q3"] - p["q1"],
+        "bound": metric["bound"],
+        "worse_than_bound": (rel if lower else -rel) > metric["bound"],
+    }
+
+
+def pair_runs(args, workload: str, metrics: list[dict]) -> dict:
+    runs = {side: [] for side in SIDES}
+    first = []
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            result = run_once(getattr(args, side), workload, seed, args.seconds)
+            runs[side].append(result)
+            wall = result["metrics"]["wall_s"]["value"]
+            print(f"# {workload} seed {seed} {side}: wall_s {wall:.4f}", file=sys.stderr)
+    record = {"pairs": len(args.seeds), "seeds": args.seeds, "first": first}
+    for side in SIDES:
+        record[side] = {
+            "attempted_ops": sum(r["attempted"] for r in runs[side]),
+            "failed_ops": sum(r["failed"] for r in runs[side]),
+            "all_correct": all(r["correct"] for r in runs[side]),
+        }
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        record[name] = compare(metric, values["parent"], values["change"])
+    return record
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument("change", type=Path, help="checkout with the change")
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--seeds", type=seed_list, required=True,
+                        help="e.g. 60-67 or 60,61,62")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", type=Path, help="also write the JSON here")
+    args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least 2 pairs")
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = benchmark["end_to_end"]
+    result = {
+        "command": f"benchmarks/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "workloads": {w: pair_runs(args, w, metrics) for w in args.workload},
+    }
+    text = json.dumps(result, indent=1)
+    if args.out:
+        args.out.write_text(text + "\n", encoding="utf-8")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
