@@ -8,12 +8,13 @@ sigma-grid, Black-Scholes boundary data, a refinement sequence with
 Richardson error estimation, and a PDE-residual diagnostic for the
 closed-form approximations. Strike is normalized to K = 1, r = 0.
 
-Each time step is one sparse product: the explicit step I + dt L is
-assembled once per solve as a matrix of nine diagonals (DIA format) over
-the whole flattened (x, sigma) grid, with zero rows for the edge nodes.
-The boundary data is the nu = 0 solution, `core.c_rel`, written on all
-four edges of the rectangle after each product; one array call computes
-the edge values of a block of 32 time steps.
+Each time step is one call of scipy's DIA product kernel: the explicit
+step I + dt L is assembled once per solve as a matrix of nine diagonals
+(DIA format) over the whole flattened (x, sigma) grid, with zero rows for
+the edge nodes. The boundary data is the nu = 0 solution, `core.c_rel`,
+written on all four edges of the rectangle after each product; one array
+call computes the edge values of a block of 32 time steps. Only steps
+that the step matrix's growth could take past the bound are checked.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ PriceFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # the most node-steps (grid nodes x time steps) one solve may march: level 4
 # of every FD preset fits (at most 4.0e9, fd1-row1's cut-off grid), and at
-# about 7 ns a node-step (levels 3 and 4, one core of a 2-vCPU Xeon) the
-# limit is about 35 s of marching
+# about 6 ns a node-step (level 4, one core of a 2-vCPU Xeon) the limit is
+# about 30 s of marching
 _MAX_NODE_STEPS = 5_000_000_000
 
 # the explicit step's safety factor against the stability bound
@@ -289,29 +290,60 @@ def _window_indices(grid: FdGrid, config: FdConfig) -> tuple[np.ndarray, np.ndar
     return ix, js
 
 
+def _growth_factor(step: scipy.sparse.dia_matrix, ns: int) -> float:
+    """The step matrix's largest absolute row sum, the most one product can
+    multiply max|w| by, from the 9 x (ns - 2) weights of nodes (1, 1..ns-2)."""
+    cols = np.arange(ns + 1, 2 * ns - 1) + step.offsets[:, np.newaxis]
+    return float(np.abs(np.take_along_axis(step.data, cols, axis=1)).sum(axis=0).max())
+
+
 def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
-    """Time-march the cut-off PDE to T on the level given by the config."""
+    """Time-march the cut-off PDE to T on the level given by the config.
+
+    Each step is one call, into a reused buffer, of the DIA kernel that
+    `step @ flat` ends in, so the values are bit for bit the product's. A
+    step is checked for a non-finite or exploding node only where
+    alpha^j max(top, edge values since) could pass the bound, j steps after
+    the last check read top, alpha the largest absolute row sum."""
     grid = _level_grid(params, T, config)
     nt = grid.n_time_steps
     dt = T / nt
     step = _step_matrix(grid, params, dt)
+    # private, but loaded with scipy.sparse; the bitwise tests guard it
+    from scipy.sparse._sparsetools import dia_matvec
     shape = (grid.x_nodes.size, grid.sigma_nodes.size)
     flat = np.repeat(_cell_averaged_payoff(grid.x_nodes, grid.dx), shape[1])
     # fixed, since no edge value can exceed it: c_rel(y) <= e^y <= e^x_max,
     # which is below 1e3 or else below 1.01 (e^x_max - 1) <= 1.01 max payoff
     bound = max(1.01 * float(flat.max()), 1e3)
+    # a step gives max|w| <= max(alpha max|w|, edge values); alpha's margin
+    # covers the sums' rounding, and the finite limit excuses no overflow
+    alpha = _growth_factor(step, shape[1]) * (1.0 + 1e-12)
+    limit = min(bound, 1e300)
+    grow, top = 1.0, float(flat.max())
+    out = np.empty_like(flat)
     ex, es = _edge_nodes(grid)
     edge = np.ravel_multi_index((ex, es), shape)
     x_edge, s_edge = grid.x_nodes[ex], grid.sigma_nodes[es]
     for k0 in range(0, nt, _EDGE_BLOCK):
         ks = np.arange(k0 + 1, min(k0 + _EDGE_BLOCK, nt) + 1)
         edge_block = c_rel(x_edge, s_edge, (ks * dt)[:, np.newaxis])
+        # np.maximum keeps a NaN, which fails every comparison below
+        edge_top = float(np.abs(edge_block).max())
+        top = float(np.maximum(top, edge_top))
         for k, edge_values in zip(ks, edge_block):
-            flat = step @ flat
+            out.fill(0.0)
+            dia_matvec(flat.size, flat.size, 9, flat.size, step.offsets, step.data, flat, out)
+            flat, out = out, flat
             flat[edge] = edge_values
+            grow *= alpha
+            if grow * top <= limit:
+                continue
+            top = float(np.abs(flat).max())
             # NaN and inf fail the comparison too
-            if not float(np.abs(flat).max()) <= bound:
+            if not top <= bound:
                 raise _instability(flat.reshape(shape), grid, k * dt)
+            grow, top = 1.0, float(np.maximum(top, edge_top))
     ix, js = _window_indices(grid, config)
     return FdSolution(
         grid=grid,

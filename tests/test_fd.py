@@ -27,6 +27,7 @@ from sabrkit.fd import (
     _MAX_NODE_STEPS,
     _cell_averaged_payoff,
     _cutoff_config,
+    _growth_factor,
     _instability,
     _level_grid,
     _step_matrix,
@@ -179,6 +180,31 @@ class TestStepMatrix:
         got[1:-1, 1:-1] = 0.0
         assert not got.any()  # the edge rows are exactly zero
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nu=st.floats(0.0, 2.0),
+        rho=st.floats(-0.99, 0.99),
+        level=st.integers(0, 1),
+        dt_frac=st.floats(1e-3, 1.0),
+    )
+    @example(nu=0.0, rho=0.0, level=0, dt_frac=1.0)
+    @example(nu=0.0, rho=0.0, level=1, dt_frac=0.5)
+    def test_growth_factor_is_the_largest_absolute_row_sum(self, nu, rho, level, dt_frac):
+        params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
+        grid = build_grid(FdConfig(level=level))
+        dt = dt_frac / stable_time_steps(grid, params, 1.0)
+        step = _step_matrix(grid, params, dt)
+        alpha = _growth_factor(step, grid.sigma_nodes.size)
+        want = max(math.fsum(row) for row in np.abs(step.toarray()))
+        # equal up to the rounding of solve's nine-term sum
+        assert alpha == pytest.approx(want, rel=1e-15, abs=0.0)
+        # every row of I + dt L sums to 1, so no row's absolute sum is less
+        assert alpha >= 1.0 - 1e-15
+        if nu == 0.0:
+            # no cross or sigma weights, and the x weights are nonnegative
+            # below the stability bound: the absolute sum is the sum
+            assert alpha == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
     def test_layout(self):
         grid = build_grid(FdConfig(level=1))
         nx, ns = grid.x_nodes.size, grid.sigma_nodes.size
@@ -224,6 +250,102 @@ def csr_march(params, T, config):
             interior[...] = (csr @ flat).reshape(interior.shape)
             w[ring] = edge_values
     return w
+
+
+def product_march(params, T, config):
+    """solve's march as it was before the kernel call and the growth bound:
+    `step @ flat`, the edge write and the instability check after every
+    step; returns the final grid values or raises FdInstabilityError."""
+    grid = _level_grid(params, T, config)
+    nt = grid.n_time_steps
+    dt = T / nt
+    step = _step_matrix(grid, params, dt)
+    shape = (grid.x_nodes.size, grid.sigma_nodes.size)
+    flat = np.repeat(_cell_averaged_payoff(grid.x_nodes, grid.dx), shape[1])
+    bound = max(1.01 * float(flat.max()), 1e3)
+    ex, es = fd._edge_nodes(grid)
+    edge = np.ravel_multi_index((ex, es), shape)
+    for k0 in range(0, nt, fd._EDGE_BLOCK):
+        ks = np.arange(k0 + 1, min(k0 + fd._EDGE_BLOCK, nt) + 1)
+        edge_block = fd.c_rel(grid.x_nodes[ex], grid.sigma_nodes[es], (ks * dt)[:, np.newaxis])
+        for k, edge_values in zip(ks, edge_block):
+            flat = step @ flat
+            flat[edge] = edge_values
+            if not float(np.abs(flat).max()) <= bound:
+                raise _instability(flat.reshape(shape), grid, k * dt)
+    return flat.reshape(shape)
+
+
+def march_outcome(march, params, T, config):
+    # the final values, or the text of the instability error raised
+    try:
+        return march(params, T, config)
+    except FdInstabilityError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(params, T, config):
+    got = march_outcome(lambda *a: solve(*a).values, params, T, config)
+    want = march_outcome(product_march, params, T, config)
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+class TestCheckedSteps:
+    # solve checks only the steps that the step matrix's growth factor
+    # could take past the bound; the outcome must be that of checking
+    # every step, stable or not
+    @pytest.mark.parametrize("safety", [0.9, 1.6, 2.0, 2.5, 3.0, 10.0])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("preset", ["fd1-row7", "fd2-row3"])
+    def test_same_values_or_error_as_checking_every_step(
+        self, monkeypatch, preset, level, safety
+    ):
+        monkeypatch.setattr(fd, "_C_SAFETY", safety)
+        p = FD_PRESETS[preset]
+        params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
+        assert_same_outcome(params, p["t"], FdConfig(level=level))
+
+    def test_failure_in_the_middle_of_a_later_block(self, monkeypatch):
+        # step 55 of 157, the 23rd step of the second edge block, as the
+        # march that checked every step gave it
+        monkeypatch.setattr(fd, "_C_SAFETY", 1.6)
+        p = FD_PRESETS["fd1-row7"]
+        params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
+        with pytest.raises(FdInstabilityError) as info:
+            solve(params, p["t"], FdConfig(level=2))
+        assert str(info.value) == "exploding value 1328 at x=0.125, sigma=1.484, t=0.1752"
+
+    def test_infinite_bound_excuses_no_step(self):
+        # e^(x + dx/2) overflows at the last node of x_max = 709.7, so the
+        # cell-averaged payoff there and the bound are inf; the first step
+        # gives a non-finite node
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        config = FdConfig(x_max=709.7)
+        assert_same_outcome(params, 0.5, config)
+        with pytest.raises(FdInstabilityError, match="^non-finite value at x=591.4,"):
+            solve(params, 0.5, config)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e5])
+    def test_bad_edge_value_raises_at_its_step(self, monkeypatch, bad):
+        # one edge node of step 40 (of 73), inside the second block, is made
+        # non-finite or exploding: the growth bound must not excuse it
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        assert _level_grid(params, 0.5, FdConfig(level=1)).n_time_steps == 73
+        dt = 0.5 / 73
+
+        def spoiled(x, s, t):
+            block = c_rel(x, s, t)
+            block[t[:, 0] == 40 * dt, 7] = bad
+            return block
+
+        monkeypatch.setattr(fd, "c_rel", spoiled)
+        assert_same_outcome(params, 0.5, FdConfig(level=1))
+        with pytest.raises(FdInstabilityError, match=r"t=0\.274\b"):
+            solve(params, 0.5, FdConfig(level=1))
 
 
 class TestDiaStep:

@@ -12,6 +12,7 @@ the kappa0 = 1 minus kappa0 = 0 differences of `f1_term` and `f2_term`:
 with V'(0) = sigma (theta - sigma) t^2, V''(0) = (2/3) t^3 (sigma -
 theta)(2 sigma - theta), P_V = N'(d_-) / (2 sqrt(V)) the variance
 derivative of c_rel at V = sigma^2 t and P_VV = P_V (d_+ d_- - 1) / (2V).
+Their y-derivatives, times K/S, are the kappa0 part of `delta_sa2`.
 The oracle needs the standard library and numpy only.
 """
 
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from sabrkit import OptionQuery, f1_term, f2_term
+from sabrkit import OptionQuery, SabrParams, delta_sa2, f1_term, f2_term
 from sabrkit.meanrev import MeanRevState, total_variance
 
 N_DRAWS = 2000
@@ -43,6 +44,16 @@ def v_second(sigma, theta, t):
     return 2.0 / 3.0 * t**3 * (sigma - theta) * (2.0 * sigma - theta)
 
 
+def p_v_terms(sigma, t, y):
+    # V = sigma^2 t, sqrt(V), d_-, d_+ and P_V at y
+    var = sigma * sigma * t
+    root = math.sqrt(var)
+    d_minus = y / root - root / 2.0
+    d_plus = d_minus + root
+    p_v = math.exp(-0.5 * d_minus * d_minus) / math.sqrt(2.0 * math.pi) / (2.0 * root)
+    return var, root, d_minus, d_plus, p_v
+
+
 def rel_err(got, want):
     return abs(got - want) / max(abs(got) + abs(want), math.ulp(0.0))
 
@@ -53,18 +64,42 @@ def test_kappa0_terms_are_the_deterministic_vol_limit():
         q = OptionQuery(spot=math.exp(y), strike=1.0, expiry=t)
         f1 = f1_term(q, sigma, 0.0, 1.0, theta) - f1_term(q, sigma, 0.0, 0.0, theta)
         f2 = f2_term(q, sigma, 0.0, 1.0, theta) - f2_term(q, sigma, 0.0, 0.0, theta)
-        y = q.log_moneyness
-        var = sigma * sigma * t
-        root = math.sqrt(var)
-        d_minus = y / root - root / 2.0
-        d_plus = d_minus + root
-        p_v = math.exp(-0.5 * d_minus * d_minus) / math.sqrt(2.0 * math.pi) / (2.0 * root)
+        var, _, d_minus, d_plus, p_v = p_v_terms(sigma, t, q.log_moneyness)
         p_vv = p_v * (d_plus * d_minus - 1.0) / (2.0 * var)
         dv, d2v = v_prime(sigma, theta, t), v_second(sigma, theta, t)
         worst1 = max(worst1, rel_err(f1, p_v * dv))
         worst2 = max(worst2, rel_err(f2, 0.5 * (p_vv * dv * dv + p_v * d2v)))
     assert worst1 <= 1e-11, worst1
     assert worst2 <= 1e-11, worst2
+
+
+def test_kappa0_part_of_delta_is_the_y_derivative_of_the_limit():
+    # at rho = 0, delta_sa2(kappa0 = 1) - delta_sa2(kappa0 = 0) is
+    # (K/S) [nu dP_V V'(0) + nu^2 (dP_VV V'(0)^2 + dP_V V''(0)) / 2], with d the
+    # y-derivative: dP_V = -P_V d_- / sqrt(V) and dP_VV = dP_V (d_+ d_- - 1)
+    # / (2V) + P_V (d_+ + d_-) / (2V sqrt(V)). Both deltas carry the same
+    # N(d_+), which rounds at the deltas' size, so the error is taken
+    # relative to |delta(1)| + |delta(0)|
+    nus = np.random.default_rng(15).uniform(0.05, 1.0, N_DRAWS).tolist()
+    worst = 0.0
+    for (sigma, theta, t, y), nu in zip(draws(seed=14), nus):
+        q = OptionQuery(spot=math.exp(y), strike=1.0, expiry=t)
+        one, zero = (
+            delta_sa2(q, SabrParams(sigma0=sigma, nu=nu, rho=0.0, kappa0=k, theta=theta))
+            for k in (1.0, 0.0)
+        )
+        var, root, d_minus, d_plus, p_v = p_v_terms(sigma, t, q.log_moneyness)
+        dy_p_v = -p_v * d_minus / root
+        dy_p_vv = dy_p_v * (d_plus * d_minus - 1.0) / (2.0 * var) + p_v * (
+            d_plus + d_minus
+        ) / (2.0 * var * root)
+        dv, d2v = v_prime(sigma, theta, t), v_second(sigma, theta, t)
+        want = q.strike / q.spot * (
+            nu * dy_p_v * dv + 0.5 * nu * nu * (dy_p_vv * dv * dv + dy_p_v * d2v)
+        )
+        scale = max(abs(one) + abs(zero), math.ulp(0.0))
+        worst = max(worst, abs((one - zero) - want) / scale)
+    assert worst <= 1e-11, worst
 
 
 def test_variance_derivatives_are_meanrev_total_variance():

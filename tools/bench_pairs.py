@@ -27,13 +27,18 @@ SIDES = ("parent", "change")
 
 
 def seed_list(text: str) -> list[int]:
-    """'60-67' or '60,61,65' (or a mix) as a list of seeds."""
+    """'60-67' or '60,61,65' (or a mix) as a list of seeds. A part that is
+    empty, not a number or a descending range such as '70-65' is an error."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+        lo, dash, hi = part.partition("-")
+        try:
+            first, last = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a seed or a seed range: {part!r}") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"descending seed range {part!r}")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 
