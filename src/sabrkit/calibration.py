@@ -171,10 +171,10 @@ def delta_to_moneyness(delta, sigma_prev, T):
 
 
 class _DayObjective:
-    """One day under one objective: the day's monomials (y, t, t^2, t y,
-    y^2) with the log-moneyness y resolved, on which sigma_d and its
-    Jacobian are evaluated (the h and sa2 objectives read y and t from the
-    first two rows), and the quoted values its model values are compared
+    """One day under one objective: the day's log-moneyness y, resolved
+    from delta where the day quotes delta, and expiry t; for the d
+    objectives, the monomials of (y, t) that sigma_d and its Jacobian are
+    evaluated on; and the quoted values its model values are compared
     with."""
 
     def __init__(self, day: QuoteDay, objective: str, sigma_prev: float | None):
@@ -188,7 +188,9 @@ class _DayObjective:
         self.closed_form = self.model == "d"
         t = day.expiry
         y = day.moneyness if day.delta is None else delta_to_moneyness(day.delta, sigma_prev, t)
-        self.monomials = np.array(_monomials(y, t))
+        self.y, self.t = y, t
+        if self.closed_form:
+            self.monomials = np.array(_monomials(y, t))
 
     @functools.cached_property
     def targets(self) -> np.ndarray:
@@ -197,7 +199,7 @@ class _DayObjective:
         use, where c_rel cannot form the prices."""
         if self.quantity == "vol":
             return self.day.implied_vol
-        target = c_rel(self.monomials[0], self.day.implied_vol, self.monomials[1])
+        target = c_rel(self.y, self.day.implied_vol, self.t)
         if self.quantity == "log price":
             # a nonpositive value gives a non-finite log, which is skipped
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -211,7 +213,7 @@ class _DayObjective:
         takes (None otherwise). A DomainError where the targets cannot be
         formed or the model rejects params."""
         targets = self.targets
-        y, t = self.monomials[0], self.monomials[1]
+        y, t = self.y, self.t
         state = None
         if self.closed_form:
             # price_d's and sigma_d's evaluations, from the monomials
@@ -236,7 +238,7 @@ class _DayObjective:
         residual is skipped is the caller's to zero."""
         jac = _sigma_d_jacobian(self.monomials, params, quote.clamped)
         if self.quantity != "vol":
-            y, t = self.monomials[0], self.monomials[1]
+            y, t = self.y, self.t
             # a row that is not finite here is a skipped quote's (a zero price)
             with np.errstate(all="ignore"):
                 vega = _c_rel_vega(_NUMPY, y, quote.value, t)
@@ -483,11 +485,13 @@ def synth_panel(
     """Desk-shaped synthetic panel: 2 x 10 expiries x 13 deltas = 260
     quotes per day, implied vols from one sigma_d array call plus Gaussian
     noise from one (n_days, 260) draw, floored at 1e-4. quote_with selects
-    whether the days carry moneyness or delta."""
+    whether the days carry "moneyness" or "delta"."""
     if not (n_days >= 1):
         raise DomainError(f"a panel needs at least one day, got n_days = {n_days}")
-    if noise_level < 0.0:
-        raise DomainError(f"noise_level must be nonnegative, got {noise_level}")
+    if not (0.0 <= noise_level < math.inf):
+        raise DomainError(f"noise_level must be nonnegative and finite, got {noise_level}")
+    if quote_with not in ("moneyness", "delta"):
+        raise DomainError(f"quote_with must be 'moneyness' or 'delta', got {quote_with!r}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     # the 130 (expiry, delta) points, expiry-major, each quoted as a C then a P

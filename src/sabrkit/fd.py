@@ -9,30 +9,25 @@ Richardson error estimation, and a PDE-residual diagnostic for the
 closed-form approximations. Strike is normalized to K = 1, r = 0.
 
 Each time step is one call of scipy's DIA product kernel: the explicit
-step I + dt L is assembled once per solve as a matrix of nine diagonals
-(DIA format) over the whole flattened (x, sigma) grid, with zero rows for
-the edge nodes. The boundary data is the nu = 0 solution, `core.c_rel`,
-written on all four edges of the rectangle after each product; one array
-call computes the edge values of a block of 32 time steps. Only steps
-that the step matrix's growth could take past the bound are checked.
+step I + dt L is built once per solve as nine weight diagonals over the
+whole flattened (x, sigma) grid, with zero rows for the edge nodes and no
+matrix object around them. The boundary data is the nu = 0 solution,
+`core.c_rel`, written on all four edges of the rectangle after each
+product; one array call computes the edge values of a block of 32 time
+steps. Only steps
+that the step's growth could take past the bound are checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import DomainError, _require_at, c_rel
 from .expansion import SabrParams
-
-if TYPE_CHECKING:
-    # for _step_matrix's return annotation, a string at run time: scipy
-    # loads only in _step_matrix, so subcommands without an FD solve never
-    # import it
-    import scipy.sparse
 
 __all__ = [
     "FdConfig",
@@ -56,8 +51,8 @@ PriceFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # the most node-steps (grid nodes x time steps) one solve may march: level 4
 # of every FD preset fits (at most 4.0e9, fd1-row1's cut-off grid), and at
-# about 6 ns a node-step (level 4, one core of a 2-vCPU Xeon) the limit is
-# about 30 s of marching
+# about 11 ns a node-step (fd1-row7 at level 5: 42 s for 3.8e9 node-steps,
+# one core of a 2-vCPU Xeon) the limit is about 55 s of marching
 _MAX_NODE_STEPS = 5_000_000_000
 
 # the explicit step's safety factor against the stability bound
@@ -159,21 +154,19 @@ def _edge_nodes(grid: FdGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(ring)
 
 
-def _step_matrix(grid: FdGrid, params: SabrParams, dt: float) -> scipy.sparse.dia_matrix:
-    """The explicit step I + dt L as a DIA matrix of nine diagonals over
-    the flattened (x, sigma) grid, n = nx * ns; the rows of edge nodes
-    are zero.
+def _step_matrix(
+    grid: FdGrid, params: SabrParams, dt: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The explicit step I + dt L as (offsets, data, alpha): the nine
+    ascending int32 offsets and (9, nx * ns) diagonals, in scipy's DIA
+    layout over the flattened (x, sigma) grid with zero edge-node rows,
+    and the largest absolute row sum, the most one step can grow max|w| by.
 
     L is the 9-point operator: central differences in x and nonuniform
     central differences in sigma, with the mixed term as the sigma-derivative
     of the central x-derivative. Its weights depend only on the sigma
-    index. The offsets ascend, so the product adds each row's 9 terms in
-    ascending column order, as a CSR product of the same rows does, with
-    contiguous loops and no index arrays."""
-    # imported here, its only caller, so that subcommands without an FD
-    # solve do not load scipy.sparse
-    from scipy import sparse
-
+    index. The offsets ascend, so the DIA product adds each row's 9 terms in
+    ascending column order, as a CSR product of the same rows does."""
     x, s = grid.x_nodes, grid.sigma_nodes
     nx, ns = x.size, s.size
     dx = grid.dx
@@ -207,9 +200,9 @@ def _step_matrix(grid: FdGrid, params: SabrParams, dt: float) -> scipy.sparse.di
     data = np.zeros((9, nx, ns))
     for k, (di, dj) in enumerate(stencil):
         data[k, 1 + di : nx - 1 + di, 1 + dj : ns - 1 + dj] = weights[k]
-    offsets = [di * ns + dj for di, dj in stencil]
-    n = nx * ns
-    return sparse.dia_matrix((data.reshape(9, n), offsets), shape=(n, n))
+    offsets = np.array([di * ns + dj for di, dj in stencil], dtype=np.int32)
+    alpha = float(np.abs(weights).sum(axis=0).max())
+    return offsets, data.reshape(9, nx * ns), alpha
 
 
 def stable_time_steps(grid: FdGrid, params: SabrParams, T: float) -> int:
@@ -290,26 +283,18 @@ def _window_indices(grid: FdGrid, config: FdConfig) -> tuple[np.ndarray, np.ndar
     return ix, js
 
 
-def _growth_factor(step: scipy.sparse.dia_matrix, ns: int) -> float:
-    """The step matrix's largest absolute row sum, the most one product can
-    multiply max|w| by, from the 9 x (ns - 2) weights of nodes (1, 1..ns-2)."""
-    cols = np.arange(ns + 1, 2 * ns - 1) + step.offsets[:, np.newaxis]
-    return float(np.abs(np.take_along_axis(step.data, cols, axis=1)).sum(axis=0).max())
-
-
 def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
     """Time-march the cut-off PDE to T on the level given by the config.
 
-    Each step is one call, into a reused buffer, of the DIA kernel that
-    `step @ flat` ends in, so the values are bit for bit the product's. A
-    step is checked for a non-finite or exploding node only where
+    Each step is one call of scipy's DIA product kernel into a reused
+    buffer. A step is checked for a non-finite or exploding node only where
     alpha^j max(top, edge values since) could pass the bound, j steps after
     the last check read top, alpha the largest absolute row sum."""
     grid = _level_grid(params, T, config)
     nt = grid.n_time_steps
     dt = T / nt
-    step = _step_matrix(grid, params, dt)
-    # private, but loaded with scipy.sparse; the bitwise tests guard it
+    offsets, data, alpha = _step_matrix(grid, params, dt)
+    # private; loads scipy.sparse, which only a solve needs; bitwise tests guard it
     from scipy.sparse._sparsetools import dia_matvec
     shape = (grid.x_nodes.size, grid.sigma_nodes.size)
     flat = np.repeat(_cell_averaged_payoff(grid.x_nodes, grid.dx), shape[1])
@@ -318,7 +303,7 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
     bound = max(1.01 * float(flat.max()), 1e3)
     # a step gives max|w| <= max(alpha max|w|, edge values); alpha's margin
     # covers the sums' rounding, and the finite limit excuses no overflow
-    alpha = _growth_factor(step, shape[1]) * (1.0 + 1e-12)
+    alpha *= 1.0 + 1e-12
     limit = min(bound, 1e300)
     grow, top = 1.0, float(flat.max())
     out = np.empty_like(flat)
@@ -333,7 +318,7 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
         top = float(np.maximum(top, edge_top))
         for k, edge_values in zip(ks, edge_block):
             out.fill(0.0)
-            dia_matvec(flat.size, flat.size, 9, flat.size, step.offsets, step.data, flat, out)
+            dia_matvec(flat.size, flat.size, 9, flat.size, offsets, data, flat, out)
             flat, out = out, flat
             flat[edge] = edge_values
             grow *= alpha

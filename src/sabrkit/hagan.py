@@ -10,21 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DomainError, _args, _c_rel, _require, _require_at
-from .expansion import SabrParams, _nu_squared
+from .expansion import SabrParams, _nu_squared, _require_rho
 
 __all__ = ["xi", "z_over_xi", "sigma_h", "price_h", "Z_SWITCH"]
 
 Z_SWITCH = 1e-4
 
 
-def _check_rho(rho: float) -> None:
-    if not (-1.0 < rho < 1.0):
-        raise DomainError(f"rho must lie strictly in (-1, 1), got {rho}")
-
-
 def xi(z, rho: float):
     """xi(z) = ln[(sqrt(1 - 2 rho z + z^2) + z - rho) / (1 - rho)]."""
-    _check_rho(rho)
+    _require_rho(rho)
     m, (z,) = _args(z)
     return _xi(m, z, rho)
 
@@ -40,7 +35,7 @@ def z_over_xi(z, rho: float):
     1 - rho z/2 + (1/6 - rho^2/4) z^2 + (5 rho/24 - rho^3/4) z^3, which
     meets the exact quotient to O(Z_SWITCH^4) at the switch point.
     """
-    _check_rho(rho)
+    _require_rho(rho)
     m, (z,) = _args(z)
     return _z_over_xi(m, z, rho)
 

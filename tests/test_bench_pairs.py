@@ -95,3 +95,43 @@ class TestCompare:
         assert small["parent_iqr_rel"] == pytest.approx(0.4 / 1.4, abs=1e-4)
         assert small["gain_beyond_parent_iqr"] is False
         assert large["gain_beyond_parent_iqr"] is True
+
+    @pytest.mark.parametrize("metric", [LOWER, HIGHER])
+    @pytest.mark.parametrize("wins, met", [(10, True), (9, True), (8, False)])
+    def test_claim_needs_nine_wins_in_ten(self, bench_pairs, metric, wins, met):
+        # parent runs spread 0.9-1.1 (quartile spread 0.1); the change wins
+        # by 0.3 in the first `wins` pairs and ties the rest
+        parent = [0.9 + 0.2 * i / 9 for i in range(10)]
+        step = -0.3 if metric["better"] == "lower" else 0.3
+        change = [v + step if i < wins else v for i, v in enumerate(parent)]
+        got = bench_pairs.compare(metric, parent, change)
+        assert got["change_wins"] == wins and got["ties"] == 10 - wins
+        assert got["gain_beyond_parent_iqr"] is True
+        assert got["claim_met"] is met
+
+    def test_claim_needs_a_gain_past_the_parents_spread(self, bench_pairs):
+        parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2  # quartile spread 0.4
+        small = bench_pairs.compare(self.LOWER, parent, [v - 0.3 for v in parent])
+        large = bench_pairs.compare(self.LOWER, parent, [v - 0.5 for v in parent])
+        assert small["change_wins"] == large["change_wins"] == 10
+        assert small["claim_met"] is False
+        assert large["claim_met"] is True
+
+    @pytest.mark.parametrize("metric", [LOWER, HIGHER])
+    def test_unresolved_only_past_the_bound(self, bench_pairs, metric):
+        narrow = [1.0, 1.05, 1.1, 1.15, 1.2]  # relative spread 0.1 / 1.1
+        wide = [1.0, 1.5, 2.0, 2.5, 3.0]  # relative spread 1.0 / 2.0
+        for parent, unresolved in ((narrow, False), (wide, True)):
+            got = bench_pairs.compare(metric, parent, parent[::-1])
+            assert (got["parent_iqr_rel"] > metric["bound"]) is unresolved
+            assert got["unresolved"] is unresolved
+
+    @pytest.mark.parametrize("metric", [LOWER, HIGHER])
+    def test_every_run_better_resolves_a_wide_spread(self, bench_pairs, metric):
+        parent = [1.0, 1.5, 2.0, 2.5, 3.0]
+        lower = metric["better"] == "lower"
+        # every change run beats every parent run, and then one does not
+        better = [v - 2.5 if lower else v + 2.5 for v in parent]
+        assert bench_pairs.compare(metric, parent, better)["unresolved"] is False
+        better[-1 if lower else 0] = parent[0] if lower else parent[-1]
+        assert bench_pairs.compare(metric, parent, better)["unresolved"] is True

@@ -453,6 +453,28 @@ class TestSynthPanel:
         with pytest.raises(DomainError, match="^seed must be nonnegative, got -1$"):
             synth_panel(TRUE, 1, seed=-1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_noise_level_named(self, noise):
+        # a NaN or inf noise reached QuoteDay's implied_vol check and was
+        # reported as a bad implied vol
+        message = f"^noise_level must be nonnegative and finite, got {noise}$"
+        with pytest.raises(DomainError, match=message):
+            synth_panel(TRUE, 1, noise_level=noise)
+
+    @pytest.mark.parametrize("quote_with", ["moneynes", "Delta", ""])
+    def test_unknown_quote_with_rejected(self, quote_with):
+        # any string but "moneyness" used to give delta-quoted days
+        message = f"^quote_with must be 'moneyness' or 'delta', got {quote_with!r}$"
+        with pytest.raises(DomainError, match=message):
+            synth_panel(TRUE, 1, quote_with=quote_with)
+
+    def test_quote_with_selects_the_coordinate(self):
+        by_moneyness = synth_panel(TRUE, 1, quote_with="moneyness")[0]
+        by_delta = synth_panel(TRUE, 1, quote_with="delta")[0]
+        assert by_moneyness.delta is None and by_moneyness.moneyness is not None
+        assert by_delta.moneyness is None and by_delta.delta is not None
+        np.testing.assert_array_equal(by_moneyness.implied_vol, by_delta.implied_vol)
+
     @pytest.mark.parametrize("n_days", [0, -3])
     def test_panel_needs_a_day(self, n_days):
         message = f"^a panel needs at least one day, got n_days = {n_days}$"

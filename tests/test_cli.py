@@ -493,6 +493,14 @@ class TestCalibrate:
         assert err == f"error: {message}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_named(self, capsys, noise):
+        # this exited 3 blaming implied_vol, which the panel builds
+        code, out, err = run(["calibrate", "--synth-days", "1", "--noise", noise], capsys)
+        assert code == EXIT_DOMAIN
+        assert err == f"error: noise_level must be nonnegative and finite, got {noise}\n"
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv, path",
         [

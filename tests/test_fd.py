@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.sparse import dia_matrix
 
 from sabrkit import (
     DomainError,
@@ -27,13 +28,20 @@ from sabrkit.fd import (
     _MAX_NODE_STEPS,
     _cell_averaged_payoff,
     _cutoff_config,
-    _growth_factor,
     _instability,
     _level_grid,
     _step_matrix,
     stable_time_steps,
 )
 from sabrkit.models import price_fn_for_model
+
+
+def step_dia(grid, params, dt):
+    """_step_matrix's diagonals wrapped as a scipy DIA matrix, for the
+    tests that multiply by the step or read it densely."""
+    offsets, data, _ = _step_matrix(grid, params, dt)
+    n = data.shape[1]
+    return dia_matrix((data, offsets), shape=(n, n))
 
 
 def reference_operator(grid, params, w):
@@ -174,7 +182,7 @@ class TestStepMatrix:
         w = np.random.default_rng(seed).standard_normal(
             (grid.x_nodes.size, grid.sigma_nodes.size)
         )
-        got = (_step_matrix(grid, params, dt) @ w.ravel()).reshape(w.shape)
+        got = (step_dia(grid, params, dt) @ w.ravel()).reshape(w.shape)
         want = w[1:-1, 1:-1] + dt * reference_operator(grid, params, w)
         assert np.abs(got[1:-1, 1:-1] - want).max() <= 1e-13 * np.abs(want).max()
         got[1:-1, 1:-1] = 0.0
@@ -193,9 +201,8 @@ class TestStepMatrix:
         params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
         grid = build_grid(FdConfig(level=level))
         dt = dt_frac / stable_time_steps(grid, params, 1.0)
-        step = _step_matrix(grid, params, dt)
-        alpha = _growth_factor(step, grid.sigma_nodes.size)
-        want = max(math.fsum(row) for row in np.abs(step.toarray()))
+        alpha = _step_matrix(grid, params, dt)[2]
+        want = max(math.fsum(row) for row in np.abs(step_dia(grid, params, dt).toarray()))
         # equal up to the rounding of solve's nine-term sum
         assert alpha == pytest.approx(want, rel=1e-15, abs=0.0)
         # every row of I + dt L sums to 1, so no row's absolute sum is less
@@ -208,8 +215,7 @@ class TestStepMatrix:
     def test_layout(self):
         grid = build_grid(FdConfig(level=1))
         nx, ns = grid.x_nodes.size, grid.sigma_nodes.size
-        step = _step_matrix(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
-        assert step.format == "dia"
+        step = step_dia(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
         assert step.shape == (nx * ns, nx * ns)
         want = [-ns - 1, -ns, -ns + 1, -1, 0, 1, ns - 1, ns, ns + 1]
         np.testing.assert_array_equal(step.offsets, want)
@@ -218,12 +224,22 @@ class TestStepMatrix:
             assert not edge.any()
         assert (np.count_nonzero(rows[1:-1, 1:-1], axis=-1) == 9).all()
 
-    def test_returns_the_annotated_dia_matrix(self):
-        import scipy.sparse
-
-        grid = build_grid(FdConfig(level=0))
-        step = _step_matrix(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
-        assert isinstance(step, scipy.sparse.dia_matrix)
+    def test_returns_the_dia_layout(self):
+        grid = build_grid(FdConfig(level=1))
+        nx, ns = grid.x_nodes.size, grid.sigma_nodes.size
+        offsets, data, _ = _step_matrix(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
+        # scipy's dia_matrix stores int32 offsets; the kernel takes them as given
+        assert offsets.dtype == np.int32
+        assert (np.diff(offsets) > 0).all()
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert data.shape == (9, nx * ns)
+        # row r's weight on diagonal k sits at column r + offsets[k]
+        rows = np.arange(nx * ns)
+        edge_rows = np.ravel_multi_index(fd._edge_nodes(grid), (nx, ns))
+        for k, off in enumerate(offsets):
+            cols = rows[edge_rows] + off
+            inside = (cols >= 0) & (cols < nx * ns)
+            assert not data[k, cols[inside]].any()
 
 
 def csr_march(params, T, config):
@@ -236,7 +252,7 @@ def csr_march(params, T, config):
     x, s = grid.x_nodes, grid.sigma_nodes
     inner = np.zeros((x.size, s.size), dtype=bool)
     inner[1:-1, 1:-1] = True
-    csr = _step_matrix(grid, params, dt).tocsr()[np.flatnonzero(inner)]
+    csr = step_dia(grid, params, dt).tocsr()[np.flatnonzero(inner)]
     assert csr.has_sorted_indices
     w = _cell_averaged_payoff(x, grid.dx)[:, np.newaxis] * np.ones((1, s.size))
     flat = w.reshape(-1)
@@ -259,7 +275,7 @@ def product_march(params, T, config):
     grid = _level_grid(params, T, config)
     nt = grid.n_time_steps
     dt = T / nt
-    step = _step_matrix(grid, params, dt)
+    step = step_dia(grid, params, dt)
     shape = (grid.x_nodes.size, grid.sigma_nodes.size)
     flat = np.repeat(_cell_averaged_payoff(grid.x_nodes, grid.dx), shape[1])
     bound = max(1.01 * float(flat.max()), 1e3)

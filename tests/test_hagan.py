@@ -22,6 +22,16 @@ class TestXi:
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+class TestRhoRule:
+    # xi and z_over_xi apply expansion's rho rule, with its message
+    @pytest.mark.parametrize("fn", [xi, z_over_xi])
+    @pytest.mark.parametrize("rho", [1.0, float("nan")])
+    def test_message(self, fn, rho):
+        with pytest.raises(DomainError) as info:
+            fn(0.5, rho)
+        assert str(info.value) == f"rho must lie strictly in (-1, 1), got {rho}"
+
+
 class TestBackbone:
     def test_at_zero(self):
         assert z_over_xi(0.0, -0.4) == 1.0

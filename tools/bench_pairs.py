@@ -10,8 +10,12 @@ every end-to-end metric BENCHMARK.json lists, the JSON printed (and
 written to --out) gives both sides' runs, medians and quartiles, the
 per-pair ratios change/parent, how many pairs the change won, and the
 change's median against the parent's quartile spread and the metric's
-bound. `--workload` takes several names; each runs its own pairs. Uses
-only the standard library; the checkouts' benchmarks are not modified.
+bound. `claim_met` says whether a gain may be claimed: the change wins at
+least 9 in 10 of all pairs and its median gain exceeds the parent's
+quartile spread. `unresolved` says the parent's relative quartile spread
+is wider than the bound and not every change run beats every parent run.
+`--workload` takes several names; each runs its own pairs. Uses only the
+standard library; the checkouts' benchmarks are not modified.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     wins = sum((b < a) if lower else (b > a) for a, b in zip(parent, change))
     rel = c["median"] / p["median"] - 1.0
     gain = (p["median"] - c["median"]) if lower else (c["median"] - p["median"])
+    # a gain counts only past the spread of the parent's own runs
+    beyond = gain > p["q3"] - p["q1"]
+    spread = (p["q3"] - p["q1"]) / p["median"]
+    every_run_better = max(change) < min(parent) if lower else min(change) > max(parent)
     return {
         "unit": metric["unit"],
         "parent": p,
@@ -76,11 +84,15 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "change_wins": wins,
         "ties": sum(a == b for a, b in zip(parent, change)),
         "change_rel": round(rel, 4),
-        "parent_iqr_rel": round((p["q3"] - p["q1"]) / p["median"], 4),
-        # a gain counts only past the spread of the parent's own runs
-        "gain_beyond_parent_iqr": gain > p["q3"] - p["q1"],
+        "parent_iqr_rel": round(spread, 4),
+        "gain_beyond_parent_iqr": beyond,
+        # the change wins 9 in 10 of all pairs, a tie counting for neither
+        "claim_met": 10 * wins >= 9 * len(parent) and beyond,
         "bound": metric["bound"],
         "worse_than_bound": (rel if lower else -rel) > metric["bound"],
+        # the parent's runs spread wider than the bound: no verdict of
+        # "unchanged" unless every change run beats every parent run
+        "unresolved": spread > metric["bound"] and not every_run_better,
     }
 
 
