@@ -23,6 +23,7 @@ from . import calibration as cal
 from .core import DomainError, OptionQuery, _require_at
 from .expansion import SabrParams
 from .fd import (
+    _SIGMA_CENTER,
     FdConfig,
     FdInstabilityError,
     ResidualRegion,
@@ -294,7 +295,8 @@ def cmd_residual(args) -> int:
 
 def cmd_fd(args) -> int:
     config = FdConfig()
-    params = SabrParams(sigma0=config.sigma_center, nu=args.nu, rho=args.rho)
+    # no fd output reads sigma0: solve ignores it, compare uses the sigma nodes
+    params = SabrParams(sigma0=_SIGMA_CENTER, nu=args.nu, rho=args.rho)
     try:
         solutions = solve_sequence(params, args.expiry, config, max_level=args.levels)
     except FdInstabilityError as exc:

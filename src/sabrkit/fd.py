@@ -3,10 +3,13 @@ pricing PDE
 
     w_t = sigma^2 [ (w_xx - w_x)/2 + nu rho w_xs + nu^2 w_ss / 2 ]
 
-on a rectangle with a uniform x-grid and a geometric-progression
-sigma-grid, Black-Scholes boundary data, a refinement sequence with
-Richardson error estimation, and a PDE-residual diagnostic for the
-closed-form approximations. Strike is normalized to K = 1, r = 0.
+on one fixed rectangle, x in [-3, 3] on a uniform grid and sigma on a
+geometric-progression grid about 0.18 up to 1.6803, with Black-Scholes
+boundary data, a refinement sequence with Richardson error estimation,
+and a PDE-residual diagnostic for the closed-form approximations. Strike
+is normalized to K = 1, r = 0. FdConfig is the refinement level alone;
+only cutoff_sensitivity solves on a larger rectangle, the fixed one grown
+by one level-0 mesh layer on every side.
 
 Each time step is one call of scipy's DIA product kernel: the explicit
 step I + dt L is built once per solve as nine weight diagonals over the
@@ -14,8 +17,8 @@ whole flattened (x, sigma) grid, with zero rows for the edge nodes and no
 matrix object around them. The boundary data is the nu = 0 solution,
 `core.c_rel`, written on all four edges of the rectangle after each
 product; one array call computes the edge values of a block of 32 time
-steps. Only steps
-that the step's growth could take past the bound are checked.
+steps. Only steps that the step's growth could take past the bound are
+checked.
 """
 
 from __future__ import annotations
@@ -57,7 +60,17 @@ _MAX_NODE_STEPS = 5_000_000_000
 
 # the explicit step's safety factor against the stability bound
 _C_SAFETY = 0.9
-_WINDOW_X = (-1.0, 1.0)  # x range of the interest window
+
+# the cut-off rectangle at level 0: x in [-_X_MAX, _X_MAX] on _NX0 nodes and
+# sigma on _NSIGMA0 geometric nodes from _SIGMA_CENTER**2 / _SIGMA_MAX up to
+# _SIGMA_MAX, neighbours _R0 apart. Both counts are odd, so x = 0 and
+# sigma = _SIGMA_CENTER are nodes of every level, inside the interest window
+_X_MAX, _NX0 = 3.0, 13
+_SIGMA_CENTER, _SIGMA_MAX, _NSIGMA0 = 0.18, 1.6803, 19
+_R0 = (_SIGMA_MAX / (_SIGMA_CENTER**2 / _SIGMA_MAX)) ** (1.0 / (_NSIGMA0 - 1))
+# the interest window: x in [-1, 1] and the level-0 sigma nodes next to the centre
+_WINDOW_X = (-1.0, 1.0)
+_WINDOW_S = (_SIGMA_CENTER / _R0, _SIGMA_CENTER * _R0)
 
 
 class FdInstabilityError(RuntimeError):
@@ -66,11 +79,9 @@ class FdInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class FdConfig:
-    x_max: float = 3.0
-    sigma_center: float = 0.18
-    sigma_max: float = 1.6803
-    nx0: int = 13
-    nsigma0: int = 19
+    """An FD solve's refinement level: level k halves both mesh widths of
+    the one level-0 rectangle k times."""
+
     level: int = 0
 
 
@@ -111,36 +122,31 @@ class FdComparison:
 
 
 def build_grid(config: FdConfig) -> FdGrid:
-    """The config's level-k mesh: each refinement halves both mesh widths
+    """The rectangle's level-k mesh: each refinement halves both mesh widths
     (arithmetic midpoints in x, geometric midpoints in sigma). Its
     n_time_steps is 0: solve takes the step count from stable_time_steps."""
-    level = config.level
-    if not (config.x_max > 0.0):
-        raise DomainError(f"x_max must be positive, got {config.x_max}")
-    if not (0.0 < config.sigma_center < config.sigma_max):
-        raise DomainError("need 0 < sigma_center < sigma_max")
-    if config.nx0 < 3 or config.nsigma0 < 3:
-        raise DomainError("need at least 3 nodes per direction")
+    return _build_grid(config.level, grown=False)
+
+
+def _build_grid(level: int, grown: bool) -> FdGrid:
+    # the level-k mesh; grown adds one level-0 mesh layer on every side
+    x_max, sigma_max, nx0, ns0 = _X_MAX, _SIGMA_MAX, _NX0, _NSIGMA0
+    if grown:
+        x_max, sigma_max = x_max + 2.0 * x_max / (nx0 - 1), sigma_max * _R0
+        nx0, ns0 = nx0 + 2, ns0 + 2
     if level < 0:
         raise DomainError(f"level must be nonnegative, got {level}")
     # past 64 levels the grid is only larger; the min spares building 2**level
-    nx = (config.nx0 - 1) * 2 ** min(level, 64) + 1
-    ns = (config.nsigma0 - 1) * 2 ** min(level, 64) + 1
+    nx = (nx0 - 1) * 2 ** min(level, 64) + 1
+    ns = (ns0 - 1) * 2 ** min(level, 64) + 1
     if nx * ns > _MAX_NODE_STEPS:
         raise DomainError(
             f"level {level} grid has more nodes than the limit of "
             f"{_MAX_NODE_STEPS} node-steps (nodes x time steps) of one solve"
         )
-    sigma_min = config.sigma_center**2 / config.sigma_max
-    x = np.linspace(-config.x_max, config.x_max, nx)
-    s = np.geomspace(sigma_min, config.sigma_max, ns)
+    x = np.linspace(-x_max, x_max, nx)
+    s = np.geomspace(_SIGMA_CENTER**2 / sigma_max, sigma_max, ns)
     return FdGrid(x_nodes=x, sigma_nodes=s, level=level, n_time_steps=0)
-
-
-def _sigma_ratio(config: FdConfig) -> float:
-    # ratio of neighbouring sigma nodes on the level-0 grid
-    sigma_min = config.sigma_center**2 / config.sigma_max
-    return (config.sigma_max / sigma_min) ** (1.0 / (config.nsigma0 - 1))
 
 
 # time steps whose edge values come from one c_rel call
@@ -233,20 +239,20 @@ def stable_time_steps(grid: FdGrid, params: SabrParams, T: float) -> int:
     return max(1, math.ceil(steps))
 
 
-def _level_grid(params: SabrParams, T: float, config: FdConfig) -> FdGrid:
-    """The config's grid with its time-step count, after checking the
+def _level_grid(params: SabrParams, T: float, level: int, grown: bool) -> FdGrid:
+    """_build_grid's grid with its time-step count, after checking the
     inputs. Raises DomainError before any array of the grid's size exists
     when the march would take more than _MAX_NODE_STEPS node-steps."""
     if params.kappa0 != 0.0:
         raise DomainError("FD benchmark is only available for kappa0 = 0")
     if not (0.0 < T < math.inf):
         raise DomainError(f"expiry T must be positive and finite, got {T}")
-    grid = build_grid(config)
+    grid = _build_grid(level, grown)
     nt = stable_time_steps(grid, params, T)
     nodes = grid.x_nodes.size * grid.sigma_nodes.size
     if nodes * nt > _MAX_NODE_STEPS:
         raise DomainError(
-            f"FD level {config.level} needs {nodes} nodes x {nt:.4g} time steps = "
+            f"FD level {level} needs {nodes} nodes x {nt:.4g} time steps = "
             f"{float(nodes) * nt:.4g} node-steps, more than the limit of "
             f"{_MAX_NODE_STEPS} node-steps"
         )
@@ -269,20 +275,6 @@ def _instability(w: np.ndarray, grid: FdGrid, t: float) -> FdInstabilityError:
     )
 
 
-def _window_indices(grid: FdGrid, config: FdConfig) -> tuple[np.ndarray, np.ndarray]:
-    r0 = _sigma_ratio(config)
-    lo = config.sigma_center / r0
-    hi = config.sigma_center * r0
-    x = grid.x_nodes
-    s = grid.sigma_nodes
-    eps = 1e-9
-    ix = np.flatnonzero((x >= _WINDOW_X[0] - eps) & (x <= _WINDOW_X[1] + eps))
-    js = np.flatnonzero((s >= lo * (1 - eps)) & (s <= hi * (1 + eps)))
-    if ix.size == 0 or js.size == 0:
-        raise DomainError("interest window contains no grid nodes")
-    return ix, js
-
-
 def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
     """Time-march the cut-off PDE to T on the level given by the config.
 
@@ -290,7 +282,11 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
     buffer. A step is checked for a non-finite or exploding node only where
     alpha^j max(top, edge values since) could pass the bound, j steps after
     the last check read top, alpha the largest absolute row sum."""
-    grid = _level_grid(params, T, config)
+    return _march(params, T, _level_grid(params, T, config.level, grown=False))
+
+
+def _march(params: SabrParams, T: float, grid: FdGrid) -> FdSolution:
+    # solve's march, on a grid from _level_grid
     nt = grid.n_time_steps
     dt = T / nt
     offsets, data, alpha = _step_matrix(grid, params, dt)
@@ -329,15 +325,10 @@ def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
             if not top <= bound:
                 raise _instability(flat.reshape(shape), grid, k * dt)
             grow, top = 1.0, float(np.maximum(top, edge_top))
-    ix, js = _window_indices(grid, config)
-    return FdSolution(
-        grid=grid,
-        values=flat.reshape(shape),
-        params=params,
-        time=T,
-        window_x_idx=ix,
-        window_s_idx=js,
-    )
+    x, s, eps = grid.x_nodes, grid.sigma_nodes, 1e-9
+    ix = np.flatnonzero((x >= _WINDOW_X[0] - eps) & (x <= _WINDOW_X[1] + eps))
+    js = np.flatnonzero((s >= _WINDOW_S[0] * (1 - eps)) & (s <= _WINDOW_S[1] * (1 + eps)))
+    return FdSolution(grid, flat.reshape(shape), params, T, window_x_idx=ix, window_s_idx=js)
 
 
 def _cell_averaged_payoff(x: np.ndarray, h: float) -> np.ndarray:
@@ -356,14 +347,17 @@ def solve_sequence(
     params: SabrParams, T: float, config: FdConfig, max_level: int
 ) -> list[FdSolution]:
     """Refinement sequence w_0 .. w_max_level with Richardson error
-    estimates est_error = ||w_k - w_{k-1}||_2 / 3 on the interest window."""
+    estimates est_error = ||w_k - w_{k-1}||_2 / 3 on the interest window.
+    The sequence starts at level 0, so config must be FdConfig()."""
+    if config.level != 0:
+        raise DomainError(f"the sequence starts at level 0, got a config of level {config.level}")
     if max_level < 0:
         raise DomainError(f"max_level must be nonnegative, got {max_level}")
     # the finest level is the longest march: fail before solving the others
-    _level_grid(params, T, replace(config, level=max_level))
+    _level_grid(params, T, max_level, grown=False)
     solutions: list[FdSolution] = []
     for level in range(max_level + 1):
-        sol = solve(params, T, replace(config, level=level))
+        sol = solve(params, T, FdConfig(level))
         if solutions:
             diff = _level_diff(solutions[-1], sol)
             sol.est_error = diff / 3.0
@@ -410,23 +404,11 @@ def compare(solution: FdSolution, price_fn: PriceFn) -> FdComparison:
 
 def cutoff_sensitivity(params: SabrParams, T: float, config: FdConfig) -> float:
     """Change of the windowed solution when the cut-off rectangle grows by
-    one mesh layer on every side (empirical cut-off error estimate)."""
+    one level-0 mesh layer on every side (empirical cut-off error estimate)."""
     base = solve(params, T, config)
-    big = solve(params, T, _cutoff_config(config))
+    big = _march(params, T, _level_grid(params, T, config.level, grown=True))
     delta = big.restriction - base.restriction
     return float(np.sqrt(np.mean(delta**2)))
-
-
-def _cutoff_config(config: FdConfig) -> FdConfig:
-    # the rectangle grown by one level-0 mesh layer on every side
-    dx = 2.0 * config.x_max / (config.nx0 - 1)
-    return replace(
-        config,
-        x_max=config.x_max + dx,
-        sigma_max=config.sigma_max * _sigma_ratio(config),
-        nx0=config.nx0 + 2,
-        nsigma0=config.nsigma0 + 2,
-    )
 
 
 # nodes of the residual lattice along t, sigma and y

@@ -19,14 +19,17 @@ __all__ = ["MODEL_NAMES", "price_fn_for_model", "vol_fn_for_model"]
 MODEL_NAMES = ("sa2", "d", "h", "bs", "kappa")
 
 
+def _require_kappa(model: str, params: SabrParams) -> None:
+    # 'kappa' is the sa2 form with mean reversion: without it, it is 'sa2'
+    if model == "kappa" and params.kappa0 == 0.0:
+        raise DomainError("model 'kappa' requires kappa0 > 0")
+
+
 def price_fn_for_model(model: str, params: SabrParams) -> Callable:
     """Relative price as a function of (log-moneyness, sigma node, expiry);
     the sigma argument replaces params.sigma0, point by point."""
-    if model == "sa2":
-        return lambda y, s, t: price_sa2_rel(y, t, params, sigma=s)
-    if model == "kappa":
-        if params.kappa0 == 0.0:
-            raise DomainError("model 'kappa' requires kappa0 > 0")
+    _require_kappa(model, params)
+    if model in ("sa2", "kappa"):
         return lambda y, s, t: price_sa2_rel(y, t, params, sigma=s)
     if model == "d":
         return lambda y, s, t: price_d(y, t, params, sigma=s)
@@ -51,6 +54,7 @@ def _per_point(fn: Callable[[float, float], float]) -> Callable:
 
 def vol_fn_for_model(model: str, params: SabrParams) -> Callable:
     """Implied vol as a function of (log-moneyness, expiry)."""
+    _require_kappa(model, params)
     if model in ("sa2", "kappa"):
         # the implied-vol inversion is scalar, so it runs point by point
         return _per_point(lambda y, t: bs_implied_vol(price_sa2_rel(y, t, params), y, t))

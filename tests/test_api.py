@@ -68,11 +68,6 @@ SETTINGS = [
     "expansion.price_sa2_rel.sigma",
     "expansion.sigma_d.sigma",
     "fd.FdConfig.level",
-    "fd.FdConfig.nsigma0",
-    "fd.FdConfig.nx0",
-    "fd.FdConfig.sigma_center",
-    "fd.FdConfig.sigma_max",
-    "fd.FdConfig.x_max",
     "fd.FdSolution.est_error",
     "fd.ResidualRegion.sigma_range",
     "fd.ResidualRegion.t_range",
@@ -163,6 +158,14 @@ DAY = synth_panel(PARAMS, 1)[0]
             "c_safety",
             lambda: stable_time_steps(build_grid(FdConfig()), PARAMS, 0.5, c_safety=0.9),
         ),
+        # the rectangle is module constants; explicit ids keep the other ids
+        pytest.param("x_max", lambda: FdConfig(x_max=3.0), id="FdConfig-x_max"),
+        pytest.param(
+            "sigma_center", lambda: FdConfig(sigma_center=0.18), id="FdConfig-sigma_center"
+        ),
+        pytest.param("sigma_max", lambda: FdConfig(sigma_max=1.6803), id="FdConfig-sigma_max"),
+        pytest.param("nx0", lambda: FdConfig(nx0=13), id="FdConfig-nx0"),
+        pytest.param("nsigma0", lambda: FdConfig(nsigma0=19), id="FdConfig-nsigma0"),
         ("x_max", lambda: build_grid(x_max=3.0)),
         ("sigma_center", lambda: build_grid(sigma_center=0.18)),
         ("sigma_max", lambda: build_grid(sigma_max=1.6803)),

@@ -109,6 +109,17 @@ class TestCompare:
         assert got["gain_beyond_parent_iqr"] is True
         assert got["claim_met"] is met
 
+    @pytest.mark.parametrize("wins, pairs, met", [(6, 6, False), (9, 10, True), (10, 10, True)])
+    def test_claim_needs_ten_pairs(self, bench_pairs, wins, pairs, met):
+        # the change wins by 0.3, far past the parent's spread, in the first
+        # `wins` pairs and ties the rest: only the pair count decides
+        parent = [0.9 + 0.2 * i / (pairs - 1) for i in range(pairs)]
+        change = [v - 0.3 if i < wins else v for i, v in enumerate(parent)]
+        got = bench_pairs.compare(self.LOWER, parent, change)
+        assert got["change_wins"] == wins
+        assert got["gain_beyond_parent_iqr"] is True
+        assert got["claim_met"] is met
+
     def test_claim_needs_a_gain_past_the_parents_spread(self, bench_pairs):
         parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2  # quartile spread 0.4
         small = bench_pairs.compare(self.LOWER, parent, [v - 0.3 for v in parent])

@@ -109,6 +109,14 @@ class TestPrice:
         assert err == "error: model sa2 gives a price that is not finite at y = 0.0, t = 1e+300\n"
         assert out == ""
 
+    def test_vol_the_model_cannot_invert_is_nan(self, capsys):
+        # at t = 0 the price is the payoff, which no vol gives as a time value
+        code, out, _ = run(
+            ["price", "--model", "sa2", "--y", "0.1", "--t", "0", "--format", "csv"], capsys
+        )
+        assert code == EXIT_OK
+        assert parse_csv(out)[1] == ["0.1", "0.0", "0.10517091807564771", "nan"]
+
 
 class TestResidual:
     def test_preset_ordering(self, capsys):
@@ -213,6 +221,14 @@ class TestFd:
         assert code == EXIT_DOMAIN
         assert message in err
         assert out == ""
+
+    def test_instability_exits_no_convergence(self, capsys, monkeypatch):
+        # a step 10 / 0.9 times the stability bound explodes at level 1
+        monkeypatch.setattr("sabrkit.fd._C_SAFETY", 10.0)
+        code, out, err = run(["fd", "--preset", "fd1-row7", "--levels", "1"], capsys)
+        assert code == EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert err == "error: exploding value -2170 at x=0, sigma=1.484, t=0.4286\n"
 
     def test_cutoff_row(self, capsys):
         code, out, _ = run(

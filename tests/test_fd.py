@@ -27,7 +27,6 @@ from sabrkit.cli import FD_PRESETS, RESIDUAL_PRESETS
 from sabrkit.fd import (
     _MAX_NODE_STEPS,
     _cell_averaged_payoff,
-    _cutoff_config,
     _instability,
     _level_grid,
     _step_matrix,
@@ -140,11 +139,20 @@ class TestGrid:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            build_grid(FdConfig(x_max=-1.0))
-        with pytest.raises(DomainError):
-            build_grid(FdConfig(sigma_center=2.0, sigma_max=1.0))
-        with pytest.raises(DomainError):
             build_grid(FdConfig(level=-1))
+
+    def test_cutoff_grid_is_the_rectangle_grown_by_one_layer(self):
+        # x_max 3 + 0.5, sigma_max 1.6803 r0 and two more nodes a side,
+        # pinned as the grid cutoff_sensitivity solved on before the
+        # rectangle became constants
+        grid = fd._build_grid(0, grown=True)
+        assert (grid.x_nodes.size, grid.sigma_nodes.size) == (15, 21)
+        assert grid.x_nodes[-1] == 3.5
+        assert grid.sigma_nodes[-1] == 2.1536608216084887
+        assert grid.sigma_nodes[0] == 0.015044151648634091
+        base = build_grid(FdConfig())
+        np.testing.assert_array_equal(grid.x_nodes[1:-1], base.x_nodes)
+        np.testing.assert_allclose(grid.sigma_nodes[1:-1], base.sigma_nodes, rtol=1e-14)
 
 
 class TestBoundary:
@@ -202,7 +210,9 @@ class TestStepMatrix:
         grid = build_grid(FdConfig(level=level))
         dt = dt_frac / stable_time_steps(grid, params, 1.0)
         alpha = _step_matrix(grid, params, dt)[2]
-        want = max(math.fsum(row) for row in np.abs(step_dia(grid, params, dt).toarray()))
+        # each row's stored entries; the zeros it does not store add nothing
+        rows = abs(step_dia(grid, params, dt).tocsr())
+        want = max(math.fsum(rows.data[a:b]) for a, b in zip(rows.indptr, rows.indptr[1:]))
         # equal up to the rounding of solve's nine-term sum
         assert alpha == pytest.approx(want, rel=1e-15, abs=0.0)
         # every row of I + dt L sums to 1, so no row's absolute sum is less
@@ -246,7 +256,7 @@ def csr_march(params, T, config):
     """solve's march with the CSR product the DIA step replaced: the same
     operator's interior rows as a CSR matrix, each row summed in ascending
     column order, and the edge values in solve's blocks of time steps."""
-    grid = _level_grid(params, T, config)
+    grid = _level_grid(params, T, config.level, False)
     nt = grid.n_time_steps
     dt = T / nt
     x, s = grid.x_nodes, grid.sigma_nodes
@@ -272,7 +282,7 @@ def product_march(params, T, config):
     """solve's march as it was before the kernel call and the growth bound:
     `step @ flat`, the edge write and the instability check after every
     step; returns the final grid values or raises FdInstabilityError."""
-    grid = _level_grid(params, T, config)
+    grid = _level_grid(params, T, config.level, False)
     nt = grid.n_time_steps
     dt = T / nt
     step = step_dia(grid, params, dt)
@@ -335,12 +345,13 @@ class TestCheckedSteps:
             solve(params, p["t"], FdConfig(level=2))
         assert str(info.value) == "exploding value 1328 at x=0.125, sigma=1.484, t=0.1752"
 
-    def test_infinite_bound_excuses_no_step(self):
+    def test_infinite_bound_excuses_no_step(self, monkeypatch):
         # e^(x + dx/2) overflows at the last node of x_max = 709.7, so the
         # cell-averaged payoff there and the bound are inf; the first step
         # gives a non-finite node
+        monkeypatch.setattr(fd, "_X_MAX", 709.7)
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        config = FdConfig(x_max=709.7)
+        config = FdConfig()
         assert_same_outcome(params, 0.5, config)
         with pytest.raises(FdInstabilityError, match="^non-finite value at x=591.4,"):
             solve(params, 0.5, config)
@@ -350,7 +361,7 @@ class TestCheckedSteps:
         # one edge node of step 40 (of 73), inside the second block, is made
         # non-finite or exploding: the growth bound must not excuse it
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        assert _level_grid(params, 0.5, FdConfig(level=1)).n_time_steps == 73
+        assert _level_grid(params, 0.5, 1, False).n_time_steps == 73
         dt = 0.5 / 73
 
         def spoiled(x, s, t):
@@ -465,6 +476,18 @@ class TestSolve:
         # discretization error itself
         assert drift <= sols[1].est_error
 
+    def test_cutoff_sensitivity_is_pinned(self):
+        # fd1-row7's values, recorded before the rectangle became constants
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        assert cutoff_sensitivity(params, 0.5, FdConfig()) == 0.00013515722936429953
+        assert cutoff_sensitivity(params, 0.5, FdConfig(level=1)) == 4.528698104105598e-05
+
+    def test_sequence_starts_at_level_0(self):
+        params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+        with pytest.raises(DomainError) as info:
+            solve_sequence(params, 0.5, FdConfig(level=1), max_level=2)
+        assert str(info.value) == "the sequence starts at level 0, got a config of level 1"
+
     def test_rejections(self):
         with pytest.raises(DomainError):
             solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0, kappa0=1.0, theta=0.2), 1.0, FdConfig())
@@ -474,13 +497,14 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve_sequence(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), 1.0, FdConfig(), max_level=-1)
 
-    def test_wide_grid_runs_clean(self):
+    def test_wide_grid_runs_clean(self, monkeypatch):
         # x_max = 8 puts e^x_max (2981) above the 1e3 floor of the
         # instability bound, so the bound comes from the payoff; the window
         # (only x = 0 on this grid) was recorded when the bound still grew
         # with the edge values
+        monkeypatch.setattr(fd, "_X_MAX", 8.0)
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        sol = solve(params, 0.5, FdConfig(x_max=8.0))
+        sol = solve(params, 0.5, FdConfig())
         want = [[0.21129574308765003, 0.21384020079197819, 0.2163915037138973]]
         assert sol.grid.n_time_steps == 14
         np.testing.assert_allclose(sol.restriction, want, rtol=1e-12, atol=1e-20)
@@ -662,7 +686,7 @@ class TestMarchLimit:
         p = FD_PRESETS[preset]
         params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
         for level, want in enumerate(steps):
-            grid = _level_grid(params, p["t"], FdConfig(level=level))
+            grid = _level_grid(params, p["t"], level, False)
             assert build_grid(FdConfig(level=level)).n_time_steps == 0
             assert grid.n_time_steps == want
             assert grid.n_time_steps == stable_time_steps(grid, params, p["t"])
@@ -671,8 +695,7 @@ class TestMarchLimit:
     def test_level_4_of_every_preset_fits(self, preset):
         p = FD_PRESETS[preset]
         params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
-        config = FdConfig(level=4)
-        for cfg in (config, _cutoff_config(config)):
-            grid = _level_grid(params, p["t"], cfg)
+        for grown in (False, True):
+            grid = _level_grid(params, p["t"], 4, grown)
             nodes = grid.x_nodes.size * grid.sigma_nodes.size
             assert nodes * grid.n_time_steps <= _MAX_NODE_STEPS

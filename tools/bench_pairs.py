@@ -10,10 +10,11 @@ every end-to-end metric BENCHMARK.json lists, the JSON printed (and
 written to --out) gives both sides' runs, medians and quartiles, the
 per-pair ratios change/parent, how many pairs the change won, and the
 change's median against the parent's quartile spread and the metric's
-bound. `claim_met` says whether a gain may be claimed: the change wins at
-least 9 in 10 of all pairs and its median gain exceeds the parent's
-quartile spread. `unresolved` says the parent's relative quartile spread
-is wider than the bound and not every change run beats every parent run.
+bound. `claim_met` says whether a gain may be claimed: there are at least
+ten pairs, the change wins at least 9 in 10 of them and its median gain
+exceeds the parent's quartile spread. `unresolved` says the parent's
+relative quartile spread is wider than the bound and not every change run
+beats every parent run.
 `--workload` takes several names; each runs its own pairs. Uses only the
 standard library; the checkouts' benchmarks are not modified.
 """
@@ -86,8 +87,9 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "change_rel": round(rel, 4),
         "parent_iqr_rel": round(spread, 4),
         "gain_beyond_parent_iqr": beyond,
-        # the change wins 9 in 10 of all pairs, a tie counting for neither
-        "claim_met": 10 * wins >= 9 * len(parent) and beyond,
+        # at least ten pairs, and the change wins 9 in 10 of them, a tie
+        # counting for neither
+        "claim_met": len(parent) >= 10 and 10 * wins >= 9 * len(parent) and beyond,
         "bound": metric["bound"],
         "worse_than_bound": (rel if lower else -rel) > metric["bound"],
         # the parent's runs spread wider than the bound: no verdict of
