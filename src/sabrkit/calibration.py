@@ -14,15 +14,15 @@ c_rel at sigma_d. The h and sa2 objectives use forward differences. Days
 are fitted in a warm-start chain with in-sample / out-of-sample RMS error
 reporting.
 
-Each day is built once and serves its fit, ISE and OSE under one fault
-rule: parameters the model rejects, or quoted prices c_rel cannot form,
-skip every quote, for an error of inf (objective_value raises instead).
+A fit evaluates a day once at each point, and its ISE and OSE are two of
+those evaluations. Parameters the model rejects, or quoted prices c_rel
+cannot form, skip every quote, for an error of inf (objective_value
+raises instead).
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import math
 import sys
@@ -247,27 +247,18 @@ class _DayObjective:
                 jac *= vega[:, None]
         return jac
 
-    def mean_square(self, params: SabrParams) -> tuple[float, int]:
-        """The objective at params (inf if it skips every quote) and the
-        number of quotes it skips; raises as residuals does."""
-        diff, _ = self.residuals(params)
-        used = np.isfinite(diff)
-        n_used = int(np.count_nonzero(used))
-        skipped = diff.size - n_used
-        if n_used == 0:
-            return float("inf"), skipped
-        if skipped:
-            diff = diff[used]
-        return float(np.dot(diff, diff)) / n_used, skipped
 
-    def rms(self, params: SabrParams) -> tuple[float, int]:
-        """RMS error and skipped quotes at params, for the ISE and OSE; a
-        DomainError skips every quote, as in each evaluation of the fit."""
-        try:
-            value, skipped = self.mean_square(params)
-        except DomainError:
-            return math.inf, self.day.implied_vol.size
-        return math.sqrt(value), skipped
+def _mean_square(diff: np.ndarray) -> tuple[float, int]:
+    """The mean square of the residuals diff over the quotes it uses, its
+    finite entries (inf if there are none), and the number it skips."""
+    used = np.isfinite(diff)
+    n_used = int(np.count_nonzero(used))
+    skipped = diff.size - n_used
+    if n_used == 0:
+        return float("inf"), skipped
+    if skipped:
+        diff = diff[used]
+    return float(np.dot(diff, diff)) / n_used, skipped
 
 
 def objective_value(
@@ -281,10 +272,12 @@ def objective_value(
     All quotes are evaluated in one array call. Non-finite model values are
     skipped (and counted toward the fit flag in fit_day) so optimizers
     always see a finite objective. Parameters the model rejects, or quoted
-    prices c_rel cannot form, raise DomainError; a fit, its ISE and its
-    OSE count them as every quote skipped.
+    prices c_rel cannot form, raise DomainError; a fit counts them as every
+    quote skipped. A fit's ISE and OSE are this value's square root, read
+    from the fit's own evaluations.
     """
-    return _DayObjective(day, objective, sigma_prev).mean_square(params)[0]
+    diff, _ = _DayObjective(day, objective, sigma_prev).residuals(params)
+    return _mean_square(diff)[0]
 
 
 # the (nu, sigma, rho) box of every fit, as read-only float arrays
@@ -303,29 +296,26 @@ def _make_params(x: np.ndarray, kappa0: float, theta: float) -> SabrParams:
     return SabrParams(sigma0=sigma, nu=nu, rho=rho, kappa0=kappa0, theta=theta)
 
 
-class _NoFiniteStart(Exception):
-    """The fit's start point has no finite residuals."""
-
-
 def _forward_jacobian(fun, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """dr/dx by forward differences from r = fun(x): one probe per parameter
-    with scipy's "2-point" step sqrt(eps) max(1, |x|), taken backwards where
-    it would leave the box."""
+    """dr/dx by forward differences from the residuals r at x: one probe
+    fun(probe) per parameter with scipy's "2-point" step sqrt(eps) max(1,
+    |x|), taken backwards where it would leave the box."""
     h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
     h = np.where(x + h > _UPPER, -h, h)
     jac = np.empty((r.size, x.size))
     for j in range(x.size):
         probe = x.copy()
         probe[j] += h[j]
-        jac[:, j] = (fun(probe) - r) / (probe[j] - x[j])
+        jac[:, j] = (fun(probe)[0] - r) / (probe[j] - x[j])
     return jac
 
 
-def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Minimize |fun(x)|^2 over the box by bounded Levenberg-Marquardt
+def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, object, bool]:
+    """Minimize |r|^2 over the box by bounded Levenberg-Marquardt
     (Marquardt 1963; projected onto the box as in Kanzow, Yamashita &
-    Fukushima 2004), from x inside the box; jac(x, r) is dr/dx at the last
-    point fun evaluated, r = fun(x).
+    Fukushima 2004), from x inside the box. fun(x) returns the residuals
+    r and a record of the evaluation, None where no residual is finite;
+    jac(x, r, record) is dr/dx at a point taken.
 
     A parameter on a bound that the gradient J'r pushes out of the box
     stays there; each step solves (J'J + lam diag J'J) dx = -J'r in the
@@ -335,21 +325,24 @@ def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, bool]:
     tenfold. A zero column of J gets a unit diagonal, as in MINPACK's lmder,
     so it takes no step. The run converges when a step is shorter than
     _XTOL (_XTOL + |x|), and otherwise ends after _MAX_NFEV - 1 steps with
-    at most one evaluation each, or at once where J'J or J'r is not finite.
-    Returns the last point taken and whether the run converged.
+    at most one evaluation each, or at once where J'J or J'r is not finite
+    or the start's record is None. Returns the last point taken, its
+    record and whether the run converged.
     """
-    r = fun(x)
+    r, record = fun(x)
+    if record is None:  # nothing to fit
+        return x, None, False
     cost = r @ r
     lam = 1e-3
     moved = True
     for _ in range(_MAX_NFEV - 1):
         if moved:
-            jacobian = jac(x, r)
+            jacobian = jac(x, r, record)
             with np.errstate(all="ignore"):
                 normal = jacobian.T @ jacobian
                 grad = jacobian.T @ r
             if not (np.isfinite(normal).all() and np.isfinite(grad).all()):
-                return x, False  # no step can be formed before x moves
+                return x, record, False  # no step can be formed before x moves
             diag = normal.diagonal().copy()
             diag[diag == 0.0] = 1.0
             free = ~(((x <= _LOWER) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
@@ -368,18 +361,18 @@ def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, bool]:
         dx = x_new - x
         step_norm = math.sqrt(dx @ dx)
         if step_norm < _XTOL * (_XTOL + math.sqrt(x @ x)):
-            return x, True
+            return x, record, True
         moved = False
         if math.isfinite(step_norm):
-            r_new = fun(x_new)
+            r_new, record_new = fun(x_new)
             cost_new = r_new @ r_new
             moved = cost_new <= cost  # False when not finite
         if moved:
-            x, r, cost = x_new, r_new, cost_new
+            x, r, cost, record = x_new, r_new, cost_new, record_new
             lam /= 10.0
         else:
             lam *= 10.0
-    return x, False
+    return x, record, False
 
 
 def fit_day(
@@ -400,20 +393,22 @@ def fit_day(
     at 2000 residual evaluations with finite-difference probes not counted.
 
     init is (nu, sigma, rho), clipped into the box; ISE is the RMS of the
-    fitted objective. kappa0 and theta are fixed in the model of every
-    objective; the d and h models have no mean reversion, so a nonzero
-    kappa0 with their objectives raises DomainError before the fit starts,
-    as does a negative or non-finite kappa0 or theta. A fit that hits the
-    cap, or whose start point has no usable quote or parameters the model
-    rejects, ends with converged=False and the point it reached.
+    fitted objective, read with n_skipped from the fit's evaluation at the
+    fitted point, so nfev counts every residual evaluation of the day.
+    kappa0 and theta are fixed in the model of every objective; the d and
+    h models have no mean reversion, so a nonzero kappa0 with their
+    objectives raises DomainError before the fit starts, as does a
+    negative or non-finite kappa0 or theta. A fit that hits the cap, or
+    whose start point has no usable quote or parameters the model rejects,
+    ends with converged=False and the point it reached.
     """
-    return _fit(_DayObjective(day, objective, sigma_prev), init, kappa0, theta)
+    return _fit(_DayObjective(day, objective, sigma_prev), init, kappa0, theta, False)
 
 
 def _fit(
-    target: _DayObjective, init: tuple[float, float, float], kappa0: float, theta: float
+    target: _DayObjective, init: tuple[float, ...], kappa0: float, theta: float, warm: bool
 ) -> CalibrationResult:
-    """fit_day on a built day objective."""
+    """fit_day on a built day objective, with the OSE of a warm start."""
     # a kappa0 or theta the model rejects is an error, not a failed fit;
     # only the sa2 model has mean reversion
     if target.model != "sa2" and kappa0 != 0.0:
@@ -425,11 +420,12 @@ def _fit(
     x = np.clip(np.asarray(init, dtype=float), _LOWER, _UPPER)
     n_quotes = target.day.implied_vol.size
     nfev = 0
-    # (params, used, scale, state) of the last finite residuals
-    last = None
+    first = None  # the start's record
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        nonlocal nfev, last
+    def residuals(x: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+        # the scaled residuals and the record (diff, params, used, scale,
+        # state) of the evaluation, or inf and None where no quote is used
+        nonlocal nfev, first
         nfev += 1
         try:
             params = _make_params(x, kappa0, theta)
@@ -438,30 +434,27 @@ def _fit(
             diff = np.full(n_quotes, np.nan)
         used = np.isfinite(diff)
         n_used = np.count_nonzero(used)
-        if n_used == 0:
-            if last is None:
-                raise _NoFiniteStart
-            return np.full(n_quotes, np.inf)  # a rejected step
-        scale = 1.0 / math.sqrt(n_used)
-        last = (params, used, scale, state)
-        return np.where(used, diff, 0.0) * scale
+        record = (diff, params, used, 1.0 / math.sqrt(n_used), state) if n_used else None
+        if nfev == 1:
+            first = record
+        if record is None:
+            return np.full(n_quotes, np.inf), None  # a rejected step, or nothing to fit
+        return np.where(used, diff, 0.0) * record[3], record
 
-    def closed_form_jac(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        # _least_squares asks at the point it evaluated last
-        params, used, scale, state = last
+    def jac(x: np.ndarray, r: np.ndarray, record: tuple) -> np.ndarray:
+        if not target.closed_form:
+            return _forward_jacobian(residuals, x, r)
+        _, params, used, scale, state = record
         jac = target.jacobian(params, *state)
         jac[~used] = 0.0
         return jac * scale
 
-    if target.closed_form:
-        jac = closed_form_jac
-    else:
-        jac = functools.partial(_forward_jacobian, residuals)
-    try:
-        x, converged = _least_squares(residuals, jac, x)
-    except _NoFiniteStart:
-        converged = False
-    ise, skipped = target.rms(_make_params(x, kappa0, theta))
+    def rms(record: tuple | None) -> tuple[float, int]:
+        value, skipped = _mean_square(record[0]) if record else (math.inf, n_quotes)
+        return math.sqrt(value), skipped
+
+    x, record, converged = _least_squares(residuals, jac, x)
+    ise, skipped = rms(record)
     return CalibrationResult(
         day=target.day.day,
         objective=target.objective,
@@ -469,6 +462,7 @@ def _fit(
         sigma=float(x[1]),
         rho=float(x[2]),
         ise=ise,
+        ose=rms(first)[0] if warm else math.nan,
         converged=converged,
         n_skipped=skipped,
         nfev=nfev,
@@ -518,9 +512,9 @@ def calibrate_panel(
     theta: float = 0.0,
 ) -> list[CalibrationResult]:
     """Fit every day with a warm-start chain: day tau starts from day
-    tau-1's parameters, and OSE is the RMS error of day tau under them.
-    A day's fit, ISE and OSE evaluate one day objective, so a fault that
-    flags the fit gives an OSE of inf rather than an error."""
+    tau-1's parameters, and OSE is the RMS error of day tau under them:
+    the fit's first evaluation. A fault that flags the fit gives an OSE of
+    inf rather than an error."""
     if not days:
         raise DomainError("a panel needs at least one quote day")
     results: list[CalibrationResult] = []
@@ -528,10 +522,8 @@ def calibrate_panel(
     sigma_prev = sigma_prev0
     for day in days:
         target = _DayObjective(day, objective, sigma_prev)
-        res = _fit(target, prev.params if prev is not None else init, kappa0, theta)
-        if prev is not None:
-            ose, _ = target.rms(_make_params(np.array(prev.params), kappa0, theta))
-            res = dataclasses.replace(res, ose=ose)
+        warm = prev is not None
+        res = _fit(target, prev.params if warm else init, kappa0, theta, warm)
         results.append(res)
         prev = res
         sigma_prev = res.sigma

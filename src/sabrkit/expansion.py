@@ -41,10 +41,12 @@ array. The OptionQuery forms (`price_sa2`, `f1_term`, `f2_term`,
 `delta_sa2`) stay scalar. `price_sa2`, `price_sa2_rel`, `f1_term` and
 `f2_term` are one strike-normalized evaluation, whose leading term
 F_BS / K is `core.c_rel`. At tiny t, where a ladder's powers of -1/v
-overflow, the corrections take their t -> 0 limit 0; the hedge ratio's
-x-derivatives follow the same rule, so both reduce to Black-Scholes. A
-correction not finite at larger v is a DomainError naming y and t in the
-OptionQuery forms; `price_sa2_rel` returns it for its callers to report.
+overflow while its coefficients stay finite, the corrections take their
+t -> 0 limit 0; the hedge ratio's x-derivatives follow the same rule, so
+both reduce to Black-Scholes. A correction not finite at larger v, or
+from coefficients that are not finite, is a DomainError naming y and t
+in the OptionQuery forms; `price_sa2_rel` returns it for its callers to
+report.
 
 F1 keeps two forms on purpose: the closed form in the price (and so in
 `f1_term`) and the kernel coefficients in `f1_coeffs`, which the hedge
@@ -218,14 +220,19 @@ def _kernel_sum(dm, v, coeffs, shift: int = 0):
     return total
 
 
-def _t_to_zero(m, v, a, b):
+def _t_to_zero(m, v, sigma, t, params: SabrParams, a, b):
     # Both corrections (and their x-derivatives) tend to 0 as t -> 0, but at
     # tiny v a ladder's powers of -1/v times its Hermite values of d_-
     # overflow (already at t = 1e-80 for sigma = 0.2, y = 0.1): a pair that
     # is not finite at v < 1 takes that limit, leaving the Black-Scholes
-    # term alone. One not finite at large v stays, for callers to report.
+    # term alone. One not finite at large v, or where a kernel coefficient
+    # is not finite (kappa0^2 or (theta - sigma)^2 overflows), stays, for
+    # callers to report.
     if not _all(m.isfinite(a + b)):
         kept = m.isfinite(a) & m.isfinite(b) | (v >= 1.0)
+        rest = (params.rho, params.kappa0, params.theta)
+        for c in f1_coeffs(sigma, t, *rest) + f2_coeffs(sigma, t, *rest):
+            kept = m.where(m.isfinite(c), kept, True)
         a, b = m.where(kept, a, 0.0), m.where(kept, b, 0.0)
     return a, b
 
@@ -251,7 +258,7 @@ def _sa2_rel(m, y, t, sigma, params: SabrParams):
         drift = -rho * sigma * dm
         if kappa0 != 0.0:
             drift = kappa0 * (theta - sigma) * m.sqrt(t) + drift
-        f1, f2 = _t_to_zero(m, v, 0.5 * t * drift * pdf, f2)
+        f1, f2 = _t_to_zero(m, v, sigma, t, params, 0.5 * t * drift * pdf, f2)
     return live, f_bs, f1, f2
 
 
@@ -425,14 +432,18 @@ def _sigma_d(m, y, t, sigma, params: SabrParams) -> VolQuote:
     # infinite y or t into nan
     _require(m.isfinite(y), "sigma_d requires finite y", y)
     _require_sigma_t(sigma, t, "sigma_d")
-    return _sigma_d_quote(m, _monomials(y, t), sigma, params)
+    with contextlib.nullcontext() if m is _MATH else np.errstate(over="ignore", invalid="ignore"):
+        quote = _sigma_d_quote(m, _monomials(y, t), sigma, params)
+    _require_at(m.isfinite(quote.value), "sigma_d overflows a float", y=y, t=t, sigma=sigma)
+    return quote
 
 
 def sigma_d(y, t, params: SabrParams, *, sigma=None) -> VolQuote:
     """Expansion implied vol sigma + nu e1 + nu^2 e2.
 
     Nonpositive raw values (possible for extreme parameters probed by
-    optimizers) are clamped to a small positive floor and flagged.
+    optimizers) are clamped to a small positive floor and flagged; a value
+    that overflows a float is a DomainError naming its point.
     """
     m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
     return _sigma_d(m, y, t, sigma, params)
@@ -463,7 +474,7 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
     # d/du (h_tilde(i) phi_t) = h_tilde(i + 1) phi_t: the x-derivative over K
     # of each correction is its ladder shifted up one index
     pdf_v = _npdf(_MATH, dm) / v
-    dx_b1, dx_b2 = _t_to_zero(_MATH, v, *(
+    dx_b1, dx_b2 = _t_to_zero(_MATH, v, sigma, t, params, *(
         query.strike
         * (_kernel_sum(dm, v, coeffs(sigma, t, rho, params.kappa0, params.theta), 1) * pdf_v)
         for coeffs in (f1_coeffs, f2_coeffs)

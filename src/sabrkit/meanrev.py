@@ -9,6 +9,8 @@ the time-averaged variance
 
 where z parametrizes the terminal volatility and tau is time to expiry.
 `det_vol_price` is `core.bs_call` at the effective vol sqrt(V / tau).
+The state's fields and tau are finite; where e^{kappa tau} or V
+overflows a float, a DomainError names kappa and tau.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, OptionQuery, bs_call
+from .core import DomainError, OptionQuery, _require_at, bs_call
 
 __all__ = ["MeanRevState", "sigma_of_z", "total_variance", "det_vol_price"]
 
@@ -34,20 +36,37 @@ class MeanRevState:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (self.z > 0.0):
-            raise DomainError(f"z must be positive, got {self.z}")
-        if not (self.kappa >= 0.0):
-            raise DomainError(f"kappa must be nonnegative, got {self.kappa}")
-        if not (self.theta >= 0.0):
-            raise DomainError(f"theta must be nonnegative, got {self.theta}")
+        if not (0.0 < self.z < math.inf):
+            raise DomainError(f"z must be positive and finite, got {self.z}")
+        if not (0.0 <= self.kappa < math.inf):
+            raise DomainError(f"kappa must be nonnegative and finite, got {self.kappa}")
+        if not (0.0 <= self.theta < math.inf):
+            raise DomainError(f"theta must be nonnegative and finite, got {self.theta}")
+
+
+def _require_tau(tau: float) -> None:
+    if not (0.0 <= tau < math.inf):
+        raise DomainError(f"tau must be nonnegative and finite, got {tau}")
+
+
+def _require_finite(value: float, what: str, state: MeanRevState, tau: float) -> float:
+    _require_at(math.isfinite(value), f"{what} overflows a float", kappa=state.kappa, tau=tau)
+    return value
+
+
+def _grown(f, kt: float) -> float:
+    # f(kt) for f = exp or expm1, inf where it overflows a float
+    try:
+        return f(kt)
+    except OverflowError:
+        return math.inf
 
 
 def sigma_of_z(state: MeanRevState, tau: float) -> float:
     """Volatility tau years before expiry: e^{kappa tau} z - theta (e^{kappa tau} - 1)."""
-    if tau < 0.0:
-        raise DomainError(f"tau must be nonnegative, got {tau}")
-    e = math.exp(state.kappa * tau)
-    return e * state.z - state.theta * (e - 1.0)
+    _require_tau(tau)
+    e = _grown(math.exp, state.kappa * tau)
+    return _require_finite(e * state.z - state.theta * (e - 1.0), "sigma_of_z", state, tau)
 
 
 def total_variance(state: MeanRevState, tau: float) -> float:
@@ -56,8 +75,7 @@ def total_variance(state: MeanRevState, tau: float) -> float:
     Continuous across the kappa -> 0 seam, where it reduces to z^2 tau:
     the small-kappa branch keeps the Taylor terms through (kappa tau)^2.
     """
-    if tau < 0.0:
-        raise DomainError(f"tau must be nonnegative, got {tau}")
+    _require_tau(tau)
     z, kappa, theta = state.z, state.kappa, state.theta
     dev = z - theta
     kt = kappa * tau
@@ -66,12 +84,14 @@ def total_variance(state: MeanRevState, tau: float) -> float:
         #   + dev^2 tau (1 + kt + (2/3) kt^2)
         a = 2.0 * theta * dev * tau * (1.0 + kt / 2.0 + kt * kt / 6.0)
         b = dev * dev * tau * (1.0 + kt + 2.0 * kt * kt / 3.0)
-        return theta * theta * tau + a + b
-    return (
-        theta * theta * tau
-        + (2.0 * theta / kappa) * dev * math.expm1(kt)
-        + (dev * dev / (2.0 * kappa)) * math.expm1(2.0 * kt)
-    )
+        variance = theta * theta * tau + a + b
+    else:
+        variance = (
+            theta * theta * tau
+            + (2.0 * theta / kappa) * dev * _grown(math.expm1, kt)
+            + (dev * dev / (2.0 * kappa)) * _grown(math.expm1, 2.0 * kt)
+        )
+    return _require_finite(variance, "total_variance", state, tau)
 
 
 def det_vol_price(query: OptionQuery, state: MeanRevState) -> float:

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import functools
 import hashlib
 import math
 import re
@@ -342,7 +341,7 @@ def solver_functions(day, objective, sigma_prev=None):
 
     def capture(fun, jac, x):
         handed.append((fun, jac))
-        return x, True
+        return x, None, True
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calibration, "_least_squares", capture)
@@ -372,7 +371,7 @@ class TestDObjectiveJacobians:
         used = np.isfinite(base)
         if not used.any():
             return None
-        got = jac(x, fun(x)) * math.sqrt(np.count_nonzero(used))  # unscaled
+        got = jac(x, *fun(x)) * math.sqrt(np.count_nonzero(used))  # unscaled
         assert got.shape == (base.size, 3) and got.dtype == np.float64
         assert (got[~used | clamped] == 0.0).all()
         fd = np.empty_like(got)
@@ -511,9 +510,9 @@ class TestFitDay:
         day = synth_panel(TRUE, 2, noise_level=0.01, seed=5)[day_index]
         res = fit_day(day, (1.0, 0.25, -0.3), objective)
         assert res.converged
-        # every optimizer evaluation, plus the final one at the fitted point
+        # every evaluation is the solver's: the ISE is read from its last
         assert 0 < res.nfev < 100
-        assert len(calls) == res.nfev + 1
+        assert len(calls) == res.nfev
 
     @pytest.mark.parametrize("day_index", [0, 1])
     def test_nfev_counts_objective_evaluations(self, monkeypatch, day_index):
@@ -541,7 +540,7 @@ class TestFitDay:
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
         res = fit_day(day, (10.0, 0.25, -2.0), "sigma_d")
         assert len(runs) == 1
-        start, (x, converged), calls = runs[0]
+        start, (x, _, converged), calls = runs[0]
         np.testing.assert_array_equal(start, [5.0, 0.25, -0.99])
         assert res.params == tuple(x) and res.converged == converged
         # sigma_d has a closed-form Jacobian: every evaluation is the solver's
@@ -676,9 +675,20 @@ class TestFitDay:
         assert 0.005 <= today.ose <= 0.02
 
 
+def recorded(fun):
+    """fun in _least_squares's protocol: the residuals, with x as the record."""
+    return lambda x: (fun(x), x.copy())
+
+
 def forward(fun):
-    """_least_squares's jac argument: forward differences of fun."""
-    return functools.partial(calibration._forward_jacobian, fun)
+    """_least_squares's jac argument: forward differences of recorded(fun),
+    handed the record of the point it is asked at."""
+
+    def jac(x, r, record):
+        np.testing.assert_array_equal(record, x)
+        return calibration._forward_jacobian(recorded(fun), x, r)
+
+    return jac
 
 
 class TestLeastSquares:
@@ -690,7 +700,10 @@ class TestLeastSquares:
         def fun(x):
             return x - np.array([7.0, 0.3, -2.0])
 
-        x, converged = calibration._least_squares(fun, forward(fun), np.array([1.0, 0.2, 0.0]))
+        x, record, converged = calibration._least_squares(
+            recorded(fun), forward(fun), np.array([1.0, 0.2, 0.0])
+        )
+        np.testing.assert_array_equal(record, x)
         # the run stops once a step would be shorter than 1e-8 (1e-8 + |x|)
         assert converged
         np.testing.assert_allclose(x, [5.0, 0.3, -0.99], rtol=0.0, atol=1e-7)
@@ -700,7 +713,9 @@ class TestLeastSquares:
         def fun(x):
             return np.array([x[0] - 1.0, x[2] + 0.5])
 
-        x, converged = calibration._least_squares(fun, forward(fun), np.array([2.0, 0.3, 0.5]))
+        x, _, converged = calibration._least_squares(
+            recorded(fun), forward(fun), np.array([2.0, 0.3, 0.5])
+        )
         assert converged and x[1] == 0.3
         np.testing.assert_allclose(x[[0, 2]], [1.0, -0.5], rtol=0.0, atol=1e-7)
 
@@ -710,10 +725,10 @@ class TestLeastSquares:
         def fun(x):
             return np.array([x[0] - 3.0 if x[0] <= 2.0 else math.inf])
 
-        def jac(x, r):
+        def jac(x, r, record):
             return np.array([[1.0, 0.0, 0.0]])
 
-        x, converged = calibration._least_squares(fun, jac, np.array([1.0, 0.2, 0.0]))
+        x, _, converged = calibration._least_squares(recorded(fun), jac, np.array([1.0, 0.2, 0.0]))
         assert converged
         assert 2.0 - 1e-7 <= x[0] <= 2.0 and (x[1], x[2]) == (0.2, 0.0)
 
@@ -731,12 +746,12 @@ class TestLeastSquares:
             calls.append(1)
             return np.array([x[0] - 3.0])
 
-        def jac(x, r):
+        def jac(x, r, record):
             return np.full((1, 3), np.nan)
 
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         start = np.array([1.0, 0.2, 0.0])
-        x, converged = calibration._least_squares(fun, jac, start.copy())
+        x, _, converged = calibration._least_squares(recorded(fun), jac, start.copy())
         assert not converged and len(calls) == 1 and not solves
         np.testing.assert_array_equal(x, start)
 
@@ -760,9 +775,40 @@ class TestLeastSquares:
         # the unconstrained step pushes a bound parameter out of the box:
         # it stays on its bound and the others solve their own system.
         # Measured: within 8e-10 of the minimum from every start.
-        x, converged = calibration._least_squares(fun, forward(fun), np.array(start))
+        x, _, converged = calibration._least_squares(recorded(fun), forward(fun), np.array(start))
         assert converged
         np.testing.assert_allclose(x, minimum, rtol=0.0, atol=1e-8)
+
+    def test_start_with_no_finite_residual_returns_at_once(self):
+        calls = []
+
+        def fun(x):
+            calls.append(1)
+            return np.full(2, np.inf), None
+
+        def jac(x, r, record):
+            raise AssertionError("asked for a Jacobian")
+
+        start = np.array([1.0, 0.2, 0.0])
+        x, record, converged = calibration._least_squares(fun, jac, start.copy())
+        assert (record, converged, len(calls)) == (None, False, 1)
+        np.testing.assert_array_equal(x, start)
+
+    def test_start_whose_sum_of_squares_overflows_is_fitted(self):
+        # r @ r is inf at the start, but its residuals are finite: the run
+        # steps away from it instead of ending there
+        def fun(x):
+            return np.array([x[0] - 1.0, 1e155 if x[0] > 4.5 else 0.0])
+
+        def jac(x, r, record):
+            return np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+        start = np.array([5.0, 0.2, 0.0])
+        with np.errstate(over="ignore"):  # the solver's r @ r overflows too
+            assert fun(start) @ fun(start) == math.inf
+            x, record, converged = calibration._least_squares(recorded(fun), jac, start)
+        assert converged and abs(x[0] - 1.0) <= 1e-7
+        np.testing.assert_array_equal(record, x)
 
     def test_forward_jacobian_steps_back_at_the_upper_bound(self):
         x = np.array([5.0, 0.2, 0.99])
@@ -772,7 +818,7 @@ class TestLeastSquares:
             probes.append(x.copy())
             return np.array([x[0] ** 2, x[1] ** 2, x[2] ** 2])
 
-        jac = calibration._forward_jacobian(fun, x, fun(x))
+        jac = calibration._forward_jacobian(recorded(fun), x, fun(x))
         steps = np.array(probes[1:]) - x
         h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
         np.testing.assert_allclose(np.diag(steps), [-h[0], h[1], -h[2]], rtol=1e-7)
@@ -1024,6 +1070,80 @@ class TestPanel:
         ise = np.mean([r.ise for r in results])
         ose = np.mean([r.ose for r in results[1:]])
         assert ose >= ise
+
+
+class TestFitRecord:
+    """A fit's ISE, n_skipped and OSE are read from its own evaluations:
+    they equal objective_value at the fitted point and at the day before's
+    parameters, bit for bit, and nfev counts every evaluation of a day."""
+
+    DAYS = synth_panel(TRUE, 3, noise_level=0.01, seed=5)
+    START = (1.0, 0.25, -0.3)
+    CASES = [(o, {}) for o in OBJECTIVES] + [
+        (o, dict(kappa0=1.0, theta=0.2)) for o in ("price_sa2", "log_price_sa2")
+    ]
+
+    @staticmethod
+    def params(res, kwargs):
+        return SabrParams(sigma0=res.sigma, nu=res.nu, rho=res.rho, **kwargs)
+
+    @pytest.mark.parametrize("objective, kwargs", CASES)
+    def test_ise_and_ose_are_objective_value(self, objective, kwargs):
+        res = fit_day(self.DAYS[0], self.START, objective, **kwargs)
+        fitted = self.params(res, kwargs)
+        assert res.ise == math.sqrt(objective_value(self.DAYS[0], fitted, objective))
+        results = calibrate_panel(self.DAYS, self.START, objective, **kwargs)
+        assert results[0] == res
+        for day, yesterday, today in zip(self.DAYS[1:], results, results[1:]):
+            before = self.params(yesterday, kwargs)
+            assert today.ose == math.sqrt(objective_value(day, before, objective))
+            after = self.params(today, kwargs)
+            assert today.ise == math.sqrt(objective_value(day, after, objective))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_a_panel_evaluates_sum_of_nfev(self, monkeypatch, objective):
+        calls = []
+        residuals = calibration._DayObjective.residuals
+
+        def counted(*args):
+            calls.append(1)
+            return residuals(*args)
+
+        monkeypatch.setattr(calibration._DayObjective, "residuals", counted)
+        results = calibrate_panel(self.DAYS, self.START, objective)
+        assert all(res.nfev > 0 for res in results)
+        assert len(calls) == sum(res.nfev for res in results)
+
+    def test_start_with_no_finite_quote(self, monkeypatch):
+        # day 2's quoted prices cannot be formed (e^800 overflows) and day
+        # 3's only quote has a zero model price under the log at the start
+        calls = []
+        residuals = calibration._DayObjective.residuals
+
+        def counted(*args):
+            calls.append(1)
+            return residuals(*args)
+
+        good = self.DAYS[0]
+        bad = QuoteDay(
+            day=2, option_type=("C", "C"), expiry=[1.0, 1.0], implied_vol=[0.2, 0.2],
+            moneyness=[0.1, 800.0],
+        )
+        clamped = QuoteDay(
+            day=3, option_type=("C",), expiry=[2.0], implied_vol=[0.2], moneyness=[-0.2]
+        )
+        monkeypatch.setattr(calibration._DayObjective, "residuals", counted)
+        for days, start, objective in [
+            ([good, bad], self.START, "price_d"),
+            ([clamped, clamped], (5.0, 0.01, -0.99), "log_price_d"),
+        ]:
+            calls.clear()
+            results = calibrate_panel(days, start, objective)
+            last = results[-1]
+            assert last.nfev == 1 and not last.converged
+            assert last.ise == last.ose == math.inf
+            assert last.n_skipped == days[-1].implied_vol.size
+            assert len(calls) == sum(res.nfev for res in results)
 
 
 class TestCsv:

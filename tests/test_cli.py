@@ -109,6 +109,17 @@ class TestPrice:
         assert err == "error: model sa2 gives a price that is not finite at y = 0.0, t = 1e+300\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "model, flags",
+        [("sa2", ["--kappa0", "1e300", "--theta", "1"]),
+         ("kappa", ["--kappa0", "1", "--theta", "1e300"])],
+    )
+    def test_mean_reversion_overflow_is_not_black_scholes(self, capsys, model, flags):
+        # kappa0^2 or (theta - sigma)^2 overflows in F2 at v = 0.2 < 1
+        code, out, err = run(["price", "--model", model, *flags], capsys)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"error: model {model} gives a price that is not finite at y = 0.0, t = 1.0\n"
+
     def test_vol_the_model_cannot_invert_is_nan(self, capsys):
         # at t = 0 the price is the payoff, which no vol gives as a time value
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,24 @@ class TestPriceSa2:
         with pytest.raises(DomainError, match="^f2_term gives a correction that is not finite"):
             f2_term(q, 0.2, -0.3, 1.0, 0.3)
 
+    @pytest.mark.parametrize("kappa0, theta", [(1e300, 1.0), (1.0, 1e300)])
+    def test_coefficients_not_finite_are_not_the_tiny_t_limit(self, kappa0, theta):
+        # v = 0.2 < 1, but kappa0^2 or (theta - sigma)^2 overflows in the F2
+        # coefficients: the correction is not finite, not Black-Scholes
+        q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
+        p = SabrParams(sigma0=0.2, nu=0.4, rho=-0.3, kappa0=kappa0, theta=theta)
+        assert not math.isfinite(price_sa2_rel(0.0, 1.0, p))
+        got = price_sa2_rel(np.array([0.0, 0.1]), np.array([1.0, 1e-80]), p)
+        assert not np.isfinite(got).any()
+        for name, form in [
+            ("price_sa2", lambda: price_sa2(q, p)),
+            ("delta_sa2", lambda: delta_sa2(q, p)),
+            ("f2_term", lambda: f2_term(q, 0.2, -0.3, kappa0, theta)),
+        ]:
+            message = rf"^{name} gives a correction that is not finite at y = 0.0, t = 1.0$"
+            with pytest.raises(DomainError, match=message):
+                form()
+
     def test_mean_reversion_terms_enter(self):
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
         flat = price_sa2(q, SabrParams(sigma0=0.2, nu=0.3, rho=-0.3)).total
@@ -357,6 +376,17 @@ class TestImpliedVol:
             assert quote.value > 0.0
         else:  # parameters never clamped: value must still be positive
             assert quote.value > 0.0
+
+    def test_sigma_d_overflow_is_domain_error(self):
+        # the y^2 monomial overflows: sigma_d is inf and price_d's c_rel nan
+        p = SabrParams(sigma0=0.2, nu=0.4, rho=-0.3)
+        message = r"^sigma_d overflows a float at y = {}, t = 1.0, sigma = 0.2$"
+        for fn, y in [(sigma_d, 1e200), (price_d, -1e200)]:
+            with pytest.raises(DomainError, match=message.format(re.escape(str(y)))):
+                fn(y, 1.0, p)
+            # an array call names the point, without a numpy warning
+            with pytest.raises(DomainError, match=message.format(re.escape(str(y)))):
+                fn(np.array([0.1, y]), np.array([1.0, 1.0]), p)
 
     def test_sigma_d_rejects_mean_reversion(self):
         p = SabrParams(sigma0=0.2, nu=0.3, rho=-0.3, kappa0=0.5, theta=0.2)

@@ -48,6 +48,40 @@ class TestVolPath:
         with pytest.raises(DomainError):
             sigma_of_z(state, -0.5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(z=math.inf), "z must be positive and finite, got inf"),
+            (dict(z=math.nan), "z must be positive and finite, got nan"),
+            (dict(kappa=math.inf), "kappa must be nonnegative and finite, got inf"),
+            (dict(theta=math.inf), "theta must be nonnegative and finite, got inf"),
+        ],
+    )
+    def test_state_fields_are_finite(self, fields, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            MeanRevState(**{**dict(z=0.2, kappa=1.0, theta=0.3), **fields})
+
+    @pytest.mark.parametrize("fn", [sigma_of_z, total_variance])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -0.5])
+    def test_tau_is_finite_and_nonnegative(self, fn, tau):
+        state = MeanRevState(z=0.2, kappa=1.0, theta=0.3)
+        with pytest.raises(DomainError, match=f"^tau must be nonnegative and finite, got {tau}$"):
+            fn(state, tau)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("sigma_of_z", lambda state: sigma_of_z(state, 1.0)),
+            ("total_variance", lambda state: total_variance(state, 1.0)),
+            ("total_variance", lambda state: det_vol_price(OptionQuery(1.0, 1.0, 0.0, 1.0), state)),
+        ],
+    )
+    def test_overflow_names_kappa_and_tau(self, name, call):
+        # e^{kappa tau} = e^1000 overflows a float
+        message = f"^{name} overflows a float at kappa = 1000.0, tau = 1.0$"
+        with pytest.raises(DomainError, match=message):
+            call(MeanRevState(z=0.2, kappa=1000.0, theta=0.2))
+
 
 class TestTotalVariance:
     def test_no_reversion(self):
