@@ -190,7 +190,9 @@ class _DayObjective:
         y = day.moneyness if day.delta is None else delta_to_moneyness(day.delta, sigma_prev, t)
         self.y, self.t = y, t
         if self.closed_form:
-            self.monomials = np.array(_monomials(y, t))
+            # a y^2 past the largest float is inf, and its quote is skipped
+            with np.errstate(over="ignore"):
+                self.monomials = np.array(_monomials(y, t))
 
     @functools.cached_property
     def targets(self) -> np.ndarray:
@@ -216,8 +218,9 @@ class _DayObjective:
         y, t = self.y, self.t
         state = None
         if self.closed_form:
-            # price_d's and sigma_d's evaluations, from the monomials
-            quote = _sigma_d_quote(_NUMPY, self.monomials, params.sigma0, params)
+            # price_d's and sigma_d's evaluations, from the monomials (an infinite one is skipped)
+            with np.errstate(over="ignore", invalid="ignore"):
+                quote = _sigma_d_quote(_NUMPY, self.monomials, params.sigma0, params)
             model = quote.value if self.quantity == "vol" else _c_rel(_NUMPY, y, quote.value, t)
             state = (quote, model)
         elif self.quantity == "vol":
@@ -236,12 +239,11 @@ class _DayObjective:
         for prices times the vega sqrt(t) N'(d_-) of c_rel at sigma_d, over
         the price for log prices. Clamped rows are zero; a row whose
         residual is skipped is the caller's to zero."""
-        jac = _sigma_d_jacobian(self.monomials, params, quote.clamped)
-        if self.quantity != "vol":
-            y, t = self.y, self.t
-            # a row that is not finite here is a skipped quote's (a zero price)
-            with np.errstate(all="ignore"):
-                vega = _c_rel_vega(_NUMPY, y, quote.value, t)
+        # a row that is not finite here is a skipped quote's (y^2 or the price is inf or 0)
+        with np.errstate(all="ignore"):
+            jac = _sigma_d_jacobian(self.monomials, params, quote.clamped)
+            if self.quantity != "vol":
+                vega = _c_rel_vega(_NUMPY, self.y, quote.value, self.t)
                 if self.quantity == "log price":
                     vega = vega / model
                 jac *= vega[:, None]
@@ -332,7 +334,8 @@ def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, object, bool]:
     r, record = fun(x)
     if record is None:  # nothing to fit
         return x, None, False
-    cost = r @ r
+    with np.errstate(over="ignore"):  # an overflowing sum of squares is inf
+        cost = r @ r
     lam = 1e-3
     moved = True
     for _ in range(_MAX_NFEV - 1):
@@ -365,7 +368,8 @@ def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, object, bool]:
         moved = False
         if math.isfinite(step_norm):
             r_new, record_new = fun(x_new)
-            cost_new = r_new @ r_new
+            with np.errstate(over="ignore"):
+                cost_new = r_new @ r_new
             moved = cost_new <= cost  # False when not finite
         if moved:
             x, r, cost, record = x_new, r_new, cost_new, record_new
@@ -542,12 +546,14 @@ def read_quotes_csv(path: str) -> list[QuoteDay]:
     rejects, raises a DomainError naming its line: the first line that
     does not parse, else the first whose values are rejected.
     """
+    # read once: a pipe cannot be read again to name a bad row
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != QUOTE_HEADER:
-            raise DomainError(f"bad quote CSV header {header}; expected {QUOTE_HEADER}")
-        rows = list(filter(None, reader))  # blank lines hold no quote
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != QUOTE_HEADER:
+        raise DomainError(f"bad quote CSV header {header}; expected {QUOTE_HEADER}")
+    rows = list(filter(None, reader))  # blank lines hold no quote
     if not rows:
         return []
     try:
@@ -565,24 +571,23 @@ def read_quotes_csv(path: str) -> list[QuoteDay]:
             for day, i in sorted(by_day.items())
         ]
     except ValueError:  # a DomainError included
-        _raise_first_bad_row(path)
+        _raise_first_bad_row(path, lines)
         raise
 
 
-def _raise_first_bad_row(path: str) -> None:
-    """Read the quote CSV at path row by row: raise a DomainError naming the
-    first line that does not parse, else the first whose values a one-quote
-    QuoteDay rejects."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = []
-        for row in filter(None, reader):
-            try:
-                day, kind, months, delta, vol = row
-                rows.append((reader.line_num, int(day), kind, *map(float, (months, delta, vol))))
-            except ValueError as exc:
-                raise DomainError(f"{path}:{reader.line_num}: bad quote row: {exc}") from exc
+def _raise_first_bad_row(path: str, lines: list[str]) -> None:
+    """Read the lines of the quote CSV at path row by row: raise a
+    DomainError naming the first line that does not parse, else the first
+    whose values a one-quote QuoteDay rejects."""
+    reader = csv.reader(lines)
+    next(reader)
+    rows = []
+    for row in filter(None, reader):
+        try:
+            day, kind, months, delta, vol = row
+            rows.append((reader.line_num, int(day), kind, *map(float, (months, delta, vol))))
+        except ValueError as exc:
+            raise DomainError(f"{path}:{reader.line_num}: bad quote row: {exc}") from exc
     for line, day, kind, months, delta, vol in rows:
         try:
             QuoteDay(day, (kind,), [months / 12.0], [vol], delta=[delta])

@@ -16,8 +16,8 @@ h_tilde(i) = (-1/v)^i H_i(d_-) and phi_t = N'(d_-) / v, so
 from the recurrence H_{i+1} = d_- H_i - i H_{i-1} and the powers of -1/v
 from repeated products. The price computes v, d_- and N'(d_-) once for
 both corrections, and the hedge ratio takes the x-derivatives from the
-same ladder shifted up one index; `h_tilde` and `phi_t` remain the
-per-term forms in `core`. The implied volatility
+same ladder, its coefficients led by a zero; `h_tilde` and `phi_t`
+remain the per-term forms in `core`. The implied volatility
 carries the matching expansion sigma + nu*e1 + nu^2*e2. For kappa0 = 0 it
 is a polynomial in (y, t) with coefficients in (sigma, rho):
 
@@ -199,24 +199,23 @@ def f2_coeffs(
     return a20, a21, a22, a23, a24
 
 
-def _kernel_sum(dm, v, coeffs, shift: int = 0):
-    """sum_i a_i (-1/v)^n H_n(d_-) with n = i + shift, for shift 0 or 1.
+def _kernel_sum(dm, v, coeffs):
+    """sum_i a_i (-1/v)^i H_i(d_-) over the coefficients a_0, a_1, ...
 
     With phi_t = N'(d_-) / v, phi_t times this sum is a correction term
-    sum_i a_i h_tilde(i) phi_t over K (shift 0) or its x-derivative (shift
-    1). H_n comes from one recurrence H_{n+1} = d_- H_n - n H_{n-1} and
-    (-1/v)^n from repeated products; the same code serves float and array
-    calls.
+    sum_i a_i h_tilde(i) phi_t over K. Since d/dx (h_tilde(i) phi_t) =
+    h_tilde(i + 1) phi_t, an x-derivative of order k is the sum of the same
+    coefficients led by k zeros. H_i comes from one recurrence H_{i+1} =
+    d_- H_i - i H_{i-1} and (-1/v)^i from repeated products; the same code
+    serves float and array calls.
     """
     w = -1.0 / v
     power, h_prev, h = w, 1.0, dm  # (-1/v)^1, H_0, H_1
-    total = coeffs[1 - shift] * (power * h)
-    if shift == 0:
-        total = coeffs[0] + total
-    for n in range(1, len(coeffs) + shift - 1):
+    total = coeffs[0] + coeffs[1] * (power * h)
+    for n in range(1, len(coeffs) - 1):
         h_prev, h = h, dm * h - n * h_prev
         power = power * w
-        total += coeffs[n + 1 - shift] * (power * h)
+        total += coeffs[n + 1] * (power * h)
     return total
 
 
@@ -374,14 +373,11 @@ def _sigma_d_quote(m, mono, sigma, params: SabrParams) -> VolQuote:
     c = nu e1 + nu^2 e2 folded onto the five monomials, then the clamp.
 
     sigma is a float or an array broadcast to the monomials' shape; at
-    nu = 0 the coefficients are zero and need no sigma > 0."""
+    nu = 0 the fold gives zeros wherever e1 and e2 are finite."""
     if params.kappa0 != 0.0:
         raise DomainError("sigma_d is only available for kappa0 = 0")
     nu = params.nu
-    if nu == 0.0:
-        coeffs = (0.0,) * 5
-    else:
-        coeffs = _fold(*_implied_coeffs(sigma, params.rho), nu, _nu_squared(nu))
+    coeffs = _fold(*_implied_coeffs(sigma, params.rho), nu, _nu_squared(nu))
     raw = sigma + _poly(coeffs, mono)
     clamped = raw <= 0.0
     return VolQuote(m.where(clamped, SIGMA_FLOOR, raw), clamped)
@@ -461,6 +457,7 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
     Equals N(d_+) plus the term-by-term S-derivative of the correction
     terms, mean reversion included; reduces to the Black-Scholes delta at
     nu = 0, and at tiny t, where the corrections take their t -> 0 limit.
+    A correction that is not finite raises at every nu, as in `price_sa2`.
     """
     y, t = query.log_moneyness, query.expiry
     if not (t > 0.0):
@@ -468,15 +465,12 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
     sigma, nu, rho = params.sigma0, params.nu, params.rho
     v, dm = _scaled_d_minus(_MATH, y, sigma, t)
     base = _ncdf(_MATH, dm + v)  # N(d_+)
-    if nu == 0.0:
-        return base
     nu2 = _nu_squared(nu)
-    # d/du (h_tilde(i) phi_t) = h_tilde(i + 1) phi_t: the x-derivative over K
-    # of each correction is its ladder shifted up one index
+    # the x-derivative over K of each correction: its kernel sum led by a zero
     pdf_v = _npdf(_MATH, dm) / v
     dx_b1, dx_b2 = _t_to_zero(_MATH, v, sigma, t, params, *(
         query.strike
-        * (_kernel_sum(dm, v, coeffs(sigma, t, rho, params.kappa0, params.theta), 1) * pdf_v)
+        * (_kernel_sum(dm, v, (0.0, *coeffs(sigma, t, rho, params.kappa0, params.theta))) * pdf_v)
         for coeffs in (f1_coeffs, f2_coeffs)
     ))
     _require_finite("delta_sa2", y, t, dx_b1, dx_b2)

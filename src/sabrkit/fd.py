@@ -212,15 +212,13 @@ def _step_matrix(
 
 
 def stable_time_steps(grid: FdGrid, params: SabrParams, T: float) -> int:
-    """Time-step count from the explicit stability bound
+    """Time-step count from the explicit stability bound, ds a node's smaller sigma spacing:
 
     dt <= 0.9 / max over nodes of sigma^2 (1/dx^2 + nu^2/ds^2 + |nu rho|/(dx ds)).
     """
     s = grid.sigma_nodes
     dx = grid.dx
-    ds_local = np.minimum.reduce(
-        [np.r_[s[1] - s[0], s[1:] - s[:-1]], np.r_[s[1:] - s[:-1], s[-1] - s[-2]]]
-    )
+    ds_local = np.r_[s[1] - s[0], s[1:] - s[:-1]]  # on the geometric grid, the one below
     try:
         with np.errstate(over="ignore"):
             rate = s**2 * (

@@ -10,7 +10,8 @@ the time-averaged variance
 where z parametrizes the terminal volatility and tau is time to expiry.
 `det_vol_price` is `core.bs_call` at the effective vol sqrt(V / tau).
 The state's fields and tau are finite; where e^{kappa tau} or V
-overflows a float, a DomainError names kappa and tau.
+overflows a float, a DomainError names kappa and tau. On the flat path
+z = theta the volatility is theta and V is theta^2 tau at every kappa tau.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ from dataclasses import dataclass
 from .core import DomainError, OptionQuery, _require_at, bs_call
 
 __all__ = ["MeanRevState", "sigma_of_z", "total_variance", "det_vol_price"]
-
-# below this kappa*tau the closed form loses digits to cancellation and a
-# short Taylor series is used instead
-KT_SWITCH = 1e-6
-
 
 @dataclass(frozen=True)
 class MeanRevState:
@@ -65,26 +61,24 @@ def _grown(f, kt: float) -> float:
 def sigma_of_z(state: MeanRevState, tau: float) -> float:
     """Volatility tau years before expiry: e^{kappa tau} z - theta (e^{kappa tau} - 1)."""
     _require_tau(tau)
+    if state.z == state.theta:  # the flat path, where e^{kappa tau} may overflow
+        return state.theta
     e = _grown(math.exp, state.kappa * tau)
     return _require_finite(e * state.z - state.theta * (e - 1.0), "sigma_of_z", state, tau)
 
 
 def total_variance(state: MeanRevState, tau: float) -> float:
-    """Integrated variance of the deterministic vol path over [0, tau].
-
-    Continuous across the kappa -> 0 seam, where it reduces to z^2 tau:
-    the small-kappa branch keeps the Taylor terms through (kappa tau)^2.
-    """
+    """Integrated variance of the deterministic vol path over [0, tau]: the
+    closed form, with e^{kappa tau} - 1 from expm1. Where 1 + kappa tau
+    rounds to 1 (kappa = 0 included) or z = theta, the closed form can
+    divide by 0, overflow or lose kappa tau, and its kappa -> 0 form is
+    used, exact to rounding there."""
     _require_tau(tau)
     z, kappa, theta = state.z, state.kappa, state.theta
     dev = z - theta
     kt = kappa * tau
-    if kt < KT_SWITCH:
-        # theta^2 tau + 2 theta dev * tau (1 + kt/2 + kt^2/6)
-        #   + dev^2 tau (1 + kt + (2/3) kt^2)
-        a = 2.0 * theta * dev * tau * (1.0 + kt / 2.0 + kt * kt / 6.0)
-        b = dev * dev * tau * (1.0 + kt + 2.0 * kt * kt / 3.0)
-        variance = theta * theta * tau + a + b
+    if dev == 0.0 or 1.0 + kt == 1.0:
+        variance = theta * theta * tau + 2.0 * theta * dev * tau + dev * dev * tau
     else:
         variance = (
             theta * theta * tau

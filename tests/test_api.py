@@ -59,7 +59,6 @@ SETTINGS = [
     "core.OptionQuery.rate",
     "expansion.SabrParams.kappa0",
     "expansion.SabrParams.theta",
-    "expansion._kernel_sum.shift",
     "expansion.f1_term.kappa0",
     "expansion.f1_term.theta",
     "expansion.f2_term.kappa0",

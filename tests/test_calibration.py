@@ -659,6 +659,15 @@ class TestFitDay:
         assert res.ise == math.inf and res.n_skipped == 1
         assert res.nfev == 1
 
+    def test_quote_whose_y_squared_overflows_is_skipped_without_a_warning(self):
+        # y^2 = 1e400 is inf in the monomials, sigma_d and its Jacobian; the
+        # suite turns numpy's overflow and invalid-value warnings into errors
+        day = QuoteDay(1, ("C", "C", "P", "C"), [1.0, 0.5, 1.0, 2.0], [0.2, 0.21, 0.2, 0.22],
+                       moneyness=[0.1, -0.2, 1e200, 0.3])
+        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d")
+        assert res.converged and res.n_skipped == 1 and res.nfev == 6
+        assert res.ise <= 1e-12
+
     def test_unknown_objective_is_an_error(self):
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match="unknown objective"):
@@ -804,9 +813,10 @@ class TestLeastSquares:
             return np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
         start = np.array([5.0, 0.2, 0.0])
-        with np.errstate(over="ignore"):  # the solver's r @ r overflows too
+        with np.errstate(over="ignore"):
             assert fun(start) @ fun(start) == math.inf
-            x, record, converged = calibration._least_squares(recorded(fun), jac, start)
+        # the solver's r @ r overflows without a warning
+        x, record, converged = calibration._least_squares(recorded(fun), jac, start)
         assert converged and abs(x[0] - 1.0) <= 1e-7
         np.testing.assert_array_equal(record, x)
 

@@ -1,10 +1,15 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sabrkit
 from sabrkit import (
     OptionQuery,
     SabrParams,
@@ -456,6 +461,38 @@ class TestCalibrate:
         assert code == EXIT_DOMAIN
         assert err == f"error: {path}:3: bad quote row: {message}\n"
         assert out == ""
+
+    @staticmethod
+    def calibrate_piped(text):
+        # a fresh process reading its quotes from a pipe on stdin
+        src = str(Path(sabrkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "sabrkit.cli", "calibrate", "--quotes", "/dev/stdin",
+             "--sigma-prev", "0.2", "--format", "csv"],
+            input=text, capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_piped_bad_row_is_domain_error(self):
+        # the bad row is named from the lines already read: a pipe cannot be read twice
+        proc = self.calibrate_piped("day,type,expiry_months,delta,implied_vol\n1,C,12,1.7,0.2\n")
+        assert proc.returncode == EXIT_DOMAIN
+        assert proc.stderr == (
+            "error: /dev/stdin:2: bad quote row: delta must lie in (0, 1), got 1.7\n"
+        )
+        assert proc.stdout == ""
+
+    def test_piped_quotes_calibrate(self, capsys, tmp_path):
+        path = tmp_path / "quotes.csv"
+        path.write_text("day,type,expiry_months,delta,implied_vol\n"
+                        "1,C,12,0.5,0.2\n1,C,12,0.25,0.21\n1,P,12,0.25,0.22\n")
+        proc = self.calibrate_piped(path.read_text())
+        code, out, _ = run(
+            ["calibrate", "--quotes", str(path), "--sigma-prev", "0.2", "--format", "csv"], capsys
+        )
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert parse_csv(proc.stdout) == parse_csv(out)
 
     @pytest.mark.parametrize(
         "sigma_prev, message",

@@ -258,6 +258,15 @@ class TestPriceSa2:
             with pytest.raises(DomainError, match=message):
                 form()
 
+    def test_nu_zero_does_not_hide_a_correction_that_is_not_finite(self):
+        # the nu-weighted corrections are 0 * inf, not finite at every nu
+        q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
+        p = SabrParams(sigma0=0.2, nu=0.0, rho=-0.3, kappa0=1e300, theta=1.0)
+        for name, form in [("price_sa2", price_sa2), ("delta_sa2", delta_sa2)]:
+            message = rf"^{name} gives a correction that is not finite at y = 0.0, t = 1.0$"
+            with pytest.raises(DomainError, match=message):
+                form(q, p)
+
     def test_mean_reversion_terms_enter(self):
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
         flat = price_sa2(q, SabrParams(sigma0=0.2, nu=0.3, rho=-0.3)).total
@@ -387,6 +396,14 @@ class TestImpliedVol:
             # an array call names the point, without a numpy warning
             with pytest.raises(DomainError, match=message.format(re.escape(str(y)))):
                 fn(np.array([0.1, y]), np.array([1.0, 1.0]), p)
+
+    def test_nu_zero_sigma_d_overflow_is_domain_error(self):
+        # e2's y^2 coefficient (1/6 - rho^2/4) / sigma overflows at sigma =
+        # 5e-324, and nu^2 = 0 times it is nan: not finite at every nu
+        message = r"^sigma_d overflows a float at y = 0.1, t = 1.0, sigma = 5e-324$"
+        for nu in (0.0, 0.4):
+            with pytest.raises(DomainError, match=message):
+                sigma_d(0.1, 1.0, SabrParams(5e-324, nu, -0.3))
 
     def test_sigma_d_rejects_mean_reversion(self):
         p = SabrParams(sigma0=0.2, nu=0.3, rho=-0.3, kappa0=0.5, theta=0.2)

@@ -14,7 +14,6 @@ from sabrkit import (
     sigma_of_z,
     total_variance,
 )
-from sabrkit.meanrev import KT_SWITCH
 
 
 class TestVolPath:
@@ -80,7 +79,15 @@ class TestVolPath:
         # e^{kappa tau} = e^1000 overflows a float
         message = f"^{name} overflows a float at kappa = 1000.0, tau = 1.0$"
         with pytest.raises(DomainError, match=message):
-            call(MeanRevState(z=0.2, kappa=1000.0, theta=0.2))
+            call(MeanRevState(z=0.2, kappa=1000.0, theta=0.3))
+
+    def test_flat_path_does_not_overflow(self):
+        # at z = theta the path is theta at every tau, though e^{kappa tau} overflows
+        state = MeanRevState(z=0.2, kappa=1000.0, theta=0.2)
+        assert sigma_of_z(state, 1.0) == 0.2
+        assert total_variance(state, 1.0) == 0.2 * 0.2 * 1.0
+        query = OptionQuery(1.0, 1.0, 0.0, 1.0)
+        assert det_vol_price(query, state) == bs_call(query, math.sqrt(0.2 * 0.2))
 
 
 class TestTotalVariance:
@@ -95,7 +102,7 @@ class TestTotalVariance:
         assert total_variance(state, tau) == pytest.approx(want, rel=1e-10)
 
     def test_seam_continuity(self):
-        # the series branch and the closed form agree across the switch
+        # the closed form is continuous across kappa tau = 1e-6
         tau = 1.0
         for kappa in (9.9e-7, 1.01e-6):
             state = MeanRevState(z=0.2, kappa=kappa, theta=0.3)
@@ -105,6 +112,19 @@ class TestTotalVariance:
         below = total_variance(MeanRevState(z=0.2, kappa=9.999999e-7, theta=0.3), tau)
         above = total_variance(MeanRevState(z=0.2, kappa=1.000001e-6, theta=0.3), tau)
         assert abs(below - above) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "kappa, tau",
+        [(5e-324, 1.0), (1e-300, 1.0), (1e-300, 1e-30), (1e-10, 1e-7), (0.0, 2.0)],
+    )
+    def test_kappa_tau_below_rounding_is_the_kappa_zero_limit(self, kappa, tau):
+        # 1 + kappa tau rounds to 1: 1 / kappa overflows or kappa tau
+        # underflows in the closed form, whose limit is this form
+        z, theta = 0.2, 0.3
+        dev = z - theta
+        want = theta * theta * tau + 2.0 * theta * dev * tau + dev * dev * tau
+        assert total_variance(MeanRevState(z=z, kappa=kappa, theta=theta), tau) == want
+        assert want == pytest.approx(z * z * tau, rel=1e-15)
 
     def test_at_theta_is_flat(self):
         state = MeanRevState(z=0.3, kappa=2.0, theta=0.3)
@@ -150,11 +170,11 @@ class TestDetVolPrice:
         st.floats(-0.02, 0.08),
         st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
         st.floats(0.05, 0.6),
-        st.one_of(st.floats(0.0, 0.5 * KT_SWITCH), st.floats(0.01, 3.0)),
+        st.one_of(st.floats(0.0, 0.5e-6), st.floats(0.01, 3.0)),
         st.floats(0.0, 0.6),
     )
     def test_is_black_scholes_at_effective_vol(self, spot, strike, rate, tau, z, kt, theta):
-        # kt = kappa tau, drawn on both sides of the series switch
+        # kt = kappa tau, drawn on both sides of 1e-6
         kappa = kt / tau if tau > 0.0 else 0.0
         q = OptionQuery(spot=spot, strike=strike, rate=rate, expiry=tau)
         state = MeanRevState(z=z, kappa=kappa, theta=theta)
