@@ -38,12 +38,10 @@ from .expansion import (
 from .hagan import price_h, sigma_h, z_over_xi
 from .fd import (
     FdComparison,
-    FdConfig,
     FdGrid,
     FdInstabilityError,
     FdSolution,
     ResidualRegion,
-    build_grid,
     compare,
     cutoff_sensitivity,
     residual_norm,
@@ -51,13 +49,12 @@ from .fd import (
     solve,
     solve_sequence,
 )
-from .mc import McConfig, simulate_price, simulate_prices
+from .mc import McConfig, simulate_prices
 from .calibration import (
     CalibrationResult,
     QuoteDay,
     calibrate_panel,
     delta_to_moneyness,
-    fit_day,
     objective_value,
     read_quotes_csv,
     synth_panel,
@@ -98,12 +95,10 @@ __all__ = [
     "sigma_h",
     "z_over_xi",
     "FdComparison",
-    "FdConfig",
     "FdGrid",
     "FdInstabilityError",
     "FdSolution",
     "ResidualRegion",
-    "build_grid",
     "compare",
     "cutoff_sensitivity",
     "residual_norm",
@@ -111,13 +106,11 @@ __all__ = [
     "solve",
     "solve_sequence",
     "McConfig",
-    "simulate_price",
     "simulate_prices",
     "CalibrationResult",
     "QuoteDay",
     "calibrate_panel",
     "delta_to_moneyness",
-    "fit_day",
     "objective_value",
     "read_quotes_csv",
     "synth_panel",

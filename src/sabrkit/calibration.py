@@ -10,9 +10,9 @@ nu in [0, 5], sigma in [0.01, 2], rho in [-0.99, 0.99]; it needs numpy
 only, so a fit loads no scipy.optimize. The three d objectives (sigma_d,
 price_d, log_price_d) supply closed-form Jacobians: sigma_d's from its
 coefficient table, and the prices' by the chain rule through the vega of
-c_rel at sigma_d. The h and sa2 objectives use forward differences. Days
-are fitted in a warm-start chain with in-sample / out-of-sample RMS error
-reporting.
+c_rel at sigma_d. The h and sa2 objectives use forward differences.
+calibrate_panel fits days in a warm-start chain with in-sample /
+out-of-sample RMS error reporting; one day is a panel of one.
 
 A fit evaluates a day once at each point, and its ISE and OSE are two of
 those evaluations. Parameters the model rejects, or quoted prices c_rel
@@ -54,7 +54,6 @@ __all__ = [
     "CalibrationResult",
     "delta_to_moneyness",
     "objective_value",
-    "fit_day",
     "synth_panel",
     "calibrate_panel",
     "read_quotes_csv",
@@ -272,7 +271,7 @@ def objective_value(
     """Averaged squared l2 discrepancy between model and market quotes.
 
     All quotes are evaluated in one array call. Non-finite model values are
-    skipped (and counted toward the fit flag in fit_day) so optimizers
+    skipped (and counted in a fit's n_skipped) so optimizers
     always see a finite objective. Parameters the model rejects, or quoted
     prices c_rel cannot form, raise DomainError; a fit counts them as every
     quote skipped. A fit's ISE and OSE are this value's square root, read
@@ -379,40 +378,11 @@ def _least_squares(fun, jac, x: np.ndarray) -> tuple[np.ndarray, object, bool]:
     return x, record, False
 
 
-def fit_day(
-    day: QuoteDay,
-    init: tuple[float, float, float],
-    objective: str,
-    sigma_prev: float | None = None,
-    kappa0: float = 0.0,
-    theta: float = 0.0,
-) -> CalibrationResult:
-    """Least-squares fit of (nu, sigma, rho) for one day.
-
-    Bounded Levenberg-Marquardt (_least_squares) on the residuals
-    (model - target) / sqrt(n_used) of the quotes the objective uses, whose
-    sum of squares is the objective; a skipped quote's residual is 0. The
-    d objectives have closed-form Jacobians, the h and sa2 ones use forward
-    differences. One run searches the box of the module docstring, capped
-    at 2000 residual evaluations with finite-difference probes not counted.
-
-    init is (nu, sigma, rho), clipped into the box; ISE is the RMS of the
-    fitted objective, read with n_skipped from the fit's evaluation at the
-    fitted point, so nfev counts every residual evaluation of the day.
-    kappa0 and theta are fixed in the model of every objective; the d and
-    h models have no mean reversion, so a nonzero kappa0 with their
-    objectives raises DomainError before the fit starts, as does a
-    negative or non-finite kappa0 or theta. A fit that hits the cap, or
-    whose start point has no usable quote or parameters the model rejects,
-    ends with converged=False and the point it reached.
-    """
-    return _fit(_DayObjective(day, objective, sigma_prev), init, kappa0, theta, False)
-
-
 def _fit(
     target: _DayObjective, init: tuple[float, ...], kappa0: float, theta: float, warm: bool
 ) -> CalibrationResult:
-    """fit_day on a built day objective, with the OSE of a warm start."""
+    """One day's fit (see calibrate_panel) on a built day objective, with
+    the OSE of a warm start."""
     # a kappa0 or theta the model rejects is an error, not a failed fit;
     # only the sa2 model has mean reversion
     if target.model != "sa2" and kappa0 != 0.0:
@@ -515,10 +485,31 @@ def calibrate_panel(
     kappa0: float = 0.0,
     theta: float = 0.0,
 ) -> list[CalibrationResult]:
-    """Fit every day with a warm-start chain: day tau starts from day
-    tau-1's parameters, and OSE is the RMS error of day tau under them:
-    the fit's first evaluation. A fault that flags the fit gives an OSE of
-    inf rather than an error."""
+    """Least-squares fit of (nu, sigma, rho) for every day, in a warm-start
+    chain: the first day starts from init, clipped into the box, and
+    converts its deltas at sigma_prev0; day tau starts from day tau-1's
+    parameters and converts at its sigma. One day is calibrate_panel([day],
+    ...)[0].
+
+    Each fit is one bounded Levenberg-Marquardt run (_least_squares) on the
+    residuals (model - target) / sqrt(n_used) of the quotes the objective
+    uses, whose sum of squares is the objective; a skipped quote's residual
+    is 0. The d objectives have closed-form Jacobians, the h and sa2 ones
+    use forward differences. A run searches the box of the module
+    docstring, capped at 2000 residual evaluations with finite-difference
+    probes not counted; nfev counts every residual evaluation of the day.
+
+    ISE is the RMS of the fitted objective, read with n_skipped from the
+    fit's evaluation at the fitted point; OSE is the RMS error of day tau
+    under day tau-1's parameters: the fit's first evaluation. A fit that
+    hits the cap, or whose start point has no usable quote or parameters
+    the model rejects, ends with converged=False and the point it reached.
+    A fault that flags the fit gives an OSE of inf rather than an error.
+
+    kappa0 and theta are fixed in the model of every objective; the d and
+    h models have no mean reversion, so a nonzero kappa0 with their
+    objectives raises DomainError before the first fit starts, as does a
+    negative or non-finite kappa0 or theta."""
     if not days:
         raise DomainError("a panel needs at least one quote day")
     results: list[CalibrationResult] = []

@@ -24,7 +24,6 @@ from .core import DomainError, OptionQuery, _require_at
 from .expansion import SabrParams
 from .fd import (
     _SIGMA_CENTER,
-    FdConfig,
     FdInstabilityError,
     ResidualRegion,
     compare,
@@ -116,6 +115,10 @@ class CliError(Exception):
         self.code = code
 
 
+# the most values an a:b:n range may ask for, checked before any is made
+_MAX_RANGE_COUNT = 1_000_000
+
+
 def _parse_values(raw: str, name: str) -> list[float]:
     """Finite float list flag: '0.1', '0.1,0.2', or linspace 'a:b:n'."""
     raw = raw.strip()
@@ -127,8 +130,8 @@ def _parse_values(raw: str, name: str) -> list[float]:
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise CliError(f"--{name}: {exc}", EXIT_USAGE) from exc
-        if n < 1:
-            raise CliError(f"--{name}: count must be >= 1", EXIT_USAGE)
+        if not 1 <= n <= _MAX_RANGE_COUNT:
+            raise CliError(f"--{name}: count must be 1 to {_MAX_RANGE_COUNT}, got {n}", EXIT_USAGE)
         _require_finite([a, b], name)
         # finite ends can still overflow the step, e.g. -1e308:1e308:3
         with np.errstate(over="ignore", invalid="ignore"):
@@ -294,11 +297,10 @@ def cmd_residual(args) -> int:
 
 
 def cmd_fd(args) -> int:
-    config = FdConfig()
     # no fd output reads sigma0: solve ignores it, compare uses the sigma nodes
     params = SabrParams(sigma0=_SIGMA_CENTER, nu=args.nu, rho=args.rho)
     try:
-        solutions = solve_sequence(params, args.expiry, config, max_level=args.levels)
+        solutions = solve_sequence(params, args.expiry, max_level=args.levels)
     except FdInstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -320,7 +322,7 @@ def cmd_fd(args) -> int:
             100 * rep_bs.l2, ratio, sol.est_error,
         ])
     if args.cutoff:
-        sens = cutoff_sensitivity(params, args.expiry, config)
+        sens = cutoff_sensitivity(solutions[0])
         rows.append(["cutoff", 100 * sens, *[float("nan")] * 8])
     _emit(rows, header, args)
     return EXIT_OK

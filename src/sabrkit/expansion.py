@@ -457,7 +457,8 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
     Equals N(d_+) plus the term-by-term S-derivative of the correction
     terms, mean reversion included; reduces to the Black-Scholes delta at
     nu = 0, and at tiny t, where the corrections take their t -> 0 limit.
-    A correction that is not finite raises at every nu, as in `price_sa2`.
+    A correction that is not finite raises at every nu, as in `price_sa2`,
+    and so does a forward F = S e^{rt} whose 1/F overflows a float.
     """
     y, t = query.log_moneyness, query.expiry
     if not (t > 0.0):
@@ -474,4 +475,9 @@ def delta_sa2(query: OptionQuery, params: SabrParams) -> float:
         for coeffs in (f1_coeffs, f2_coeffs)
     ))
     _require_finite("delta_sa2", y, t, dx_b1, dx_b2)
-    return base + math.exp(-query.log_price) * (nu * dx_b1 + nu2 * dx_b2)
+    x = query.log_price
+    try:
+        per_forward = math.exp(-x)  # 1/F; overflows where F < e^-709.78
+    except OverflowError:
+        raise DomainError(f"delta_sa2 overflows a float in 1/forward at x = {x}, t = {t}") from None
+    return base + per_forward * (nu * dx_b1 + nu2 * dx_b2)

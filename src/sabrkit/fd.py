@@ -7,7 +7,7 @@ on one fixed rectangle, x in [-3, 3] on a uniform grid and sigma on a
 geometric-progression grid about 0.18 up to 1.6803, with Black-Scholes
 boundary data, a refinement sequence with Richardson error estimation,
 and a PDE-residual diagnostic for the closed-form approximations. Strike
-is normalized to K = 1, r = 0. FdConfig is the refinement level alone;
+is normalized to K = 1, r = 0. A solve takes the refinement level alone;
 only cutoff_sensitivity solves on a larger rectangle, the fixed one grown
 by one level-0 mesh layer on every side.
 
@@ -33,13 +33,11 @@ from .core import DomainError, _require_at, c_rel
 from .expansion import SabrParams
 
 __all__ = [
-    "FdConfig",
     "FdGrid",
     "FdSolution",
     "FdComparison",
     "FdInstabilityError",
     "ResidualRegion",
-    "build_grid",
     "solve",
     "solve_sequence",
     "compare",
@@ -78,14 +76,6 @@ class FdInstabilityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FdConfig:
-    """An FD solve's refinement level: level k halves both mesh widths of
-    the one level-0 rectangle k times."""
-
-    level: int = 0
-
-
-@dataclass(frozen=True)
 class FdGrid:
     x_nodes: np.ndarray
     sigma_nodes: np.ndarray
@@ -121,15 +111,11 @@ class FdComparison:
     log_l2: float
 
 
-def build_grid(config: FdConfig) -> FdGrid:
-    """The rectangle's level-k mesh: each refinement halves both mesh widths
-    (arithmetic midpoints in x, geometric midpoints in sigma). Its
-    n_time_steps is 0: solve takes the step count from stable_time_steps."""
-    return _build_grid(config.level, grown=False)
-
-
 def _build_grid(level: int, grown: bool) -> FdGrid:
-    # the level-k mesh; grown adds one level-0 mesh layer on every side
+    """The rectangle's level-k mesh: each refinement halves both mesh widths
+    (arithmetic midpoints in x, geometric midpoints in sigma); grown adds
+    one level-0 mesh layer on every side. Its n_time_steps is 0:
+    _level_grid takes the step count from stable_time_steps."""
     x_max, sigma_max, nx0, ns0 = _X_MAX, _SIGMA_MAX, _NX0, _NSIGMA0
     if grown:
         x_max, sigma_max = x_max + 2.0 * x_max / (nx0 - 1), sigma_max * _R0
@@ -273,14 +259,15 @@ def _instability(w: np.ndarray, grid: FdGrid, t: float) -> FdInstabilityError:
     )
 
 
-def solve(params: SabrParams, T: float, config: FdConfig) -> FdSolution:
-    """Time-march the cut-off PDE to T on the level given by the config.
+def solve(params: SabrParams, T: float, level: int) -> FdSolution:
+    """Time-march the cut-off PDE to T on the rectangle's level-k mesh:
+    level k halves both level-0 mesh widths k times.
 
     Each step is one call of scipy's DIA product kernel into a reused
     buffer. A step is checked for a non-finite or exploding node only where
     alpha^j max(top, edge values since) could pass the bound, j steps after
     the last check read top, alpha the largest absolute row sum."""
-    return _march(params, T, _level_grid(params, T, config.level, grown=False))
+    return _march(params, T, _level_grid(params, T, level, grown=False))
 
 
 def _march(params: SabrParams, T: float, grid: FdGrid) -> FdSolution:
@@ -341,21 +328,16 @@ def _cell_averaged_payoff(x: np.ndarray, h: float) -> np.ndarray:
     return np.where(b <= 0.0, 0.0, avg)
 
 
-def solve_sequence(
-    params: SabrParams, T: float, config: FdConfig, max_level: int
-) -> list[FdSolution]:
+def solve_sequence(params: SabrParams, T: float, max_level: int) -> list[FdSolution]:
     """Refinement sequence w_0 .. w_max_level with Richardson error
-    estimates est_error = ||w_k - w_{k-1}||_2 / 3 on the interest window.
-    The sequence starts at level 0, so config must be FdConfig()."""
-    if config.level != 0:
-        raise DomainError(f"the sequence starts at level 0, got a config of level {config.level}")
+    estimates est_error = ||w_k - w_{k-1}||_2 / 3 on the interest window."""
     if max_level < 0:
         raise DomainError(f"max_level must be nonnegative, got {max_level}")
     # the finest level is the longest march: fail before solving the others
     _level_grid(params, T, max_level, grown=False)
     solutions: list[FdSolution] = []
     for level in range(max_level + 1):
-        sol = solve(params, T, FdConfig(level))
+        sol = solve(params, T, level)
         if solutions:
             diff = _level_diff(solutions[-1], sol)
             sol.est_error = diff / 3.0
@@ -400,11 +382,13 @@ def compare(solution: FdSolution, price_fn: PriceFn) -> FdComparison:
     )
 
 
-def cutoff_sensitivity(params: SabrParams, T: float, config: FdConfig) -> float:
-    """Change of the windowed solution when the cut-off rectangle grows by
-    one level-0 mesh layer on every side (empirical cut-off error estimate)."""
-    base = solve(params, T, config)
-    big = _march(params, T, _level_grid(params, T, config.level, grown=True))
+def cutoff_sensitivity(base: FdSolution) -> float:
+    """Change of base's windowed solution when the cut-off rectangle grows
+    by one level-0 mesh layer on every side (empirical cut-off error
+    estimate): one march of the grown rectangle at base's parameters,
+    expiry and level."""
+    params, T = base.params, base.time
+    big = _march(params, T, _level_grid(params, T, base.grid.level, grown=True))
     delta = big.restriction - base.restriction
     return float(np.sqrt(np.mean(delta**2)))
 

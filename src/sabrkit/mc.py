@@ -3,9 +3,10 @@
 The volatility path is sampled exactly as a geometric Brownian motion at
 the grid times; the log-forward uses a log-Euler step with correlated
 increments. The generator is counter-based (Philox), so path blocks are
-reproducible regardless of scheduling. One path set serves every strike of
-an expiry: the paths are stepped once and each strike's payoff is taken
-from the same terminal log-forwards.
+reproducible regardless of scheduling. simulate_prices prices any number
+of strikes of an expiry, one strike included, from one path set: the
+paths are stepped once and each strike's payoff is taken from the same
+terminal log-forwards.
 
 A block marches _CHUNK time steps per pass from one draw of normals, taken
 in the stream order of one (z1, z2) pair of draws per step, so its payoffs
@@ -29,7 +30,7 @@ import numpy as np
 from .core import DomainError, OptionQuery, _require_at
 from .expansion import SabrParams
 
-__all__ = ["McConfig", "simulate_price", "simulate_prices"]
+__all__ = ["McConfig", "simulate_prices"]
 
 _BLOCK = 4096
 # time steps a block marches per pass, from one draw of normals
@@ -179,7 +180,7 @@ def simulate_prices(
     all priced from one path set.
 
     The queries must share spot, rate and expiry; only the strikes differ.
-    Each result equals what a simulation of that query alone would give,
+    Each result equals simulate_prices([query], ...)[0] for its query,
     bit for bit, on any number of SABR_THREADS worker threads (one when
     unset). Deterministic for a fixed seed. With antithetic variates each
     mirrored pair contributes one averaged sample to the error estimate.
@@ -246,11 +247,3 @@ def simulate_prices(
     what = "the Monte Carlo price or its standard error is not a float"
     _require_at(np.isfinite(prices), what, forward=q0.forward)
     return prices
-
-
-def simulate_price(
-    query: OptionQuery, params: SabrParams, config: McConfig
-) -> tuple[float, float]:
-    """Discounted mean call payoff and its standard error for one query;
-    see simulate_prices."""
-    return simulate_prices([query], params, config)[0]

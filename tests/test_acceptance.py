@@ -12,7 +12,6 @@ import pytest
 from scipy.integrate import quad
 
 from sabrkit import (
-    FdConfig,
     McConfig,
     MeanRevState,
     OptionQuery,
@@ -35,7 +34,7 @@ from sabrkit import (
     sigma_d,
     sigma_h,
     sigma_of_z,
-    simulate_price,
+    simulate_prices,
     solve_sequence,
     synth_panel,
     total_variance,
@@ -63,7 +62,7 @@ def rel_err(a: float, b: float) -> float:
 def fd_sequence():
     # shared by the Richardson and FD-comparison criteria
     params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-    return params, solve_sequence(params, 0.5, FdConfig(), max_level=3)
+    return params, solve_sequence(params, 0.5, max_level=3)
 
 
 def test_criterion_01_nu_zero_collapse(capsys):
@@ -227,7 +226,7 @@ def test_criterion_06_fd_comparison(capsys, fd_sequence):
 def test_criterion_07_mc_agreement(capsys):
     query = OptionQuery(spot=10.0, strike=10.0, rate=0.0, expiry=1.0)
     params = SabrParams(sigma0=0.2, nu=0.2, rho=-0.3)
-    c_mc, se = simulate_price(query, params, McConfig(n_paths=30000, dt=1e-3, seed=0))
+    c_mc, se = simulate_prices([query], params, McConfig(n_paths=30000, dt=1e-3, seed=0))[0]
     series = price_sa2(query, params).total
     diff = abs(series - c_mc)
     bound = max(3.0 * se, 0.003 * c_mc)

@@ -18,21 +18,19 @@ import pytest
 
 import sabrkit
 from sabrkit import (
-    FdConfig,
     FdSolution,
     ResidualRegion,
     SabrParams,
     bs_implied_vol,
-    build_grid,
     calibrate_panel,
-    fit_day,
     price_h,
     sigma_h,
+    solve,
     solve_sequence,
     synth_panel,
     z_over_xi,
 )
-from sabrkit import calibration, models
+from sabrkit import calibration, fd, mc, models
 from sabrkit.fd import stable_time_steps
 
 # module.name.param for every defaulted parameter of a module-level function
@@ -47,9 +45,6 @@ SETTINGS = [
     "calibration.calibrate_panel.kappa0",
     "calibration.calibrate_panel.sigma_prev0",
     "calibration.calibrate_panel.theta",
-    "calibration.fit_day.kappa0",
-    "calibration.fit_day.sigma_prev",
-    "calibration.fit_day.theta",
     "calibration.objective_value.sigma_prev",
     "calibration.synth_panel.noise_level",
     "calibration.synth_panel.quote_with",
@@ -66,7 +61,6 @@ SETTINGS = [
     "expansion.price_d.sigma",
     "expansion.price_sa2_rel.sigma",
     "expansion.sigma_d.sigma",
-    "fd.FdConfig.level",
     "fd.FdSolution.est_error",
     "fd.ResidualRegion.sigma_range",
     "fd.ResidualRegion.t_range",
@@ -119,16 +113,16 @@ def test_objectives_snapshot():
 
 
 PUBLIC_NAMES = [
-    "CalibrationResult", "DomainError", "ExpansionPrice", "FdComparison", "FdConfig",
+    "CalibrationResult", "DomainError", "ExpansionPrice", "FdComparison",
     "FdGrid", "FdInstabilityError", "FdSolution", "MODEL_NAMES", "McConfig",
     "MeanRevState", "OptionQuery", "QuoteDay", "ResidualRegion", "SabrParams", "VolQuote",
-    "__version__", "bs_call", "bs_implied_vol", "build_grid", "c_rel", "calibrate_panel",
+    "__version__", "bs_call", "bs_implied_vol", "c_rel", "calibrate_panel",
     "compare", "cutoff_sensitivity", "d_minus", "d_pair", "delta_sa2",
-    "delta_to_moneyness", "det_vol_price", "f1_term", "f2_term", "fit_day", "h_tilde",
+    "delta_to_moneyness", "det_vol_price", "f1_term", "f2_term", "h_tilde",
     "hermite", "implied_e1", "implied_e2", "norm_cdf", "norm_pdf", "norm_ppf",
     "objective_value", "phi_t", "price_d", "price_fn_for_model",
     "price_h", "price_sa2", "price_sa2_rel", "read_quotes_csv", "residual_norm",
-    "richardson_ratios", "sigma_d", "sigma_h", "sigma_of_z", "simulate_price",
+    "richardson_ratios", "sigma_d", "sigma_h", "sigma_of_z",
     "simulate_prices", "solve", "solve_sequence", "synth_panel", "total_variance",
     "vol_fn_for_model", "write_quotes_csv", "z_over_xi",
 ]
@@ -151,33 +145,43 @@ DAY = synth_panel(PARAMS, 1)[0]
         ("z_switch", lambda: z_over_xi(0.1, -0.2, z_switch=1e-4)),
         ("regularized", lambda: sigma_h(0.0, 1.0, PARAMS, regularized=False)),
         ("regularized", lambda: price_h(0.0, 1.0, PARAMS, regularized=False)),
-        ("c_safety", lambda: FdConfig(c_safety=0.9)),
-        ("window_x", lambda: FdConfig(window_x=(-1.0, 1.0))),
+        # FdConfig's old fields, on solve, which takes the level alone
+        ("c_safety", lambda: solve(PARAMS, 0.5, 0, c_safety=0.9)),
+        ("window_x", lambda: solve(PARAMS, 0.5, 0, window_x=(-1.0, 1.0))),
         (
             "c_safety",
-            lambda: stable_time_steps(build_grid(FdConfig()), PARAMS, 0.5, c_safety=0.9),
+            lambda: stable_time_steps(fd._build_grid(0, grown=False), PARAMS, 0.5, c_safety=0.9),
         ),
         # the rectangle is module constants; explicit ids keep the other ids
-        pytest.param("x_max", lambda: FdConfig(x_max=3.0), id="FdConfig-x_max"),
+        pytest.param("x_max", lambda: solve(PARAMS, 0.5, 0, x_max=3.0), id="FdConfig-x_max"),
         pytest.param(
-            "sigma_center", lambda: FdConfig(sigma_center=0.18), id="FdConfig-sigma_center"
+            "sigma_center",
+            lambda: solve(PARAMS, 0.5, 0, sigma_center=0.18),
+            id="FdConfig-sigma_center",
         ),
-        pytest.param("sigma_max", lambda: FdConfig(sigma_max=1.6803), id="FdConfig-sigma_max"),
-        pytest.param("nx0", lambda: FdConfig(nx0=13), id="FdConfig-nx0"),
-        pytest.param("nsigma0", lambda: FdConfig(nsigma0=19), id="FdConfig-nsigma0"),
-        ("x_max", lambda: build_grid(x_max=3.0)),
-        ("sigma_center", lambda: build_grid(sigma_center=0.18)),
-        ("sigma_max", lambda: build_grid(sigma_max=1.6803)),
-        ("nx0", lambda: build_grid(nx0=13)),
-        ("nsigma0", lambda: build_grid(nsigma0=19)),
-        ("level", lambda: build_grid(level=0)),
+        pytest.param(
+            "sigma_max", lambda: solve(PARAMS, 0.5, 0, sigma_max=1.6803), id="FdConfig-sigma_max"
+        ),
+        pytest.param("nx0", lambda: solve(PARAMS, 0.5, 0, nx0=13), id="FdConfig-nx0"),
+        pytest.param("nsigma0", lambda: solve(PARAMS, 0.5, 0, nsigma0=19), id="FdConfig-nsigma0"),
+        # build_grid's old keywords, on solve_sequence, which starts at level 0
+        ("x_max", lambda: solve_sequence(PARAMS, 0.5, 0, x_max=3.0)),
+        ("sigma_center", lambda: solve_sequence(PARAMS, 0.5, 0, sigma_center=0.18)),
+        ("sigma_max", lambda: solve_sequence(PARAMS, 0.5, 0, sigma_max=1.6803)),
+        ("nx0", lambda: solve_sequence(PARAMS, 0.5, 0, nx0=13)),
+        ("nsigma0", lambda: solve_sequence(PARAMS, 0.5, 0, nsigma0=19)),
+        ("level", lambda: solve_sequence(PARAMS, 0.5, 0, level=0)),
         ("n_t", lambda: ResidualRegion(n_t=10)),
         ("n_sigma", lambda: ResidualRegion(n_sigma=9)),
         ("n_y", lambda: ResidualRegion(n_y=11)),
-        ("bounds", lambda: fit_day(DAY, (1.0, 0.2, -0.2), "sigma_d", bounds=None)),
-        ("max_iter", lambda: fit_day(DAY, (1.0, 0.2, -0.2), "sigma_d", max_iter=2000)),
-        ("n_restarts", lambda: fit_day(DAY, (1.0, 0.2, -0.2), "sigma_d", n_restarts=1)),
+        # the old fit_day keywords, on the one-day panel that fits a day
+        ("bounds", lambda: calibrate_panel([DAY], (1.0, 0.2, -0.2), "sigma_d", bounds=None)),
         ("max_iter", lambda: calibrate_panel([DAY], (1.0, 0.2, -0.2), "sigma_d", max_iter=2000)),
+        ("n_restarts", lambda: calibrate_panel([DAY], (1.0, 0.2, -0.2), "sigma_d", n_restarts=1)),
+        (
+            "max_iter",
+            lambda: calibrate_panel([DAY, DAY], (1.0, 0.2, -0.2), "sigma_d", max_iter=2000),
+        ),
         ("model", lambda: synth_panel(PARAMS, 1, model="sigma_d")),
     ],
 )
@@ -188,7 +192,7 @@ def test_removed_keyword_is_a_type_error(name, call):
 
 def test_max_level_is_required():
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'max_level'"):
-        solve_sequence(PARAMS, 0.5, FdConfig())
+        solve_sequence(PARAMS, 0.5)
 
 
 def test_window_indices_are_required():
@@ -199,3 +203,27 @@ def test_window_indices_are_required():
 def test_fit_bounds_is_gone():
     assert not hasattr(calibration, "FitBounds")
     assert "FitBounds" not in calibration.__all__
+
+
+def test_fd_config_is_gone():
+    # solve takes the level, solve_sequence starts at level 0
+    assert not hasattr(fd, "FdConfig")
+    assert "FdConfig" not in fd.__all__
+
+
+def test_build_grid_is_gone():
+    # fd._build_grid(level, grown=False) is the level's mesh
+    assert not hasattr(fd, "build_grid")
+    assert "build_grid" not in fd.__all__
+
+
+def test_simulate_price_is_gone():
+    # one strike is simulate_prices([query], params, config)[0]
+    assert not hasattr(mc, "simulate_price")
+    assert "simulate_price" not in mc.__all__
+
+
+def test_fit_day_is_gone():
+    # one day is calibrate_panel([day], init, objective, ...)[0]
+    assert not hasattr(calibration, "fit_day")
+    assert "fit_day" not in calibration.__all__

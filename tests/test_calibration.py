@@ -17,7 +17,6 @@ from sabrkit import (
     c_rel,
     calibrate_panel,
     delta_to_moneyness,
-    fit_day,
     objective_value,
     price_fn_for_model,
     read_quotes_csv,
@@ -345,7 +344,7 @@ def solver_functions(day, objective, sigma_prev=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calibration, "_least_squares", capture)
-        fit_day(day, (1.0, 0.25, -0.3), objective, sigma_prev=sigma_prev)
+        calibrate_panel([day], (1.0, 0.25, -0.3), objective, sigma_prev0=sigma_prev)[0]
     return handed[0]
 
 
@@ -484,7 +483,7 @@ class TestSynthPanel:
 class TestFitDay:
     def test_recovers_generator(self):
         day = synth_panel(TRUE, 1)[0]
-        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d")
+        res = calibrate_panel([day], (1.0, 0.25, -0.3), "sigma_d")[0]
         assert res.converged
         assert abs(res.nu - TRUE.nu) <= 1e-3
         assert abs(res.sigma - TRUE.sigma0) <= 1e-3
@@ -493,7 +492,7 @@ class TestFitDay:
 
     def test_init_clipped_into_bounds(self):
         day = synth_panel(TRUE, 1)[0]
-        res = fit_day(day, (10.0, 3.0, -2.0), "sigma_d")
+        res = calibrate_panel([day], (10.0, 3.0, -2.0), "sigma_d")[0]
         assert 0.0 <= res.nu <= 5.0
         assert -0.99 <= res.rho <= 0.99
 
@@ -508,7 +507,7 @@ class TestFitDay:
 
         monkeypatch.setattr(calibration._DayObjective, "residuals", counted)
         day = synth_panel(TRUE, 2, noise_level=0.01, seed=5)[day_index]
-        res = fit_day(day, (1.0, 0.25, -0.3), objective)
+        res = calibrate_panel([day], (1.0, 0.25, -0.3), objective)[0]
         assert res.converged
         # every evaluation is the solver's: the ISE is read from its last
         assert 0 < res.nfev < 100
@@ -538,7 +537,7 @@ class TestFitDay:
 
         monkeypatch.setattr(calibration, "_least_squares", recorded)
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
-        res = fit_day(day, (10.0, 0.25, -2.0), "sigma_d")
+        res = calibrate_panel([day], (10.0, 0.25, -2.0), "sigma_d")[0]
         assert len(runs) == 1
         start, (x, _, converged), calls = runs[0]
         np.testing.assert_array_equal(start, [5.0, 0.25, -0.99])
@@ -551,7 +550,7 @@ class TestFitDay:
         monkeypatch.setattr(calibration, "_MAX_NFEV", 2)
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
         for objective in ("sigma_d", "price_h"):
-            res = fit_day(day, (1.0, 0.25, -0.3), objective)
+            res = calibrate_panel([day], (1.0, 0.25, -0.3), objective)[0]
             assert not res.converged
             assert all(math.isfinite(v) for v in (*res.params, res.ise))
             assert res.n_skipped == 0
@@ -560,7 +559,7 @@ class TestFitDay:
     @pytest.mark.parametrize("start", [(10.0, 3.0, -2.0), (-1.0, 0.001, 2.0), (6.0, 0.005, 1.5)])
     def test_result_stays_in_the_box_from_starts_outside_it(self, objective, start):
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
-        res = fit_day(day, start, objective)
+        res = calibrate_panel([day], start, objective)[0]
         for lo, got, hi in zip(calibration._LOWER, res.params, calibration._UPPER):
             assert lo <= got <= hi
 
@@ -574,7 +573,7 @@ class TestFitDay:
         start = (5.0, 0.01, -0.99)
         params = SabrParams(sigma0=0.01, nu=5.0, rho=-0.99)
         assert _sigma_d_quote(_NUMPY, monomials(day, None), 0.01, params).clamped.all()
-        res = fit_day(day, start, "sigma_d")
+        res = calibrate_panel([day], start, "sigma_d")[0]
         assert res.converged and res.params == start
         assert res.n_skipped == 0 and res.nfev == 1
 
@@ -584,7 +583,7 @@ class TestFitDay:
         start = (5.0, 0.05, 0.99)
         with pytest.raises(DomainError, match="the Hagan vol is negative at vol = -"):
             objective_value(day, SabrParams(0.05, 5.0, 0.99), "price_h")
-        res = fit_day(day, start, "price_h")
+        res = calibrate_panel([day], start, "price_h")[0]
         assert not res.converged
         assert res.params == start
         assert res.ise == math.inf and res.n_skipped == len(day.option_type)
@@ -600,7 +599,7 @@ class TestFitDay:
         start = (0.5, 0.2, -0.3)
         with pytest.raises(DomainError, match="e\\^y is a float, got 800.0"):
             objective_value(day, SabrParams(0.2, 0.5, -0.3), objective)
-        res = fit_day(day, start, objective)
+        res = calibrate_panel([day], start, objective)[0]
         assert not res.converged
         assert res.params == start
         assert res.ise == math.inf and res.n_skipped == 2
@@ -616,7 +615,7 @@ class TestFitDay:
         monkeypatch.setattr(calibration, "_least_squares", no_fit)
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match="only available for kappa0 = 0, got kappa0 = 0.5"):
-            fit_day(day, (1.0, 0.25, -0.3), objective, kappa0=0.5)
+            calibrate_panel([day], (1.0, 0.25, -0.3), objective, kappa0=0.5)[0]
         with pytest.raises(DomainError, match="only available for kappa0 = 0"):
             calibrate_panel([day], (1.0, 0.25, -0.3), objective, kappa0=0.5)
 
@@ -635,14 +634,14 @@ class TestFitDay:
         monkeypatch.setattr(calibration, "_least_squares", no_fit)
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match=message):
-            fit_day(day, (1.0, 0.25, -0.3), "price_sa2", **kwargs)
+            calibrate_panel([day], (1.0, 0.25, -0.3), "price_sa2", **kwargs)[0]
 
     @pytest.mark.parametrize("objective", ["price_sa2", "log_price_sa2"])
     def test_kappa0_and_theta_reach_every_sa2_objective(self, objective):
         day = synth_panel(TRUE, 1, noise_level=0.01, seed=5)[0]
         start = (1.0, 0.25, -0.3)
-        res = fit_day(day, start, objective, kappa0=1.0, theta=0.2)
-        assert res.params != fit_day(day, start, objective).params
+        res = calibrate_panel([day], start, objective, kappa0=1.0, theta=0.2)[0]
+        assert res.params != calibrate_panel([day], start, objective)[0].params
 
     def test_start_with_no_usable_quote_is_not_converged(self):
         # sigma_d is clamped to its floor at the start, so the out-of-the-
@@ -653,7 +652,7 @@ class TestFitDay:
         start = (5.0, 0.01, -0.99)
         params = SabrParams(sigma0=0.01, nu=5.0, rho=-0.99)
         assert objective_value(day, params, "log_price_d") == math.inf
-        res = fit_day(day, start, "log_price_d")
+        res = calibrate_panel([day], start, "log_price_d")[0]
         assert not res.converged
         assert res.params == start
         assert res.ise == math.inf and res.n_skipped == 1
@@ -664,14 +663,14 @@ class TestFitDay:
         # suite turns numpy's overflow and invalid-value warnings into errors
         day = QuoteDay(1, ("C", "C", "P", "C"), [1.0, 0.5, 1.0, 2.0], [0.2, 0.21, 0.2, 0.22],
                        moneyness=[0.1, -0.2, 1e200, 0.3])
-        res = fit_day(day, (1.0, 0.25, -0.3), "sigma_d")
+        res = calibrate_panel([day], (1.0, 0.25, -0.3), "sigma_d")[0]
         assert res.converged and res.n_skipped == 1 and res.nfev == 6
         assert res.ise <= 1e-12
 
     def test_unknown_objective_is_an_error(self):
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match="unknown objective"):
-            fit_day(day, (1.0, 0.25, -0.3), "vega_weighted")
+            calibrate_panel([day], (1.0, 0.25, -0.3), "vega_weighted")[0]
 
     def test_out_of_sample_from_truth(self):
         # day 1 is quoted from the truth without noise, so its fit is the
@@ -836,9 +835,9 @@ class TestLeastSquares:
 
 
 class TestScipyReference:
-    """fit_day against scipy's trust-region reflective least_squares, run
-    here on the objectives as written from the public model functions, to a
-    1e-15 stop. Measured on these days: the parameters agree to 1.7e-7
+    """One-day fits against scipy's trust-region reflective least_squares,
+    run here on the objectives as written from the public model functions,
+    to a 1e-15 stop. Measured on these days: the parameters agree to 1.7e-7
     (log_price_h; 6.8e-8 or closer for the other objectives) and the ISE to
     1.5e-14 relative."""
 
@@ -876,7 +875,7 @@ class TestScipyReference:
     )
     def test_agrees_with_scipy(self, objective, kappa0):
         for day in self.DAYS:
-            res = fit_day(day, self.START, objective, kappa0=kappa0, theta=0.2)
+            res = calibrate_panel([day], self.START, objective, kappa0=kappa0, theta=0.2)[0]
             x, ise = self.reference_fit(day, objective, kappa0)
             assert res.converged and res.n_skipped == 0
             np.testing.assert_allclose(res.params, x, rtol=0.0, atol=1e-6)
@@ -890,7 +889,7 @@ class TestScipyReference:
         # the bound, with nu and sigma still free. Measured: parameters
         # within 1.9e-8 (price_d), ISE within 5.3e-15 relative.
         days = synth_panel(SabrParams(sigma0=0.19, nu=1.3, rho=rho), 2, noise_level=0.01, seed=5)
-        fits = [fit_day(day, self.START, objective) for day in days]
+        fits = [calibrate_panel([day], self.START, objective)[0] for day in days]
         assert any(abs(res.rho) == 0.99 for res in fits)
         for day, res in zip(days, fits):
             x, ise = self.reference_fit(day, objective, 0.0)
@@ -905,7 +904,7 @@ class TestScipyReference:
         # Jacobians. Measured: parameters within 7.1e-8 (log_price_d), ISE
         # within 3.3e-14 relative.
         for day in TestJacobianCost.DAYS[::10]:
-            res = fit_day(day, self.START, objective)
+            res = calibrate_panel([day], self.START, objective)[0]
             x, ise = self.reference_fit(day, objective, 0.0)
             assert res.converged and res.n_skipped == 0
             np.testing.assert_allclose(res.params, x, rtol=0.0, atol=1e-6)
@@ -940,7 +939,7 @@ class TestJacobianCost:
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_evaluations_per_fit(self, objective):
         start = (self.GENERATOR.nu, self.GENERATOR.sigma0, self.GENERATOR.rho)
-        fits = [fit_day(day, start, objective) for day in self.DAYS]
+        fits = [calibrate_panel([day], start, objective)[0] for day in self.DAYS]
         assert all(res.converged and res.n_skipped == 0 for res in fits)
         nfev = sum(res.nfev for res in fits)
         if objective in ("price_d", "log_price_d"):
@@ -1000,7 +999,7 @@ class TestEveryObjective:
         assert set(NELDER_MEAD_FITS) == set(OBJECTIVES)
 
     def check(self, objective, want, **kwargs):
-        res = fit_day(self.DAY, (1.0, 0.25, -0.3), objective, **kwargs)
+        res = calibrate_panel([self.DAY], (1.0, 0.25, -0.3), objective, **kwargs)[0]
         assert res.converged and res.n_skipped == 0
         for got, pinned in zip(res.params, want[:3]):
             assert abs(got - pinned) <= 1e-6
@@ -1025,7 +1024,7 @@ class TestPinnedFits:
         path = str(tmp_path / "quotes.csv")
         write_quotes_csv(path, [panel[day - 1]])
         (quotes,) = read_quotes_csv(path)
-        res = fit_day(quotes, start, "sigma_d", sigma_prev=start[1])
+        res = calibrate_panel([quotes], start, "sigma_d", sigma_prev0=start[1])[0]
         assert res.converged and res.n_skipped == 0
         for got, pinned in zip(res.params, want[:3]):
             assert abs(got - pinned) <= 1e-8
@@ -1099,7 +1098,7 @@ class TestFitRecord:
 
     @pytest.mark.parametrize("objective, kwargs", CASES)
     def test_ise_and_ose_are_objective_value(self, objective, kwargs):
-        res = fit_day(self.DAYS[0], self.START, objective, **kwargs)
+        res = calibrate_panel([self.DAYS[0]], self.START, objective, **kwargs)[0]
         fitted = self.params(res, kwargs)
         assert res.ise == math.sqrt(objective_value(self.DAYS[0], fitted, objective))
         results = calibrate_panel(self.DAYS, self.START, objective, **kwargs)

@@ -20,6 +20,7 @@ from sabrkit import (
     price_sa2_rel,
     sigma_d,
 )
+from sabrkit import cli, fd
 from sabrkit.calibration import calibrate_panel, result_rows, synth_panel
 from sabrkit.cli import (
     EXIT_DOMAIN, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, build_parser, main,
@@ -73,6 +74,21 @@ class TestPrice:
         )
         rows = parse_csv(out)
         assert float(rows[1][2]) == pytest.approx(c_rel(0.0, 0.2, 1.0))
+
+    @pytest.mark.parametrize("count", [100_000_000_000, cli._MAX_RANGE_COUNT + 1])
+    def test_range_count_above_the_cap_is_usage_error(self, capsys, monkeypatch, count):
+        def no_values(*args, **kwargs):
+            raise AssertionError("made the range's values")
+
+        monkeypatch.setattr("numpy.linspace", no_values)
+        code, out, err = run(["price", f"--y=0:1:{count}"], capsys)
+        assert code == EXIT_USAGE
+        assert err == f"error: --y: count must be 1 to 1000000, got {count}\n"
+        assert out == ""
+
+    def test_range_count_at_the_cap_is_accepted(self):
+        values = cli._parse_values(f"0:1:{cli._MAX_RANGE_COUNT}", "y")
+        assert (len(values), values[0], values[-1]) == (1_000_000, 0.0, 1.0)
 
     def test_unknown_model(self, capsys):
         code, _, err = run(["price", "--model", "heston"], capsys)
@@ -255,6 +271,21 @@ class TestFd:
         assert code == EXIT_OK
         rows = parse_csv(out)
         assert rows[-1][0] == "cutoff"
+
+    def test_cutoff_marches_level_0_once(self, capsys, monkeypatch):
+        # the sequence's levels 0 and 1, then only the grown level-0
+        # rectangle: the cut-off row reads the sequence's level-0 solution
+        marched = []
+
+        def counted(params, T, grid):
+            marched.append((grid.level, grid.x_nodes.size, grid.sigma_nodes.size))
+            return march(params, T, grid)
+
+        march = fd._march
+        monkeypatch.setattr(fd, "_march", counted)
+        code, _, _ = run(["fd", "--preset", "fd1-row7", "--levels", "1", "--cutoff"], capsys)
+        assert code == EXIT_OK
+        assert marched == [(0, 13, 19), (1, 25, 37), (0, 15, 21)]
 
 
 class TestMc:
@@ -790,7 +821,7 @@ def no_work(monkeypatch):
         "sabrkit.cli.simulate_prices",
         "sabrkit.calibration.synth_panel",
         "sabrkit.calibration.read_quotes_csv",
-        "sabrkit.calibration.fit_day",
+        "sabrkit.calibration._fit",
         "sabrkit.calibration._least_squares",
     ):
         monkeypatch.setattr(target, fail)

@@ -475,3 +475,16 @@ class TestDelta:
         q0 = OptionQuery(spot=1.0, strike=1.0, expiry=0.0)
         with pytest.raises(DomainError):
             delta_sa2(q0, SabrParams(sigma0=0.2, nu=0.3, rho=0.0, kappa0=1.0, theta=0.2))
+
+    @pytest.mark.parametrize("nu", [0.4, 0.0])
+    def test_forward_whose_reciprocal_overflows_is_domain_error(self, nu):
+        # F = 1e-309 < e^-709.78: 1/F is not a float, at every nu
+        q = OptionQuery(spot=1e-309, strike=1e-309, rate=0.0, expiry=1.0)
+        with pytest.raises(DomainError) as info:
+            delta_sa2(q, SabrParams(sigma0=0.2, nu=nu, rho=-0.3))
+        assert str(info.value) == (
+            "delta_sa2 overflows a float in 1/forward at x = -711.4987937351601, t = 1.0"
+        )
+        # a forward of 1e-308 still has its hedge ratio
+        q = OptionQuery(spot=1e-308, strike=1e-308, rate=0.0, expiry=1.0)
+        assert 0.0 < delta_sa2(q, SabrParams(sigma0=0.2, nu=nu, rho=-0.3)) < 1.0

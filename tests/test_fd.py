@@ -10,11 +10,9 @@ from scipy.sparse import dia_matrix
 
 from sabrkit import (
     DomainError,
-    FdConfig,
     FdInstabilityError,
     ResidualRegion,
     SabrParams,
-    build_grid,
     c_rel,
     compare,
     cutoff_sensitivity,
@@ -73,10 +71,10 @@ def reference_operator(grid, params, w):
     return s2 * lw
 
 
-def reference_march(params, T, config):
+def reference_march(params, T, level):
     """Explicit march with the reference operator and one c_rel call per
     step for the whole boundary ring; returns the final grid values."""
-    grid = build_grid(config)
+    grid = fd._build_grid(level, grown=False)
     nt = stable_time_steps(grid, params, T)
     dt = T / nt
     x, s = grid.x_nodes, grid.sigma_nodes
@@ -121,26 +119,26 @@ def reference_residual(price_fn, params, region):
 class TestGrid:
     def test_node_counts(self):
         for level in (0, 1, 2):
-            g = build_grid(FdConfig(level=level))
+            g = fd._build_grid(level, grown=False)
             assert g.x_nodes.size == 12 * 2**level + 1
             assert g.sigma_nodes.size == 18 * 2**level + 1
 
     def test_sigma_geometric(self):
-        g = build_grid(FdConfig())
+        g = fd._build_grid(0, grown=False)
         ratios = g.sigma_nodes[1:] / g.sigma_nodes[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
         assert g.sigma_nodes[0] == pytest.approx(0.18**2 / 1.6803)
         assert g.sigma_nodes[-1] == pytest.approx(1.6803)
 
     def test_nesting(self):
-        coarse = build_grid(FdConfig(level=1))
-        fine = build_grid(FdConfig(level=2))
+        coarse = fd._build_grid(1, grown=False)
+        fine = fd._build_grid(2, grown=False)
         assert np.allclose(fine.x_nodes[::2], coarse.x_nodes)
         assert np.allclose(fine.sigma_nodes[::2], coarse.sigma_nodes, rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            build_grid(FdConfig(level=-1))
+            fd._build_grid(-1, grown=False)
 
     def test_cutoff_grid_is_the_rectangle_grown_by_one_layer(self):
         # x_max 3 + 0.5, sigma_max 1.6803 r0 and two more nodes a side,
@@ -151,7 +149,7 @@ class TestGrid:
         assert grid.x_nodes[-1] == 3.5
         assert grid.sigma_nodes[-1] == 2.1536608216084887
         assert grid.sigma_nodes[0] == 0.015044151648634091
-        base = build_grid(FdConfig())
+        base = fd._build_grid(0, grown=False)
         np.testing.assert_array_equal(grid.x_nodes[1:-1], base.x_nodes)
         np.testing.assert_allclose(grid.sigma_nodes[1:-1], base.sigma_nodes, rtol=1e-14)
 
@@ -159,7 +157,7 @@ class TestGrid:
 class TestBoundary:
     def test_edges_hold_black_scholes_at_expiry(self):
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        sol = solve(params, 0.5, FdConfig())
+        sol = solve(params, 0.5, 0)
         x, s = sol.grid.x_nodes, sol.grid.sigma_nodes
         w = sol.values
         for got, xs, ss in (
@@ -186,7 +184,7 @@ class TestStepMatrix:
     @example(nu=0.0, rho=-0.5, level=1, dt_frac=0.5, seed=2)
     def test_matches_reference_operator(self, nu, rho, level, dt_frac, seed):
         params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
-        grid = build_grid(FdConfig(level=level))
+        grid = fd._build_grid(level, grown=False)
         dt = dt_frac / stable_time_steps(grid, params, 1.0)
         w = np.random.default_rng(seed).standard_normal(
             (grid.x_nodes.size, grid.sigma_nodes.size)
@@ -208,7 +206,7 @@ class TestStepMatrix:
     @example(nu=0.0, rho=0.0, level=1, dt_frac=0.5)
     def test_growth_factor_is_the_largest_absolute_row_sum(self, nu, rho, level, dt_frac):
         params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
-        grid = build_grid(FdConfig(level=level))
+        grid = fd._build_grid(level, grown=False)
         dt = dt_frac / stable_time_steps(grid, params, 1.0)
         alpha = _step_matrix(grid, params, dt)[2]
         # each row's stored entries; the zeros it does not store add nothing
@@ -224,7 +222,7 @@ class TestStepMatrix:
             assert alpha == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_layout(self):
-        grid = build_grid(FdConfig(level=1))
+        grid = fd._build_grid(1, grown=False)
         nx, ns = grid.x_nodes.size, grid.sigma_nodes.size
         step = step_dia(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
         assert step.shape == (nx * ns, nx * ns)
@@ -236,7 +234,7 @@ class TestStepMatrix:
         assert (np.count_nonzero(rows[1:-1, 1:-1], axis=-1) == 9).all()
 
     def test_returns_the_dia_layout(self):
-        grid = build_grid(FdConfig(level=1))
+        grid = fd._build_grid(1, grown=False)
         nx, ns = grid.x_nodes.size, grid.sigma_nodes.size
         offsets, data, _ = _step_matrix(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
         # scipy's dia_matrix stores int32 offsets; the kernel takes them as given
@@ -253,11 +251,11 @@ class TestStepMatrix:
             assert not data[k, cols[inside]].any()
 
 
-def csr_march(params, T, config):
+def csr_march(params, T, level):
     """solve's march with the CSR product the DIA step replaced: the same
     operator's interior rows as a CSR matrix, each row summed in ascending
     column order, and the edge values in solve's blocks of time steps."""
-    grid = _level_grid(params, T, config.level, False)
+    grid = _level_grid(params, T, level, False)
     nt = grid.n_time_steps
     dt = T / nt
     x, s = grid.x_nodes, grid.sigma_nodes
@@ -279,11 +277,11 @@ def csr_march(params, T, config):
     return w
 
 
-def product_march(params, T, config):
+def product_march(params, T, level):
     """solve's march as it was before the kernel call and the growth bound:
     `step @ flat`, the edge write and the instability check after every
     step; returns the final grid values or raises FdInstabilityError."""
-    grid = _level_grid(params, T, config.level, False)
+    grid = _level_grid(params, T, level, False)
     nt = grid.n_time_steps
     dt = T / nt
     step = step_dia(grid, params, dt)
@@ -303,17 +301,17 @@ def product_march(params, T, config):
     return flat.reshape(shape)
 
 
-def march_outcome(march, params, T, config):
+def march_outcome(march, params, T, level):
     # the final values, or the text of the instability error raised
     try:
-        return march(params, T, config)
+        return march(params, T, level)
     except FdInstabilityError as exc:
         return str(exc)
 
 
-def assert_same_outcome(params, T, config):
-    got = march_outcome(lambda *a: solve(*a).values, params, T, config)
-    want = march_outcome(product_march, params, T, config)
+def assert_same_outcome(params, T, level):
+    got = march_outcome(lambda *a: solve(*a).values, params, T, level)
+    want = march_outcome(product_march, params, T, level)
     assert type(got) is type(want), (got, want)
     if isinstance(want, str):
         assert got == want
@@ -334,7 +332,7 @@ class TestCheckedSteps:
         monkeypatch.setattr(fd, "_C_SAFETY", safety)
         p = FD_PRESETS[preset]
         params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
-        assert_same_outcome(params, p["t"], FdConfig(level=level))
+        assert_same_outcome(params, p["t"], level)
 
     def test_failure_in_the_middle_of_a_later_block(self, monkeypatch):
         # step 55 of 157, the 23rd step of the second edge block, as the
@@ -343,7 +341,7 @@ class TestCheckedSteps:
         p = FD_PRESETS["fd1-row7"]
         params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
         with pytest.raises(FdInstabilityError) as info:
-            solve(params, p["t"], FdConfig(level=2))
+            solve(params, p["t"], 2)
         assert str(info.value) == "exploding value 1328 at x=0.125, sigma=1.484, t=0.1752"
 
     def test_infinite_bound_excuses_no_step(self, monkeypatch):
@@ -352,10 +350,9 @@ class TestCheckedSteps:
         # gives a non-finite node
         monkeypatch.setattr(fd, "_X_MAX", 709.7)
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        config = FdConfig()
-        assert_same_outcome(params, 0.5, config)
+        assert_same_outcome(params, 0.5, 0)
         with pytest.raises(FdInstabilityError, match="^non-finite value at x=591.4,"):
-            solve(params, 0.5, config)
+            solve(params, 0.5, 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e5])
     def test_bad_edge_value_raises_at_its_step(self, monkeypatch, bad):
@@ -371,9 +368,9 @@ class TestCheckedSteps:
             return block
 
         monkeypatch.setattr(fd, "c_rel", spoiled)
-        assert_same_outcome(params, 0.5, FdConfig(level=1))
+        assert_same_outcome(params, 0.5, 1)
         with pytest.raises(FdInstabilityError, match=r"t=0\.274\b"):
-            solve(params, 0.5, FdConfig(level=1))
+            solve(params, 0.5, 1)
 
 
 class TestDiaStep:
@@ -391,9 +388,8 @@ class TestDiaStep:
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_bit_identical_to_csr_march(self, nu, rho, T, level):
         params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
-        config = FdConfig(level=level)
-        got = solve(params, T, config).values
-        assert np.array_equal(got, csr_march(params, T, config))
+        got = solve(params, T, level).values
+        assert np.array_equal(got, csr_march(params, T, level))
 
 
 class TestInitialData:
@@ -417,7 +413,7 @@ class TestInitialData:
 class TestSolve:
     def test_nu_zero_matches_black_scholes(self):
         params = SabrParams(sigma0=0.18, nu=0.0, rho=0.0)
-        sols = solve_sequence(params, 0.5, FdConfig(), max_level=2)
+        sols = solve_sequence(params, 0.5, max_level=2)
         errs = []
         for sol in sols:
             cmp = compare(sol, lambda y, s, t: c_rel(y, s, t))
@@ -427,19 +423,19 @@ class TestSolve:
 
     def test_norm_ordering(self):
         params = SabrParams(sigma0=0.18, nu=0.5, rho=-0.2)
-        sol = solve(params, 0.5, FdConfig(level=1))
+        sol = solve(params, 0.5, 1)
         cmp = compare(sol, price_fn_for_model("bs", params))
         assert cmp.l1 <= cmp.l2 <= cmp.linf
 
     def test_richardson_second_order(self):
         params = SabrParams(sigma0=0.18, nu=0.0, rho=0.0)
-        sols = solve_sequence(params, 0.5, FdConfig(), max_level=3)
+        sols = solve_sequence(params, 0.5, max_level=3)
         for r in richardson_ratios(sols):
             assert 0.2 <= r <= 0.32
 
     def test_est_error_tracks_diff(self):
         params = SabrParams(sigma0=0.18, nu=0.5, rho=-0.2)
-        sols = solve_sequence(params, 0.5, FdConfig(), max_level=2)
+        sols = solve_sequence(params, 0.5, max_level=2)
         assert math.isnan(sols[0].est_error)
         assert sols[2].est_error < sols[1].est_error
 
@@ -448,12 +444,12 @@ class TestSolve:
         # the failing step, node and value, as the slice-based stencil gave them
         monkeypatch.setattr(fd, "_C_SAFETY", 10.0)
         with pytest.raises(FdInstabilityError) as info:
-            solve(params, 0.5, FdConfig(level=1))
+            solve(params, 0.5, 1)
         assert str(info.value) == "exploding value -2170 at x=0, sigma=1.484, t=0.4286"
 
     def test_window(self):
         # x in [-1, 1] and the level-0 sigma nodes next to sigma_center
-        sol = solve(SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 0.5, FdConfig())
+        sol = solve(SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 0.5, 0)
         x = sol.grid.x_nodes[sol.window_x_idx]
         np.testing.assert_allclose(x, [-1.0, -0.5, 0.0, 0.5, 1.0], rtol=0.0, atol=1e-15)
         ratio = (1.6803**2 / 0.18**2) ** (1.0 / 18.0)
@@ -463,16 +459,15 @@ class TestSolve:
     def test_march_matches_reference(self):
         # preset fd1-row7 at level 2
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        config = FdConfig(level=2)
-        sol = solve(params, 0.5, config)
-        want = reference_march(params, 0.5, config)
+        sol = solve(params, 0.5, 2)
+        want = reference_march(params, 0.5, 2)
         window = np.ix_(sol.window_x_idx, sol.window_s_idx)
         np.testing.assert_allclose(sol.restriction, want[window], rtol=1e-12, atol=0.0)
 
     def test_cutoff_insensitive(self):
         params = SabrParams(sigma0=0.18, nu=0.5, rho=-0.2)
-        sols = solve_sequence(params, 0.5, FdConfig(), max_level=1)
-        drift = cutoff_sensitivity(params, 0.5, FdConfig(level=1))
+        sols = solve_sequence(params, 0.5, max_level=1)
+        drift = cutoff_sensitivity(sols[1])
         # moving the cut-off out changes the window much less than the
         # discretization error itself
         assert drift <= sols[1].est_error
@@ -480,23 +475,22 @@ class TestSolve:
     def test_cutoff_sensitivity_is_pinned(self):
         # fd1-row7's values, recorded before the rectangle became constants
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        assert cutoff_sensitivity(params, 0.5, FdConfig()) == 0.00013515722936429953
-        assert cutoff_sensitivity(params, 0.5, FdConfig(level=1)) == 4.528698104105598e-05
+        assert cutoff_sensitivity(solve(params, 0.5, 0)) == 0.00013515722936429953
+        assert cutoff_sensitivity(solve(params, 0.5, 1)) == 4.528698104105598e-05
 
     def test_sequence_starts_at_level_0(self):
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        with pytest.raises(DomainError) as info:
-            solve_sequence(params, 0.5, FdConfig(level=1), max_level=2)
-        assert str(info.value) == "the sequence starts at level 0, got a config of level 1"
+        sols = solve_sequence(params, 0.5, max_level=2)
+        assert [sol.grid.level for sol in sols] == [0, 1, 2]
 
     def test_rejections(self):
         with pytest.raises(DomainError):
-            solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0, kappa0=1.0, theta=0.2), 1.0, FdConfig())
+            solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0, kappa0=1.0, theta=0.2), 1.0, 0)
         for T in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), T, FdConfig())
+                solve(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), T, 0)
         with pytest.raises(DomainError):
-            solve_sequence(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), 1.0, FdConfig(), max_level=-1)
+            solve_sequence(SabrParams(sigma0=0.2, nu=0.5, rho=0.0), 1.0, max_level=-1)
 
     def test_wide_grid_runs_clean(self, monkeypatch):
         # x_max = 8 puts e^x_max (2981) above the 1e3 floor of the
@@ -505,13 +499,13 @@ class TestSolve:
         # with the edge values
         monkeypatch.setattr(fd, "_X_MAX", 8.0)
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        sol = solve(params, 0.5, FdConfig())
+        sol = solve(params, 0.5, 0)
         want = [[0.21129574308765003, 0.21384020079197819, 0.2163915037138973]]
         assert sol.grid.n_time_steps == 14
         np.testing.assert_allclose(sol.restriction, want, rtol=1e-12, atol=1e-20)
 
     def test_instability_messages(self):
-        grid = build_grid(FdConfig())
+        grid = fd._build_grid(0, grown=False)
         w = np.zeros((grid.x_nodes.size, grid.sigma_nodes.size))
         w[3, 4] = 1e9
         assert str(_instability(w, grid, 0.25)).startswith("exploding value 1e+09 at x=")
@@ -643,7 +637,7 @@ class TestRichardsonReference:
         # h 0.0283 and sa2 0.0501, within 3 % of the targets 0.029 and
         # 0.051; against level 3 alone it reads 0.0191 and 0.0655
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        ref = richardson_reference(*(solve(params, 0.5, FdConfig(level)) for level in (2, 3)))
+        ref = richardson_reference(*(solve(params, 0.5, level) for level in (2, 3)))
         l2_h, l2_sa2 = (
             100.0 * compare(ref, price_fn_for_model(model, params)).l2 for model in ("h", "sa2")
         )
@@ -663,8 +657,8 @@ class TestTimeStepBound:
 
     def test_refinement_increases_steps(self):
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        n0 = stable_time_steps(build_grid(FdConfig(level=0)), params, 1.0)
-        n1 = stable_time_steps(build_grid(FdConfig(level=1)), params, 1.0)
+        n0 = stable_time_steps(fd._build_grid(0, grown=False), params, 1.0)
+        n1 = stable_time_steps(fd._build_grid(1, grown=False), params, 1.0)
         assert n1 >= 3.5 * n0
 
 
@@ -681,14 +675,14 @@ class TestMarchLimit:
     def test_non_finite_stability_rate(self):
         params = SabrParams(sigma0=0.18, nu=1e200, rho=-0.2)
         with pytest.raises(DomainError, match="non-finite number of time steps"):
-            stable_time_steps(build_grid(FdConfig()), params, 0.5)
+            stable_time_steps(fd._build_grid(0, grown=False), params, 0.5)
         with pytest.raises(DomainError, match="non-finite number of time steps"):
-            solve(params, 0.5, FdConfig())
+            solve(params, 0.5, 0)
 
     def test_too_many_node_steps(self):
         params = SabrParams(sigma0=0.18, nu=1e6, rho=-0.2)
         with pytest.raises(DomainError) as info:
-            solve(params, 0.5, FdConfig(level=1))
+            solve(params, 0.5, 1)
         assert str(info.value) == (
             "FD level 1 needs 925 nodes x 4.079e+13 time steps = 3.773e+16 "
             f"node-steps, more than the limit of {_MAX_NODE_STEPS} node-steps"
@@ -701,11 +695,11 @@ class TestMarchLimit:
         monkeypatch.setattr(fd, "solve", fail)
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
         with pytest.raises(DomainError, match="FD level 12 needs 3624001537 nodes"):
-            solve_sequence(params, 0.5, FdConfig(), max_level=12)
+            solve_sequence(params, 0.5, max_level=12)
 
     def test_huge_level_rejected_before_building_nodes(self):
         with pytest.raises(DomainError, match="level 1000000000 grid has more nodes"):
-            build_grid(FdConfig(level=10**9))
+            fd._build_grid(10**9, grown=False)
 
     @pytest.mark.parametrize(
         "preset, steps",
@@ -716,12 +710,12 @@ class TestMarchLimit:
         ],
     )
     def test_step_counts_are_the_stability_bound(self, preset, steps):
-        # the counts recorded before FdConfig lost its nt0 floor
+        # the counts recorded before the level's config lost its nt0 floor
         p = FD_PRESETS[preset]
         params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
         for level, want in enumerate(steps):
             grid = _level_grid(params, p["t"], level, False)
-            assert build_grid(FdConfig(level=level)).n_time_steps == 0
+            assert fd._build_grid(level, grown=False).n_time_steps == 0
             assert grid.n_time_steps == want
             assert grid.n_time_steps == stable_time_steps(grid, params, p["t"])
 

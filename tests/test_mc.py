@@ -13,7 +13,6 @@ from sabrkit import (
     SabrParams,
     bs_call,
     price_sa2,
-    simulate_price,
     simulate_prices,
 )
 from sabrkit import mc
@@ -56,37 +55,37 @@ class TestSimulate:
     def test_reproducible(self):
         params = SabrParams(sigma0=0.2, nu=0.5, rho=-0.3)
         cfg = McConfig(n_paths=4000, dt=0.01, seed=7)
-        assert simulate_price(self.QUERY, params, cfg) == simulate_price(
-            self.QUERY, params, cfg
+        assert simulate_prices([self.QUERY], params, cfg) == simulate_prices(
+            [self.QUERY], params, cfg
         )
 
     def test_seed_changes_draws(self):
         params = SabrParams(sigma0=0.2, nu=0.5, rho=-0.3)
-        a, _ = simulate_price(self.QUERY, params, McConfig(n_paths=4000, dt=0.01, seed=1))
-        b, _ = simulate_price(self.QUERY, params, McConfig(n_paths=4000, dt=0.01, seed=2))
+        a, _ = simulate_prices([self.QUERY], params, McConfig(n_paths=4000, dt=0.01, seed=1))[0]
+        b, _ = simulate_prices([self.QUERY], params, McConfig(n_paths=4000, dt=0.01, seed=2))[0]
         assert a != b
 
     def test_nu_zero_recovers_black_scholes(self):
         params = SabrParams(sigma0=0.2, nu=0.0, rho=0.0)
         cfg = McConfig(n_paths=40000, dt=0.01, seed=3)
-        price, se = simulate_price(self.QUERY, params, cfg)
+        price, se = simulate_prices([self.QUERY], params, cfg)[0]
         assert abs(price - bs_call(self.QUERY, 0.2)) <= 3 * se
 
     def test_matches_series_price(self):
         params = SabrParams(sigma0=0.2, nu=0.5, rho=-0.3)
         cfg = McConfig(n_paths=20000, dt=5e-3, seed=11)
-        price, se = simulate_price(self.QUERY, params, cfg)
+        price, se = simulate_prices([self.QUERY], params, cfg)[0]
         series = price_sa2(self.QUERY, params).total
         assert abs(price - series) <= max(3 * se, 3e-3 * series)
 
     def test_antithetic_reduces_error(self):
         params = SabrParams(sigma0=0.2, nu=0.5, rho=-0.3)
-        _, se_anti = simulate_price(
-            self.QUERY, params, McConfig(n_paths=8000, dt=0.01, seed=5)
-        )
-        _, se_plain = simulate_price(
-            self.QUERY, params, McConfig(n_paths=8000, dt=0.01, seed=5, antithetic=False)
-        )
+        _, se_anti = simulate_prices(
+            [self.QUERY], params, McConfig(n_paths=8000, dt=0.01, seed=5)
+        )[0]
+        _, se_plain = simulate_prices(
+            [self.QUERY], params, McConfig(n_paths=8000, dt=0.01, seed=5, antithetic=False)
+        )[0]
         assert se_anti < se_plain
 
     def test_discounting(self):
@@ -94,22 +93,22 @@ class TestSimulate:
         cfg = McConfig(n_paths=2000, dt=0.01, seed=9)
         q0 = OptionQuery(spot=1.0, strike=1.0, rate=0.0, expiry=1.0)
         qr = OptionQuery(spot=1.0 * math.exp(-0.05), strike=1.0, rate=0.05, expiry=1.0)
-        p0, _ = simulate_price(q0, params, cfg)
-        pr, _ = simulate_price(qr, params, cfg)
+        p0, _ = simulate_prices([q0], params, cfg)[0]
+        pr, _ = simulate_prices([qr], params, cfg)[0]
         # same forward, so the discounted prices differ by the discount factor
         assert pr == pytest.approx(math.exp(-0.05) * p0, rel=1e-12)
 
     def test_rejections(self):
         cfg = McConfig(n_paths=100, dt=0.01)
         with pytest.raises(DomainError):
-            simulate_price(
-                self.QUERY,
+            simulate_prices(
+                [self.QUERY],
                 SabrParams(sigma0=0.2, nu=0.5, rho=0.0, kappa0=1.0, theta=0.2),
                 cfg,
-            )
+            )[0]
         q = OptionQuery(spot=1.0, strike=1.0, expiry=0.0)
         with pytest.raises(DomainError):
-            simulate_price(q, SabrParams(sigma0=0.2, nu=0.5, rho=0.0), cfg)
+            simulate_prices([q], SabrParams(sigma0=0.2, nu=0.5, rho=0.0), cfg)[0]
 
 
     @pytest.mark.parametrize(
@@ -129,7 +128,7 @@ class TestSimulate:
         )
         params = SabrParams(sigma0=sigma, nu=0.125, rho=-0.4)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            simulate_price(q, params, McConfig(n_paths=n_paths, dt=0.5))
+            simulate_prices([q], params, McConfig(n_paths=n_paths, dt=0.5))[0]
 
 
 class TestThreads:
@@ -176,7 +175,7 @@ class TestSimulatePrices:
             monkeypatch.setenv("SABR_THREADS", threads)
         cfg = McConfig(n_paths=n_paths, dt=0.05, seed=4, antithetic=antithetic)
         queries = self.queries()
-        loop = [simulate_price(q, self.PARAMS, cfg) for q in queries]
+        loop = [simulate_prices([q], self.PARAMS, cfg)[0] for q in queries]
         assert simulate_prices(queries, self.PARAMS, cfg) == loop
 
     @pytest.mark.parametrize(
@@ -247,7 +246,7 @@ class TestSizeLimits:
 
     def test_too_many_paths(self):
         with pytest.raises(DomainError) as info:
-            simulate_price(self.QUERY, self.PARAMS, McConfig(n_paths=10**12))
+            simulate_prices([self.QUERY], self.PARAMS, McConfig(n_paths=10**12))[0]
         assert str(info.value) == (
             "Monte Carlo needs 1000000000000 paths x 1000 time steps = 1e+15 "
             f"path-steps, more than the limit of {_MAX_PATH_STEPS} path-steps"
@@ -256,7 +255,7 @@ class TestSizeLimits:
     @pytest.mark.parametrize("dt, steps", [(1e-15, "1e+15"), (5e-324, "inf")])
     def test_too_many_time_steps(self, dt, steps):
         with pytest.raises(DomainError, match=re.escape(f"30000 paths x {steps} time steps")):
-            simulate_price(self.QUERY, self.PARAMS, McConfig(dt=dt))
+            simulate_prices([self.QUERY], self.PARAMS, McConfig(dt=dt))[0]
 
     def test_sample_matrix_too_large(self):
         # 1,000 strikes x 130,000 samples x 8 bytes = 1.04 GB in one step
