@@ -40,6 +40,7 @@ from .core import (
     _c_rel_vega,
     _require,
     _require_at,
+    _require_int,
     c_rel,
     norm_ppf,
 )
@@ -454,13 +455,13 @@ def synth_panel(
     quotes per day, implied vols from one sigma_d array call plus Gaussian
     noise from one (n_days, 260) draw, floored at 1e-4. quote_with selects
     whether the days carry "moneyness" or "delta"."""
-    if not (n_days >= 1):
+    if _require_int(n_days, "n_days") < 1:
         raise DomainError(f"a panel needs at least one day, got n_days = {n_days}")
     if not (0.0 <= noise_level < math.inf):
         raise DomainError(f"noise_level must be nonnegative and finite, got {noise_level}")
     if quote_with not in ("moneyness", "delta"):
         raise DomainError(f"quote_with must be 'moneyness' or 'delta', got {quote_with!r}")
-    if seed < 0:
+    if _require_int(seed, "seed") < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     # the 130 (expiry, delta) points, expiry-major, each quoted as a C then a P
     t = np.repeat(np.array(PANEL_EXPIRY_MONTHS) / 12.0, len(PANEL_DELTAS))

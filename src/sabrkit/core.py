@@ -206,6 +206,14 @@ def _require(ok, what: str, values) -> None:
         raise DomainError(f"{what}, got {bad}")
 
 
+def _require_int(value, name: str) -> int:
+    """value as an int, or DomainError naming the argument: a bool and a
+    non-integer are refused, a numpy integer is accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_at(ok, what: str, **inputs) -> None:
     """DomainError naming every input's value at the first point where ok
     fails, unless ok holds everywhere; ok and the array inputs broadcast

@@ -7,9 +7,11 @@ on one fixed rectangle, x in [-3, 3] on a uniform grid and sigma on a
 geometric-progression grid about 0.18 up to 1.6803, with Black-Scholes
 boundary data, a refinement sequence with Richardson error estimation,
 and a PDE-residual diagnostic for the closed-form approximations. Strike
-is normalized to K = 1, r = 0. A solve takes the refinement level alone;
-only cutoff_sensitivity solves on a larger rectangle, the fixed one grown
-by one level-0 mesh layer on every side.
+is normalized to K = 1, r = 0. A solve takes the refinement level alone,
+a nonnegative integer; only cutoff_sensitivity solves on a larger
+rectangle, the fixed one grown by one level-0 mesh layer on every side.
+One function, _level_grid, checks the inputs and builds each grid once,
+nodes and time-step count together, before any march starts.
 
 Each time step is one call of scipy's DIA product kernel: the explicit
 step I + dt L is built once per solve as nine weight diagonals over the
@@ -24,12 +26,12 @@ checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, _require_at, c_rel
+from .core import DomainError, _require_at, _require_int, c_rel
 from .expansion import SabrParams
 
 __all__ = [
@@ -105,34 +107,9 @@ class FdSolution:
 
 @dataclass(frozen=True)
 class FdComparison:
-    l1: float
     l2: float
     linf: float
     log_l2: float
-
-
-def _build_grid(level: int, grown: bool) -> FdGrid:
-    """The rectangle's level-k mesh: each refinement halves both mesh widths
-    (arithmetic midpoints in x, geometric midpoints in sigma); grown adds
-    one level-0 mesh layer on every side. Its n_time_steps is 0:
-    _level_grid takes the step count from stable_time_steps."""
-    x_max, sigma_max, nx0, ns0 = _X_MAX, _SIGMA_MAX, _NX0, _NSIGMA0
-    if grown:
-        x_max, sigma_max = x_max + 2.0 * x_max / (nx0 - 1), sigma_max * _R0
-        nx0, ns0 = nx0 + 2, ns0 + 2
-    if level < 0:
-        raise DomainError(f"level must be nonnegative, got {level}")
-    # past 64 levels the grid is only larger; the min spares building 2**level
-    nx = (nx0 - 1) * 2 ** min(level, 64) + 1
-    ns = (ns0 - 1) * 2 ** min(level, 64) + 1
-    if nx * ns > _MAX_NODE_STEPS:
-        raise DomainError(
-            f"level {level} grid has more nodes than the limit of "
-            f"{_MAX_NODE_STEPS} node-steps (nodes x time steps) of one solve"
-        )
-    x = np.linspace(-x_max, x_max, nx)
-    s = np.geomspace(_SIGMA_CENTER**2 / sigma_max, sigma_max, ns)
-    return FdGrid(x_nodes=x, sigma_nodes=s, level=level, n_time_steps=0)
 
 
 # time steps whose edge values come from one c_rel call
@@ -197,13 +174,12 @@ def _step_matrix(
     return offsets, data.reshape(9, nx * ns), alpha
 
 
-def stable_time_steps(grid: FdGrid, params: SabrParams, T: float) -> int:
-    """Time-step count from the explicit stability bound, ds a node's smaller sigma spacing:
+def stable_time_steps(s: np.ndarray, dx: float, params: SabrParams, T: float) -> int:
+    """Time-step count from the explicit stability bound on the sigma nodes
+    s and the x spacing dx, ds a node's smaller sigma spacing:
 
     dt <= 0.9 / max over nodes of sigma^2 (1/dx^2 + nu^2/ds^2 + |nu rho|/(dx ds)).
     """
-    s = grid.sigma_nodes
-    dx = grid.dx
     ds_local = np.r_[s[1] - s[0], s[1:] - s[:-1]]  # on the geometric grid, the one below
     try:
         with np.errstate(over="ignore"):
@@ -224,23 +200,43 @@ def stable_time_steps(grid: FdGrid, params: SabrParams, T: float) -> int:
 
 
 def _level_grid(params: SabrParams, T: float, level: int, grown: bool) -> FdGrid:
-    """_build_grid's grid with its time-step count, after checking the
-    inputs. Raises DomainError before any array of the grid's size exists
-    when the march would take more than _MAX_NODE_STEPS node-steps."""
+    """The rectangle's level-k mesh with its time-step count, after checking
+    the inputs. Each refinement halves both mesh widths (arithmetic
+    midpoints in x, geometric midpoints in sigma); grown adds one level-0
+    mesh layer on every side. The level is a nonnegative integer (a bool is
+    refused, a numpy integer is stored as an int). Raises DomainError
+    before any array of the grid's size exists when the grid has more than
+    _MAX_NODE_STEPS nodes, or its march more node-steps than that."""
     if params.kappa0 != 0.0:
         raise DomainError("FD benchmark is only available for kappa0 = 0")
     if not (0.0 < T < math.inf):
         raise DomainError(f"expiry T must be positive and finite, got {T}")
-    grid = _build_grid(level, grown)
-    nt = stable_time_steps(grid, params, T)
-    nodes = grid.x_nodes.size * grid.sigma_nodes.size
+    level = _require_int(level, "level")
+    if level < 0:
+        raise DomainError(f"level must be nonnegative, got {level}")
+    x_max, sigma_max, nx0, ns0 = _X_MAX, _SIGMA_MAX, _NX0, _NSIGMA0
+    if grown:
+        x_max, sigma_max = x_max + 2.0 * x_max / (nx0 - 1), sigma_max * _R0
+        nx0, ns0 = nx0 + 2, ns0 + 2
+    # past 64 levels the grid is only larger; the min spares building 2**level
+    nx = (nx0 - 1) * 2 ** min(level, 64) + 1
+    ns = (ns0 - 1) * 2 ** min(level, 64) + 1
+    nodes = nx * ns
+    if nodes > _MAX_NODE_STEPS:
+        raise DomainError(
+            f"level {level} grid has more nodes than the limit of "
+            f"{_MAX_NODE_STEPS} node-steps (nodes x time steps) of one solve"
+        )
+    x = np.linspace(-x_max, x_max, nx)
+    s = np.geomspace(_SIGMA_CENTER**2 / sigma_max, sigma_max, ns)
+    nt = stable_time_steps(s, float(x[1] - x[0]), params, T)
     if nodes * nt > _MAX_NODE_STEPS:
         raise DomainError(
             f"FD level {level} needs {nodes} nodes x {nt:.4g} time steps = "
             f"{float(nodes) * nt:.4g} node-steps, more than the limit of "
             f"{_MAX_NODE_STEPS} node-steps"
         )
-    return replace(grid, n_time_steps=nt)
+    return FdGrid(x_nodes=x, sigma_nodes=s, level=level, n_time_steps=nt)
 
 
 def _instability(w: np.ndarray, grid: FdGrid, t: float) -> FdInstabilityError:
@@ -331,7 +327,7 @@ def _cell_averaged_payoff(x: np.ndarray, h: float) -> np.ndarray:
 def solve_sequence(params: SabrParams, T: float, max_level: int) -> list[FdSolution]:
     """Refinement sequence w_0 .. w_max_level with Richardson error
     estimates est_error = ||w_k - w_{k-1}||_2 / 3 on the interest window."""
-    if max_level < 0:
+    if _require_int(max_level, "max_level") < 0:
         raise DomainError(f"max_level must be nonnegative, got {max_level}")
     # the finest level is the longest march: fail before solving the others
     _level_grid(params, T, max_level, grown=False)
@@ -375,7 +371,6 @@ def compare(solution: FdSolution, price_fn: PriceFn) -> FdComparison:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_delta = np.where(pos, np.log(model) - np.log(w), np.nan)
     return FdComparison(
-        l1=float(np.mean(np.abs(delta))),
         l2=float(np.sqrt(np.mean(delta**2))),
         linf=float(np.abs(delta).max()),
         log_l2=float(np.sqrt(np.nanmean(log_delta**2))) if pos.any() else float("nan"),

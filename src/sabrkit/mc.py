@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, OptionQuery, _require_at
+from .core import DomainError, OptionQuery, _require_at, _require_int
 from .expansion import SabrParams
 
 __all__ = ["McConfig", "simulate_prices"]
@@ -53,9 +53,9 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
+        if _require_int(self.seed, "seed") < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        if self.n_paths <= 0:
+        if _require_int(self.n_paths, "n_paths") <= 0:
             raise DomainError(f"n_paths must be positive, got {self.n_paths}")
         if not (self.dt > 0.0):
             raise DomainError(f"dt must be positive, got {self.dt}")

@@ -134,6 +134,7 @@ def test_public_names_snapshot():
 
 PARAMS = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
 DAY = synth_panel(PARAMS, 1)[0]
+GRID = fd._level_grid(PARAMS, 0.5, 0, grown=False)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +151,7 @@ DAY = synth_panel(PARAMS, 1)[0]
         ("window_x", lambda: solve(PARAMS, 0.5, 0, window_x=(-1.0, 1.0))),
         (
             "c_safety",
-            lambda: stable_time_steps(fd._build_grid(0, grown=False), PARAMS, 0.5, c_safety=0.9),
+            lambda: stable_time_steps(GRID.sigma_nodes, GRID.dx, PARAMS, 0.5, c_safety=0.9),
         ),
         # the rectangle is module constants; explicit ids keep the other ids
         pytest.param("x_max", lambda: solve(PARAMS, 0.5, 0, x_max=3.0), id="FdConfig-x_max"),
@@ -212,8 +213,10 @@ def test_fd_config_is_gone():
 
 
 def test_build_grid_is_gone():
-    # fd._build_grid(level, grown=False) is the level's mesh
+    # fd._level_grid(params, T, level, grown=False) is the level's mesh,
+    # built once with its time-step count
     assert not hasattr(fd, "build_grid")
+    assert not hasattr(fd, "_build_grid")
     assert "build_grid" not in fd.__all__
 
 

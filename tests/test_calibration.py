@@ -479,6 +479,21 @@ class TestSynthPanel:
         with pytest.raises(DomainError, match=message):
             synth_panel(TRUE, n_days)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_non_integer_days_or_seed_rejected(self, value):
+        # synth_panel(p, 2.5) and synth_panel(p, True) raised numpy's TypeError
+        with pytest.raises(DomainError, match=f"^n_days must be an integer, got {value!r}$"):
+            synth_panel(TRUE, value)
+        with pytest.raises(DomainError, match=f"^seed must be an integer, got {value!r}$"):
+            synth_panel(TRUE, 1, seed=value)
+
+    def test_numpy_integers_accepted(self):
+        days = synth_panel(TRUE, np.int64(2), noise_level=0.01, seed=np.int32(3))
+        want = synth_panel(TRUE, 2, noise_level=0.01, seed=3)
+        assert len(days) == 2
+        for got, day in zip(days, want):
+            np.testing.assert_array_equal(got.implied_vol, day.implied_vol)
+
 
 class TestFitDay:
     def test_recovers_generator(self):

@@ -33,6 +33,8 @@ from sabrkit.fd import (
 )
 from sabrkit.models import price_fn_for_model
 
+PARAMS = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
+
 
 def step_dia(grid, params, dt):
     """_step_matrix's diagonals wrapped as a scipy DIA matrix, for the
@@ -74,8 +76,8 @@ def reference_operator(grid, params, w):
 def reference_march(params, T, level):
     """Explicit march with the reference operator and one c_rel call per
     step for the whole boundary ring; returns the final grid values."""
-    grid = fd._build_grid(level, grown=False)
-    nt = stable_time_steps(grid, params, T)
+    grid = _level_grid(params, T, level, False)
+    nt = grid.n_time_steps
     dt = T / nt
     x, s = grid.x_nodes, grid.sigma_nodes
     xs, ss = np.meshgrid(x, s, indexing="ij")
@@ -119,37 +121,61 @@ def reference_residual(price_fn, params, region):
 class TestGrid:
     def test_node_counts(self):
         for level in (0, 1, 2):
-            g = fd._build_grid(level, grown=False)
+            g = _level_grid(PARAMS, 0.5, level, False)
             assert g.x_nodes.size == 12 * 2**level + 1
             assert g.sigma_nodes.size == 18 * 2**level + 1
 
     def test_sigma_geometric(self):
-        g = fd._build_grid(0, grown=False)
+        g = _level_grid(PARAMS, 0.5, 0, False)
         ratios = g.sigma_nodes[1:] / g.sigma_nodes[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
         assert g.sigma_nodes[0] == pytest.approx(0.18**2 / 1.6803)
         assert g.sigma_nodes[-1] == pytest.approx(1.6803)
 
     def test_nesting(self):
-        coarse = fd._build_grid(1, grown=False)
-        fine = fd._build_grid(2, grown=False)
+        coarse = _level_grid(PARAMS, 0.5, 1, False)
+        fine = _level_grid(PARAMS, 0.5, 2, False)
         assert np.allclose(fine.x_nodes[::2], coarse.x_nodes)
         assert np.allclose(fine.sigma_nodes[::2], coarse.sigma_nodes, rtol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            fd._build_grid(-1, grown=False)
+        with pytest.raises(DomainError, match="^level must be nonnegative, got -1$"):
+            _level_grid(PARAMS, 0.5, -1, False)
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_grid_carries_its_step_count(self, grown):
+        # the grid is built once, with the stability bound's step count
+        for level in range(4):
+            grid = _level_grid(PARAMS, 0.5, level, grown)
+            assert grid.level == level
+            steps = stable_time_steps(grid.sigma_nodes, grid.dx, PARAMS, 0.5)
+            assert grid.n_time_steps == steps >= 1
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, True, "1"])
+    def test_non_integer_level_rejected(self, level):
+        # 1.5 raised numpy's TypeError, and True marched level 1
+        with pytest.raises(DomainError, match=f"^level must be an integer, got {level!r}$"):
+            solve(PARAMS, 0.5, level)
+        with pytest.raises(DomainError, match=f"^max_level must be an integer, got {level!r}$"):
+            solve_sequence(PARAMS, 0.5, level)
+
+    def test_numpy_integer_level_accepted(self):
+        got = solve(PARAMS, 0.5, np.int64(1))
+        assert type(got.grid.level) is int and got.grid.level == 1
+        np.testing.assert_array_equal(got.values, solve(PARAMS, 0.5, 1).values)
+        levels = [sol.grid.level for sol in solve_sequence(PARAMS, 0.5, np.int64(1))]
+        assert levels == [0, 1] and all(type(k) is int for k in levels)
 
     def test_cutoff_grid_is_the_rectangle_grown_by_one_layer(self):
         # x_max 3 + 0.5, sigma_max 1.6803 r0 and two more nodes a side,
         # pinned as the grid cutoff_sensitivity solved on before the
         # rectangle became constants
-        grid = fd._build_grid(0, grown=True)
+        grid = _level_grid(PARAMS, 0.5, 0, True)
         assert (grid.x_nodes.size, grid.sigma_nodes.size) == (15, 21)
         assert grid.x_nodes[-1] == 3.5
         assert grid.sigma_nodes[-1] == 2.1536608216084887
         assert grid.sigma_nodes[0] == 0.015044151648634091
-        base = fd._build_grid(0, grown=False)
+        base = _level_grid(PARAMS, 0.5, 0, False)
         np.testing.assert_array_equal(grid.x_nodes[1:-1], base.x_nodes)
         np.testing.assert_allclose(grid.sigma_nodes[1:-1], base.sigma_nodes, rtol=1e-14)
 
@@ -184,8 +210,8 @@ class TestStepMatrix:
     @example(nu=0.0, rho=-0.5, level=1, dt_frac=0.5, seed=2)
     def test_matches_reference_operator(self, nu, rho, level, dt_frac, seed):
         params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
-        grid = fd._build_grid(level, grown=False)
-        dt = dt_frac / stable_time_steps(grid, params, 1.0)
+        grid = _level_grid(params, 1.0, level, False)
+        dt = dt_frac / grid.n_time_steps
         w = np.random.default_rng(seed).standard_normal(
             (grid.x_nodes.size, grid.sigma_nodes.size)
         )
@@ -206,8 +232,8 @@ class TestStepMatrix:
     @example(nu=0.0, rho=0.0, level=1, dt_frac=0.5)
     def test_growth_factor_is_the_largest_absolute_row_sum(self, nu, rho, level, dt_frac):
         params = SabrParams(sigma0=0.18, nu=nu, rho=rho)
-        grid = fd._build_grid(level, grown=False)
-        dt = dt_frac / stable_time_steps(grid, params, 1.0)
+        grid = _level_grid(params, 1.0, level, False)
+        dt = dt_frac / grid.n_time_steps
         alpha = _step_matrix(grid, params, dt)[2]
         # each row's stored entries; the zeros it does not store add nothing
         rows = abs(step_dia(grid, params, dt).tocsr())
@@ -222,7 +248,7 @@ class TestStepMatrix:
             assert alpha == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_layout(self):
-        grid = fd._build_grid(1, grown=False)
+        grid = _level_grid(PARAMS, 0.5, 1, False)
         nx, ns = grid.x_nodes.size, grid.sigma_nodes.size
         step = step_dia(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
         assert step.shape == (nx * ns, nx * ns)
@@ -234,7 +260,7 @@ class TestStepMatrix:
         assert (np.count_nonzero(rows[1:-1, 1:-1], axis=-1) == 9).all()
 
     def test_returns_the_dia_layout(self):
-        grid = fd._build_grid(1, grown=False)
+        grid = _level_grid(PARAMS, 0.5, 1, False)
         nx, ns = grid.x_nodes.size, grid.sigma_nodes.size
         offsets, data, _ = _step_matrix(grid, SabrParams(sigma0=0.18, nu=1.0, rho=-0.2), 1e-4)
         # scipy's dia_matrix stores int32 offsets; the kernel takes them as given
@@ -425,7 +451,8 @@ class TestSolve:
         params = SabrParams(sigma0=0.18, nu=0.5, rho=-0.2)
         sol = solve(params, 0.5, 1)
         cmp = compare(sol, price_fn_for_model("bs", params))
-        assert cmp.l1 <= cmp.l2 <= cmp.linf
+        assert [f.name for f in dataclasses.fields(cmp)] == ["l2", "linf", "log_l2"]
+        assert cmp.l2 <= cmp.linf
 
     def test_richardson_second_order(self):
         params = SabrParams(sigma0=0.18, nu=0.0, rho=0.0)
@@ -505,7 +532,7 @@ class TestSolve:
         np.testing.assert_allclose(sol.restriction, want, rtol=1e-12, atol=1e-20)
 
     def test_instability_messages(self):
-        grid = fd._build_grid(0, grown=False)
+        grid = _level_grid(PARAMS, 0.5, 0, False)
         w = np.zeros((grid.x_nodes.size, grid.sigma_nodes.size))
         w[3, 4] = 1e9
         assert str(_instability(w, grid, 0.25)).startswith("exploding value 1e+09 at x=")
@@ -649,16 +676,17 @@ class TestRichardsonReference:
 class TestTimeStepBound:
     def test_lower_spacing_is_the_smaller(self):
         # stable_time_steps takes each node's spacing below it as its
-        # smaller one: true on the geometric grid of every level a grid has
+        # smaller one: true on the geometric grid of every level a grid has;
+        # at T = 1e-12 every level up to 12 takes one step, within the limit
         for grown in (False, True):
             for level in range(13):
-                ds = np.diff(fd._build_grid(level, grown).sigma_nodes)
+                ds = np.diff(_level_grid(PARAMS, 1e-12, level, grown).sigma_nodes)
                 assert (ds[:-1] < ds[1:]).all()
 
     def test_refinement_increases_steps(self):
         params = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
-        n0 = stable_time_steps(fd._build_grid(0, grown=False), params, 1.0)
-        n1 = stable_time_steps(fd._build_grid(1, grown=False), params, 1.0)
+        n0 = _level_grid(params, 1.0, 0, False).n_time_steps
+        n1 = _level_grid(params, 1.0, 1, False).n_time_steps
         assert n1 >= 3.5 * n0
 
 
@@ -675,7 +703,8 @@ class TestMarchLimit:
     def test_non_finite_stability_rate(self):
         params = SabrParams(sigma0=0.18, nu=1e200, rho=-0.2)
         with pytest.raises(DomainError, match="non-finite number of time steps"):
-            stable_time_steps(fd._build_grid(0, grown=False), params, 0.5)
+            grid = _level_grid(PARAMS, 0.5, 0, False)
+            stable_time_steps(grid.sigma_nodes, grid.dx, params, 0.5)
         with pytest.raises(DomainError, match="non-finite number of time steps"):
             solve(params, 0.5, 0)
 
@@ -699,7 +728,7 @@ class TestMarchLimit:
 
     def test_huge_level_rejected_before_building_nodes(self):
         with pytest.raises(DomainError, match="level 1000000000 grid has more nodes"):
-            fd._build_grid(10**9, grown=False)
+            _level_grid(PARAMS, 0.5, 10**9, False)
 
     @pytest.mark.parametrize(
         "preset, steps",
@@ -715,9 +744,8 @@ class TestMarchLimit:
         params = SabrParams(sigma0=0.18, nu=p["nu"], rho=p["rho"])
         for level, want in enumerate(steps):
             grid = _level_grid(params, p["t"], level, False)
-            assert fd._build_grid(level, grown=False).n_time_steps == 0
             assert grid.n_time_steps == want
-            assert grid.n_time_steps == stable_time_steps(grid, params, p["t"])
+            assert grid.n_time_steps == stable_time_steps(grid.sigma_nodes, grid.dx, params, p["t"])
 
     @pytest.mark.parametrize("preset", sorted(FD_PRESETS))
     def test_level_4_of_every_preset_fits(self, preset):

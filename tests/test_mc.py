@@ -44,6 +44,17 @@ class TestConfig:
         with pytest.raises(DomainError, match="^seed must be nonnegative, got -1$"):
             McConfig(seed=-1)
 
+    @pytest.mark.parametrize("name", ["n_paths", "seed"])
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, True, "1000"])
+    def test_non_integer_rejected(self, name, value):
+        # n_paths=1000.5 gave 500.0 samples, and seed=1.5 failed later in numpy
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+            McConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = McConfig(n_paths=np.int64(1000), seed=np.uint32(7))
+        assert cfg.n_samples == 500
+
     def test_two_samples_accepted(self):
         assert McConfig(n_paths=4).n_samples == 2
         assert McConfig(n_paths=2, antithetic=False).n_samples == 2
