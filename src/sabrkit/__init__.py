@@ -13,7 +13,6 @@ from .core import (
     bs_implied_vol,
     c_rel,
     d_minus,
-    d_pair,
     h_tilde,
     hermite,
     norm_cdf,
@@ -26,8 +25,6 @@ from .expansion import (
     SabrParams,
     VolQuote,
     delta_sa2,
-    f1_term,
-    f2_term,
     implied_e1,
     implied_e2,
     price_d,
@@ -72,7 +69,6 @@ __all__ = [
     "bs_implied_vol",
     "c_rel",
     "d_minus",
-    "d_pair",
     "h_tilde",
     "hermite",
     "norm_cdf",
@@ -83,8 +79,6 @@ __all__ = [
     "SabrParams",
     "VolQuote",
     "delta_sa2",
-    "f1_term",
-    "f2_term",
     "implied_e1",
     "implied_e2",
     "price_d",

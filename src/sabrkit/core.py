@@ -11,7 +11,8 @@ mesh such as `np.ix_`'s, a factor of y alone is computed once per y), and
 the result has the broadcast shape of all the arguments. A call with plain
 floats returns a float computed with the math module; it agrees with the
 same point of an array call to a few units in the last place. `OptionQuery`,
-`d_pair`, `bs_call`, `norm_ppf` and `bs_implied_vol` stay scalar.
+`bs_call`, `norm_ppf` and `bs_implied_vol` stay scalar; d_+ is d_- plus
+sigma sqrt(t).
 
 Each public kernel chooses its operations once, in `_args`; kernels that
 build on one another call its private form, which takes those operations
@@ -43,14 +44,12 @@ import numpy as np
 __all__ = [
     "DomainError",
     "OptionQuery",
-    "DPair",
     "norm_cdf",
     "norm_pdf",
     "norm_ppf",
     "hermite",
     "h_tilde",
     "phi_t",
-    "d_pair",
     "d_minus",
     "bs_call",
     "c_rel",
@@ -132,11 +131,6 @@ class OptionQuery:
     def log_moneyness(self) -> float:
         """y = ln(S e^{rt} / K); invariant under joint (S, K) rescaling."""
         return self.log_price - math.log(self.strike)
-
-
-class DPair(NamedTuple):
-    d_plus: float
-    d_minus: float
 
 
 class _Ops(NamedTuple):
@@ -265,14 +259,17 @@ def hermite(n: int, x):
 
     Uses the recurrence H_{n+1}(x) = x H_n(x) - n H_{n-1}(x).
     """
-    _check_hermite_order(n)
+    n = _hermite_order(n)
     m, (x,) = _args(x)
     return _hermite(m, n, x)
 
 
-def _check_hermite_order(n) -> None:
-    if not isinstance(n, int) or n < 0 or n > 5:
+def _hermite_order(n) -> int:
+    # n as an int in 0..5, or a DomainError naming the order
+    n = _require_int(n, "hermite order")
+    if not 0 <= n <= 5:
         raise DomainError(f"hermite order must be an integer in 0..5, got {n}")
+    return n
 
 
 def _hermite(m: _Ops, n: int, x):
@@ -310,7 +307,7 @@ def h_tilde(n: int, u, sigma, t):
     """
     m, (u, sigma, t) = _args(u, sigma, t)
     v, ell = _scaled_d_minus(m, u, sigma, t)
-    _check_hermite_order(n)
+    n = _hermite_order(n)
     return (-1.0 / v) ** n * _hermite(m, n, ell)
 
 
@@ -329,14 +326,6 @@ def d_minus(y, sigma, t):
     """d_- = y/(sigma sqrt(t)) - sigma sqrt(t)/2 from log-moneyness."""
     m, (y, sigma, t) = _args(y, sigma, t)
     return _scaled_d_minus(m, y, sigma, t)[1]
-
-
-def d_pair(query: OptionQuery, sigma: float) -> DPair:
-    """Black-Scholes arguments d_+/- with d_+ - d_- = sigma sqrt(t)."""
-    if not (query.expiry > 0.0):
-        raise DomainError("d_pair requires t > 0; handle expiry separately")
-    dm = d_minus(query.log_moneyness, sigma, query.expiry)
-    return DPair(dm + sigma * math.sqrt(query.expiry), dm)
 
 
 def bs_call(query: OptionQuery, sigma: float) -> float:
@@ -386,14 +375,15 @@ def _c_rel_vega(m: _Ops, y, sigma, t):
 def bs_implied_vol(price: float, y: float, t: float) -> float:
     """Invert c_rel in sigma by bracketed Newton with bisection fallback.
 
-    Raises DomainError if the price lies outside the no-arbitrage band
+    Raises DomainError if y is not finite or e^y overflows, if t is not
+    finite and positive, if the price lies outside the no-arbitrage band
     (intrinsic, e^y) or outside the bracket sigma in [1e-6, 5]. Stops at a
     price error of 1e-12, or logs a warning and returns the last iterate
     at the iteration limit.
     """
-    if not (t > 0.0):
-        raise DomainError("implied vol requires t > 0")
     y, t = float(y), float(t)  # the math-module _c_rel below takes floats
+    _require(-math.inf < y <= _MAX_EXP_ARG, "implied vol requires a y whose e^y is a float", y)
+    _require(0.0 < t < math.inf, "implied vol requires a finite t > 0", t)
     intrinsic = max(math.exp(y) - 1.0, 0.0)
     if not (intrinsic < price < math.exp(y)):
         raise DomainError(

@@ -37,22 +37,22 @@ nothing is subtracted (Squire & Trapp 1998).
 `price_sa2_rel`, `implied_e1`, `implied_e2`, `sigma_d` and `price_d`
 broadcast over numpy arrays of (y, t, sigma) like the kernels in `core`;
 the `sigma` keyword replaces params.sigma0, point by point when it is an
-array. The OptionQuery forms (`price_sa2`, `f1_term`, `f2_term`,
-`delta_sa2`) stay scalar. `price_sa2`, `price_sa2_rel`, `f1_term` and
-`f2_term` are one strike-normalized evaluation, whose leading term
-F_BS / K is `core.c_rel`. At tiny t, where a ladder's powers of -1/v
-overflow while its coefficients stay finite, the corrections take their
-t -> 0 limit 0; the hedge ratio's x-derivatives follow the same rule, so
-both reduce to Black-Scholes. A correction not finite at larger v, or
-from coefficients that are not finite, is a DomainError naming y and t
-in the OptionQuery forms; `price_sa2_rel` returns it for its callers to
-report.
+array. The OptionQuery forms `price_sa2` and `delta_sa2` stay scalar.
+`price_sa2` and `price_sa2_rel` are one strike-normalized evaluation,
+whose leading term F_BS / K is `core.c_rel`; F1 and F2 alone are the
+`f1` and `f2` of `price_sa2`, which do not depend on nu. At tiny t,
+where a ladder's powers of -1/v overflow while its coefficients stay
+finite, the corrections take their t -> 0 limit 0; the hedge ratio's
+x-derivatives follow the same rule, so both reduce to Black-Scholes. A
+correction not finite at larger v, or from coefficients that are not
+finite, is a DomainError naming y and t in the OptionQuery forms;
+`price_sa2_rel` returns it for its callers to report.
 
-F1 keeps two forms on purpose: the closed form in the price (and so in
-`f1_term`) and the kernel coefficients in `f1_coeffs`, which the hedge
-ratio differentiates at the parameters' own kappa0 and theta. The
-acceptance gate checks one against the other; computing F1 from
-`f1_coeffs` would compare `f1_coeffs` with itself.
+F1 keeps two forms on purpose: the closed form in the price and the
+kernel coefficients in `f1_coeffs`, which the hedge ratio differentiates
+at the parameters' own kappa0 and theta. The acceptance gate checks one
+against the other; computing F1 from `f1_coeffs` would compare
+`f1_coeffs` with itself.
 """
 
 from __future__ import annotations
@@ -82,10 +82,8 @@ __all__ = [
     "SabrParams",
     "ExpansionPrice",
     "VolQuote",
-    "f1_term",
     "f1_coeffs",
     "f2_coeffs",
-    "f2_term",
     "price_sa2",
     "price_sa2_rel",
     "implied_e1",
@@ -268,52 +266,15 @@ def _require_finite(what: str, y: float, t: float, *terms: float) -> None:
     _require_at(ok, f"{what} gives a correction that is not finite", y=y, t=t)
 
 
-def _term(query: OptionQuery, sigma, rho, kappa0, theta, order: int) -> float:
-    # F1 (order 1) or F2 (order 2) of price_sa2's evaluation at sigma0 = sigma
-    what, y, t = f"f{order}_term", query.log_moneyness, query.expiry
-    if not (t > 0.0):
-        raise DomainError(f"{what} requires t > 0")
-    params = SabrParams(sigma0=sigma, nu=0.0, rho=rho, kappa0=kappa0, theta=theta)
-    term = query.strike * _sa2_rel(_MATH, y, t, sigma, params)[order + 1]
-    _require_finite(what, y, t, term)
-    return term
-
-
-def f1_term(
-    query: OptionQuery,
-    sigma: float,
-    rho: float,
-    kappa0: float = 0.0,
-    theta: float = 0.0,
-) -> float:
-    """First-order forward price correction per unit of vol-of-vol, the F1
-    of `price_sa2` at sigma0 = sigma:
-
-    F1 = (K t / 2) (kappa0 (theta - sigma) sqrt(t) - rho sigma d_-) N'(d_-).
-    """
-    return _term(query, sigma, rho, kappa0, theta, 1)
-
-
-def f2_term(
-    query: OptionQuery,
-    sigma: float,
-    rho: float,
-    kappa0: float = 0.0,
-    theta: float = 0.0,
-) -> float:
-    """Second-order forward price correction per unit of nu^2, the F2 of
-    `price_sa2` at sigma0 = sigma:
-
-    F2 = K * sum_{i=0..4} a2i * h_tilde(i, y) * phi_t(y, sigma).
-    """
-    return _term(query, sigma, rho, kappa0, theta, 2)
-
-
 def price_sa2(query: OptionQuery, params: SabrParams) -> ExpansionPrice:
-    """Second-order forward price F_BS + nu F1 + nu^2 F2.
+    """Second-order forward price F_BS + nu F1 + nu^2 F2, with
 
-    The discounted (actual) price is e^{-rt} * total. At expiry F_BS is
-    the payoff and both correction terms vanish.
+    F1 = (K t / 2) (kappa0 (theta - sigma0) sqrt(t) - rho sigma0 d_-) N'(d_-),
+    F2 = K * sum_{i=0..4} a2i * h_tilde(i, y) * phi_t(y, sigma0).
+
+    Neither correction depends on nu. The discounted (actual) price is
+    e^{-rt} * total. At expiry F_BS is the payoff and both correction
+    terms vanish.
     """
     nu2 = _nu_squared(params.nu)
     y, t = query.log_moneyness, query.expiry

@@ -30,7 +30,7 @@ from sabrkit import (
     synth_panel,
     z_over_xi,
 )
-from sabrkit import calibration, fd, mc, models
+from sabrkit import calibration, core, expansion, fd, mc, models
 from sabrkit.fd import stable_time_steps
 
 # module.name.param for every defaulted parameter of a module-level function
@@ -54,10 +54,6 @@ SETTINGS = [
     "core.OptionQuery.rate",
     "expansion.SabrParams.kappa0",
     "expansion.SabrParams.theta",
-    "expansion.f1_term.kappa0",
-    "expansion.f1_term.theta",
-    "expansion.f2_term.kappa0",
-    "expansion.f2_term.theta",
     "expansion.price_d.sigma",
     "expansion.price_sa2_rel.sigma",
     "expansion.sigma_d.sigma",
@@ -117,8 +113,8 @@ PUBLIC_NAMES = [
     "FdGrid", "FdInstabilityError", "FdSolution", "MODEL_NAMES", "McConfig",
     "MeanRevState", "OptionQuery", "QuoteDay", "ResidualRegion", "SabrParams", "VolQuote",
     "__version__", "bs_call", "bs_implied_vol", "c_rel", "calibrate_panel",
-    "compare", "cutoff_sensitivity", "d_minus", "d_pair", "delta_sa2",
-    "delta_to_moneyness", "det_vol_price", "f1_term", "f2_term", "h_tilde",
+    "compare", "cutoff_sensitivity", "d_minus", "delta_sa2",
+    "delta_to_moneyness", "det_vol_price", "h_tilde",
     "hermite", "implied_e1", "implied_e2", "norm_cdf", "norm_pdf", "norm_ppf",
     "objective_value", "phi_t", "price_d", "price_fn_for_model",
     "price_h", "price_sa2", "price_sa2_rel", "read_quotes_csv", "residual_norm",
@@ -230,3 +226,15 @@ def test_fit_day_is_gone():
     # one day is calibrate_panel([day], init, objective, ...)[0]
     assert not hasattr(calibration, "fit_day")
     assert "fit_day" not in calibration.__all__
+
+
+def test_term_wrappers_are_gone():
+    # F1 and F2 are price_sa2(query, SabrParams(sigma, 0.0, rho, kappa0,
+    # theta)).f1 and .f2; d_+ is d_minus(y, sigma, t) + sigma sqrt(t)
+    for module, name in [
+        (expansion, "f1_term"), (expansion, "f2_term"), (expansion, "_term"),
+        (core, "d_pair"), (core, "DPair"),
+    ]:
+        assert not hasattr(module, name)
+        assert name not in module.__all__
+        assert name not in sabrkit.__all__

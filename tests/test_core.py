@@ -17,7 +17,6 @@ from sabrkit import (
     bs_implied_vol,
     c_rel,
     d_minus,
-    d_pair,
     h_tilde,
     hermite,
     norm_cdf,
@@ -25,6 +24,12 @@ from sabrkit import (
     phi_t,
 )
 from sabrkit import core
+
+
+def d_pair(q, sigma):
+    # (d_+, d_-) of a query: d_- from its log-moneyness, d_+ = d_- + sigma sqrt(t)
+    dm = d_minus(q.log_moneyness, sigma, q.expiry)
+    return dm + sigma * math.sqrt(q.expiry), dm
 
 
 class TestNormal:
@@ -83,6 +88,22 @@ class TestHermite:
         with pytest.raises(DomainError):
             hermite(-1, 0.0)
 
+    @pytest.mark.parametrize("order", [True, False, 1.5, 2.0, "2"])
+    def test_order_must_be_an_integer(self, order):
+        message = f"^hermite order must be an integer, got {re.escape(repr(order))}$"
+        with pytest.raises(DomainError, match=message):
+            hermite(order, 0.5)
+        with pytest.raises(DomainError, match=message):
+            h_tilde(order, 0.1, 0.2, 1.0)
+
+    def test_numpy_integer_order_is_the_int_order(self):
+        for n in range(6):
+            assert hermite(np.int64(n), 0.5) == hermite(n, 0.5)
+            assert h_tilde(np.int32(n), 0.1, 0.2, 1.0) == h_tilde(n, 0.1, 0.2, 1.0)
+        message = r"^hermite order must be an integer in 0\.\.5, got 6$"
+        with pytest.raises(DomainError, match=message):
+            hermite(np.int64(6), 0.5)
+
 
 class TestKernel:
     def test_h_tilde_order_zero(self):
@@ -132,15 +153,15 @@ class TestBlackScholes:
     def test_d_pair_homogeneous(self):
         q1 = OptionQuery(spot=10.0, strike=8.0, rate=0.03, expiry=2.0)
         q2 = OptionQuery(spot=30.0, strike=24.0, rate=0.03, expiry=2.0)
-        a, b = d_pair(q1, 0.25), d_pair(q2, 0.25)
-        assert a.d_plus == pytest.approx(b.d_plus, abs=1e-14)
-        assert a.d_minus == pytest.approx(b.d_minus, abs=1e-14)
+        (ap, am), (bp, bm) = d_pair(q1, 0.25), d_pair(q2, 0.25)
+        assert ap == pytest.approx(bp, abs=1e-14)
+        assert am == pytest.approx(bm, abs=1e-14)
 
     def test_d_pair_reference(self):
         q = OptionQuery(spot=10.0, strike=8.0, rate=0.03, expiry=2.0)
         v = 0.25 * math.sqrt(2.0)
         dm_expected = math.log(10.0 * math.exp(0.06) / 8.0) / v - v / 2
-        assert abs(d_pair(q, 0.25).d_minus - dm_expected) <= 1e-14
+        assert abs(d_minus(q.log_moneyness, 0.25, q.expiry) - dm_expected) <= 1e-14
 
     def test_d_gap(self):
         rng = np.random.default_rng(3)
@@ -184,7 +205,7 @@ class TestBlackScholes:
         fd = (bs_call(q, s + h) - bs_call(q, s - h)) / (2 * h) * math.exp(
             q.rate * q.expiry
         )
-        dm = d_pair(q, s).d_minus
+        dm = d_minus(q.log_moneyness, s, q.expiry)
         analytic = q.strike * math.sqrt(q.expiry) * norm_pdf(dm)
         assert abs(fd - analytic) <= 1e-6 * analytic
 
@@ -314,6 +335,25 @@ class TestImpliedVol:
         assert abs(vol - 0.2008674410229397) <= 1e-12
         assert len(caplog.records) == 1
         assert "no convergence" in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize(
+        "y, t, message",
+        [
+            (math.nan, 1.0, "a y whose e^y is a float, got nan"),
+            (math.inf, 1.0, "a y whose e^y is a float, got inf"),
+            (-math.inf, 1.0, "a y whose e^y is a float, got -inf"),
+            (710.0, 1.0, "a y whose e^y is a float, got 710.0"),
+            (0.0, math.inf, "a finite t > 0, got inf"),
+            (0.0, math.nan, "a finite t > 0, got nan"),
+            (0.0, 0.0, "a finite t > 0, got 0.0"),
+        ],
+    )
+    def test_y_or_t_rejected_before_bracketing(self, caplog, y, t, message):
+        # checked before the bracket: an infinite t would run the iteration out
+        with caplog.at_level(logging.WARNING, logger="sabrkit.core"):
+            with pytest.raises(DomainError, match=f"^implied vol requires {re.escape(message)}$"):
+                bs_implied_vol(0.1, y, t)
+        assert caplog.records == []
 
     def test_convergence_is_silent(self, caplog):
         with caplog.at_level(logging.WARNING, logger="sabrkit.core"):

@@ -11,10 +11,7 @@ from sabrkit import (
     bs_call,
     c_rel,
     d_minus,
-    d_pair,
     delta_sa2,
-    f1_term,
-    f2_term,
     hermite,
     implied_e1,
     implied_e2,
@@ -70,14 +67,14 @@ class TestF1:
     def test_vanishes_without_skew_or_reversion(self):
         for k in (0.7, 1.0, 1.4):
             q = OptionQuery(spot=1.0, strike=k, expiry=1.0)
-            assert f1_term(q, 0.2, 0.0) == 0.0
+            assert price_sa2(q, SabrParams(0.2, 0.0, 0.0)).f1 == 0.0
 
     def test_hand_value(self):
         # kappa0=0, S=K=1, sigma=0.2, t=1, rho=-0.3:
         # (1/2)(-rho sigma d_minus) N'(d_minus) with d_minus = -0.1
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
         expected = -0.003 * norm_pdf(-0.1)
-        assert abs(f1_term(q, 0.2, -0.3) - expected) <= 1e-15
+        assert abs(price_sa2(q, SabrParams(0.2, 0.0, -0.3)).f1 - expected) <= 1e-15
 
     def test_coefficient_form(self):
         # K (a10 + a11 h_tilde_1(y)) phi_t must match the direct formula
@@ -88,19 +85,15 @@ class TestF1:
             v = s * math.sqrt(t)
             h1 = -d_minus(y, s, t) / v
             coef_form = (a10 + a11 * h1) * phi_t(y, s, t)
-            direct = f1_term(q, s, rho, k0, th)
+            direct = price_sa2(q, SabrParams(s, 0.0, rho, k0, th)).f1
             assert abs(coef_form - direct) <= 1e-11 * max(abs(direct), 1e-8)
 
     def test_odd_in_rho(self):
         q = OptionQuery(spot=1.1, strike=1.0, expiry=0.8)
-        assert f1_term(q, 0.25, 0.4) == pytest.approx(-f1_term(q, 0.25, -0.4), abs=1e-18)
+        f1 = [price_sa2(q, SabrParams(0.25, 0.0, rho)).f1 for rho in (0.4, -0.4)]
+        assert f1[0] == pytest.approx(-f1[1], abs=1e-18)
 
-    def test_rejects_expiry(self):
-        q = OptionQuery(spot=1.0, strike=1.0, expiry=0.0)
-        with pytest.raises(DomainError):
-            f1_term(q, 0.2, -0.3)
-
-    @pytest.mark.parametrize("term", [f1_term, f2_term])
+    @pytest.mark.parametrize("term", ["f1", "f2"])
     @pytest.mark.parametrize(
         "name, value, message",
         [
@@ -114,10 +107,10 @@ class TestF1:
     )
     def test_rejects_what_sabr_params_rejects(self, term, name, value, message):
         q = OptionQuery(spot=1.1, strike=1.0, expiry=1.0)
-        args = dict(sigma=0.2, rho=-0.3, kappa0=0.5, theta=0.2)
-        args[name] = value
+        args = dict(sigma0=0.2, rho=-0.3, kappa0=0.5, theta=0.2)
+        args["sigma0" if name == "sigma" else name] = value
         with pytest.raises(DomainError, match=f"^{message}"):
-            term(q, **args)
+            getattr(price_sa2(q, SabrParams(nu=0.0, **args)), term)
 
 
 class TestF2:
@@ -140,7 +133,7 @@ class TestF2:
         # y=0, sigma=0.2, t=1, rho=0: A = 6 + 4*0.2*(-0.1) + 4*(0.01-1) = 1.96
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)
         expected = (0.04 / 24) * 1.96 * phi_t(0.0, 0.2, 1.0)
-        assert abs(f2_term(q, 0.2, 0.0) - expected) <= 1e-15
+        assert abs(price_sa2(q, SabrParams(0.2, 0.0, 0.0)).f2 - expected) <= 1e-15
 
     def test_gaussian_a_form(self):
         # kappa0=0 alternative: K (sigma^2 t^2 / 24) A phi_t with
@@ -157,7 +150,7 @@ class TestF2:
                 + 3 * rho**2 * hermite(4, z)
             )
             alt = (s * s * t * t / 24) * a * phi_t(y, s, t)
-            got = f2_term(q, s, rho)
+            got = price_sa2(q, SabrParams(s, 0.0, rho)).f2
             assert abs(alt - got) <= 1e-10 * max(abs(got), 1e-10)
 
 
@@ -205,40 +198,38 @@ class TestPriceSa2:
             assert price_sa2_rel(yi, ti, p) == c_rel(yi, 0.2, ti)
             # the hedge ratio and the F2 term take the same limit
             q = OptionQuery(spot=math.exp(yi), strike=1.0, expiry=ti)
-            assert f2_term(q, 0.2, -0.3, kappa0, 0.3) == 0.0
-            assert delta_sa2(q, p) == norm_cdf(d_pair(q, 0.2).d_plus)
+            assert price_sa2(q, p).f2 == 0.0
+            assert delta_sa2(q, p) == norm_cdf(d_minus(yi, 0.2, ti) + 0.2 * math.sqrt(ti))
 
     def test_terms_are_the_price_corrections(self):
-        # f1_term and f2_term are the F1 and F2 of price_sa2, bit for bit
+        # nu enters neither F1 nor F2: price_sa2 at nu = 0 gives the
+        # corrections of every nu, bit for bit
         for i, (y, s, t, rho) in enumerate(random_lattice(100, seed=21)):
             kappa0, theta = (0.0, 0.0) if i % 2 else (1.5 * s, 0.3)
             q = OptionQuery(spot=100.0 * math.exp(y), strike=100.0, rate=0.02, expiry=t)
             res = price_sa2(q, SabrParams(sigma0=s, nu=0.4, rho=rho, kappa0=kappa0, theta=theta))
-            assert res.f1 == f1_term(q, s, rho, kappa0, theta)
-            assert res.f2 == f2_term(q, s, rho, kappa0, theta)
+            terms = price_sa2(q, SabrParams(s, 0.0, rho, kappa0, theta))
+            assert res.f1 == terms.f1
+            assert res.f2 == terms.f2
 
     @pytest.mark.parametrize("name", ["price_sa2", "delta_sa2", "f1_term", "f2_term"])
     def test_correction_not_finite_is_domain_error(self, name):
         # at large v = sigma sqrt(t) the corrections are not finite; the
-        # OptionQuery forms name the point, as the price command does
+        # OptionQuery forms name the point, as the price command does. The
+        # F1 and F2 terms alone are price_sa2's at nu = 0
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1e300)
         p = SabrParams(sigma0=0.2, nu=0.5, rho=-0.3)
+        terms = SabrParams(sigma0=0.2, nu=0.0, rho=-0.3)
         form = {
             "price_sa2": lambda: price_sa2(q, p),
             "delta_sa2": lambda: delta_sa2(q, p),
-            "f1_term": lambda: f1_term(q, p.sigma0, p.rho),
-            "f2_term": lambda: f2_term(q, p.sigma0, p.rho),
+            "f1_term": lambda: price_sa2(q, terms).f1,
+            "f2_term": lambda: price_sa2(q, terms).f2,
         }[name]
-        message = rf"^{name} gives a correction that is not finite at y = 0.0, t = 1e\+300$"
+        what = "delta_sa2" if name == "delta_sa2" else "price_sa2"
+        message = rf"^{what} gives a correction that is not finite at y = 0.0, t = 1e\+300$"
         with pytest.raises(DomainError, match=message):
             form()
-
-    def test_each_term_answers_for_itself(self):
-        # at t = 1e103 the kappa0^2 t^3 term of F2 overflows, while F1 is 0
-        q = OptionQuery(spot=1.0, strike=1.0, expiry=1e103)
-        assert f1_term(q, 0.2, -0.3, 1.0, 0.3) == 0.0
-        with pytest.raises(DomainError, match="^f2_term gives a correction that is not finite"):
-            f2_term(q, 0.2, -0.3, 1.0, 0.3)
 
     @pytest.mark.parametrize("kappa0, theta", [(1e300, 1.0), (1.0, 1e300)])
     def test_coefficients_not_finite_are_not_the_tiny_t_limit(self, kappa0, theta):
@@ -252,7 +243,7 @@ class TestPriceSa2:
         for name, form in [
             ("price_sa2", lambda: price_sa2(q, p)),
             ("delta_sa2", lambda: delta_sa2(q, p)),
-            ("f2_term", lambda: f2_term(q, 0.2, -0.3, kappa0, theta)),
+            ("price_sa2", lambda: price_sa2(q, SabrParams(0.2, 0.0, -0.3, kappa0, theta)).f2),
         ]:
             message = rf"^{name} gives a correction that is not finite at y = 0.0, t = 1.0$"
             with pytest.raises(DomainError, match=message):
@@ -432,7 +423,8 @@ class TestDelta:
     def test_nu_zero_is_bs_delta(self):
         q = OptionQuery(spot=1.08, strike=1.0, expiry=0.6)
         p = SabrParams(sigma0=0.22, nu=0.0, rho=-0.5)
-        assert delta_sa2(q, p) == pytest.approx(norm_cdf(d_pair(q, 0.22).d_plus))
+        d_plus = d_minus(q.log_moneyness, 0.22, q.expiry) + 0.22 * math.sqrt(q.expiry)
+        assert delta_sa2(q, p) == pytest.approx(norm_cdf(d_plus))
 
     def test_matches_finite_difference(self):
         q = OptionQuery(spot=1.0, strike=1.0, expiry=1.0)

@@ -5,7 +5,7 @@ With kappa = nu kappa0 the vol relaxes as sigma(s) = theta + (sigma -
 theta) e^{-kappa s}, and the price is Black-Scholes at the total variance
 V(kappa) = int_0^t sigma(s)^2 ds, the `meanrev` model. Its kappa-Taylor
 coefficients are the pure-kappa0 parts of F1 and F2; at rho = 0 those are
-the kappa0 = 1 minus kappa0 = 0 differences of `f1_term` and `f2_term`:
+the kappa0 = 1 minus kappa0 = 0 differences of `price_sa2`'s F1 and F2:
 
     F1 / K = P_V V'(0),    F2 / K = (P_VV V'(0)^2 + P_V V''(0)) / 2,
 
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from sabrkit import OptionQuery, SabrParams, delta_sa2, f1_term, f2_term
+from sabrkit import OptionQuery, SabrParams, delta_sa2, price_sa2
 from sabrkit.meanrev import MeanRevState, total_variance
 
 N_DRAWS = 2000
@@ -62,8 +62,10 @@ def test_kappa0_terms_are_the_deterministic_vol_limit():
     worst1 = worst2 = 0.0
     for sigma, theta, t, y in draws(seed=12):
         q = OptionQuery(spot=math.exp(y), strike=1.0, expiry=t)
-        f1 = f1_term(q, sigma, 0.0, 1.0, theta) - f1_term(q, sigma, 0.0, 0.0, theta)
-        f2 = f2_term(q, sigma, 0.0, 1.0, theta) - f2_term(q, sigma, 0.0, 0.0, theta)
+        # nu enters neither F1 nor F2
+        on = price_sa2(q, SabrParams(sigma, 0.0, 0.0, 1.0, theta))
+        off = price_sa2(q, SabrParams(sigma, 0.0, 0.0, 0.0, theta))
+        f1, f2 = on.f1 - off.f1, on.f2 - off.f2
         var, _, d_minus, d_plus, p_v = p_v_terms(sigma, t, q.log_moneyness)
         p_vv = p_v * (d_plus * d_minus - 1.0) / (2.0 * var)
         dv, d2v = v_prime(sigma, theta, t), v_second(sigma, theta, t)

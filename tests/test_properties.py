@@ -1,11 +1,12 @@
 """Properties of the closed-form call prices on their array paths: the
-second-order expansion price_sa2_rel and the Hagan price price_h,
+second-order expansion price_sa2_rel, the implied-vol expansion price
+price_d, which is c_rel(y, sigma_d(...), t), and the Hagan price price_h,
 which is c_rel(y, sigma_h(...), t).
 
 Parameter domain (K = 1, F = e^y, r = 0):
     sigma0 in [0.1, 0.5], rho in [-0.9, 0.9], t in [0.1, 2], y in [-1, 1];
     nu in [0, 1] for the Hagan price, and nu sqrt(t) <= 0.125 (table 4's
-    largest nu sqrt(t)) for the expansion, which is a series in nu.
+    largest nu sqrt(t)) for the two expansions, which are series in nu.
 
 The checked properties are the no-arbitrage bounds (e^y - 1)^+ <= c <= e^y,
 call prices falling and convex in the strike with slope at least -1, the
@@ -24,6 +25,7 @@ from sabrkit import (
     OptionQuery,
     SabrParams,
     c_rel,
+    price_d,
     price_h,
     price_sa2,
     price_sa2_rel,
@@ -57,32 +59,33 @@ def cases(draw, model):
     return KERNELS[model], params, t
 
 
-KERNELS = {"sa2": price_sa2_rel, "h": price_h}
-MODELS = st.sampled_from(sorted(KERNELS))
+KERNELS = {"sa2": price_sa2_rel, "d": price_d, "h": price_h}
 
 
 @st.composite
-def any_case(draw):
-    return draw(cases(draw(MODELS)))
+def every_model(draw):
+    """One case per model, each drawn on its own, so every example checks
+    every model."""
+    return [draw(cases(model)) for model in KERNELS]
 
 
-@given(any_case())
-def test_no_arbitrage_bounds(case):
-    kernel, params, t = case
-    c = kernel(Y, t, params)
-    assert np.all(c >= np.maximum(np.exp(Y) - 1.0, 0.0) - ATOL)
-    assert np.all(c <= np.exp(Y) + ATOL)
+@given(every_model())
+def test_no_arbitrage_bounds(cases_):
+    for kernel, params, t in cases_:
+        c = kernel(Y, t, params)
+        assert np.all(c >= np.maximum(np.exp(Y) - 1.0, 0.0) - ATOL)
+        assert np.all(c <= np.exp(Y) + ATOL)
 
 
-@given(any_case())
-def test_falling_and_convex_in_strike(case):
-    kernel, params, t = case
+@given(every_model())
+def test_falling_and_convex_in_strike(cases_):
     strikes = np.exp(-Y)  # increasing
-    calls = strikes * kernel(Y, t, params)  # K c_rel(ln(F/K)) with F = 1
-    slopes = np.diff(calls) / np.diff(strikes)
-    assert np.all(slopes <= SLOPE_TOL)
-    assert np.all(slopes >= -1.0 - SLOPE_TOL)
-    assert np.all(np.diff(slopes) >= -SLOPE_TOL)
+    for kernel, params, t in cases_:
+        calls = strikes * kernel(Y, t, params)  # K c_rel(ln(F/K)) with F = 1
+        slopes = np.diff(calls) / np.diff(strikes)
+        assert np.all(slopes <= SLOPE_TOL)
+        assert np.all(slopes >= -1.0 - SLOPE_TOL)
+        assert np.all(np.diff(slopes) >= -SLOPE_TOL)
 
 
 @given(
@@ -102,23 +105,23 @@ def test_price_sa2_scales_with_spot_and_strike(case, spot, y, rate, scale):
         assert math.isclose(got, scale * want, rel_tol=1e-10, abs_tol=1e-12 * scale)
 
 
-@given(any_case())
-def test_collapse_to_black_scholes_as_nu_vanishes(case):
-    kernel, params, t = case
-    flat = c_rel(Y, params.sigma0, t)
-    np.testing.assert_array_equal(kernel(Y, t, replace(params, nu=0.0)), flat)
-    gaps = [
-        np.abs(kernel(Y, t, replace(params, nu=nu)) - flat).max()
-        for nu in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    ]
-    assert all(b <= a for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] <= 1e-5
+@given(every_model())
+def test_collapse_to_black_scholes_as_nu_vanishes(cases_):
+    for kernel, params, t in cases_:
+        flat = c_rel(Y, params.sigma0, t)
+        np.testing.assert_array_equal(kernel(Y, t, replace(params, nu=0.0)), flat)
+        gaps = [
+            np.abs(kernel(Y, t, replace(params, nu=nu)) - flat).max()
+            for nu in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+        ]
+        assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-5
 
 
-@given(any_case(), st.lists(floats(-1.0, 1.0), min_size=1, max_size=12))
-def test_array_equals_scalar(case, ys):
-    kernel, params, t = case
+@given(every_model(), st.lists(floats(-1.0, 1.0), min_size=1, max_size=12))
+def test_array_equals_scalar(cases_, ys):
     ys = np.array(ys)
-    got = kernel(ys, t, params)
-    want = np.array([kernel(float(y), t, params) for y in ys])
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    for kernel, params, t in cases_:
+        got = kernel(ys, t, params)
+        want = np.array([kernel(float(y), t, params) for y in ys])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
