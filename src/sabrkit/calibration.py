@@ -48,9 +48,6 @@ from .expansion import SabrParams, _monomials, _sigma_d_jacobian, _sigma_d_quote
 from .models import price_fn_for_model, vol_fn_for_model
 
 __all__ = [
-    "OBJECTIVES",
-    "PANEL_EXPIRY_MONTHS",
-    "PANEL_DELTAS",
     "QuoteDay",
     "CalibrationResult",
     "delta_to_moneyness",
@@ -59,7 +56,6 @@ __all__ = [
     "calibrate_panel",
     "read_quotes_csv",
     "write_quotes_csv",
-    "result_rows",
 ]
 
 # objective -> (the models.py model it compares, the compared quantity:
@@ -221,7 +217,11 @@ class _DayObjective:
             # price_d's and sigma_d's evaluations, from the monomials (an infinite one is skipped)
             with np.errstate(over="ignore", invalid="ignore"):
                 quote = _sigma_d_quote(_NUMPY, self.monomials, params.sigma0, params)
-            model = quote.value if self.quantity == "vol" else _c_rel(_NUMPY, y, quote.value, t)
+            model = quote.value
+            if self.quantity != "vol":
+                # only a finite sigma_d is priced; the others stay nan and are skipped
+                finite = np.isfinite(model)
+                model = np.where(finite, _c_rel(_NUMPY, y, np.where(finite, model, 1.0), t), np.nan)
             state = (quote, model)
         elif self.quantity == "vol":
             model = vol_fn_for_model(self.model, params)(y, t)

@@ -291,10 +291,18 @@ def _d_minus_of(m: _Ops, y, v):
         return y / v - 0.5 * v
 
 
+def _require_finite(sigma, t) -> None:
+    # the kernels' one rule on an infinite sigma or t, after their sign
+    # checks (which a NaN fails); each is checked in its own shape
+    _require(sigma < math.inf, "sigma must be finite", sigma)
+    _require(t < math.inf, "t must be finite", t)
+
+
 def _scaled_d_minus(m: _Ops, y, sigma, t):
-    # (sigma sqrt(t), d_-) after the sigma > 0 and t > 0 checks
+    # (sigma sqrt(t), d_-) after the checks: finite sigma > 0 and t > 0
     _require(sigma > 0.0, "sigma must be positive", sigma)
     _require(t > 0.0, "t must be positive", t)
+    _require_finite(sigma, t)
     v = sigma * m.sqrt(t)
     return v, _d_minus_of(m, y, v)
 
@@ -343,7 +351,8 @@ def c_rel(y, sigma, t):
 
     Equals K^{-1} e^{rt} bs_call for any (S, K, r) with ln(S e^{rt}/K) = y.
     Points with sigma sqrt(t) = 0 take the intrinsic value (e^y - 1)^+.
-    A NaN y, or one whose e^y overflows a float, raises DomainError.
+    A NaN y, or one whose e^y overflows a float, raises DomainError, as
+    does a sigma or t that is negative or not finite.
     """
     m, (y, sigma, t) = _args(y, sigma, t)
     return _c_rel(m, y, sigma, t)
@@ -354,6 +363,7 @@ def _c_rel(m: _Ops, y, sigma, t):
     _require(y <= _MAX_EXP_ARG, "y must be a number whose e^y is a float", y)
     _require(sigma >= 0.0, "sigma must be nonnegative", sigma)
     _require(t >= 0.0, "t must be nonnegative", t)
+    _require_finite(sigma, t)
     v = sigma * m.sqrt(t)
     flat = v == 0.0  # also where the product underflows
     if _any(flat):

@@ -36,8 +36,9 @@ nothing is subtracted (Squire & Trapp 1998).
 
 `price_sa2_rel`, `implied_e1`, `implied_e2`, `sigma_d` and `price_d`
 broadcast over numpy arrays of (y, t, sigma) like the kernels in `core`;
-the `sigma` keyword replaces params.sigma0, point by point when it is an
-array. The OptionQuery forms `price_sa2` and `delta_sa2` stay scalar.
+the `sigma` keyword of `price_sa2_rel` and `price_d` replaces
+params.sigma0, point by point when it is an array. The OptionQuery forms
+`price_sa2` and `delta_sa2` stay scalar.
 `price_sa2` and `price_sa2_rel` are one strike-normalized evaluation,
 whose leading term F_BS / K is `core.c_rel`; F1 and F2 alone are the
 `f1` and `f2` of `price_sa2`, which do not depend on nu. At tiny t,
@@ -82,8 +83,6 @@ __all__ = [
     "SabrParams",
     "ExpansionPrice",
     "VolQuote",
-    "f1_coeffs",
-    "f2_coeffs",
     "price_sa2",
     "price_sa2_rel",
     "implied_e1",
@@ -120,10 +119,6 @@ class SabrParams:
             raise DomainError(f"kappa0 must be nonnegative, got {self.kappa0}")
         if not (self.theta >= 0.0):
             raise DomainError(f"theta must be nonnegative, got {self.theta}")
-
-    @property
-    def kappa(self) -> float:
-        return self.nu * self.kappa0
 
 
 class ExpansionPrice(NamedTuple):
@@ -395,14 +390,14 @@ def _sigma_d(m, y, t, sigma, params: SabrParams) -> VolQuote:
     return quote
 
 
-def sigma_d(y, t, params: SabrParams, *, sigma=None) -> VolQuote:
+def sigma_d(y, t, params: SabrParams) -> VolQuote:
     """Expansion implied vol sigma + nu e1 + nu^2 e2.
 
     Nonpositive raw values (possible for extreme parameters probed by
     optimizers) are clamped to a small positive floor and flagged; a value
     that overflows a float is a DomainError naming its point.
     """
-    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    m, (y, t, sigma) = _args(y, t, params.sigma0)
     return _sigma_d(m, y, t, sigma, params)
 
 

@@ -1,8 +1,9 @@
 """Hagan-Kumar-Lesniewski-Woodward implied volatility for beta = 1,
 with a series regularization of the z/xi(z) backbone near z = 0.
 
-Every function broadcasts over numpy arrays of (y, t, sigma) like the
-kernels in `core`; the `sigma` keyword replaces params.sigma0.
+Every function broadcasts over numpy arrays like the kernels in `core`;
+the `sigma` keyword of `price_h` replaces params.sigma0, point by point
+when it is an array.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 from .core import DomainError, _args, _c_rel, _require, _require_at
 from .expansion import SabrParams, _nu_squared, _require_rho
 
-__all__ = ["xi", "z_over_xi", "sigma_h", "price_h", "Z_SWITCH"]
+__all__ = ["z_over_xi", "sigma_h", "price_h"]
 
 Z_SWITCH = 1e-4
 
@@ -50,7 +51,7 @@ def _z_over_xi(m, z, rho: float):
     return m.where(near, series, far_z / _xi(m, far_z, rho))
 
 
-def sigma_h(y, t, params: SabrParams, *, sigma=None):
+def sigma_h(y, t, params: SabrParams):
     """Hagan implied volatility
 
         sigma * (z / xi(z)) * [1 + (rho nu sigma / 4 + (2 - 3 rho^2) nu^2 / 24) t]
@@ -59,7 +60,7 @@ def sigma_h(y, t, params: SabrParams, *, sigma=None):
     z / xi(z) for |z| >= Z_SWITCH, its Taylor series below, where the raw
     quotient tends to 0/0.
     """
-    m, (y, t, sigma) = _args(y, t, params.sigma0 if sigma is None else sigma)
+    m, (y, t, sigma) = _args(y, t, params.sigma0)
     return _sigma_h(m, y, t, sigma, params)
 
 

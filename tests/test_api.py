@@ -3,7 +3,8 @@
 models, objectives and public names.
 
 A setting that no caller outside the tests sets is a module constant, not
-a parameter. Adding a defaulted parameter or field fails
+a parameter. A public name is declared once, in its module's `__all__`,
+which the package re-exports. Adding a defaulted parameter or field fails
 `test_settings_snapshot` until SETTINGS below lists it; adding a model, an
 objective or a public name fails its snapshot test the same way.
 """
@@ -24,6 +25,7 @@ from sabrkit import (
     bs_implied_vol,
     calibrate_panel,
     price_h,
+    sigma_d,
     sigma_h,
     solve,
     solve_sequence,
@@ -56,13 +58,11 @@ SETTINGS = [
     "expansion.SabrParams.theta",
     "expansion.price_d.sigma",
     "expansion.price_sa2_rel.sigma",
-    "expansion.sigma_d.sigma",
     "fd.FdSolution.est_error",
     "fd.ResidualRegion.sigma_range",
     "fd.ResidualRegion.t_range",
     "fd.ResidualRegion.y_range",
     "hagan.price_h.sigma",
-    "hagan.sigma_h.sigma",
     "mc.McConfig.antithetic",
     "mc.McConfig.dt",
     "mc.McConfig.n_paths",
@@ -128,6 +128,22 @@ def test_public_names_snapshot():
     assert sorted(sabrkit.__all__) == PUBLIC_NAMES
 
 
+def test_each_public_name_is_declared_once():
+    # the package star-imports every module but the command-line front end,
+    # so a module's __all__ is the one list of its public names, and a name
+    # in two lists would be shadowed without an error
+    owner = {}
+    for info in pkgutil.iter_modules(sabrkit.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"sabrkit.{info.name}")
+        for name in module.__all__:
+            assert name not in owner, f"{name} is in {owner.get(name)} and {info.name}"
+            owner[name] = info.name
+            assert name in sabrkit.__all__
+            assert getattr(sabrkit, name) is getattr(module, name)
+
+
 PARAMS = SabrParams(sigma0=0.18, nu=1.0, rho=-0.2)
 DAY = synth_panel(PARAMS, 1)[0]
 GRID = fd._level_grid(PARAMS, 0.5, 0, grown=False)
@@ -180,6 +196,9 @@ GRID = fd._level_grid(PARAMS, 0.5, 0, grown=False)
             lambda: calibrate_panel([DAY, DAY], (1.0, 0.2, -0.2), "sigma_d", max_iter=2000),
         ),
         ("model", lambda: synth_panel(PARAMS, 1, model="sigma_d")),
+        # the vols take params.sigma0; the price forms keep the sigma keyword
+        ("sigma", lambda: sigma_d(0.1, 1.0, PARAMS, sigma=0.2)),
+        ("sigma", lambda: sigma_h(0.1, 1.0, PARAMS, sigma=0.2)),
     ],
 )
 def test_removed_keyword_is_a_type_error(name, call):

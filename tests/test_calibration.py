@@ -682,6 +682,15 @@ class TestFitDay:
         assert res.converged and res.n_skipped == 1 and res.nfev == 6
         assert res.ise <= 1e-12
 
+    @pytest.mark.parametrize("objective", ["sigma_d", "price_d", "log_price_d"])
+    def test_negative_y_whose_square_overflows_is_skipped_under_each_d_objective(self, objective):
+        # y = -1e200 gives sigma_d = inf; a price objective prices only the
+        # finite sigma_d values, so the quote is skipped without a warning
+        day = QuoteDay(1, ("C", "C", "P", "C"), [1.0, 0.5, 1.0, 2.0], [0.2, 0.21, 0.2, 0.22],
+                       moneyness=[0.1, -0.2, -1e200, 0.3])
+        res = calibrate_panel([day], (1.0, 0.25, -0.3), objective)[0]
+        assert res.converged and res.n_skipped == 1
+
     def test_unknown_objective_is_an_error(self):
         day = synth_panel(TRUE, 1)[0]
         with pytest.raises(DomainError, match="unknown objective"):

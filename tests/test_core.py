@@ -290,6 +290,40 @@ class TestCRel:
         with pytest.raises(DomainError, match=message):
             c_rel(np.array([0.0, y]), 0.2, 1.0)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: c_rel(0.1, math.inf, 1.0), "sigma"),
+            (lambda: c_rel(0.1, 0.2, math.inf), "t"),
+            (lambda: c_rel(0.1, 0.0, math.inf), "t"),
+            (lambda: c_rel(0.1, np.array([0.2, math.inf]), 1.0), "sigma"),
+            (lambda: bs_call(OptionQuery(1.0, 1.0), math.inf), "sigma"),
+            (lambda: h_tilde(2, 0.1, 0.2, math.inf), "t"),
+            (lambda: h_tilde(2, 0.1, math.inf, 1.0), "sigma"),
+            (lambda: d_minus(0.1, 0.2, math.inf), "t"),
+            (lambda: d_minus(0.1, np.array([0.2, math.inf]), 1.0), "sigma"),
+            (lambda: phi_t(0.1, 0.2, np.array([1.0, math.inf])), "t"),
+        ],
+        ids=["c_rel_sigma", "c_rel_t", "c_rel_flat_t", "c_rel_array_sigma", "bs_call_sigma",
+             "h_tilde_t", "h_tilde_sigma", "d_minus_t", "d_minus_array_sigma", "phi_t_array_t"],
+    )
+    def test_rejects_sigma_or_t_not_finite(self, call, name):
+        # each returned nan (d_minus -inf, phi_t 0.0) without a warning
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got inf$"):
+            call()
+
+    @pytest.mark.parametrize("form", [c_rel, d_minus])
+    def test_negative_and_nan_messages_are_unchanged(self, form):
+        sign = "nonnegative" if form is c_rel else "positive"
+        for sigma, t, message in [
+            (-0.1, 1.0, f"sigma must be {sign}, got -0.1"),
+            (math.nan, 1.0, f"sigma must be {sign}, got nan"),
+            (0.2, -1.0, f"t must be {sign}, got -1.0"),
+            (0.2, math.nan, f"t must be {sign}, got nan"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                form(0.1, sigma, t)
+
     def test_largest_y_is_priced(self):
         y = math.log(sys.float_info.max)
         assert math.isfinite(c_rel(y, 0.2, 1.0))

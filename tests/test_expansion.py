@@ -58,10 +58,6 @@ class TestParams:
         with pytest.raises(DomainError, match=f"^{field} must be finite, got"):
             SabrParams(**fields)
 
-    def test_kappa_product(self):
-        p = SabrParams(sigma0=0.2, nu=0.4, rho=0.0, kappa0=0.5, theta=0.2)
-        assert p.kappa == pytest.approx(0.2)
-
 
 class TestF1:
     def test_vanishes_without_skew_or_reversion(self):
@@ -186,6 +182,17 @@ class TestPriceSa2:
         q = OptionQuery(spot=math.exp(0.15), strike=1.0, expiry=0.9)
         assert price_sa2_rel(0.15, 0.9, p) == pytest.approx(price_sa2(q, p).total)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.4])
+    @pytest.mark.parametrize(
+        "sigma, t, name",
+        [(math.inf, 1.0, "sigma"), (0.2, math.inf, "t"), (0.2, np.array([1.0, math.inf]), "t")],
+        ids=["sigma", "t", "array_t"],
+    )
+    def test_rel_rejects_sigma_or_t_not_finite(self, sigma, t, name, nu):
+        # c_rel's rule: this returned nan, and an array call warned
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got inf$"):
+            price_sa2_rel(0.1, t, SabrParams(0.2, nu, -0.3), sigma=sigma)
+
     @pytest.mark.parametrize("kappa0", [0.0, 1.0])
     @pytest.mark.parametrize("nu", [0.0, 0.5])
     def test_tiny_expiry_is_black_scholes(self, nu, kappa0):
@@ -307,7 +314,7 @@ class TestImpliedVol:
         "call",
         [
             lambda: sigma_d(0.1, math.inf, SabrParams(0.2, 0.5, -0.3)),
-            lambda: sigma_d(0.1, 1.0, SabrParams(0.2, 0.5, -0.3), sigma=math.inf),
+            lambda: price_d(0.1, 1.0, SabrParams(0.2, 0.5, -0.3), sigma=math.inf),
             lambda: sigma_d(np.array([0.1, 0.2]), np.array([1.0, math.inf]),
                             SabrParams(0.2, 0.5, -0.3)),
             lambda: price_d(0.1, math.inf, SabrParams(0.2, 0.5, -0.3)),
@@ -316,7 +323,7 @@ class TestImpliedVol:
             lambda: implied_e2(0.1, math.inf, 0.3, 1.0),
             lambda: implied_e2(0.1, 0.2, 0.3, np.array([1.0, math.nan])),
         ],
-        ids=["sigma_d_t", "sigma_d_sigma", "sigma_d_array_t", "price_d_t", "e1_t",
+        ids=["sigma_d_t", "price_d_sigma", "sigma_d_array_t", "price_d_t", "e1_t",
              "e1_array_sigma", "e2_sigma", "e2_array_t_nan"],
     )
     def test_rejects_sigma_or_t_not_finite(self, call):
@@ -326,17 +333,25 @@ class TestImpliedVol:
 
     NU0 = SabrParams(0.2, 0.0, -0.3)
 
-    @pytest.mark.parametrize("form", [sigma_d, price_d])
     @pytest.mark.parametrize(
-        "y, t, sigma",
-        [(0.1, math.inf, None), (0.1, -1.0, None), (0.1, 1.0, math.inf),
-         (np.array([0.1, 0.2]), np.array([1.0, -1.0]), None)],
-        ids=["t_inf", "t_negative", "sigma_inf", "array_t_negative"],
+        "form, y, t, sigma",
+        [
+            pytest.param(form, y, t, sigma, id=f"{case}-{form.__name__}")
+            for case, y, t, sigma in [
+                ("t_inf", 0.1, math.inf, None), ("t_negative", 0.1, -1.0, None),
+                ("sigma_inf", 0.1, 1.0, math.inf),
+                ("array_t_negative", np.array([0.1, 0.2]), np.array([1.0, -1.0]), None),
+            ]
+            for form in (sigma_d, price_d)
+            # sigma_d takes params.sigma0 alone, which SabrParams keeps finite
+            if sigma is None or form is price_d
+        ],
     )
     def test_rejects_sigma_or_t_at_nu_zero(self, form, y, t, sigma):
         # at nu = 0 sigma_d returned nan at t = inf and sigma0 at t = -1
+        kwargs = {} if sigma is None else {"sigma": sigma}
         with pytest.raises(DomainError, match=r" requires finite sigma > 0 and t > 0$"):
-            form(y, t, self.NU0, sigma=sigma)
+            form(y, t, self.NU0, **kwargs)
 
     @pytest.mark.parametrize("form", [sigma_d, price_d])
     @pytest.mark.parametrize("nu", [0.0, 0.5])

@@ -173,7 +173,7 @@ class TestOverflow:
     def test_zero_sigma_is_not_an_overflow(self):
         p = SabrParams(sigma0=0.2, nu=0.5, rho=-0.2)
         with pytest.raises(DomainError, match="^sigma must be positive, got 0.0$"):
-            sigma_h(np.array([0.0, 0.1]), 1.0, p, sigma=np.array([0.0, 0.2]))
+            price_h(np.array([0.0, 0.1]), 1.0, p, sigma=np.array([0.0, 0.2]))
 
     @pytest.mark.parametrize("t", [1.0, np.array([0.0, 1.0])])
     def test_vol(self, t):

@@ -5,6 +5,7 @@ same as on their broadcast copies, and the residual tables keep their
 recorded values."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,17 +152,20 @@ class TestArrayEqualsScalar:
         ys, ss, ts = data.draw(
             lattices(y=(-3.0, 3.0), sigma=(0.05, 0.8), t=(0.05, 10.0), zeros=False)
         )
-        quote = sigma_d(ys, ts, params, sigma=ss)
-        points = [
-            sigma_d(float(y), float(t), params, sigma=float(s)) for y, t, s in zip(ys, ts, ss)
-        ]
+        quote = sigma_d(ys, ts, params)
+        points = [sigma_d(float(y), float(t), params) for y, t in zip(ys, ts)]
         np.testing.assert_allclose(
             quote.value, [q.value for q in points], rtol=RTOL, atol=1e-12
         )
         np.testing.assert_array_equal(quote.clamped, [q.clamped for q in points])
+        # price_d's sigma keyword stands for sigma0, point by point
+        at_sigma = [
+            sigma_d(float(y), float(t), replace(params, sigma0=float(s)))
+            for y, t, s in zip(ys, ts, ss)
+        ]
         np.testing.assert_allclose(
             price_d(ys, ts, params, sigma=ss),
-            [c_rel(float(y), q.value, float(t)) for y, t, q in zip(ys, ts, points)],
+            [c_rel(float(y), q.value, float(t)) for y, t, q in zip(ys, ts, at_sigma)],
             rtol=RTOL,
             atol=ATOL,
         )
@@ -361,11 +365,12 @@ class TestOpenMesh:
 
     @given(open_mesh(Y, T, SIGMA), params_strategy())
     def test_implied_vol_forms(self, mesh, params):
-        assert_open_mesh_call(lambda y, t, s: sigma_d(y, t, params, sigma=s), *mesh)
+        # the vols take params.sigma0, the prices' sigma keyword spans the mesh
+        assert_open_mesh_call(lambda y, t: sigma_d(y, t, params), *mesh[:2])
         assert_open_mesh_call(lambda y, t, s: price_d(y, t, params, sigma=s), *mesh)
         # the vol stays positive: |rho nu sigma / 4| + |2 - 3 rho^2| nu^2 / 24 < 1/t here
         hagan = SabrParams(params.sigma0, min(params.nu, 1.0), params.rho)
-        assert_open_mesh_call(lambda y, t, s: sigma_h(y, t, hagan, sigma=s), *mesh)
+        assert_open_mesh_call(lambda y, t: sigma_h(y, t, hagan), *mesh[:2])
         assert_open_mesh_call(lambda y, t, s: price_h(y, t, hagan, sigma=s), *mesh)
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
@@ -399,7 +404,7 @@ class TestOpenMeshErrors:
             for ti in t.flat
             for si in sigma.flat
             for yi in y.flat
-            if (v := sigma_h(float(yi), float(ti), self.P, sigma=float(si))) < 0.0
+            if (v := sigma_h(float(yi), float(ti), replace(self.P, sigma0=float(si)))) < 0.0
         )
         want = "the Hagan vol is negative at vol = {}, nu = 0.4, y = {}, t = {}, sigma = {}"
         want = want.format(vol, *point)
